@@ -9,17 +9,13 @@ from .errors import (
     MonotonicityError,
     PoleError,
     RegimeError,
-    StructureError,
 )
 from .poly_core import (
     LogDiscriminant,
-    NotAllReal,
     RealRootedPoly,
     TOL_EVAL,
     TOL_ORACLE,
-    TOL_STRUCT,
     disc_resultant_oracle,
-    even_odd_structured_roots,
     log_disc_from_roots,
     modulus_at_ai,
     poly_from_roots,
@@ -39,6 +35,7 @@ from .jacobi_family import (
     closed_form_disc,
     degenerate_family_coeffs,
     family_coeffs,
+    family_roots,
     jacobi_coeffs,
     jacobi_disc,
     multiplier_poles,
@@ -84,15 +81,12 @@ __all__ = [
     "JacobiParams",
     "LogDiscriminant",
     "MonotonicityError",
-    "NotAllReal",
     "OracleResult",
     "PoleError",
     "RealRootedPoly",
     "RegimeError",
-    "StructureError",
     "TOL_EVAL",
     "TOL_ORACLE",
-    "TOL_STRUCT",
     "arctan_cdf_distance",
     "binomial_poly",
     "closed_form_disc",
@@ -100,8 +94,8 @@ __all__ = [
     "degenerate_family_coeffs",
     "disc_resultant_oracle",
     "energy_lower_bound",
-    "even_odd_structured_roots",
     "family_coeffs",
+    "family_roots",
     "format_report",
     "inscribed_disk_poly",
     "jacobi_coeffs",

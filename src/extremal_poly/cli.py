@@ -68,17 +68,25 @@ def log_disc_to_dict(ld) -> dict:
     return {"sign": ld.sign, "log_abs": ld.log_abs, "value": value}
 
 
+def _coeffs_or_null(poly):
+    # the expansion from the roots overflows into NaN near d = 1000; the
+    # roots alone still define the polynomial
+    if any(math.isnan(c) for c in poly.coeffs):
+        return None
+    return list(poly.coeffs)
+
+
 def solution_to_dict(sol) -> dict:
     lead = sol.polys[0]
     mirror = None
     if len(sol.polys) > 1:
         other = sol.polys[1]
-        mirror = {"roots": list(other.roots), "coeffs": list(other.coeffs)}
+        mirror = {"roots": list(other.roots), "coeffs": _coeffs_or_null(other)}
     return {
         "problem": sol.problem,
         "regime": sol.regime,
         "roots": list(lead.roots),
-        "coeffs": list(lead.coeffs),
+        "coeffs": _coeffs_or_null(lead),
         "achieved_m": sol.achieved_m,
         "log_disc": log_disc_to_dict(sol.achieved_disc),
         "lambda_or_B": sol.lambda_or_b,

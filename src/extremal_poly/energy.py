@@ -43,19 +43,16 @@ def config_from_points(points, a: float) -> ChargeConfig:
 
     v = -math.fsum(math.log(math.hypot(a, x)) for x in pts) / d
 
-    terms = []
-    coincident = False
     sorted_pts = sorted(pts)
-    for j in range(d):
-        for k in range(j + 1, d):
-            diff = sorted_pts[k] - sorted_pts[j]
-            if diff == 0.0:
-                coincident = True
-                break
-            terms.append(2.0 * math.log(diff))
-        if coincident:
-            break
-    energy = math.inf if coincident else -math.fsum(terms) / (d * (d - 1.0))
+    if any(x == y for x, y in zip(sorted_pts, sorted_pts[1:])):
+        energy = math.inf
+    else:
+        log_prod = math.fsum(
+            2.0 * math.log(sorted_pts[k] - sorted_pts[j])
+            for j in range(d)
+            for k in range(j + 1, d)
+        )
+        energy = -log_prod / (d * (d - 1.0))
     return ChargeConfig(points=pts, a=a, potential_v=v, energy_I=energy)
 
 

@@ -17,10 +17,6 @@ class RegimeError(ExtremalPolyError):
     """The requested parameters fall outside the regime the formula covers."""
 
 
-class StructureError(ExtremalPolyError):
-    """A polynomial does not have the even/odd coefficient structure required."""
-
-
 class PoleError(ExtremalPolyError):
     """A parameter sits on (or too close to) a pole of a closed-form expression."""
 

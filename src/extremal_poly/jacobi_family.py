@@ -2,15 +2,17 @@
 
 Maximisers of the discriminant at fixed modulus |f(ai)| (below the
 boundary modulus 2^(d-1) a^d) form a one-parameter family indexed by a
-Lagrange multiplier lam. The family's coefficients, the constraint that
-pins lam to a target modulus, and a fully closed form for its
-discriminant all live here, together with general Jacobi/Gegenbauer
+Lagrange multiplier lam. The family's coefficients and roots, the
+constraint that pins lam to a target modulus, and a fully closed form for
+its discriminant all live here, together with general Jacobi/Gegenbauer
 expansions and the discriminant formula for Jacobi polynomials that the
 closed form is checked against.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, MonotonicityError, PoleError, RegimeError
 from .poly_core import LogDiscriminant
@@ -74,6 +76,41 @@ def family_coeffs(params: JacobiFamilyParams) -> list[float]:
     return coeffs
 
 
+def family_roots(params: JacobiFamilyParams) -> list[float]:
+    """Roots of the degree-d family member, sorted ascending.
+
+    The member is a Jacobi polynomial P_d^(alpha,alpha), alpha = -lam/2 - 1,
+    at a rotated argument, so its roots are the eigenvalues of the
+    symmetric tridiagonal matrix of its monic three-term recurrence
+    (Golub-Welsch): zero diagonal, off-diagonals
+    e_n = a sqrt(n (lam+2-n) / ((lam+3-2n) (lam+1-2n))), n = 1..d-1.
+    A zero diagonal pairs the eigenvalues as +-sigma, where the sigma are
+    the singular values of the half-size lower-bidiagonal block that
+    couples odd and even indices; odd d adds one exact zero. DomainError
+    when a radicand is not positive (never for lam >= 2d-2).
+    """
+    a, d, lam = params.a, params.d, params.multiplier
+    n = np.arange(1.0, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radicand = (
+            n * (lam + 2.0 - n) / ((lam + 3.0 - 2.0 * n) * (lam + 1.0 - 2.0 * n))
+        )
+    if not np.all(np.isfinite(radicand) & (radicand > 0.0)):
+        raise DomainError(
+            "recurrence radicand is not positive at multiplier %.17g" % lam
+        )
+    e = a * np.sqrt(radicand)
+    cols = d // 2
+    b = np.zeros(((d + 1) // 2, cols))
+    diag = np.arange(cols)
+    b[diag, diag] = e[0::2]
+    sub = np.arange((d - 1) // 2)
+    b[sub + 1, sub] = e[1::2]
+    sigma = np.linalg.svd(b, compute_uv=False)  # descending
+    mid = [0.0] if d % 2 else []
+    return (-sigma).tolist() + mid + sigma[::-1].tolist()
+
+
 def constraint_sum(d: int, lam: float) -> float:
     """1 + sum_k C(d,2k)(2k-1)!! / prod_{j<=k}(lam-2d+2j+1); equals the
     modulus ratio m / a^d along the family. Strictly decreasing from +inf
@@ -107,12 +144,23 @@ def solve_multiplier(a: float, d: int, modulus: float) -> float:
     if log_t > (d - 1) * math.log(2.0) + 1e-12:
         raise RegimeError("modulus exceeds the boundary 2^(d-1) a^d")
     target = math.exp(log_t)
+    if constraint_sum(d, 2.0 * d - 2.0) <= target:
+        return 2.0 * d - 2.0
+    return bisect_multiplier(lambda lam: constraint_sum(d, lam), target, d)
+
+
+def bisect_multiplier(fn, target: float, d: int) -> float:
+    """Multiplier on [2d-2, inf) where the decreasing fn falls through
+    target; callers have checked fn(2d-2) >= target.
+
+    The upper end starts at 4d and doubles until fn drops below target,
+    then bisection keeps fn(lo) >= target > fn(hi) down to float
+    resolution. MonotonicityError when no upper end is found.
+    """
     lo = 2.0 * d - 2.0
-    if constraint_sum(d, lo) <= target:
-        return lo
     hi = 4.0 * d
-    for _ in range(300):
-        if constraint_sum(d, hi) < target:
+    for _ in range(400):
+        if fn(hi) < target:
             break
         hi *= 2.0
     else:
@@ -121,7 +169,7 @@ def solve_multiplier(a: float, d: int, modulus: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi or hi - lo <= 1e-16 * max(1.0, hi):
             break
-        if constraint_sum(d, mid) >= target:
+        if fn(mid) >= target:
             lo = mid
         else:
             hi = mid

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, StructureError
+from .errors import DomainError, InputError
 
 # Default tolerances. Evaluation residuals are relative to the largest
-# intermediate term, oracle comparisons are relative in log magnitude,
-# and structural zero tests are relative to the largest coefficient.
+# intermediate term, oracle comparisons are relative in log magnitude.
 TOL_EVAL = 1e-10
 TOL_ORACLE = 1e-8
-TOL_STRUCT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,19 +77,6 @@ class RealRootedPoly:
     degree: int
     roots: tuple[float, ...]
     coeffs: tuple[float, ...]
-
-
-class NotAllReal:
-    """Sentinel result: the structured polynomial has complex or negative
-    squared roots, so a full real root list does not exist."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "NotAllReal"
-
-
-NOT_ALL_REAL = NotAllReal()
 
 
 def _expand_monic(roots) -> list[float]:
@@ -172,15 +157,16 @@ def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
     sign 0 exactly when two stored roots coincide as floats; otherwise +1,
     since the polynomial is monic with all roots real.
     """
-    rs = p.roots
-    terms = []
-    for j in range(len(rs)):
-        for k in range(j + 1, len(rs)):
-            diff = rs[k] - rs[j]
-            if diff == 0.0:
-                return LogDiscriminant.zero()
-            terms.append(2.0 * math.log(abs(diff)))
-    return LogDiscriminant(1, math.fsum(terms))
+    rs = sorted(p.roots)
+    if any(x == y for x, y in zip(rs, rs[1:])):
+        return LogDiscriminant.zero()
+    n = len(rs)
+    return LogDiscriminant(
+        1,
+        math.fsum(
+            2.0 * math.log(rs[k] - rs[j]) for j in range(n) for k in range(j + 1, n)
+        ),
+    )
 
 
 def _log_det(mat: np.ndarray) -> tuple[int, float]:
@@ -243,147 +229,6 @@ def disc_resultant_oracle(coeffs) -> LogDiscriminant:
     sign = s_res * (1 if (d * (d - 1) // 2) % 2 == 0 else -1)
     sign *= 1 if cs[-1] > 0 else -1
     return LogDiscriminant(sign, log_res - math.log(abs(cs[-1])))
-
-
-def _deflate(coeffs: list[float], r: float) -> list[float]:
-    # synthetic division by (u - r); input/output ascending
-    desc = coeffs[::-1]
-    out = [desc[0]]
-    for c in desc[1:-1]:
-        out.append(c + r * out[-1])
-    return out[::-1]
-
-
-def _polish_root(coeffs: list[float], r: float) -> float:
-    # a few Newton steps against the original polynomial; keep only improvements
-    deriv = [k * coeffs[k] for k in range(1, len(coeffs))]
-    best, best_val = r, abs(eval_coeffs(coeffs, r))
-    cur = r
-    for _ in range(4):
-        dv = eval_coeffs(deriv, cur)
-        if dv == 0.0:
-            break
-        cur = cur - eval_coeffs(coeffs, cur) / dv
-        if not math.isfinite(cur):
-            break
-        v = abs(eval_coeffs(coeffs, cur))
-        if v < best_val:
-            best, best_val = cur, v
-    return best
-
-
-def _find_one_real_root(coeffs: list[float]) -> float | None:
-    # scan a Fujiwara-bounded interval for a sign change, then bisect
-    h = len(coeffs) - 1
-    lead = coeffs[-1]
-    bound = 2.0 * max(
-        abs(coeffs[h - k] / lead) ** (1.0 / k) for k in range(1, h + 1)
-    )
-    bound = max(bound, 1e-300)
-    grid = np.linspace(-bound, bound, 4097)
-    vals = np.polyval(np.array(coeffs[::-1]), grid)
-    exact = np.flatnonzero(vals == 0.0)
-    if exact.size:
-        return float(grid[exact[0]])
-    flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
-    if flips.size == 0:
-        return None
-    i = int(flips[0])
-    lo, hi = float(grid[i]), float(grid[i + 1])
-    flo = eval_coeffs(coeffs, lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = eval_coeffs(coeffs, mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _real_roots_all(coeffs: list[float]) -> tuple[list[float], bool]:
-    """All real roots of an ascending-coefficient polynomial.
-
-    Returns (roots, leftover) where leftover is True when a nonreal factor
-    remained. Roots found by bracketed bisection plus deflation, each one
-    re-polished against the original polynomial. Roots of even multiplicity
-    produce no sign change and are reported as leftover.
-    """
-    original = list(coeffs)
-    work = [c / coeffs[-1] for c in coeffs]
-    roots: list[float] = []
-    while True:
-        while len(work) > 1 and work[0] == 0.0:
-            roots.append(0.0)
-            work = work[1:]
-        h = len(work) - 1
-        if h == 0:
-            return sorted(roots), False
-        if h == 1:
-            roots.append(-work[0] / work[1])
-            return sorted(roots), False
-        if h == 2:
-            a2, a1, a0 = work[2], work[1], work[0]
-            disc = a1 * a1 - 4.0 * a2 * a0
-            if disc < 0.0:
-                return sorted(roots), True
-            sq = math.sqrt(disc)
-            if a1 == 0.0 and sq == 0.0:
-                roots.extend([0.0, 0.0])
-            else:
-                q = -0.5 * (a1 + math.copysign(sq, a1))
-                r1 = q / a2
-                r2 = a0 / q if q != 0.0 else 0.0
-                roots.extend([r1, r2])
-            return sorted(roots), False
-        r = _find_one_real_root(work)
-        if r is None:
-            return sorted(roots), True
-        r = _polish_root(original, r)
-        roots.append(r)
-        work = _deflate(work, r)
-
-
-def even_odd_structured_roots(coeffs):
-    """Real roots of a polynomial whose nonzero coefficients all share the
-    degree's parity (even powers only, or odd powers only).
-
-    Substituting u = x^2 halves the degree; u-roots are found by bracketed
-    bisection with deflation and mapped back through +-sqrt(u). Returns the
-    sorted root list, or the NOT_ALL_REAL sentinel when any u-root is
-    negative or complex. Raises StructureError when the parity pattern is
-    violated beyond TOL_STRUCT relative.
-    """
-    cs = [float(c) for c in coeffs]
-    d = len(cs) - 1
-    if d < 2:
-        raise DomainError("degree must be >= 2")
-    if cs[-1] == 0.0:
-        raise DomainError("leading coefficient must be nonzero")
-    scale = max(abs(c) for c in cs)
-    parity = d % 2
-    for i, c in enumerate(cs):
-        if i % 2 != parity and abs(c) > TOL_STRUCT * scale:
-            raise StructureError(
-                "coefficient of x^%d breaks the even/odd structure" % i
-            )
-    half = cs[parity::2]
-    uroots, leftover = _real_roots_all(half)
-    if leftover:
-        return NOT_ALL_REAL
-    neg_tol = 1e-12 * max(1.0, max((abs(u) for u in uroots), default=0.0))
-    xs: list[float] = [0.0] if parity else []
-    for u in uroots:
-        if u < -neg_tol:
-            return NOT_ALL_REAL
-        s = math.sqrt(max(u, 0.0))
-        xs.extend((-s, s))
-    xs.sort()
-    return xs
 
 
 def quartic_disc(c2: float, c0: float) -> float:

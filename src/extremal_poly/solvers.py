@@ -20,9 +20,7 @@ from . import jacobi_family as jf
 from .errors import DomainError, MonotonicityError, RegimeError
 from .poly_core import (
     LogDiscriminant,
-    NotAllReal,
     RealRootedPoly,
-    even_odd_structured_roots,
     eval_coeffs,
     log_disc_from_roots,
     log_modulus_at_ai,
@@ -94,13 +92,9 @@ def _binomial_pair(a: float, d: int, phase: float, sub: float):
 
 
 def _multiplier_poly(a: float, d: int, lam: float) -> RealRootedPoly:
-    coeffs = jf.family_coeffs(jf.JacobiFamilyParams(a=a, d=d, multiplier=lam))
-    roots = even_odd_structured_roots(coeffs)
-    if isinstance(roots, NotAllReal):
-        raise DomainError(
-            "family member at multiplier %.17g is not real-rooted" % lam
-        )
-    return poly_from_roots(roots)
+    return poly_from_roots(
+        jf.family_roots(jf.JacobiFamilyParams(a=a, d=d, multiplier=lam))
+    )
 
 
 def solve_max_disc(a: float, d: int, m: float) -> ExtremalSolution:
@@ -162,27 +156,11 @@ def _multiplier_from_disc(a: float, d: int, log_disc: float) -> float:
             jf.JacobiFamilyParams(a=a, d=d, multiplier=lam)
         ).log_abs
 
-    lo = 2.0 * d - 2.0
-    if log_value(lo) < log_disc:
+    if log_value(2.0 * d - 2.0) < log_disc:
         raise MonotonicityError(
             "target discriminant exceeds the family value at the boundary"
         )
-    hi = 4.0 * d
-    for _ in range(400):
-        if log_value(hi) < log_disc:
-            break
-        hi *= 2.0
-    else:
-        raise MonotonicityError("could not bracket the multiplier from above")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or hi - lo <= 1e-16 * max(1.0, hi):
-            break
-        if log_value(mid) >= log_disc:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return jf.bisect_multiplier(log_value, log_disc, d)
 
 
 def lagrange_residuals(p: RealRootedPoly, lam: float) -> tuple[float, float]:

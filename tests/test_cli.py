@@ -4,6 +4,8 @@ import math
 import pytest
 
 from extremal_poly.cli import canonical_json, main
+from extremal_poly.jacobi_family import JacobiFamilyParams, closed_form_disc
+from extremal_poly.poly_core import rel_log_diff
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +105,35 @@ class TestSolveCommands:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("d,frac", [(30, 0.999), (60, 0.5), (100, 0.5)])
+    def test_multiplier_regime_at_large_degree(self, capsys, d, frac):
+        # these inputs used to fail as "not real-rooted" or return a
+        # discriminant off by 1e-3
+        m = repr(2.0 ** (frac * (d - 1)))
+        code, out, err = run_cli(
+            capsys, "solve-disc", "--a", "1", "--d", str(d), "--m", m
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["regime"] == "g_family"
+        want = closed_form_disc(
+            JacobiFamilyParams(a=1.0, d=d, multiplier=doc["lambda_or_B"])
+        )
+        assert rel_log_diff(doc["log_disc"]["log_abs"], want.log_abs) <= 1e-12
+
+    @pytest.mark.parametrize("frac,regime", [(0.999, "g_family"), (1.01, "f_family")])
+    def test_overflowing_coeffs_are_null(self, capsys, frac, regime):
+        m = repr(2.0 ** (frac * 999))
+        code, out, err = run_cli(
+            capsys, "solve-disc", "--a", "1", "--d", "1000", "--m", m
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["regime"] == regime
+        assert doc["coeffs"] is None and len(doc["roots"]) == 1000
+        if doc["mirror"] is not None:
+            assert doc["mirror"]["coeffs"] is None
 
 
 class TestLemniscateCommand:

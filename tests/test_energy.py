@@ -34,6 +34,29 @@ def test_coincident_points_have_infinite_energy():
     assert cfg.energy_I == math.inf
 
 
+def _list_energy(pts) -> float:
+    # reference: every pairwise term materialised, then summed
+    srt = sorted(pts)
+    d = len(srt)
+    terms = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            diff = srt[k] - srt[j]
+            if diff == 0.0:
+                return math.inf
+            terms.append(2.0 * math.log(diff))
+    return -math.fsum(terms) / (d * (d - 1.0))
+
+
+def test_energy_equals_list_reference_bitwise():
+    rng = np.random.default_rng(16)
+    for trial in range(40):
+        pts = list(rng.uniform(-3, 3, size=int(rng.integers(2, 60))))
+        if trial % 3 == 0:
+            pts[0] = pts[-1]
+        assert config_from_points(pts, 1.0).energy_I == _list_energy(pts)
+
+
 def test_energy_lower_bound_admissibility():
     with pytest.raises(DomainError):
         energy_lower_bound(1.0, 2, 0.0)  # v >= -log(a) is unreachable

@@ -5,14 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from extremal_poly.errors import DomainError, PoleError, RegimeError
+from extremal_poly.binomial_family import tangent_lattice_roots
+from extremal_poly.errors import (
+    DomainError,
+    MonotonicityError,
+    PoleError,
+    RegimeError,
+)
 from extremal_poly.jacobi_family import (
     JacobiFamilyParams,
     JacobiParams,
+    bisect_multiplier,
     closed_form_disc,
     constraint_sum,
     degenerate_family_coeffs,
     family_coeffs,
+    family_roots,
     gegenbauer_coeffs,
     gen_binom,
     jacobi_coeffs,
@@ -25,6 +33,7 @@ from extremal_poly.jacobi_family import (
 )
 from extremal_poly.poly_core import (
     disc_resultant_oracle,
+    log_modulus_at_ai,
     rel_log_diff,
 )
 
@@ -111,6 +120,80 @@ def test_solve_multiplier_roundtrip():
         lam = solve_multiplier(a, d, m)
         assert lam >= 2 * d - 2 - 1e-12
         assert a**d * constraint_sum(d, lam) == pytest.approx(m, rel=1e-10)
+
+
+def test_bisect_multiplier_reports_missing_bracket():
+    with pytest.raises(MonotonicityError):
+        bisect_multiplier(lambda lam: 1.0, 0.5, 4)
+
+
+def _pairwise_log_disc(roots) -> float:
+    xs = np.asarray(roots)
+    iu, ju = np.triu_indices(len(xs), k=1)
+    return 2.0 * math.fsum(np.log(xs[ju] - xs[iu]))
+
+
+@pytest.mark.parametrize("frac", [0.001, 0.05, 0.5, 0.999, 1.0])
+@pytest.mark.parametrize("d", [8, 30, 60, 100, 400, 1000])
+def test_family_roots_sweep_against_closed_form(d, frac):
+    log_m = frac * (d - 1) * math.log(2.0)
+    lam = solve_multiplier(1.0, d, math.exp(log_m))
+    params = JacobiFamilyParams(a=1.0, d=d, multiplier=lam)
+    roots = family_roots(params)
+    assert len(roots) == d and all(x < y for x, y in zip(roots, roots[1:]))
+    want = closed_form_disc(params)
+    assert want.sign == 1
+    assert rel_log_diff(_pairwise_log_disc(roots), want.log_abs) <= 1e-12
+    assert rel_log_diff(log_modulus_at_ai(roots, 1.0), log_m) <= 1e-12
+
+
+def _mpmath_family_roots(mp, a, d, lam):
+    # exact family coefficients in u = x^2, highest power first, solved at
+    # 50 digits: independent of the recurrence and of float expansion
+    with mp.workdps(50):
+        a, lam = mp.mpf(a), mp.mpf(lam)
+        term = mp.mpf(1)
+        desc = [term]
+        for k in range(1, d // 2 + 1):
+            term *= -a * a * (d - 2 * k + 2) * (d - 2 * k + 1) / (2 * k)
+            term /= lam - 2 * d + 2 * k + 1
+            desc.append(term)
+        us = mp.polyroots(desc, maxsteps=200, extraprec=200)
+        assert all(abs(mp.im(u)) == 0 and mp.re(u) > 0 for u in us)
+        half = [float(mp.sqrt(mp.re(u))) for u in us]
+    return sorted([-x for x in half] + half + ([0.0] if d % 2 else []))
+
+
+@pytest.mark.parametrize("a,d,frac", [(1.0, 30, 0.999), (1.0, 60, 0.5), (0.5, 31, 0.05)])
+def test_family_roots_match_mpmath(a, d, frac):
+    mp = pytest.importorskip("mpmath")
+    lam = solve_multiplier(a, d, a**d * 2.0 ** (frac * (d - 1)))
+    got = family_roots(JacobiFamilyParams(a=a, d=d, multiplier=lam))
+    want = _mpmath_family_roots(mp, a, d, lam)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * max(abs(w), a)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 3.0])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 13])
+def test_family_roots_at_boundary_are_tangent_lattice(d, a):
+    # both families meet at lam = 2d - 2; at d = 4, a = 1 the shared
+    # member is x^4 - 6x^2 + 1
+    phase = 0.0 if d % 2 else math.pi / (2.0 * d)
+    got = family_roots(JacobiFamilyParams(a=a, d=d, multiplier=2.0 * d - 2.0))
+    want = tangent_lattice_roots(a, d, phase)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * a)
+    if (d, a) == (4, 1.0):
+        quartic = sorted(math.tan(math.pi / 8 + k * math.pi / 4) for k in range(4))
+        assert got == pytest.approx(quartic, rel=1e-14)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 5.5])
+def test_family_roots_reject_nonpositive_radicand(lam):
+    # below the extremal range the recurrence would need imaginary
+    # off-diagonals; the roots are refused rather than returned as NaN
+    with pytest.raises(DomainError):
+        family_roots(JacobiFamilyParams(a=1.0, d=6, multiplier=lam))
 
 
 def test_closed_form_disc_values():

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from extremal_poly.errors import DomainError, InputError, StructureError
+from extremal_poly.errors import DomainError, InputError
 from extremal_poly.poly_core import (
-    NOT_ALL_REAL,
     LogDiscriminant,
     coeff_eval_residual,
     descartes_real_root_bound,
     disc_resultant_oracle,
     eval_at,
     eval_coeffs,
-    even_odd_structured_roots,
     log_disc_from_roots,
     log_modulus_at_ai,
     modulus_at_ai,
@@ -102,6 +100,30 @@ def test_log_disc_coincident_roots():
     assert ld.sign == 0
 
 
+def _list_log_disc(rs) -> LogDiscriminant:
+    # reference: every pairwise term materialised, then summed
+    terms = []
+    for j in range(len(rs)):
+        for k in range(j + 1, len(rs)):
+            diff = rs[k] - rs[j]
+            if diff == 0.0:
+                return LogDiscriminant.zero()
+            terms.append(2.0 * math.log(abs(diff)))
+    return LogDiscriminant(1, math.fsum(terms))
+
+
+def test_log_disc_equals_list_reference_bitwise():
+    rng = np.random.default_rng(15)
+    for trial in range(60):
+        roots = list(rng.uniform(-3, 3, size=int(rng.integers(2, 60))))
+        if trial % 3 == 0:
+            roots[0] = roots[-1]
+        if trial % 5 == 0:
+            roots = [round(r, 1) for r in roots]
+        p = poly_from_roots(roots)
+        assert log_disc_from_roots(p) == _list_log_disc(p.roots)
+
+
 def test_resultant_oracle_agrees_with_root_product():
     rng = np.random.default_rng(14)
     for _ in range(60):
@@ -160,33 +182,6 @@ def test_quintic_disc_vs_oracle():
         got = quintic_disc(c2, c0)
         ref = disc_resultant_oracle([0.0, c0, 0.0, c2, 0.0, 1.0])
         assert got == pytest.approx(ref.sign * math.exp(ref.log_abs), rel=1e-10)
-
-
-def test_even_odd_structured_roots_quartic():
-    # x^4 - 6x^2 + 1 = prod (x - tan(pi/8 + k pi/4))
-    xs = even_odd_structured_roots([1.0, 0.0, -6.0, 0.0, 1.0])
-    want = sorted(math.tan(math.pi / 8 + k * math.pi / 4) for k in range(4))
-    assert xs == pytest.approx(want, rel=1e-12)
-
-
-def test_even_odd_structured_roots_odd_degree():
-    xs = even_odd_structured_roots([0.0, -3.0, 0.0, 1.0])
-    assert xs == pytest.approx([-math.sqrt(3), 0.0, math.sqrt(3)], abs=1e-12)
-
-
-def test_even_odd_structured_roots_not_real():
-    assert even_odd_structured_roots([-3.0, 0.0, 6.0, 0.0, 1.0]) is NOT_ALL_REAL
-    assert even_odd_structured_roots([1.0, 0.0, 0.0, 0.0, 1.0]) is NOT_ALL_REAL
-
-
-def test_even_odd_structure_violation():
-    with pytest.raises(StructureError):
-        even_odd_structured_roots([1.0, 0.5, -6.0, 0.0, 1.0])
-
-
-def test_even_odd_rejects_degenerate():
-    with pytest.raises(DomainError):
-        even_odd_structured_roots([1.0, 1.0])
 
 
 @pytest.mark.parametrize(
