@@ -13,7 +13,6 @@ from .errors import (
 from .poly_core import (
     LogDiscriminant,
     RealRootedPoly,
-    TOL_EVAL,
     TOL_ORACLE,
     disc_resultant_oracle,
     log_disc_from_roots,
@@ -23,6 +22,7 @@ from .poly_core import (
 )
 from .binomial_family import (
     BinomialFamilyParams,
+    binomial_coeffs,
     binomial_poly,
     min_modulus_bound,
     params_from_disc,
@@ -85,9 +85,9 @@ __all__ = [
     "PoleError",
     "RealRootedPoly",
     "RegimeError",
-    "TOL_EVAL",
     "TOL_ORACLE",
     "arctan_cdf_distance",
+    "binomial_coeffs",
     "binomial_poly",
     "closed_form_disc",
     "config_from_points",

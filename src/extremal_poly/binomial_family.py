@@ -86,21 +86,38 @@ def phase_ratio(a: float, d: int, disc: float) -> PhaseRatio:
     return PhaseRatio(min(math.exp(lp), 1.0))
 
 
+def _phase(d: int, p: float) -> float:
+    return (math.acos(p) if d % 2 else math.asin(p)) / d
+
+
+def _subleading(a: float, d: int, log_p: float) -> float:
+    radicand = math.expm1(-2.0 * log_p)  # p^(-2) - 1
+    if radicand < -1e-12:
+        raise RegimeError("height too large: no real subleading coefficient")
+    return (-1.0 if d % 2 else 1.0) * a * d * math.sqrt(max(radicand, 0.0))
+
+
 def lattice_phase(a: float, d: int, disc: float) -> float:
     """Root-lattice phase in [0, pi/(2d)]: arccos(p)/d for odd d,
     arcsin(p)/d for even d."""
-    p = phase_ratio(a, d, disc).p
-    return (math.acos(p) if d % 2 else math.asin(p)) / d
+    return _phase(d, phase_ratio(a, d, disc).p)
 
 
 def subleading_coeff(a: float, d: int, disc: float) -> float:
     """Coefficient of x^(d-1), sign (-1)^d; zero exactly on the regime
     boundary where only one extremal polynomial exists."""
-    lp = log_phase_ratio(a, d, disc)
-    radicand = math.expm1(-2.0 * lp)  # p^(-2) - 1
-    if radicand < -1e-12:
-        raise RegimeError("height too large: no real subleading coefficient")
-    return (-1.0 if d % 2 else 1.0) * a * d * math.sqrt(max(radicand, 0.0))
+    return _subleading(a, d, log_phase_ratio(a, d, disc))
+
+
+def lattice_member(a: float, d: int, log_p: float) -> tuple[list[float], float]:
+    """Tangent-lattice roots and subleading coefficient of the member with
+    phase ratio p = exp(log_p) <= 1.
+
+    The roots are taken first, so a tiny p whose lattice hits a tangent
+    pole raises that DomainError before p^(-2) can overflow.
+    """
+    roots = tangent_lattice_roots(a, d, _phase(d, min(math.exp(log_p), 1.0)))
+    return roots, _subleading(a, d, log_p)
 
 
 def params_from_disc(a: float, d: int, disc: float) -> BinomialFamilyParams:
@@ -135,12 +152,16 @@ def tangent_lattice_roots(a: float, d: int, phase: float) -> list[float]:
 
 
 def binomial_poly(params: BinomialFamilyParams) -> RealRootedPoly:
-    """Expand ((ad - Bi)(x + ai)^d + (ad + Bi)(x - ai)^d) / (2ad).
+    """The family member at params.phase, from its tangent-lattice roots."""
+    return poly_from_roots(tangent_lattice_roots(params.a, params.d, params.phase))
 
-    Coefficients come from the binomial expansion; roots come from the
-    tangent lattice at params.phase. The imaginary parts must cancel and
-    the x^(d-1) coefficient must reproduce B, both checked here, so the
-    two routes into the family stay honest.
+
+def binomial_coeffs(params: BinomialFamilyParams) -> list[float]:
+    """Ascending coefficients of ((ad - Bi)(x + ai)^d + (ad + Bi)(x - ai)^d) / (2ad).
+
+    The binomial expansion never looks at the roots. The imaginary parts
+    must cancel and the x^(d-1) coefficient must reproduce B, both checked
+    here, so the coefficient route into the family stays honest.
     """
     a, d, b = params.a, params.d, params.subleading
     w_plus = complex(a * d, -b) / (2.0 * a * d)
@@ -157,8 +178,7 @@ def binomial_poly(params: BinomialFamilyParams) -> RealRootedPoly:
     if abs(coeffs[d - 1] - b) > 1e-10 * max(1.0, abs(b)):
         raise RuntimeError("x^(d-1) coefficient disagrees with subleading input")
     coeffs[d] = 1.0
-    roots = tangent_lattice_roots(a, d, params.phase)
-    return RealRootedPoly(degree=d, roots=tuple(roots), coeffs=tuple(coeffs))
+    return coeffs
 
 
 def min_modulus_bound(a: float, d: int, disc: float) -> float:

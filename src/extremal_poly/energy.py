@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InputError
+from .poly_core import log_disc_from_roots, log_modulus_at_ai, poly_from_roots
 from .solvers import solve_max_disc
 
 
@@ -29,8 +30,9 @@ class ChargeConfig:
 def config_from_points(points, a: float) -> ChargeConfig:
     """Build a ChargeConfig, computing v and I in log space.
 
-    Works directly on the points (no coefficient expansion), so large d
-    is fine. Coincident points give energy_I = +inf.
+    v is the log-modulus and I the log-discriminant of the polynomial with
+    the points as roots, so large d is fine. Coincident points give
+    energy_I = +inf.
     """
     pts = tuple(float(x) for x in points)
     d = len(pts)
@@ -41,18 +43,9 @@ def config_from_points(points, a: float) -> ChargeConfig:
     if not all(math.isfinite(x) for x in pts):
         raise InputError("points must be finite")
 
-    v = -math.fsum(math.log(math.hypot(a, x)) for x in pts) / d
-
-    sorted_pts = sorted(pts)
-    if any(x == y for x, y in zip(sorted_pts, sorted_pts[1:])):
-        energy = math.inf
-    else:
-        log_prod = math.fsum(
-            2.0 * math.log(sorted_pts[k] - sorted_pts[j])
-            for j in range(d)
-            for k in range(j + 1, d)
-        )
-        energy = -log_prod / (d * (d - 1.0))
+    v = -log_modulus_at_ai(pts, a) / d
+    ld = log_disc_from_roots(poly_from_roots(pts))
+    energy = math.inf if ld.sign == 0 else -ld.log_abs / (d * (d - 1.0))
     return ChargeConfig(points=pts, a=a, potential_v=v, energy_I=energy)
 
 
@@ -78,9 +71,15 @@ def solve_equilibrium(a: float, d: int, v: float) -> ChargeConfig:
     two shapes of equilibria. When the extremal pair is a mirror pair,
     the member with the smaller least root is returned.
     """
+    if a <= 0 or not math.isfinite(a):
+        raise DomainError("height a must be positive and finite")
     if not math.isfinite(v) or v >= -math.log(a):
         raise DomainError("potential must satisfy v < -log a")
-    solution = solve_max_disc(a, d, math.exp(-v * d))
+    try:
+        m = math.exp(-v * d)
+    except OverflowError:
+        raise DomainError("modulus exp(-v*d) overflows a float") from None
+    solution = solve_max_disc(a, d, m)
     return config_from_points(solution.polys[0].roots, a)
 
 

@@ -1,8 +1,10 @@
 """Monic real-rooted polynomials with overflow-safe discriminants.
 
-Coefficient lists are ascending: coeffs[k] multiplies x**k. Discriminants
-are kept as (sign, log|value|) pairs because the values themselves overflow
-float64 well before degree 20 for root sets of any realistic spread.
+A polynomial is its sorted roots; coefficients are expanded from them on
+demand. Coefficient lists are ascending: coeffs[k] multiplies x**k.
+Discriminants are kept as (sign, log|value|) pairs because the values
+themselves overflow float64 well before degree 20 for root sets of any
+realistic spread.
 
 Two independent discriminant routes are provided on purpose: the pairwise
 root-difference product, and a Sylvester resultant determinant that only
@@ -12,14 +14,13 @@ suite leans on.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, InputError
 
-# Default tolerances. Evaluation residuals are relative to the largest
-# intermediate term, oracle comparisons are relative in log magnitude.
-TOL_EVAL = 1e-10
+# Default oracle tolerance, relative in log magnitude.
 TOL_ORACLE = 1e-8
 
 
@@ -69,14 +70,23 @@ def rel_log_diff(lhs: float, rhs: float) -> float:
 
 @dataclass(frozen=True)
 class RealRootedPoly:
-    """Monic polynomial of degree d >= 2 with d real roots.
+    """Monic polynomial of degree d >= 2 with d real roots, sorted ascending.
 
-    roots are sorted ascending; coeffs has length d + 1 with coeffs[d] == 1.
+    The roots are the whole representation. coeffs (length d + 1, with
+    coeffs[d] == 1) is expanded from them on first read and cached; near
+    d = 1000 the expansion overflows into inf or NaN while the roots stay
+    finite.
     """
 
-    degree: int
     roots: tuple[float, ...]
-    coeffs: tuple[float, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.roots)
+
+    @cached_property
+    def coeffs(self) -> tuple[float, ...]:
+        return tuple(_expand_monic(self.roots))
 
 
 def _expand_monic(roots) -> list[float]:
@@ -99,8 +109,7 @@ def poly_from_roots(roots) -> RealRootedPoly:
     if not all(math.isfinite(r) for r in rs):
         raise InputError("roots must be finite")
     rs.sort()
-    coeffs = _expand_monic(rs)
-    return RealRootedPoly(degree=len(rs), roots=tuple(rs), coeffs=tuple(coeffs))
+    return RealRootedPoly(roots=tuple(rs))
 
 
 def eval_at(p: RealRootedPoly, z: complex) -> complex:
@@ -117,20 +126,6 @@ def eval_coeffs(coeffs, x: float) -> float:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def coeff_eval_residual(p: RealRootedPoly) -> float:
-    """Max over stored roots of |coefficient-form value| relative to the
-    largest intermediate Horner term. Small iff roots and coeffs agree."""
-    worst = 0.0
-    for r in p.roots:
-        acc = 0.0
-        scale = 1.0
-        for c in reversed(p.coeffs):
-            acc = acc * r + c
-            scale = max(scale, abs(acc), abs(c))
-        worst = max(worst, abs(acc) / scale)
-    return worst
 
 
 def modulus_at_ai(p: RealRootedPoly, a: float) -> float:
@@ -160,13 +155,10 @@ def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
     rs = sorted(p.roots)
     if any(x == y for x, y in zip(rs, rs[1:])):
         return LogDiscriminant.zero()
-    n = len(rs)
-    return LogDiscriminant(
-        1,
-        math.fsum(
-            2.0 * math.log(rs[k] - rs[j]) for j in range(n) for k in range(j + 1, n)
-        ),
-    )
+    # row j holds the positive gaps to the larger roots; fsum is exact and
+    # doubling is exact, so the log of prod (x_k - x_j)^2 is rounded once
+    gaps = (y - x for j, x in enumerate(rs) for y in rs[j + 1 :])
+    return LogDiscriminant(1, 2.0 * math.fsum(map(math.log, gaps)))
 
 
 def _log_det(mat: np.ndarray) -> tuple[int, float]:

@@ -83,8 +83,8 @@ def _finish(problem: str, regime: str, polys, a: float, lambda_or_b: float):
     )
 
 
-def _binomial_pair(a: float, d: int, phase: float, sub: float):
-    roots = bf.tangent_lattice_roots(a, d, phase)
+def _binomial_pair(a: float, d: int, log_p: float):
+    roots, sub = bf.lattice_member(a, d, log_p)
     mirror = sorted(-r for r in roots)
     pair = [poly_from_roots(roots), poly_from_roots(mirror)]
     pair.sort(key=lambda p: p.roots[0])
@@ -112,12 +112,8 @@ def solve_max_disc(a: float, d: int, m: float) -> ExtremalSolution:
         poly = poly_from_roots(bf.tangent_lattice_roots(a, d, _boundary_phase(d)))
         return _finish(PROBLEM_MAX_DISC, REGIME_BINOMIAL, [poly], a, 0.0)
     if log_ratio > 0.0:
-        # binomial regime: phase from p = 2^(d-1) a^d / m, subleading from
-        # the modulus directly (same radicand as the disc route)
-        p = math.exp(-log_ratio)
-        phase = (math.acos(p) if d % 2 else math.asin(p)) / d
-        sub = (-1.0 if d % 2 else 1.0) * a * d * math.sqrt(math.expm1(2.0 * log_ratio))
-        pair, sub = _binomial_pair(a, d, phase, sub)
+        # binomial regime with phase ratio p = 2^(d-1) a^d / m
+        pair, sub = _binomial_pair(a, d, -log_ratio)
         return _finish(PROBLEM_MAX_DISC, REGIME_BINOMIAL, pair, a, sub)
     lam = jf.solve_multiplier(a, d, m)
     poly = _multiplier_poly(a, d, lam)
@@ -137,9 +133,7 @@ def solve_min_abs(a: float, d: int, disc: float) -> ExtremalSolution:
                 bf.tangent_lattice_roots(a, d, _boundary_phase(d))
             )
             return _finish(PROBLEM_MIN_ABS, REGIME_BINOMIAL, [poly], a, 0.0)
-        phase = bf.lattice_phase(a, d, disc)
-        sub = bf.subleading_coeff(a, d, disc)
-        pair, sub = _binomial_pair(a, d, phase, sub)
+        pair, sub = _binomial_pair(a, d, bf.log_phase_ratio(a, d, disc))
         return _finish(PROBLEM_MIN_ABS, REGIME_BINOMIAL, pair, a, sub)
     lam = _multiplier_from_disc(a, d, math.log(disc))
     poly = _multiplier_poly(a, d, lam)
@@ -224,10 +218,6 @@ def _rescale_to_modulus(x: np.ndarray, a: float, target: float) -> np.ndarray:
     second order, so this is a handful of iterations), with the per-round
     multiplicative change clamped to keep stray rows from overshooting.
     Rows must be nonzero."""
-
-    def h(t):
-        return 0.5 * np.sum(np.log(a * a + (t[:, None] * x) ** 2), axis=1)
-
     t = np.ones(x.shape[0])
     for _ in range(80):
         tx2 = (t[:, None] * x) ** 2

@@ -35,6 +35,7 @@ from .poly_core import (
 )
 from .solvers import (
     REGIME_BINOMIAL,
+    _rescale_to_modulus,
     lagrange_residuals,
     numeric_oracle_max_disc,
     solve_max_disc,
@@ -69,15 +70,6 @@ def reference_max_disc(d: int, m: float) -> float:
         c0 = (5.0 * m + 5.0 - 2.0 * s) / 7.0
         return quintic_disc(c2, c0)
     raise ValueError("reference values cover d in 2..5 only")
-
-
-def reference_multiplier(d: int, m: float) -> float:
-    """Closed-form optimal multiplier at height 1 for d in {4, 5}."""
-    if d == 4:
-        return (4.0 * m - 1.0 + math.sqrt(m * m + 7.0 * m + 1.0)) / (m - 1.0)
-    if d == 5:
-        return (6.0 * m - 1.0 + math.sqrt(m * m + 23.0 * m + 1.0)) / (m - 1.0)
-    raise ValueError("closed-form multipliers cover d in {4, 5} only")
 
 
 def _check_reference_max_disc() -> CheckResult:
@@ -278,14 +270,14 @@ def _check_boundary_glue() -> CheckResult:
             gc = jf.family_coeffs(
                 jf.JacobiFamilyParams(a=a, d=d, multiplier=2 * d - 2)
             )
-            fp = bf.binomial_poly(
+            fc = bf.binomial_coeffs(
                 bf.BinomialFamilyParams(
                     a=a, d=d, subleading=0.0,
                     phase=0.0 if d % 2 else math.pi / (2.0 * d),
                 )
             )
             scale = max(abs(c) for c in gc)
-            diff = max(abs(x - y) for x, y in zip(gc, fp.coeffs))
+            diff = max(abs(x - y) for x, y in zip(gc, fc))
             worst = max(worst, diff / scale)
     return CheckResult(
         "boundary-glue",
@@ -456,7 +448,7 @@ def _check_energy_equilibrium() -> CheckResult:
             worst_eq = max(worst_eq, abs(config.energy_I - bound))
             for _ in range(5):
                 pert = np.asarray(config.points) + 1e-2 * rng.standard_normal(d)
-                t = _rescale_to_potential(pert, 1.0, config.potential_v)
+                t = _rescale_to_modulus(pert[None, :], 1.0, -d * config.potential_v)[0]
                 other = config_from_points([float(t * x) for x in pert], 1.0)
                 min_margin = min(min_margin, other.energy_I - config.energy_I)
     return CheckResult(
@@ -465,28 +457,6 @@ def _check_energy_equilibrium() -> CheckResult:
         "20 potentials, worst bound gap %.3e, min perturbation margin %.3e"
         % (worst_eq, min_margin),
     )
-
-
-def _rescale_to_potential(points: np.ndarray, a: float, v: float) -> float:
-    """Scale factor t > 0 putting t*points at potential v (at height a)."""
-
-    def pot(t: float) -> float:
-        return -math.fsum(
-            math.log(math.hypot(a, t * float(x))) for x in points
-        ) / len(points)
-
-    lo, hi = 1e-12, 1.0
-    while pot(hi) > v:
-        hi *= 2.0
-        if hi > 1e12:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if pot(mid) > v:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _check_arctan_cdf() -> CheckResult:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -122,6 +123,14 @@ class TestSolveCommands:
         )
         assert rel_log_diff(doc["log_disc"]["log_abs"], want.log_abs) <= 1e-12
 
+    @pytest.mark.parametrize("m", ["1e13", "1e160", repr(sys.float_info.max)])
+    def test_huge_modulus_hits_tangent_pole(self, capsys, m):
+        # the lattice angle of p ~ 1/m lands on a pole long before the
+        # subleading coefficient's radicand p^(-2) - 1 would overflow
+        code, out, err = run_cli(capsys, "solve-disc", "--a", "1", "--d", "3", "--m", m)
+        assert code == 2 and out == ""
+        assert err == "error: lattice angle k=1 hits a tangent pole\n"
+
     @pytest.mark.parametrize("frac,regime", [(0.999, "g_family"), (1.01, "f_family")])
     def test_overflowing_coeffs_are_null(self, capsys, frac, regime):
         m = repr(2.0 ** (frac * 999))
@@ -183,6 +192,19 @@ class TestEnergyCommand:
     def test_inadmissible_potential(self, capsys):
         code, _, err = run_cli(capsys, "energy", "--a", "1", "--d", "2", "--v", "0.2")
         assert code == 2
+
+    @pytest.mark.parametrize("a", ["0", "-1"])
+    def test_nonpositive_height_exits_two(self, capsys, a):
+        code, out, err = run_cli(capsys, "energy", "--a", a, "--d", "3", "--v", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "height" in err
+
+    def test_overflowing_modulus_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "energy", "--a", "1", "--d", "3", "--v", "-300"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "overflows" in err
 
 
 class TestEmitPlot:

@@ -54,7 +54,10 @@ def test_energy_equals_list_reference_bitwise():
         pts = list(rng.uniform(-3, 3, size=int(rng.integers(2, 60))))
         if trial % 3 == 0:
             pts[0] = pts[-1]
-        assert config_from_points(pts, 1.0).energy_I == _list_energy(pts)
+        cfg = config_from_points(pts, 1.0)
+        assert cfg.energy_I == _list_energy(pts)
+        hyp = [math.log(math.hypot(1.0, x)) for x in pts]
+        assert cfg.potential_v == -math.fsum(hyp) / len(pts)
 
 
 def test_energy_lower_bound_admissibility():

@@ -36,6 +36,7 @@ from extremal_poly.poly_core import (
     log_modulus_at_ai,
     rel_log_diff,
 )
+from extremal_poly.solvers import solve_max_disc
 
 
 def test_multiplier_poles():
@@ -143,6 +144,20 @@ def test_family_roots_sweep_against_closed_form(d, frac):
     assert len(roots) == d and all(x < y for x, y in zip(roots, roots[1:]))
     want = closed_form_disc(params)
     assert want.sign == 1
+    assert rel_log_diff(_pairwise_log_disc(roots), want.log_abs) <= 1e-12
+    assert rel_log_diff(log_modulus_at_ai(roots, 1.0), log_m) <= 1e-12
+
+
+@pytest.mark.parametrize("frac", [0.05, 0.5, 0.9])
+def test_solve_max_disc_past_float_degree_range(frac):
+    # at d = 1100, 2^(d-1) and constraint_sum(d, 2d-2) overflow to inf,
+    # yet the multiplier solve and the roots stay finite and right
+    d = 1100
+    log_m = frac * (d - 1) * math.log(2.0)
+    sol = solve_max_disc(1.0, d, math.exp(log_m))
+    assert sol.regime == "g_family"
+    roots = sol.polys[0].roots
+    want = closed_form_disc(JacobiFamilyParams(a=1.0, d=d, multiplier=sol.lambda_or_b))
     assert rel_log_diff(_pairwise_log_disc(roots), want.log_abs) <= 1e-12
     assert rel_log_diff(log_modulus_at_ai(roots, 1.0), log_m) <= 1e-12
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from extremal_poly.errors import DomainError, InputError
 from extremal_poly.poly_core import (
     LogDiscriminant,
-    coeff_eval_residual,
+    RealRootedPoly,
     descartes_real_root_bound,
     disc_resultant_oracle,
     eval_at,
@@ -61,11 +62,22 @@ def test_eval_at_complex():
     assert eval_at(p, 1j) == pytest.approx(-2.0 + 0j)
 
 
-def test_coeff_eval_residual_small():
-    rng = np.random.default_rng(12)
-    for _ in range(30):
-        roots = rng.uniform(-2, 2, size=int(rng.integers(2, 9)))
-        assert coeff_eval_residual(poly_from_roots(roots)) < 1e-10
+def test_roots_are_the_only_field():
+    p = poly_from_roots([2.0, -1.0, 0.5])
+    assert [f.name for f in dataclasses.fields(RealRootedPoly)] == ["roots"]
+    assert p.degree == 3
+    assert "coeffs" not in p.__dict__
+    assert p.coeffs == (1.0, -1.5, -1.5, 1.0)
+    assert "coeffs" in p.__dict__
+
+
+def test_equality_and_hash_follow_the_roots():
+    p = poly_from_roots([1.0, -1.0])
+    q = poly_from_roots([-1.0, 1.0])
+    assert q.coeffs == (-1.0, 0.0, 1.0)  # q's cache is filled, p's is not
+    assert p == q and hash(p) == hash(q)
+    assert p != poly_from_roots([-1.0, 2.0])
+    assert len({p, q, poly_from_roots([0.0, 1.0])}) == 2
 
 
 def test_modulus_at_ai():
