@@ -29,7 +29,7 @@ _VALUE_CUTOFF = math.log(1e300)
 
 def canonical_json(obj) -> str:
     """Serialize to JSON with 17-significant-digit floats and insertion
-    key order. parse_json followed by canonical_json is the identity on
+    key order. json.loads followed by canonical_json is the identity on
     canonical text, which is what makes CLI output reproducible."""
     if obj is None:
         return "null"
@@ -55,10 +55,6 @@ def canonical_json(obj) -> str:
         )
         return "{" + ",".join(parts) + "}"
     raise TypeError("cannot serialize %r" % type(obj))
-
-
-def parse_json(text: str):
-    return json.loads(text)
 
 
 def log_disc_to_dict(ld) -> dict:

@@ -38,81 +38,68 @@ class DiskResult:
     has_interior: bool
 
 
-def log_abs_at(roots, x: float, y: float) -> float:
-    """log |f(x+iy)| from the root product; -inf at a root.
-
-    Factor moduli near 1 go through log1p of the squared excess, which
-    stays resolvable where hypot would round |x+iy-r| to exactly 1.
-    """
-    total = 0.0
-    yy = y * y
-    for r in roots:
-        dx = x - r
-        q = (dx - 1.0) * (dx + 1.0) + yy
-        if q > -0.5:
-            total += 0.5 * math.log1p(q)
-        else:
-            h = math.hypot(dx, y)
-            if h == 0.0:
-                return -math.inf
-            total += math.log(h)
-    return total
-
-
 def vertical_halfwidth(p: RealRootedPoly, x: float) -> float:
-    """Largest y >= 0 with |f(x + iy)| <= 1, by bisection.
-
-    |f(x+iy)| increases strictly in y >= 0 (each root factor does), and
-    exceeds 1 once y > 1, so [0, 1] always brackets. Returns 0 when the
-    real axis point itself lies outside the lemniscate.
-    """
+    """Largest y >= 0 with |f(x + iy)| <= 1, by the monotone Newton solve
+    of _halfwidth_grid. Returns 0 when the real axis point itself lies
+    outside the lemniscate or on its boundary."""
     if not math.isfinite(x):
         raise InputError("x must be finite")
-    return _halfwidth(p.roots, x)
+    roots = np.asarray(p.roots, dtype=float)
+    return float(_halfwidth_grid(roots, np.array([x]))[0])
 
 
-def _halfwidth(roots, x: float) -> float:
-    if log_abs_at(roots, x, 0.0) > 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    if log_abs_at(roots, x, hi) <= 0.0:
-        return hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if log_abs_at(roots, x, mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _log_abs_sq(dx2: np.ndarray, excess: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row sums of log|x + iy - r_k|^2, from dx2 = (x - r_k)^2, excess =
+    (x - r_k - 1)(x - r_k + 1) and s = y^2; -inf at a root.
+
+    Factor moduli near 1 go through log1p of the squared excess, which
+    stays resolvable where dx2 + s would round to exactly 1.
+    """
+    q = excess + s[:, None]
+    with np.errstate(divide="ignore"):
+        terms = np.where(
+            q > -0.5, np.log1p(np.maximum(q, -0.5)), np.log(dx2 + s[:, None])
+        )
+    return terms.sum(axis=1)
 
 
 def _halfwidth_grid(roots: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorised _halfwidth over many centers at once."""
+    """Largest y >= 0 with |f(x + iy)| <= 1, for every x in xs at once.
 
-    dxs = xs[:, None] - roots[None, :]
-
-    def logf(y: np.ndarray) -> np.ndarray:
-        q = (dxs - 1.0) * (dxs + 1.0) + y[:, None] ** 2
-        h = np.hypot(dxs, y[:, None])
-        with np.errstate(divide="ignore"):
-            terms = np.where(
-                q > -0.5, 0.5 * np.log1p(np.maximum(q, -0.5)), np.log(h)
-            )
-        return np.sum(terms, axis=1)
-
-    inside = logf(np.zeros_like(xs)) <= 0.0
-    lo = np.zeros_like(xs)
-    hi = np.ones_like(xs)
-    at_one = logf(np.ones_like(xs)) <= 0.0
+    With s = y^2 and t = log s, phi(t) = log|f(x + iy)|^2 =
+    sum_k log((x - r_k)^2 + e^t) is increasing and convex in t, and
+    phi(0) >= 0 because every factor has modulus >= 1 at y = 1. Newton in
+    t from t = 0 therefore descends monotonically onto the root, with no
+    bracket: s <- s exp(-phi / phi'), phi' = sum_k s / ((x - r_k)^2 + s).
+    A row stops once phi <= 0 or a step no longer lowers s, after at most
+    100 steps. A point with |f(x)| >= 1 gets 0 and one with |f(x + i)| <= 1
+    gets 1. Rows never mix, so a point's width does not depend on the
+    other points passed with it.
+    """
+    dx = xs[:, None] - roots[None, :]
+    dx2 = dx * dx
+    excess = (dx - 1.0) * (dx + 1.0)
+    s_out = np.zeros(xs.shape)
+    rows = np.flatnonzero(_log_abs_sq(dx2, excess, s_out) < 0.0)
+    dx2, excess, s = dx2[rows], excess[rows], np.ones(rows.size)
+    phi = _log_abs_sq(dx2, excess, s)
+    done = phi <= 0.0
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        below = logf(mid) <= 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
-    out[at_one] = 1.0
-    out[~inside] = 0.0
-    return out
+        if done.any():
+            s_out[rows[done]] = s[done]
+            more = ~done
+            rows, dx2, excess, s, phi = (
+                rows[more], dx2[more], excess[more], s[more], phi[more]
+            )
+        if rows.size == 0:
+            break
+        slope = (s[:, None] / (dx2 + s[:, None])).sum(axis=1)
+        step = s * np.exp(-phi / slope)
+        phi = _log_abs_sq(dx2, excess, step)
+        done = (phi <= 0.0) | (step >= s)
+        s = np.minimum(step, s)
+    s_out[rows] = s
+    return np.sqrt(s_out)
 
 
 def largest_disk(
@@ -124,9 +111,10 @@ def largest_disk(
     structure of real-rooted lemniscates). Candidate centers are a
     uniform grid of 64 d points over the interval (default: root span
     padded by 1, outside which |f| > 1 always) plus the roots themselves,
-    whose halfwidths are positive no matter how coarse the grid; the best
-    candidate is refined by golden-section search to center accuracy
-    1e-10.
+    whose halfwidths are positive no matter how coarse the grid. All
+    candidates' halfwidths come from one call of the Newton solve in
+    _halfwidth_grid; the best candidate is refined by golden-section
+    search to center accuracy 1e-10, one vertical_halfwidth per probe.
     """
     rs = np.asarray(p.roots, dtype=float)
     if interval is None:
@@ -148,24 +136,23 @@ def largest_disk(
             boundary_point=complex(best_c, 0.0), has_interior=False,
         )
 
-    roots = [float(r) for r in rs]
     step = (hi_b - lo_b) / (n - 1)
     a_end = max(best_c - step, lo_b)
     b_end = min(best_c + step, hi_b)
     x1 = b_end - _GOLDEN * (b_end - a_end)
     x2 = a_end + _GOLDEN * (b_end - a_end)
-    f1, f2 = _halfwidth(roots, x1), _halfwidth(roots, x2)
+    f1, f2 = vertical_halfwidth(p, x1), vertical_halfwidth(p, x2)
     while b_end - a_end > 1e-10:
         if f1 < f2:
             a_end, x1, f1 = x1, x2, f2
             x2 = a_end + _GOLDEN * (b_end - a_end)
-            f2 = _halfwidth(roots, x2)
+            f2 = vertical_halfwidth(p, x2)
         else:
             b_end, x2, f2 = x2, x1, f1
             x1 = b_end - _GOLDEN * (b_end - a_end)
-            f1 = _halfwidth(roots, x1)
+            f1 = vertical_halfwidth(p, x1)
     c = 0.5 * (a_end + b_end)
-    r = _halfwidth(roots, c)
+    r = vertical_halfwidth(p, c)
     if r < best_r:
         c, r = best_c, best_r
     return DiskResult(

@@ -41,11 +41,7 @@ class LogDiscriminant:
         """Plain float value; overflows to inf for large log_abs."""
         if self.sign == 0:
             return 0.0
-        try:
-            mag = math.exp(self.log_abs)
-        except OverflowError:
-            mag = math.inf
-        return self.sign * mag
+        return self.sign * _exp_or_inf(self.log_abs)
 
     @classmethod
     def zero(cls) -> "LogDiscriminant":
@@ -56,6 +52,14 @@ class LogDiscriminant:
         if x == 0.0:
             return cls.zero()
         return cls(1 if x > 0 else -1, math.log(abs(x)))
+
+
+def _exp_or_inf(log_x: float) -> float:
+    """exp(log_x), or inf once the value leaves float range."""
+    try:
+        return math.exp(log_x)
+    except OverflowError:
+        return math.inf
 
 
 def rel_log_diff(lhs: float, rhs: float) -> float:

@@ -21,6 +21,7 @@ from .errors import DomainError, MonotonicityError, RegimeError
 from .poly_core import (
     LogDiscriminant,
     RealRootedPoly,
+    _exp_or_inf,
     eval_coeffs,
     log_disc_from_roots,
     log_modulus_at_ai,
@@ -47,9 +48,10 @@ class ExtremalSolution:
     nonzero subleading coefficient (mirror pair, sorted by smallest
     root); the shared boundary member has a single entry. achieved_m and
     achieved_disc are recomputed from the returned roots rather than
-    echoing the inputs. lambda_or_b carries the family parameter: the
-    Lagrange multiplier in the multiplier regime, the subleading
-    coefficient otherwise.
+    echoing the inputs; achieved_m is inf once the modulus leaves float
+    range, like LogDiscriminant.value. lambda_or_b carries the family
+    parameter: the Lagrange multiplier in the multiplier regime, the
+    subleading coefficient otherwise.
     """
 
     problem: str
@@ -77,7 +79,7 @@ def _finish(problem: str, regime: str, polys, a: float, lambda_or_b: float):
         problem=problem,
         regime=regime,
         polys=tuple(polys),
-        achieved_m=math.exp(log_modulus_at_ai(lead.roots, a)),
+        achieved_m=_exp_or_inf(log_modulus_at_ai(lead.roots, a)),
         achieved_disc=log_disc_from_roots(lead),
         lambda_or_b=lambda_or_b,
     )

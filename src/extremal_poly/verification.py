@@ -50,6 +50,13 @@ class CheckResult:
     detail: str
 
 
+def _err(x: float) -> str:
+    """A worst error, residual or excess for the report: %.3e, except that
+    roundoff (|x| < 1e-12) prints as <1e-12, so the report's bytes do not
+    follow the last digits of the roots."""
+    return "<1e-12" if abs(x) < 1e-12 else "%.3e" % x
+
+
 def reference_max_disc(d: int, m: float) -> float:
     """Maximal discriminant at height 1 and modulus m, for d <= 5 and
     1 < m <= 2^(d-1), via the published low-degree extremal coefficients
@@ -86,7 +93,7 @@ def _check_reference_max_disc() -> CheckResult:
     return CheckResult(
         "reference-max-disc",
         worst <= 1e-9,
-        "%d grid points, worst rel log err %.3e" % (count, worst),
+        "%d grid points, worst rel log err %s" % (count, _err(worst)),
     )
 
 
@@ -97,7 +104,7 @@ def _check_pinned_values() -> CheckResult:
     return CheckResult(
         "pinned-values",
         err <= 1e-9,
-        "boundary discs 2^14 and 2^12*5^5, worst rel err %.3e" % err,
+        "boundary discs 2^14 and 2^12*5^5, worst rel err %s" % _err(err),
     )
 
 
@@ -121,7 +128,7 @@ def _check_duality_roundtrip() -> CheckResult:
     return CheckResult(
         "duality-roundtrip",
         worst <= 1e-8,
-        "%d cases, worst rel log err %.3e" % (len(cases), worst),
+        "%d cases, worst rel log err %s" % (len(cases), _err(worst)),
     )
 
 
@@ -147,7 +154,7 @@ def _check_multiplier_vs_resultant(tol: float, deep: bool) -> CheckResult:
     return CheckResult(
         "multiplier-vs-resultant",
         worst <= tol,
-        "%d cases, worst rel log err %.3e" % (count, worst),
+        "%d cases, worst rel log err %s" % (count, _err(worst)),
     )
 
 
@@ -181,7 +188,7 @@ def _check_jacobi_vs_resultant(tol: float) -> CheckResult:
     return CheckResult(
         "jacobi-vs-resultant",
         worst <= tol,
-        "50 cases, worst rel log err %.3e" % worst,
+        "50 cases, worst rel log err %s" % _err(worst),
     )
 
 
@@ -197,7 +204,7 @@ def _check_jacobi_gegenbauer() -> CheckResult:
     return CheckResult(
         "jacobi-gegenbauer",
         worst <= 1e-10,
-        "%d cases, worst coeff residual %.3e" % (count, worst),
+        "%d cases, worst coeff residual %s" % (count, _err(worst)),
     )
 
 
@@ -216,7 +223,7 @@ def _check_multiplier_jacobi_connection() -> CheckResult:
     return CheckResult(
         "multiplier-jacobi-connection",
         worst <= 1e-9,
-        "%d cases, worst rel residual %.3e" % (len(cases), worst),
+        "%d cases, worst rel residual %s" % (len(cases), _err(worst)),
     )
 
 
@@ -258,8 +265,8 @@ def _check_binomial_equality() -> CheckResult:
     return CheckResult(
         "binomial-equality",
         worst_m <= 1e-9 and worst_disc <= 1e-8,
-        "100 cases, worst modulus err %.3e, worst disc log err %.3e"
-        % (worst_m, worst_disc),
+        "100 cases, worst modulus err %s, worst disc log err %s"
+        % (_err(worst_m), _err(worst_disc)),
     )
 
 
@@ -282,7 +289,7 @@ def _check_boundary_glue() -> CheckResult:
     return CheckResult(
         "boundary-glue",
         worst <= 1e-10,
-        "d in 2..8, a in {0.5,1,2}, worst scaled coeff diff %.3e" % worst,
+        "d in 2..8, a in {0.5,1,2}, worst scaled coeff diff %s" % _err(worst),
     )
 
 
@@ -311,7 +318,7 @@ def _check_lagrange_stationarity() -> CheckResult:
     return CheckResult(
         "lagrange-stationarity",
         worst <= 1e-9,
-        "%d cases, worst residual %.3e" % (len(cases), worst),
+        "%d cases, worst residual %s" % (len(cases), _err(worst)),
     )
 
 
@@ -354,7 +361,7 @@ def _check_cos_product() -> CheckResult:
     return CheckResult(
         "cos-product",
         worst <= 1e-12,
-        "d in 2..10, 1000 points each, worst abs residual %.3e" % worst,
+        "d in 2..10, 1000 points each, worst abs residual %s" % _err(worst),
     )
 
 
@@ -367,7 +374,7 @@ def _check_sine_product() -> CheckResult:
     return CheckResult(
         "sine-product",
         worst <= 2e-12,
-        "d in 2..10, 200 points each, worst abs residual %.3e" % worst,
+        "d in 2..10, 200 points each, worst abs residual %s" % _err(worst),
     )
 
 
@@ -388,8 +395,8 @@ def _check_pairwise_bound() -> CheckResult:
     return CheckResult(
         "pairwise-bound",
         worst_excess <= 1e-9 and worst_eq <= 1e-9,
-        "worst log excess %.3e, AP equality log err %.3e"
-        % (worst_excess, worst_eq),
+        "worst log excess %s, AP equality log err %s"
+        % (_err(worst_excess), _err(worst_eq)),
     )
 
 
@@ -409,7 +416,7 @@ def _check_lemniscate_witness(deep: bool) -> CheckResult:
     return CheckResult(
         "lemniscate-witness",
         worst_gap <= 1e-8,
-        "d in 2..%d, worst radius shortfall %.3e" % (top - 1, worst_gap),
+        "d in 2..%d, worst radius shortfall %s" % (top - 1, _err(worst_gap)),
     )
 
 
@@ -431,7 +438,7 @@ def _check_lemniscate_upper_bound() -> CheckResult:
     return CheckResult(
         "lemniscate-upper-bound",
         worst <= 1e-8,
-        "%d random polynomials, worst bound excess %.3e" % (count, worst),
+        "%d random polynomials, worst bound excess %s" % (count, _err(worst)),
     )
 
 
@@ -454,8 +461,8 @@ def _check_energy_equilibrium() -> CheckResult:
     return CheckResult(
         "energy-equilibrium",
         worst_eq <= 1e-9 and min_margin > 0.0,
-        "20 potentials, worst bound gap %.3e, min perturbation margin %.3e"
-        % (worst_eq, min_margin),
+        "20 potentials, worst bound gap %s, min perturbation margin %.3e"
+        % (_err(worst_eq), min_margin),
     )
 
 
@@ -488,7 +495,7 @@ def _check_oracle_agreement() -> CheckResult:
     return CheckResult(
         "oracle-agreement",
         worst <= 1e-5,
-        "%d cases, worst rel log err %.3e" % (count, worst),
+        "%d cases, worst rel log err %s" % (count, _err(worst)),
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from extremal_poly.cli import canonical_json, main
 from extremal_poly.jacobi_family import JacobiFamilyParams, closed_form_disc
-from extremal_poly.poly_core import rel_log_diff
+from extremal_poly.poly_core import TOL_ORACLE, rel_log_diff
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +130,22 @@ class TestSolveCommands:
         code, out, err = run_cli(capsys, "solve-disc", "--a", "1", "--d", "3", "--m", m)
         assert code == 2 and out == ""
         assert err == "error: lattice angle k=1 hits a tangent pole\n"
+
+    @pytest.mark.parametrize("disc", ["1", "1e-300", "1e300"])
+    def test_overflowing_modulus_is_inf(self, capsys, disc):
+        # log m is about 843 here: the roots and the discriminant are fine,
+        # only the plain-float modulus leaves float range
+        code, out, err = run_cli(
+            capsys, "solve-min", "--a", "2", "--d", "1000", "--disc", disc
+        )
+        assert code == 0, err
+        assert '"achieved_m":"inf"' in out
+        doc = json.loads(out)
+        assert doc["regime"] == "g_family"
+        assert len(doc["roots"]) == 1000
+        assert all(math.isfinite(r) for r in doc["roots"])
+        got = doc["log_disc"]["log_abs"]
+        assert rel_log_diff(got, math.log(float(disc))) <= TOL_ORACLE
 
     @pytest.mark.parametrize("frac,regime", [(0.999, "g_family"), (1.01, "f_family")])
     def test_overflowing_coeffs_are_null(self, capsys, frac, regime):

@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from extremal_poly.errors import DomainError, InputError
 from extremal_poly.lemniscate import (
     DiskResult,
     inscribed_disk_poly,
+    _halfwidth_grid,
     largest_disk,
-    log_abs_at,
     radius_lower_bound,
     radius_upper_bound,
     vertical_halfwidth,
@@ -17,18 +18,32 @@ from extremal_poly.poly_core import log_disc_from_roots, poly_from_roots
 HALF_SQRT2 = math.sqrt(0.5)
 
 
-def test_log_abs_at_values():
-    roots = [-1.0, 1.0]
-    assert log_abs_at(roots, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert log_abs_at(roots, 1.0, 0.0) == -math.inf
-    # tiny excursions above |f|=1 stay resolvable
-    assert log_abs_at(roots, 0.0, 1e-9) == pytest.approx(1e-18, rel=1e-6)
-
-
 def test_halfwidth_on_boundary_point():
     # |f(0)| = 1 exactly for x^2 - 1, so the halfwidth there is 0
     p = poly_from_roots([-1.0, 1.0])
-    assert vertical_halfwidth(p, 0.0) < 1e-12
+    assert vertical_halfwidth(p, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("x", [1e-4, 0.01, 0.25, 0.5, 1.0, 1.2])
+def test_halfwidth_closed_form(x):
+    # |(x+iy)^2 - 1| = 1 at y^2 = sigma - 1 - x^2, sigma = sqrt(1 + 4x^2),
+    # written without the cancellation near x = 0; x = 1 is a root and
+    # x = 1e-4 sits next to the boundary point x = 0
+    p = poly_from_roots([-1.0, 1.0])
+    sigma = math.sqrt(1.0 + 4.0 * x * x)
+    want = x * math.sqrt((3.0 - sigma) / (sigma + 1.0))
+    assert vertical_halfwidth(p, x) == pytest.approx(want, abs=1e-14)
+
+
+def test_halfwidth_grid_rows_are_independent():
+    # one array of 200 centers or 200 one-element calls: the same bits
+    rng = np.random.default_rng(4242)
+    roots = np.sort(rng.uniform(-2.0, 2.0, 20))
+    xs = np.linspace(roots[0] - 1.0, roots[-1] + 1.0, 200)
+    batch = _halfwidth_grid(roots, xs)
+    single = [_halfwidth_grid(roots, np.array([x]))[0] for x in xs]
+    assert batch.tobytes() == np.array(single).tobytes()
+    assert np.count_nonzero(batch) > 100
 
 
 def test_halfwidth_above_root():
@@ -124,7 +139,7 @@ def test_inscribed_disk_poly_above_window():
     assert poly.coeffs == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
 
 
-@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 20, 50])
 def test_inscribed_disk_poly_window_edge(d):
     disc = 2.0 ** (1 - d) * d**d
     poly, height, value = inscribed_disk_poly(d, disc)
@@ -133,9 +148,11 @@ def test_inscribed_disk_poly_window_edge(d):
     got = log_disc_from_roots(poly)
     assert got.sign == 1
     assert got.log_abs == pytest.approx(math.log(disc), abs=1e-10)
-    # at value 1 the witness height is an inscribed radius
+    # at value 1 the witness height is an inscribed radius, and exactly
+    # the halfwidth over the center
     disk = largest_disk(poly)
     assert disk.radius >= height - 1e-8
+    assert vertical_halfwidth(poly, 0.0) == pytest.approx(height, abs=1e-14)
 
 
 def test_inscribed_disk_realises_lower_bound():
