@@ -26,13 +26,6 @@ def _check_args(a: float, d: int, disc: float) -> None:
 
 
 @dataclass(frozen=True)
-class PhaseRatio:
-    """The dimensionless ratio p in (0, 1] that seeds the lattice phase."""
-
-    p: float
-
-
-@dataclass(frozen=True)
 class BinomialFamilyParams:
     """Height a, degree d, subleading coefficient and lattice phase.
 
@@ -64,7 +57,8 @@ class BinomialFamilyParams:
 
 
 def log_phase_ratio(a: float, d: int, disc: float) -> float:
-    """log p without forming p; negative or zero in regime."""
+    """log p, p = a^(d/2) 2^(d/2-1) d^(d/(2d-2)) disc^(-1/(2d-2)), without
+    forming p; negative or zero in regime, zero at the crossover."""
     _check_args(a, d, disc)
     return (
         0.5 * d * math.log(a)
@@ -74,39 +68,35 @@ def log_phase_ratio(a: float, d: int, disc: float) -> float:
     )
 
 
-def phase_ratio(a: float, d: int, disc: float) -> PhaseRatio:
-    """p = a^(d/2) 2^(d/2-1) d^(d/(2d-2)) disc^(-1/(2d-2)).
-
-    RegimeError when p exceeds 1 beyond 1e-12 relative (the height is too
-    large for this family at the given discriminant).
-    """
-    lp = log_phase_ratio(a, d, disc)
-    if lp > math.log1p(1e-12):
-        raise RegimeError("phase ratio exceeds 1: height too large for this disc")
-    return PhaseRatio(min(math.exp(lp), 1.0))
+def log_threshold_height(d: int, log_disc: float) -> float:
+    """log of the height 2^(2/d-1) d^(-1/(d-1)) disc^(1/(d(d-1))) at which
+    the phase ratio of discriminant disc reaches 1."""
+    return (
+        (2.0 / d - 1.0) * math.log(2.0)
+        - math.log(d) / (d - 1.0)
+        + log_disc / (d * (d - 1.0))
+    )
 
 
-def _phase(d: int, p: float) -> float:
+def boundary_phase(d: int) -> float:
+    """Lattice phase of the shared boundary member (p = 1, B = 0)."""
+    return 0.0 if d % 2 else math.pi / (2.0 * d)
+
+
+def _phase(d: int, log_p: float) -> float:
+    """Root-lattice phase in [0, pi/(2d)]: arccos(p)/d for odd d,
+    arcsin(p)/d for even d, with p clamped to 1."""
+    p = min(math.exp(log_p), 1.0)
     return (math.acos(p) if d % 2 else math.asin(p)) / d
 
 
 def _subleading(a: float, d: int, log_p: float) -> float:
+    """Coefficient of x^(d-1), sign (-1)^d; zero exactly at p = 1, where
+    only one extremal polynomial exists."""
     radicand = math.expm1(-2.0 * log_p)  # p^(-2) - 1
     if radicand < -1e-12:
         raise RegimeError("height too large: no real subleading coefficient")
     return (-1.0 if d % 2 else 1.0) * a * d * math.sqrt(max(radicand, 0.0))
-
-
-def lattice_phase(a: float, d: int, disc: float) -> float:
-    """Root-lattice phase in [0, pi/(2d)]: arccos(p)/d for odd d,
-    arcsin(p)/d for even d."""
-    return _phase(d, phase_ratio(a, d, disc).p)
-
-
-def subleading_coeff(a: float, d: int, disc: float) -> float:
-    """Coefficient of x^(d-1), sign (-1)^d; zero exactly on the regime
-    boundary where only one extremal polynomial exists."""
-    return _subleading(a, d, log_phase_ratio(a, d, disc))
 
 
 def lattice_member(a: float, d: int, log_p: float) -> tuple[list[float], float]:
@@ -116,18 +106,20 @@ def lattice_member(a: float, d: int, log_p: float) -> tuple[list[float], float]:
     The roots are taken first, so a tiny p whose lattice hits a tangent
     pole raises that DomainError before p^(-2) can overflow.
     """
-    roots = tangent_lattice_roots(a, d, _phase(d, min(math.exp(log_p), 1.0)))
+    roots = tangent_lattice_roots(a, d, _phase(d, log_p))
     return roots, _subleading(a, d, log_p)
 
 
 def params_from_disc(a: float, d: int, disc: float) -> BinomialFamilyParams:
     """Family member that attains the minimal modulus at this discriminant
-    (the one with nonnegative-phase roots; its mirror negates the roots)."""
+    (the one with nonnegative-phase roots; its mirror negates the roots).
+
+    RegimeError when the phase ratio p exceeds 1 beyond roundoff (the
+    height is too large for this family at the given discriminant).
+    """
+    log_p = log_phase_ratio(a, d, disc)
     return BinomialFamilyParams(
-        a=a,
-        d=d,
-        subleading=subleading_coeff(a, d, disc),
-        phase=lattice_phase(a, d, disc),
+        a=a, d=d, subleading=_subleading(a, d, log_p), phase=_phase(d, log_p)
     )
 
 
@@ -183,8 +175,9 @@ def binomial_coeffs(params: BinomialFamilyParams) -> list[float]:
 
 def min_modulus_bound(a: float, d: int, disc: float) -> float:
     """Sharp lower bound (2a)^(d/2) d^(-d/(2d-2)) disc^(1/(2d-2)) for
-    |f(ai)| over monic real-rooted f with the given discriminant, valid
-    under small_height_condition."""
+    |f(ai)| over monic real-rooted f with the given discriminant, attained
+    by the binomial member; valid for heights a up to the threshold of
+    small_height_condition."""
     _check_args(a, d, disc)
     return math.exp(
         0.5 * d * math.log(2.0 * a)
@@ -194,12 +187,8 @@ def min_modulus_bound(a: float, d: int, disc: float) -> float:
 
 
 def small_height_condition(a: float, d: int, disc: float) -> bool:
-    """True iff a <= 2^(-1+2/d) d^(-1/(d-1)) disc^(1/(d(d-1))), with 1e-12
+    """The paper's small-height predicate: True iff a is at most the
+    threshold height 2^(2/d-1) d^(-1/(d-1)) disc^(1/(d(d-1))), with 1e-12
     relative slack on the boundary."""
     _check_args(a, d, disc)
-    log_thr = (
-        (-1.0 + 2.0 / d) * math.log(2.0)
-        - math.log(d) / (d - 1.0)
-        + math.log(disc) / (d * (d - 1.0))
-    )
-    return math.log(a) <= log_thr + 1e-12
+    return math.log(a) <= log_threshold_height(d, math.log(disc)) + 1e-12

@@ -189,7 +189,7 @@ def _cmd_emit_plot(args) -> int:
     roots = _parse_roots(args.roots)
     if args.what == "lemniscate":
         poly = poly_from_roots(roots)
-        n = args.samples if args.samples else 64 * poly.degree + 1
+        n = 64 * poly.degree + 1 if args.samples is None else args.samples
         if n < 2:
             raise InputError("--samples must be at least 2")
         lo = poly.roots[0] - 1.0

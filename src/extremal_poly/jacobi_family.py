@@ -134,8 +134,10 @@ def solve_multiplier(a: float, d: int, modulus: float) -> float:
     Defined for a^d < modulus <= 2^(d-1) a^d (the boundary maps to exactly
     2d-2). Bisection; the constraint sum is monotone on the bracket.
     """
-    if a <= 0 or not isinstance(d, int) or d < 2:
-        raise DomainError("need a > 0 and integer d >= 2")
+    if a <= 0 or not math.isfinite(a):
+        raise DomainError("height a must be positive and finite")
+    if not isinstance(d, int) or d < 2:
+        raise DomainError("d must be an integer >= 2")
     if modulus <= 0 or not math.isfinite(modulus):
         raise DomainError("modulus must be positive and finite")
     log_t = math.log(modulus) - d * math.log(a)

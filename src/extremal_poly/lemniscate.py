@@ -183,7 +183,7 @@ def radius_lower_bound(d: int, disc: float) -> float | None:
     log_disc = math.log(disc)
     if log_disc < 0.0 or log_disc > (1.0 - d) * math.log(2.0) + d * math.log(d):
         return None
-    return _witness_height(d, 0.0)
+    return math.exp(bf.log_threshold_height(d, 0.0))
 
 
 def _check_bound_args(d: int, disc: float) -> None:
@@ -191,14 +191,6 @@ def _check_bound_args(d: int, disc: float) -> None:
         raise DomainError("d must be an integer >= 2")
     if disc <= 0 or not math.isfinite(disc):
         raise DomainError("discriminant must be positive and finite")
-
-
-def _witness_height(d: int, log_disc: float) -> float:
-    return math.exp(
-        (2.0 / d - 1.0) * math.log(2.0)
-        - math.log(d) / (d - 1.0)
-        + log_disc / (d * (d - 1.0))
-    )
 
 
 def inscribed_disk_poly(d: int, disc: float) -> tuple[RealRootedPoly, float, float]:
@@ -214,9 +206,8 @@ def inscribed_disk_poly(d: int, disc: float) -> tuple[RealRootedPoly, float, flo
     """
     _check_bound_args(d, disc)
     log_disc = math.log(disc)
-    height = _witness_height(d, log_disc)
-    phase = 0.0 if d % 2 else math.pi / (2.0 * d)
-    poly = poly_from_roots(bf.tangent_lattice_roots(height, d, phase))
+    height = math.exp(bf.log_threshold_height(d, log_disc))
+    poly = poly_from_roots(bf.tangent_lattice_roots(height, d, bf.boundary_phase(d)))
     log_value = (
         math.log(2.0) - d * math.log(d) / (d - 1.0) + log_disc / (d - 1.0)
     )

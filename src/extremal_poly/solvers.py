@@ -2,9 +2,11 @@
 
 solve_min_abs: minimise |f(ai)| over monic real-rooted f at fixed
 discriminant. solve_max_disc: maximise the discriminant at fixed
-|f(ai)| = m. Each dispatches between the binomial family (large modulus /
-small height) and the multiplier family (the rest), gluing at the
-boundary m = 2^(d-1) a^d where both collapse to the same polynomial.
+|f(ai)| = m. Both reduce their target to the log phase ratio log p and
+make one decision on it (_dispatch): the binomial family for p < 1 (large
+modulus / small height), the multiplier family for p > 1, and the shared
+boundary member, where both families collapse to one polynomial, within
+a snap window around the crossover p = 1, m = 2^(d-1) a^d.
 
 A multi-start projected-ascent oracle is included for certifying the
 closed forms numerically; it never looks at either family.
@@ -33,10 +35,11 @@ PROBLEM_MAX_DISC = "max_disc"
 REGIME_BINOMIAL = "f_family"
 REGIME_MULTIPLIER = "g_family"
 
-# Inputs within this relative log distance of the gluing modulus snap to
-# the shared boundary member (binomial regime, zero subleading). Root
-# positions vary like the square root of the distance to the boundary, so
-# resolving anything finer is illusory anyway.
+# Targets within this relative log distance of the crossover snap to the
+# shared boundary member (binomial regime, zero subleading), which then
+# meets the target to this relative accuracy. Root positions vary like the
+# square root of the distance to the boundary, so resolving anything finer
+# is illusory anyway.
 _BOUNDARY_SNAP = 1e-9
 
 
@@ -62,10 +65,6 @@ class ExtremalSolution:
     lambda_or_b: float
 
 
-def _boundary_phase(d: int) -> float:
-    return 0.0 if d % 2 else math.pi / (2.0 * d)
-
-
 def _validate_common(a: float, d: int) -> None:
     if not isinstance(d, int) or d < 2:
         raise DomainError("d must be an integer >= 2")
@@ -85,18 +84,25 @@ def _finish(problem: str, regime: str, polys, a: float, lambda_or_b: float):
     )
 
 
-def _binomial_pair(a: float, d: int, log_p: float):
-    roots, sub = bf.lattice_member(a, d, log_p)
-    mirror = sorted(-r for r in roots)
-    pair = [poly_from_roots(roots), poly_from_roots(mirror)]
-    pair.sort(key=lambda p: p.roots[0])
-    return pair, sub
-
-
-def _multiplier_poly(a: float, d: int, lam: float) -> RealRootedPoly:
-    return poly_from_roots(
+def _dispatch(
+    problem: str, a: float, d: int, log_p: float, window: float, solve_lambda
+) -> ExtremalSolution:
+    """The one regime decision: the boundary member within window of the
+    crossover log p = 0, the binomial mirror pair below it, and above it
+    the multiplier member at the multiplier that solve_lambda() returns."""
+    if abs(log_p) <= window:
+        poly = poly_from_roots(bf.tangent_lattice_roots(a, d, bf.boundary_phase(d)))
+        return _finish(problem, REGIME_BINOMIAL, [poly], a, 0.0)
+    if log_p < 0.0:
+        roots, sub = bf.lattice_member(a, d, log_p)
+        pair = [poly_from_roots(roots), poly_from_roots(sorted(-r for r in roots))]
+        pair.sort(key=lambda p: p.roots[0])
+        return _finish(problem, REGIME_BINOMIAL, pair, a, sub)
+    lam = solve_lambda()
+    poly = poly_from_roots(
         jf.family_roots(jf.JacobiFamilyParams(a=a, d=d, multiplier=lam))
     )
+    return _finish(problem, REGIME_MULTIPLIER, [poly], a, lam)
 
 
 def solve_max_disc(a: float, d: int, m: float) -> ExtremalSolution:
@@ -109,17 +115,13 @@ def solve_max_disc(a: float, d: int, m: float) -> ExtremalSolution:
     log_m = math.log(m)
     if log_m <= d * math.log(a):
         raise RegimeError("m must exceed a^d for a real-rooted solution")
+    # phase ratio p = 2^(d-1) a^d / m
     log_ratio = log_m - (d - 1) * math.log(2.0) - d * math.log(a)
-    if abs(log_ratio) <= _BOUNDARY_SNAP * max(1.0, abs(log_m)):
-        poly = poly_from_roots(bf.tangent_lattice_roots(a, d, _boundary_phase(d)))
-        return _finish(PROBLEM_MAX_DISC, REGIME_BINOMIAL, [poly], a, 0.0)
-    if log_ratio > 0.0:
-        # binomial regime with phase ratio p = 2^(d-1) a^d / m
-        pair, sub = _binomial_pair(a, d, -log_ratio)
-        return _finish(PROBLEM_MAX_DISC, REGIME_BINOMIAL, pair, a, sub)
-    lam = jf.solve_multiplier(a, d, m)
-    poly = _multiplier_poly(a, d, lam)
-    return _finish(PROBLEM_MAX_DISC, REGIME_MULTIPLIER, [poly], a, lam)
+    return _dispatch(
+        PROBLEM_MAX_DISC, a, d, -log_ratio,
+        _BOUNDARY_SNAP * max(1.0, abs(log_m)),
+        lambda: jf.solve_multiplier(a, d, m),
+    )
 
 
 def solve_min_abs(a: float, d: int, disc: float) -> ExtremalSolution:
@@ -128,18 +130,15 @@ def solve_min_abs(a: float, d: int, disc: float) -> ExtremalSolution:
     _validate_common(a, d)
     if disc <= 0 or not math.isfinite(disc):
         raise DomainError("target discriminant must be positive and finite")
-    if bf.small_height_condition(a, d, disc):
-        p = bf.phase_ratio(a, d, disc).p
-        if p >= 1.0 - _BOUNDARY_SNAP:
-            poly = poly_from_roots(
-                bf.tangent_lattice_roots(a, d, _boundary_phase(d))
-            )
-            return _finish(PROBLEM_MIN_ABS, REGIME_BINOMIAL, [poly], a, 0.0)
-        pair, sub = _binomial_pair(a, d, bf.log_phase_ratio(a, d, disc))
-        return _finish(PROBLEM_MIN_ABS, REGIME_BINOMIAL, pair, a, sub)
-    lam = _multiplier_from_disc(a, d, math.log(disc))
-    poly = _multiplier_poly(a, d, lam)
-    return _finish(PROBLEM_MIN_ABS, REGIME_MULTIPLIER, [poly], a, lam)
+    log_disc = math.log(disc)
+    # Along the binomial family log disc moves 2d-2 times as fast as log p,
+    # so this window keeps the boundary member within _BOUNDARY_SNAP of the
+    # target discriminant, as the modulus window does for m.
+    return _dispatch(
+        PROBLEM_MIN_ABS, a, d, bf.log_phase_ratio(a, d, disc),
+        _BOUNDARY_SNAP * max(1.0, abs(log_disc)) / (2.0 * d - 2.0),
+        lambda: _multiplier_from_disc(a, d, log_disc),
+    )
 
 
 def _multiplier_from_disc(a: float, d: int, log_disc: float) -> float:

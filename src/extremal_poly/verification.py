@@ -244,11 +244,7 @@ def _check_binomial_equality() -> CheckResult:
     for _ in range(100):
         d = int(rng.integers(2, 9))
         disc = float(np.exp(rng.uniform(-3.0, 6.0)))
-        log_thr = (
-            (2.0 / d - 1.0) * math.log(2.0)
-            - math.log(d) / (d - 1.0)
-            + math.log(disc) / (d * (d - 1.0))
-        )
+        log_thr = bf.log_threshold_height(d, math.log(disc))
         a = float(np.exp(log_thr + math.log(rng.uniform(0.3, 1.0))))
         sol = solve_min_abs(a, d, disc)
         bound = bf.min_modulus_bound(a, d, disc)
@@ -279,8 +275,7 @@ def _check_boundary_glue() -> CheckResult:
             )
             fc = bf.binomial_coeffs(
                 bf.BinomialFamilyParams(
-                    a=a, d=d, subleading=0.0,
-                    phase=0.0 if d % 2 else math.pi / (2.0 * d),
+                    a=a, d=d, subleading=0.0, phase=bf.boundary_phase(d)
                 )
             )
             scale = max(abs(c) for c in gc)
@@ -469,8 +464,7 @@ def _check_energy_equilibrium() -> CheckResult:
 def _check_arctan_cdf() -> CheckResult:
     dists = []
     for d in (10, 100, 1000):
-        phase = 0.0 if d % 2 else math.pi / (2.0 * d)
-        points = bf.tangent_lattice_roots(1.0, d, phase)
+        points = bf.tangent_lattice_roots(1.0, d, bf.boundary_phase(d))
         config = config_from_points(points, 1.0)
         dists.append((d, arctan_cdf_distance(config)))
     decreasing = dists[0][1] > dists[1][1] > dists[2][1]

@@ -7,13 +7,10 @@ from extremal_poly.binomial_family import (
     BinomialFamilyParams,
     binomial_coeffs,
     binomial_poly,
-    lattice_phase,
     log_phase_ratio,
     min_modulus_bound,
     params_from_disc,
-    phase_ratio,
     small_height_condition,
-    subleading_coeff,
     tangent_lattice_roots,
 )
 from extremal_poly.errors import DomainError, RegimeError
@@ -51,12 +48,16 @@ class TestTangentLattice:
 
 class TestPhaseRatio:
     def test_clamps_to_one_on_boundary(self):
-        # boundary disc for a=1, d=2 is 4
-        assert phase_ratio(1.0, 2, 4.0).p == 1.0
+        # boundary disc for a=1, d=2 is 4; p = 1 gives phase asin(1)/2, B = 0,
+        # also for log p a roundoff above 0
+        for disc in (4.0, 4.0 * math.exp(-2e-13)):
+            params = params_from_disc(1.0, 2, disc)
+            assert params.phase == math.pi / 4
+            assert params.subleading == 0.0
 
     def test_rejects_heights_beyond_regime(self):
         with pytest.raises(RegimeError):
-            phase_ratio(2.0, 2, 4.0)
+            params_from_disc(2.0, 2, 4.0)
 
     def test_log_form_consistency(self):
         rng = np.random.default_rng(4)
@@ -67,7 +68,14 @@ class TestPhaseRatio:
             lp = log_phase_ratio(a, d, disc)
             if lp > 0:
                 continue
-            assert phase_ratio(a, d, disc).p == pytest.approx(math.exp(lp))
+            params = params_from_disc(a, d, disc)
+            # p = cos(d phase) for odd d, sin(d phase) for even d
+            trig = math.cos if d % 2 else math.sin
+            assert trig(d * params.phase) == pytest.approx(math.exp(lp))
+            sign = -1.0 if d % 2 else 1.0
+            assert params.subleading == pytest.approx(
+                sign * a * d * math.sqrt(math.exp(-2.0 * lp) - 1.0)
+            )
 
 
 def test_lattice_phase_range():
@@ -78,15 +86,15 @@ def test_lattice_phase_range():
         a = 0.2
         if log_phase_ratio(a, d, disc) > 0:
             continue
-        g = lattice_phase(a, d, disc)
+        g = params_from_disc(a, d, disc).phase
         assert 0.0 <= g <= math.pi / (2 * d) + 1e-15
 
 
 def test_subleading_sign_parity():
     # B carries sign (-1)^d away from the boundary
-    assert subleading_coeff(0.5, 2, 4.0) > 0
-    assert subleading_coeff(0.5, 3, 4.0) < 0
-    assert subleading_coeff(1.0, 2, 4.0) == 0.0  # boundary
+    assert params_from_disc(0.5, 2, 4.0).subleading > 0
+    assert params_from_disc(0.5, 3, 4.0).subleading < 0
+    assert params_from_disc(1.0, 2, 4.0).subleading == 0.0  # boundary
 
 
 def test_known_expansion_degree_two():

@@ -75,6 +75,20 @@ class TestSolveCommands:
         assert doc["regime"] == "g_family"
         assert doc["lambda_or_B"] == pytest.approx(9.0, rel=1e-10)
 
+    def test_solve_min_just_past_the_crossover(self, capsys):
+        # phase ratio p = exp(3e-12): inside the snap window of the
+        # crossover, so the answer is the shared boundary member
+        disc = 7.378697629173878e19
+        code, out, err = run_cli(
+            capsys, "solve-min", "--a", "1.0", "--d", "8", "--disc", repr(disc)
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["regime"] == "f_family"
+        assert doc["mirror"] is None
+        assert doc["lambda_or_B"] == 0.0
+        assert rel_log_diff(doc["log_disc"]["log_abs"], math.log(disc)) <= 1e-9
+
     def test_schema_keys_are_stable(self, capsys):
         _, out, _ = run_cli(
             capsys, "solve-disc", "--a", "1", "--d", "3", "--m", "1.5"
@@ -255,12 +269,15 @@ class TestEmitPlot:
         assert float(rows[1][2]) == pytest.approx(0.75, abs=1e-12)
 
     def test_bad_sample_count(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "emit-plot", "--what", "lemniscate", "--roots", "-1,1",
-            "--samples", "1",
-        )
-        assert code == 2
+        for samples in ("1", "0"):
+            code, out, err = run_cli(
+                capsys,
+                "emit-plot", "--what", "lemniscate", "--roots", "-1,1",
+                "--samples", samples,
+            )
+            assert code == 2
+            assert out == ""
+            assert "--samples must be at least 2" in err
 
 
 class TestVerifyCommand:

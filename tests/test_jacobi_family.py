@@ -109,6 +109,9 @@ def test_solve_multiplier_regime_errors():
         solve_multiplier(1.0, 3, 1.0)  # modulus = a^d
     with pytest.raises(RegimeError):
         solve_multiplier(1.0, 3, 4.0001)  # above the boundary 2^(d-1)
+    for a in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(DomainError, match="height a must be positive and finite"):
+            solve_multiplier(a, 3, 2.0)
 
 
 def test_solve_multiplier_roundtrip():

@@ -117,6 +117,54 @@ def test_duality_roundtrip_both_regimes():
         assert rel_log_diff(back.achieved_disc.log_abs, math.log(disc)) < 1e-8
 
 
+# (a, d) grid around the crossover p = 1; targets are built from log p
+_CROSSOVER_GRID = [
+    (a, d) for a in (0.3, 0.5, 1.0, 2.0, 3.0) for d in (*range(2, 9), 20, 30, 60)
+]
+
+
+def _disc_at_log_p(a: float, d: int, log_p: float) -> float | None:
+    """Discriminant whose phase ratio is exp(log_p); None outside float range."""
+    log_disc = (2 * d - 2) * (
+        0.5 * d * math.log(a)
+        + (0.5 * d - 1) * math.log(2.0)
+        + d / (2 * d - 2) * math.log(d)
+        - log_p
+    )
+    return math.exp(log_disc) if abs(log_disc) < 700.0 else None
+
+
+@pytest.mark.parametrize(
+    "log_p",
+    [2e-9, -2e-9, 1e-9, -1e-9, 5e-10, -5e-10, 1e-12, -1e-12, 1.5e-12, 3e-12, 0.0],
+)
+def test_min_abs_near_crossover(log_p):
+    # every target within a few 1e-9 of the crossover gets an answer that
+    # meets its discriminant, whichever side of the snap window it lands
+    for a, d in _CROSSOVER_GRID:
+        disc = _disc_at_log_p(a, d, log_p)
+        if disc is None:
+            continue
+        sol = solve_min_abs(a, d, disc)
+        got = log_disc_from_roots(sol.polys[0])
+        assert got.sign == 1
+        assert rel_log_diff(got.log_abs, math.log(disc)) <= 1e-9, (a, d)
+
+
+@pytest.mark.parametrize("log_p", [1e-7, -1e-7, 1e-3, -1e-3])
+def test_duality_roundtrip_near_crossover(log_p):
+    # outside both snap windows the modulus problem lands in the regime,
+    # and with the polynomial count, of the discriminant problem
+    for a, d in _CROSSOVER_GRID:
+        disc = _disc_at_log_p(a, d, log_p)
+        if disc is None:
+            continue
+        fwd = solve_min_abs(a, d, disc)
+        back = solve_max_disc(a, d, fwd.achieved_m)
+        assert fwd.regime == (REGIME_BINOMIAL if log_p < 0 else REGIME_MULTIPLIER)
+        assert (back.regime, len(back.polys)) == (fwd.regime, len(fwd.polys)), (a, d)
+
+
 def test_min_abs_is_minimal_against_perturbations():
     # any nearby same-disc configuration must have larger modulus
     rng = np.random.default_rng(32)
