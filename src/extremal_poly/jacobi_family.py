@@ -190,21 +190,23 @@ def closed_form_disc(params: JacobiFamilyParams):
     """
     a, d, lam = params.a, params.d, params.multiplier
     sign = 1
-    log_abs = d * (d - 1) * math.log(a)
-    log_abs += math.fsum(k * math.log(k) for k in range(1, d + 1))
+    # one correctly rounded sum: at d = 1000, terms of size 1e4 cancel
+    # down to log discs of order 1, so running sums would lose digits
+    terms = [d * (d - 1) * math.log(a)]
+    terms += [k * math.log(k) for k in range(1, d + 1)]
     for k in range(1, d // 2):
         base = lam - 2.0 * k
         if base == 0.0:
             return LogDiscriminant.zero()
-        log_abs += 2 * k * math.log(abs(base))
+        terms.append(2 * k * math.log(abs(base)))
     for k in range((d + 1) // 2, d):
         base = lam - 2.0 * k + 1.0
         if abs(base) <= _POLE_REJECT:
             raise PoleError("multiplier sits on the pole %d" % (2 * k - 1))
-        log_abs -= (2 * k - 1) * math.log(abs(base))
+        terms.append(-(2 * k - 1) * math.log(abs(base)))
         if base < 0:
             sign = -sign
-    return LogDiscriminant(sign, log_abs)
+    return LogDiscriminant(sign, math.fsum(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +335,18 @@ def jacobi_disc(params: JacobiParams):
                 "alpha+beta = -d-%d is excluded (degenerate degree)" % k
             )
     sign = 1
-    log_abs = -d * (d - 1) * math.log(2.0)
+    terms = [-d * (d - 1) * math.log(2.0)]
     for k in range(1, d + 1):
-        log_abs += (k - 2 * d + 2) * math.log(k)
+        terms.append((k - 2 * d + 2) * math.log(k))
         for base, expo in ((k + al, k - 1), (k + be, k - 1), (d + k + al + be, d - k)):
             if expo == 0:
                 continue
             if base == 0.0:
                 return LogDiscriminant.zero()
-            log_abs += expo * math.log(abs(base))
+            terms.append(expo * math.log(abs(base)))
             if base < 0 and expo % 2 == 1:
                 sign = -sign
-    return LogDiscriminant(sign, log_abs)
+    return LogDiscriminant(sign, math.fsum(terms))
 
 
 def degenerate_family_coeffs(d: int, anchor: int, anchor_coeff: float) -> list[float]:

@@ -8,8 +8,11 @@ modulus / small height), the multiplier family for p > 1, and the shared
 boundary member, where both families collapse to one polynomial, within
 a snap window around the crossover p = 1, m = 2^(d-1) a^d.
 
-A multi-start projected-ascent oracle is included for certifying the
-closed forms numerically; it never looks at either family.
+A multi-start ascent oracle is included for certifying the closed forms
+numerically; it never looks at either family. It takes reduced Newton
+steps on the KKT system of the pairwise log product under the modulus
+constraint and stops each start once a step gains no more than
+1e-12 (1 + |g|) or no halved step gains at all.
 """
 
 import math
@@ -35,11 +38,10 @@ PROBLEM_MAX_DISC = "max_disc"
 REGIME_BINOMIAL = "f_family"
 REGIME_MULTIPLIER = "g_family"
 
-# Targets within this relative log distance of the crossover snap to the
-# shared boundary member (binomial regime, zero subleading), which then
-# meets the target to this relative accuracy. Root positions vary like the
-# square root of the distance to the boundary, so resolving anything finer
-# is illusory anyway.
+# Targets near the crossover snap to the shared boundary member (binomial
+# regime, zero subleading), which then meets the target to this relative
+# accuracy. Root positions vary like the square root of the distance to the
+# boundary, so resolving anything finer is illusory anyway.
 _BOUNDARY_SNAP = 1e-9
 
 
@@ -87,10 +89,13 @@ def _finish(problem: str, regime: str, polys, a: float, lambda_or_b: float):
 def _dispatch(
     problem: str, a: float, d: int, log_p: float, window: float, solve_lambda
 ) -> ExtremalSolution:
-    """The one regime decision: the boundary member within window of the
-    crossover log p = 0, the binomial mirror pair below it, and above it
-    the multiplier member at the multiplier that solve_lambda() returns."""
-    if abs(log_p) <= window:
+    """The one regime decision: the boundary member within half the
+    window of the crossover log p = 0, the binomial mirror pair below it,
+    and above it the multiplier member at the multiplier that
+    solve_lambda() returns. window is the log p distance at which the
+    boundary member misses the target by _BOUNDARY_SNAP; snapping only
+    within half of it leaves room for the rounding of the target."""
+    if abs(log_p) <= 0.5 * window:
         poly = poly_from_roots(bf.tangent_lattice_roots(a, d, bf.boundary_phase(d)))
         return _finish(problem, REGIME_BINOMIAL, [poly], a, 0.0)
     if log_p < 0.0:
@@ -197,39 +202,84 @@ def lagrange_residuals(p: RealRootedPoly, lam: float) -> tuple[float, float]:
 @dataclass(frozen=True)
 class OracleResult:
     """Best configuration found by the ascent oracle. converged describes
-    the winning start; starts_converged counts all that plateaued."""
+    the winning start; starts_converged counts all that stopped before
+    max_iters; iterations is the most Newton iterations any start took."""
 
     log_disc: LogDiscriminant
     roots: tuple[float, ...]
     converged: bool
     starts_converged: int
-
-
-def _pairwise_log(x: np.ndarray, idx) -> np.ndarray:
-    iu, ju = idx
-    diffs = np.abs(x[:, iu] - x[:, ju])
-    with np.errstate(divide="ignore"):
-        return 2.0 * np.sum(np.log(diffs), axis=1)
+    iterations: int
 
 
 def _rescale_to_modulus(x: np.ndarray, a: float, target: float) -> np.ndarray:
     """Per-row scale factors t > 0 with sum 0.5 log(a^2 + t^2 x^2) = target.
 
-    Newton in log t from t = 1 (after a projected step the violation is
+    Newton in log t from t = 1 (after a tangent step the violation is
     second order, so this is a handful of iterations), with the per-round
     multiplicative change clamped to keep stray rows from overshooting.
-    Rows must be nonzero."""
+    A row stops moving once it meets the tolerance, so each row's factor
+    is the same as if it were solved alone. Rows must be nonzero."""
     t = np.ones(x.shape[0])
+    tol = 1e-13 * max(1.0, abs(target))
     for _ in range(80):
         tx2 = (t[:, None] * x) ** 2
         val = 0.5 * np.sum(np.log(a * a + tx2), axis=1) - target
-        if np.all(np.abs(val) <= 1e-13 * max(1.0, abs(target))):
+        off = np.abs(val) > tol
+        if not off.any():
             break
         # d/d(log t) of the constraint sum
-        slope = np.sum(tx2 / (a * a + tx2), axis=1)
-        step = val / np.maximum(slope, 1e-300)
-        t = t * np.exp(-np.clip(step, -math.log(2.0), math.log(2.0)))
+        slope = np.sum(tx2[off] / (a * a + tx2[off]), axis=1)
+        step = val[off] / np.maximum(slope, 1e-300)
+        t[off] *= np.exp(-np.clip(step, -math.log(2.0), math.log(2.0)))
     return t
+
+
+def _pairwise_log(x: np.ndarray) -> np.ndarray:
+    """Per row, g(x) = sum_{j<k} 2 log|x_j - x_k|; -inf where two points
+    meet."""
+    iu, ju = np.triu_indices(x.shape[1], k=1)
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.sum(np.log(np.abs(x[:, iu] - x[:, ju])), axis=1)
+
+
+def _newton_directions(x: np.ndarray, a: float) -> np.ndarray:
+    """Per row, an ascent direction for g on the tangent space of
+    h(x) = sum 0.5 log(a^2 + x^2): a Newton step on the KKT system.
+
+    With mu the least-squares multiplier of grad g = mu grad h, the
+    Lagrangian Hessian W = hess g - mu hess h is reduced to an orthonormal
+    basis Z of the tangent space, and the step solves
+    |Z^T W Z| s = Z^T grad g with each eigenvalue taken as
+    max(|w|, 1e-12 max|w|); the direction Z s ascends even where W is
+    indefinite. Rows must have distinct entries."""
+    d = x.shape[1]
+    diag = np.eye(d, dtype=bool)
+    diff = x[:, :, None] - x[:, None, :]
+    diff[:, diag] = 1.0
+    inv = 1.0 / diff
+    inv[:, diag] = 0.0
+    grad_g = 2.0 * inv.sum(axis=2)
+    s2 = a * a + x * x
+    grad_h = x / s2
+    mu = np.sum(grad_g * grad_h, axis=1) / np.sum(grad_h * grad_h, axis=1)
+    # hess g: 2/(x_k - x_j)^2 off the diagonal, the negated row sum on it;
+    # hess h is diagonal, (a^2 - x^2)/(a^2 + x^2)^2
+    w = 2.0 * inv * inv
+    w[:, diag] = -w.sum(axis=2) - mu[:, None] * (a * a - x * x) / (s2 * s2)
+    # columns 1..d-1 of the Householder reflector that maps grad h onto
+    # the first axis span its orthogonal complement
+    v = grad_h / np.linalg.norm(grad_h, axis=1, keepdims=True)
+    v[:, 0] += np.copysign(1.0, v[:, 0])
+    z = np.eye(d)[:, 1:] - (2.0 / np.sum(v * v, axis=1))[:, None, None] * (
+        v[:, :, None] * v[:, None, 1:]
+    )
+    zt = np.swapaxes(z, 1, 2)
+    evals, evecs = np.linalg.eigh(zt @ w @ z)
+    mag = np.abs(evals)
+    mag = np.maximum(mag, 1e-12 * np.maximum(mag.max(axis=1, keepdims=True), 1e-300))
+    coef = (np.swapaxes(evecs, 1, 2) @ (zt @ grad_g[:, :, None]))[:, :, 0] / mag
+    return (z @ (evecs @ coef[:, :, None]))[:, :, 0]
 
 
 def numeric_oracle_max_disc(
@@ -240,15 +290,19 @@ def numeric_oracle_max_disc(
     seed: int = 0,
     max_iters: int = 100_000,
 ) -> OracleResult:
-    """Direct numerical maximisation of the pairwise log product under the
-    modulus constraint; knows nothing about either closed-form family.
+    """Direct numerical maximisation of the pairwise log product
+    g(x) = sum_{j<k} 2 log|x_j - x_k| under the modulus constraint
+    sum 0.5 log(a^2 + x_k^2) = log m; knows nothing about either
+    closed-form family.
 
-    Projected gradient ascent from Cauchy-distributed starts (seeded
-    seed + index), renormalised to the constraint after every step by a
-    global rescale solved with a damped Newton iteration in log scale.
-    Step size starts at 1e-2/d^2,
-    halves on failed steps, and may recover up to 100x the base. Winner
-    is the best final value, ties to the lowest start index.
+    Each Cauchy-distributed start (seeded seed + index) is rescaled onto
+    the constraint and then improved by reduced Newton steps on the KKT
+    system (_newton_directions). A step is halved until the trial point,
+    rescaled back onto the constraint by a damped Newton iteration in log
+    scale, raises g. A start stops when the gain falls to
+    1e-12 (1 + |g|) or when no halving raises g, and counts as converged
+    then; max_iters caps the Newton iterations per start. Winner is the
+    best final value, ties to the lowest start index.
     """
     _validate_common(a, d)
     if d > 6:
@@ -258,7 +312,6 @@ def numeric_oracle_max_disc(
     if starts < 1:
         raise DomainError("need at least one start")
     target = math.log(m)
-    idx = np.triu_indices(d, k=1)
 
     x = np.empty((starts, d))
     for i in range(starts):
@@ -266,47 +319,46 @@ def numeric_oracle_max_disc(
         row = a * rng.standard_cauchy(d)
         while np.unique(row).size < d or np.all(row == 0.0):
             row = a * rng.standard_cauchy(d)
-        x[i] = np.sort(row)
+        x[i] = row
     x *= _rescale_to_modulus(x, a, target)[:, None]
+    g = _pairwise_log(x)
 
-    g = _pairwise_log(x, idx)
-    base_step = 1e-2 / (d * d)
-    eta = np.full(starts, base_step)
-    active = np.ones(starts, bool)
+    # All starts advance together: each round tries one trial point per
+    # active start, either a fresh Newton step or the last one halved.
+    step = np.zeros_like(x)
+    iters = np.zeros(starts, int)
+    halvings = np.zeros(starts, int)
     converged = np.zeros(starts, bool)
-
-    for _ in range(max_iters):
-        if not active.any():
-            break
-        xa = x[active]
-        diff = xa[:, :, None] - xa[:, None, :]
-        with np.errstate(divide="ignore"):
-            inv = np.where(diff != 0.0, 1.0 / diff, 0.0)
-        grad_g = 2.0 * np.sum(inv, axis=2)
-        grad_h = xa / (a * a + xa * xa)
-        dot = np.sum(grad_g * grad_h, axis=1) / np.sum(grad_h * grad_h, axis=1)
-        proj = grad_g - dot[:, None] * grad_h
-        y = xa + eta[active, None] * proj
+    active = np.full(starts, max_iters > 0)
+    fresh = active.copy()
+    while active.any():
+        if fresh.any():
+            step[fresh] = _newton_directions(x[fresh], a)
+            iters[fresh] += 1
+            halvings[fresh] = 0
+        act = np.flatnonzero(active)
+        y = x[act] + step[act]
         ok = np.all(np.isfinite(y), axis=1) & np.any(y != 0.0, axis=1)
-        y[~ok] = xa[~ok]
+        y[~ok] = x[act[~ok]]
         y *= _rescale_to_modulus(y, a, target)[:, None]
-        g_new = _pairwise_log(y, idx)
-        better = ok & np.isfinite(g_new) & (g_new > g[active])
-
-        act_idx = np.flatnonzero(active)
-        acc = act_idx[better]
-        rej = act_idx[~better]
-        x[acc] = y[better]
-        gain = g_new[better] - g[acc]
-        g[acc] = g_new[better]
-        eta[acc] = np.minimum(eta[acc] * 1.3, 100.0 * base_step)
-        eta[rej] *= 0.5
-        done_acc = acc[gain <= 1e-12 * (1.0 + np.abs(g[acc]))]
-        converged[done_acc] = True
-        active[done_acc] = False
-        stalled = rej[eta[rej] < 1e-12 * base_step]
-        converged[stalled] = True
-        active[stalled] = False
+        g_new = _pairwise_log(y)
+        up = ok & (g_new > g[act])
+        acc, rej = act[up], act[~up]
+        gain = g_new[up] - g[acc]
+        x[acc], g[acc] = y[up], g_new[up]
+        step[rej] *= 0.5
+        halvings[rej] += 1
+        # stop on a negligible gain, or once 60 halvings (down to 1e-18 of
+        # the Newton step) fail to raise g
+        done = np.concatenate(
+            [acc[gain <= 1e-12 * (1.0 + np.abs(g[acc]))], rej[halvings[rej] >= 60]]
+        )
+        converged[done] = True
+        active[done] = False
+        fresh = np.zeros(starts, bool)
+        fresh[acc] = True
+        active[fresh & (iters >= max_iters)] = False
+        fresh &= active
 
     best = int(np.argmax(g))
     return OracleResult(
@@ -314,4 +366,5 @@ def numeric_oracle_max_disc(
         roots=tuple(float(v) for v in np.sort(x[best])),
         converged=bool(converged[best]),
         starts_converged=int(converged.sum()),
+        iterations=int(iters.max()),
     )

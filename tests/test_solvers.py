@@ -5,6 +5,7 @@ import pytest
 
 from extremal_poly.errors import DomainError, RegimeError
 from extremal_poly.poly_core import (
+    TOL_ORACLE,
     log_disc_from_roots,
     modulus_at_ai,
     rel_log_diff,
@@ -96,6 +97,13 @@ class TestSolveMinAbs:
         assert sol.achieved_m == pytest.approx(4.5, rel=1e-10)
         assert sol.achieved_disc.value == pytest.approx(2.0, rel=1e-10)
 
+    @pytest.mark.parametrize("disc", [0.5, 1.0, 4.0, 1e6])
+    def test_degree_thousand_meets_target(self, disc):
+        # closed-form terms of size 1e4 cancel to a log disc of order 1
+        sol = solve_min_abs(2.0, 1000, disc)
+        got = log_disc_from_roots(sol.polys[0])
+        assert rel_log_diff(got.log_abs, math.log(disc)) <= TOL_ORACLE
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             solve_min_abs(1.0, 2, 0.0)
@@ -149,6 +157,17 @@ def test_min_abs_near_crossover(log_p):
         got = log_disc_from_roots(sol.polys[0])
         assert got.sign == 1
         assert rel_log_diff(got.log_abs, math.log(disc)) <= 1e-9, (a, d)
+
+
+def test_targets_on_the_snap_window_edge():
+    # log p exactly one window from the crossover: the boundary member
+    # would miss by the full 1e-9 plus rounding, so these must not snap
+    disc = 1.687500001687501  # log p = -2.5e-10 at a = 0.5, d = 3
+    sol = solve_min_abs(0.5, 3, disc)
+    assert rel_log_diff(sol.achieved_disc.log_abs, math.log(disc)) <= 1e-9
+    log_m = -math.log(2.0) - 1e-9  # crossover of a = 0.5, d = 60, minus 1e-9
+    sol = solve_max_disc(0.5, 60, math.exp(log_m))
+    assert rel_log_diff(math.log(sol.achieved_m), log_m) <= 1e-9
 
 
 @pytest.mark.parametrize("log_p", [1e-7, -1e-7, 1e-3, -1e-3])
@@ -253,6 +272,35 @@ class TestNumericOracle:
     def test_regime_floor(self):
         with pytest.raises(RegimeError):
             numeric_oracle_max_disc(1.0, 2, 0.9)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_boundary_converges_in_few_iterations(self, d):
+        # the optimum is degenerate at the crossover: quartic along one
+        # tangent direction, where Newton converges only linearly
+        m = 2.0 ** (d - 1)
+        res = numeric_oracle_max_disc(1.0, d, m, starts=32, seed=0)
+        assert res.starts_converged == 32
+        assert res.iterations <= 60
+        want = solve_max_disc(1.0, d, m).achieved_disc
+        assert rel_log_diff(res.log_disc.log_abs, want.log_abs) <= 1e-9
+
+    @pytest.mark.parametrize("a, m", [(1.0, 2.0), (0.5, 1.0)])
+    def test_roots_are_stieltjes_stationary(self, a, m):
+        # sum_{j != k} 1/(x_k - x_j) = nu x_k / (a^2 + x_k^2) for one nu:
+        # the electrostatic equilibrium of the maximiser
+        res = numeric_oracle_max_disc(a, 3, m, starts=8, seed=0)
+        x = np.array(res.roots)
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, np.inf)
+        force = np.sum(1.0 / diff, axis=1)
+        pull = x / (a * a + x * x)
+        nu = (force @ pull) / (pull @ pull)
+        residual = np.max(np.abs(force - nu * pull)) / np.max(np.abs(force))
+        assert residual <= 1e-8
+        sol = solve_max_disc(a, 3, m)
+        assert min(
+            np.max(np.abs(x - np.array(p.roots))) for p in sol.polys
+        ) <= 1e-6
 
     def test_deterministic_given_seed(self):
         r1 = numeric_oracle_max_disc(1.0, 2, 1.7, starts=4, seed=11)
