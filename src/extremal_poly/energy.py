@@ -12,7 +12,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InputError
-from .poly_core import log_disc_from_roots, log_modulus_at_ai, poly_from_roots
+from .poly_core import (
+    LogDiscriminant,
+    log_disc_from_roots,
+    log_modulus_at_ai,
+    poly_from_roots,
+)
 from .solvers import solve_max_disc
 
 
@@ -43,8 +48,14 @@ def config_from_points(points, a: float) -> ChargeConfig:
     if not all(math.isfinite(x) for x in pts):
         raise InputError("points must be finite")
 
+    return _config(pts, a, log_disc_from_roots(poly_from_roots(pts)))
+
+
+def _config(pts: tuple[float, ...], a: float, ld: LogDiscriminant) -> ChargeConfig:
+    """ChargeConfig of validated points whose log-discriminant ld is
+    already known."""
+    d = len(pts)
     v = -log_modulus_at_ai(pts, a) / d
-    ld = log_disc_from_roots(poly_from_roots(pts))
     energy = math.inf if ld.sign == 0 else -ld.log_abs / (d * (d - 1.0))
     return ChargeConfig(points=pts, a=a, potential_v=v, energy_I=energy)
 
@@ -80,7 +91,8 @@ def solve_equilibrium(a: float, d: int, v: float) -> ChargeConfig:
     except OverflowError:
         raise DomainError("modulus exp(-v*d) overflows a float") from None
     solution = solve_max_disc(a, d, m)
-    return config_from_points(solution.polys[0].roots, a)
+    # the solver has taken the log-discriminant of these very roots
+    return _config(solution.polys[0].roots, a, solution.achieved_disc)
 
 
 def arctan_cdf_distance(config: ChargeConfig) -> float:

@@ -157,12 +157,15 @@ def bisect_multiplier(fn, target: float, d: int) -> float:
 
     The upper end starts at 4d and doubles until fn drops below target,
     then bisection keeps fn(lo) >= target > fn(hi) down to float
-    resolution. MonotonicityError when no upper end is found.
+    resolution. Of the two final ends the one whose value is nearer the
+    target is returned: near 2d - 2 one ulp of the multiplier can move fn
+    by more than 1e-9. MonotonicityError when no upper end is found.
     """
-    lo = 2.0 * d - 2.0
+    lo, f_lo = 2.0 * d - 2.0, None
     hi = 4.0 * d
     for _ in range(400):
-        if fn(hi) < target:
+        f_hi = fn(hi)
+        if f_hi < target:
             break
         hi *= 2.0
     else:
@@ -171,11 +174,14 @@ def bisect_multiplier(fn, target: float, d: int) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi or hi - lo <= 1e-16 * max(1.0, hi):
             break
-        if fn(mid) >= target:
-            lo = mid
+        f_mid = fn(mid)
+        if f_mid >= target:
+            lo, f_lo = mid, f_mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, f_hi = mid, f_mid
+    if f_lo is None:
+        f_lo = fn(lo)
+    return lo if f_lo - target <= target - f_hi else hi
 
 
 def closed_form_disc(params: JacobiFamilyParams):

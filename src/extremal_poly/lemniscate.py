@@ -23,7 +23,12 @@ from .poly_core import (
     rel_log_diff,
 )
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Center-root pairs per _halfwidth_grid call of the grid scan: the
+# 65 d^2 pairs of a d <= 63 scan go in one call, and at any degree a
+# call's temporaries stay near 15 MB.
+_CHUNK_ELEMENTS = 1 << 18
+# Probes of the Newton refinement, beyond which the best one is kept.
+_MAX_PROBES = 100
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,33 @@ def _halfwidth_grid(roots: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.sqrt(s_out)
 
 
+def _scan(roots: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """_halfwidth_grid over xs in chunks of at most _CHUNK_ELEMENTS
+    center-root pairs, so the scan holds O(chunk) memory at any degree.
+    Rows never mix, so the widths are those of one unchunked call."""
+    rows = max(1, _CHUNK_ELEMENTS // roots.size)
+    return np.concatenate(
+        [_halfwidth_grid(roots, xs[i:i + rows]) for i in range(0, xs.size, rows)]
+    )
+
+
+def _slope_and_curvature(roots: np.ndarray, x: float, s: float) -> tuple[float, float]:
+    """(s'(x), s''(x)) of s = halfwidth^2 at a point with s > 0, by
+    implicit differentiation of phi(x, s) = sum_k log((x - r_k)^2 + s) = 0
+    with u_k = x - r_k and q_k = u_k^2 + s."""
+    u = x - roots
+    q = u * u + s
+    inv = 1.0 / q
+    inv2 = inv * inv
+    phi_s = inv.sum()
+    slope = -2.0 * (u * inv).sum() / phi_s
+    phi_xx = 2.0 * ((s - u * u) * inv2).sum()
+    phi_xs = -2.0 * (u * inv2).sum()
+    phi_ss = -inv2.sum()
+    curv = -(phi_xx + 2.0 * phi_xs * slope + phi_ss * slope * slope) / phi_s
+    return float(slope), float(curv)
+
+
 def largest_disk(
     p: RealRootedPoly, interval: tuple[float, float] | None = None
 ) -> DiskResult:
@@ -111,10 +143,21 @@ def largest_disk(
     structure of real-rooted lemniscates). Candidate centers are a
     uniform grid of 64 d points over the interval (default: root span
     padded by 1, outside which |f| > 1 always) plus the roots themselves,
-    whose halfwidths are positive no matter how coarse the grid. All
-    candidates' halfwidths come from one call of the Newton solve in
-    _halfwidth_grid; the best candidate is refined by golden-section
-    search to center accuracy 1e-10, one vertical_halfwidth per probe.
+    whose halfwidths are positive no matter how coarse the grid. Their
+    halfwidths come from _halfwidth_grid, in chunks of bounded size.
+
+    The best candidate is refined by a safeguarded Newton iteration on
+    the slope of s = halfwidth^2, inside the bracket of one grid step to
+    either side. At each probe the sign of s' moves one bracket end to
+    the probe; the next probe is the Newton point x - s'/s'' when s'' < 0
+    and the point lies inside the bracket, the bracket midpoint
+    otherwise. A probe outside the lemniscate (s = 0) cuts the bracket
+    on its side of the best probe. The search stops once the bracket is
+    below 1e-10 wide, the Newton step is below one ulp of the center, the
+    bracket has no float left inside it, or after _MAX_PROBES probes.
+    Every s comes from _halfwidth_grid; the disk is the probe with the
+    largest s (the later one on ties), which is the best grid candidate
+    when no probe beats it.
     """
     rs = np.asarray(p.roots, dtype=float)
     if interval is None:
@@ -126,7 +169,7 @@ def largest_disk(
     n = 64 * rs.size
     grid = np.linspace(lo_b, hi_b, n)
     candidates = np.concatenate([grid, rs[(rs >= lo_b) & (rs <= hi_b)]])
-    widths = _halfwidth_grid(rs, candidates)
+    widths = _scan(rs, candidates)
     j = int(np.argmax(widths))
     best_c, best_r = float(candidates[j]), float(widths[j])
 
@@ -137,26 +180,41 @@ def largest_disk(
         )
 
     step = (hi_b - lo_b) / (n - 1)
-    a_end = max(best_c - step, lo_b)
-    b_end = min(best_c + step, hi_b)
-    x1 = b_end - _GOLDEN * (b_end - a_end)
-    x2 = a_end + _GOLDEN * (b_end - a_end)
-    f1, f2 = vertical_halfwidth(p, x1), vertical_halfwidth(p, x2)
-    while b_end - a_end > 1e-10:
-        if f1 < f2:
-            a_end, x1, f1 = x1, x2, f2
-            x2 = a_end + _GOLDEN * (b_end - a_end)
-            f2 = vertical_halfwidth(p, x2)
+    lo = max(best_c - step, lo_b)
+    hi = min(best_c + step, hi_b)
+    x, s = best_c, best_r * best_r
+    for _ in range(_MAX_PROBES):
+        if s > 0.0:
+            slope, curv = _slope_and_curvature(rs, x, s)
+            if slope == 0.0:
+                break
+            if slope > 0.0:
+                lo = x
+            else:
+                hi = x
+            nx = x - slope / curv if curv < 0.0 else math.nan
+            if abs(nx - x) <= math.ulp(x):
+                break
         else:
-            b_end, x2, f2 = x2, x1, f1
-            x1 = b_end - _GOLDEN * (b_end - a_end)
-            f1 = vertical_halfwidth(p, x1)
-    c = 0.5 * (a_end + b_end)
-    r = vertical_halfwidth(p, c)
-    if r < best_r:
-        c, r = best_c, best_r
+            if x > best_c:
+                hi = x
+            else:
+                lo = x
+            nx = math.nan
+        if hi - lo <= 1e-10:
+            break
+        if not lo < nx < hi:
+            nx = 0.5 * (lo + hi)
+            if not lo < nx < hi:
+                break
+        x = nx
+        r = float(_halfwidth_grid(rs, np.array([x]))[0])
+        s = r * r
+        if r >= best_r:
+            best_c, best_r = x, r
     return DiskResult(
-        center_x=c, radius=r, boundary_point=complex(c, r), has_interior=True
+        center_x=best_c, radius=best_r,
+        boundary_point=complex(best_c, best_r), has_interior=True,
     )
 
 

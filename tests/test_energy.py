@@ -11,6 +11,7 @@ from extremal_poly.energy import (
     solve_equilibrium,
 )
 from extremal_poly.errors import DomainError
+from extremal_poly.solvers import solve_max_disc
 
 LOG2 = math.log(2.0)
 
@@ -27,6 +28,21 @@ def test_config_from_points_cubic_lattice():
     cfg = config_from_points([-s, 0.0, s], 1.0)
     assert cfg.potential_v == pytest.approx(-math.log(4.0) / 3.0, abs=1e-14)
     assert cfg.energy_I == pytest.approx(-math.log(108.0) / 6.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [3, 30, 300])
+@pytest.mark.parametrize("u", [0.6, 1.02])  # multiplier / binomial side
+def test_solve_equilibrium_reuses_solver_discriminant(d, u):
+    # the config built from the solver's discriminant is the one that
+    # config_from_points recomputes from the same roots, bit for bit
+    a = 1.0
+    v = -u * (d - 1) * LOG2 / d
+    cfg = solve_equilibrium(a, d, v)
+    roots = solve_max_disc(a, d, math.exp(-v * d)).polys[0].roots
+    ref = config_from_points(roots, a)
+    assert cfg.points == ref.points
+    assert repr(cfg.potential_v) == repr(ref.potential_v)
+    assert repr(cfg.energy_I) == repr(ref.energy_I)
 
 
 def test_coincident_points_have_infinite_energy():

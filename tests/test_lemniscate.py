@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from extremal_poly.lemniscate import (
     DiskResult,
     inscribed_disk_poly,
     _halfwidth_grid,
+    _scan,
     largest_disk,
     radius_lower_bound,
     radius_upper_bound,
     vertical_halfwidth,
 )
 from extremal_poly.poly_core import log_disc_from_roots, poly_from_roots
+from extremal_poly.solvers import solve_max_disc
 
 HALF_SQRT2 = math.sqrt(0.5)
 
@@ -93,6 +96,56 @@ def test_largest_disk_off_axis_peak():
     disk = largest_disk(p)
     assert disk.radius == pytest.approx(0.5, abs=1e-9)
     assert abs(disk.center_x) == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-6)
+
+
+def test_largest_disk_flat_peak_of_mirror_pair_member():
+    # a binomial mirror-pair member at d = 20 whose halfwidth peak is so
+    # flat that stopping on the center bracket alone leaves the radius
+    # 2.8e-9 short; no point near the center may beat the disk
+    a, d, u = 0.5940751973403553, 20, 1.4644168435721021
+    m = math.exp(d * math.log(a) + u * (d - 1) * math.log(2.0))
+    p = solve_max_disc(a, d, m).polys[0]
+    disk = largest_disk(p)
+    xs = np.linspace(disk.center_x - 2e-4, disk.center_x + 2e-4, 4001)
+    # one batch gives each point its vertical_halfwidth (rows never mix)
+    near = float(np.max(_halfwidth_grid(np.array(p.roots), xs)))
+    assert disk.radius >= near
+
+
+@pytest.mark.parametrize("d", [6, 20, 50])
+def test_largest_disk_beats_roots_and_midpoints(d):
+    rng = np.random.default_rng(7000 + d)
+    for _ in range(4):
+        roots = np.sort(rng.uniform(-2.0, 2.0, d))
+        probes = np.concatenate([roots, 0.5 * (roots[1:] + roots[:-1])])
+        disk = largest_disk(poly_from_roots(roots))
+        assert disk.radius >= float(np.max(_halfwidth_grid(roots, probes)))
+
+
+def test_largest_disk_far_from_origin():
+    # centers near 1e6 have an ulp above 1e-10; the search must still
+    # stop, and x^2 - 1/4 shifted there has radius sqrt(3)/2 at its middle
+    disk = largest_disk(poly_from_roots([1e6, 1e6 + 1.0]))
+    assert disk.radius == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-9)
+    assert disk.center_x == pytest.approx(1e6 + 0.5, abs=1e-6)
+
+
+def test_largest_disk_bounded_memory_at_degree_300():
+    rng = np.random.default_rng(300)
+    roots = np.sort(rng.uniform(-2.0, 2.0, 300))
+    p = poly_from_roots(roots)
+    tracemalloc.start()
+    try:
+        largest_disk(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
+    # the chunked scan gives the widths of one unchunked call, bit for bit
+    xs = np.concatenate(
+        [np.linspace(roots[0] - 1.0, roots[-1] + 1.0, 64 * roots.size), roots]
+    )
+    assert _scan(roots, xs).tobytes() == _halfwidth_grid(roots, xs).tobytes()
 
 
 def test_largest_disk_respects_interval():

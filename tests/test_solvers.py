@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from extremal_poly.errors import DomainError, RegimeError
+from extremal_poly.jacobi_family import JacobiFamilyParams, closed_form_disc
 from extremal_poly.poly_core import (
     TOL_ORACLE,
     log_disc_from_roots,
@@ -103,6 +104,18 @@ class TestSolveMinAbs:
         sol = solve_min_abs(2.0, 1000, disc)
         got = log_disc_from_roots(sol.polys[0])
         assert rel_log_diff(got.log_abs, math.log(disc)) <= TOL_ORACLE
+
+    @pytest.mark.parametrize("disc", [2.0, 4.0])
+    def test_multiplier_end_nearer_the_target(self, disc):
+        # near lambda = 2d - 2 one ulp of the multiplier moves the log disc
+        # by about 1.4e-9, so the bisection must return the better end
+        sol = solve_min_abs(0.5, 1000, disc)
+        assert sol.regime == REGIME_MULTIPLIER
+        closed = closed_form_disc(
+            JacobiFamilyParams(a=0.5, d=1000, multiplier=sol.lambda_or_b)
+        )
+        for got in (closed.log_abs, sol.achieved_disc.log_abs):
+            assert abs(got - math.log(disc)) <= 1e-9 * math.log(disc)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
