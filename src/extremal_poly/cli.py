@@ -7,10 +7,10 @@ codes: 0 success, 1 verification failure, 2 input error.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .energy import solve_equilibrium
 from .errors import ExtremalPolyError, InputError
@@ -31,26 +31,28 @@ def canonical_json(obj) -> str:
     """Serialize to JSON with 17-significant-digit floats and insertion
     key order. json.loads followed by canonical_json is the identity on
     canonical text, which is what makes CLI output reproducible."""
+    # floats first: they are most of every answer
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            # adding +0.0 folds -0.0 into 0.0, whose text round-trips
+            return "%.17g" % (obj + 0.0)
+        if math.isnan(obj):
+            raise ValueError("refusing to serialize NaN")
+        return '"inf"' if obj > 0 else '"-inf"'
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            raise ValueError("refusing to serialize NaN")
-        if math.isinf(obj):
-            return '"inf"' if obj > 0 else '"-inf"'
-        # adding +0.0 folds -0.0 into 0.0, whose text round-trips
-        return "%.17g" % (obj + 0.0)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        # the bytes json.dumps gives a str with its default arguments
+        return _json_string(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
+        return "[" + ",".join(map(canonical_json, obj)) + "]"
     if isinstance(obj, dict):
         parts = (
-            "%s:%s" % (json.dumps(str(k)), canonical_json(v))
+            "%s:%s" % (_json_string(str(k)), canonical_json(v))
             for k, v in obj.items()
         )
         return "{" + ",".join(parts) + "}"

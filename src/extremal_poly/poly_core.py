@@ -12,6 +12,7 @@ ever sees coefficients. Agreement between them is what the verification
 suite leans on.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -150,6 +151,11 @@ def log_modulus_at_ai(roots, a: float) -> float:
     return math.fsum(math.log(math.hypot(a, r)) for r in roots)
 
 
+# Root pairs per row block of log_disc_from_roots: the blocks bound its
+# memory, and wider ones raise the peak and run no faster.
+_PAIR_BLOCK = 1 << 14
+
+
 def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
     """Discriminant from the pairwise root-difference product.
 
@@ -159,10 +165,21 @@ def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
     rs = sorted(p.roots)
     if any(x == y for x, y in zip(rs, rs[1:])):
         return LogDiscriminant.zero()
-    # row j holds the positive gaps to the larger roots; fsum is exact and
-    # doubling is exact, so the log of prod (x_k - x_j)^2 is rounded once
-    gaps = (y - x for j, x in enumerate(rs) for y in rs[j + 1 :])
-    return LogDiscriminant(1, 2.0 * math.fsum(map(math.log, gaps)))
+    xs = np.array(rs)
+    rows = max(1, _PAIR_BLOCK // xs.size)
+    # block j holds x_k - x_i for rows j <= i < j + rows and columns k > j;
+    # the roots are sorted and distinct, so its pairs k > i are exactly its
+    # positive entries. A gap past float range is inf and so is log_abs.
+    blocks = (
+        xs[j + 1 :] - xs[j : j + rows, None]
+        for j in range(0, xs.size - 1, rows)
+    )
+    with np.errstate(over="ignore"):
+        logs = (np.log(gaps[gaps > 0]).tolist() for gaps in blocks)
+        # fsum is exact and doubling is exact, so the log of
+        # prod (x_k - x_i)^2 is rounded once
+        total = math.fsum(itertools.chain.from_iterable(logs))
+    return LogDiscriminant(1, 2.0 * total)
 
 
 def _log_det(mat: np.ndarray) -> tuple[int, float]:

@@ -35,6 +35,14 @@ class TestCanonicalJson:
         s = canonical_json({"a": [1, None, True], "b": {"c": 2.5}})
         assert json.loads(s) == {"a": [1, None, True], "b": {"c": 2.5}}
 
+    @pytest.mark.parametrize(
+        "text", ['say "hi"', "back\\slash", "caf\u00e9", "nul\x00", "tab\t", ""]
+    )
+    def test_strings_and_keys_escape_like_json_dumps(self, text):
+        obj = {text: [text, 1.5], "k": text}
+        assert canonical_json(text) == json.dumps(text)
+        assert canonical_json(obj) == json.dumps(obj, separators=(",", ":"))
+
     def test_idempotent_through_parse(self):
         s1 = canonical_json({"roots": [-1.5, 0.25], "m": 2.0})
         s2 = canonical_json(json.loads(s1))

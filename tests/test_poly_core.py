@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +137,51 @@ def test_log_disc_equals_list_reference_bitwise():
             roots = [round(r, 1) for r in roots]
         p = poly_from_roots(roots)
         assert log_disc_from_roots(p) == _list_log_disc(p.roots)
+
+
+@pytest.mark.parametrize("d", [2, 3, 127, 128, 129, 300, 1000])
+def test_log_disc_across_row_blocks(d):
+    # rows split across blocks from d = 129 on. np.log may differ from
+    # math.log by an ulp per term; the exact sum adds those differences
+    # and rounds once
+    rng = np.random.default_rng(d)
+    p = poly_from_roots(rng.uniform(-3.0, 3.0, size=d))
+    want = _list_log_disc(p.roots)
+    got = log_disc_from_roots(p)
+    rs = p.roots
+    size = math.fsum(
+        abs(2.0 * math.log(rs[k] - rs[j]))
+        for j in range(d)
+        for k in range(j + 1, d)
+    )
+    assert got.sign == want.sign == 1
+    assert abs(got.log_abs - want.log_abs) <= 4.0 * sys.float_info.epsilon * size
+
+
+def test_log_disc_duplicate_pair_in_last_block():
+    roots = list(np.random.default_rng(301).uniform(-3.0, 3.0, size=300))
+    roots[roots.index(max(roots))] = sorted(roots)[-2]
+    assert log_disc_from_roots(poly_from_roots(roots)) == LogDiscriminant.zero()
+
+
+@pytest.mark.parametrize("roots", [[-1e308, 1e308], [-1e308, 0.0, 1e308]])
+def test_log_disc_overflowing_gap_is_inf(roots):
+    # the largest gap is past float range, as x_k - x_j in Python floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ld = log_disc_from_roots(poly_from_roots(roots))
+    assert ld == LogDiscriminant(1, math.inf)
+
+
+def test_log_disc_bounded_memory_at_degree_3000():
+    p = poly_from_roots(np.random.default_rng(3000).uniform(-3.0, 3.0, size=3000))
+    tracemalloc.start()
+    try:
+        log_disc_from_roots(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_resultant_oracle_agrees_with_root_product():
