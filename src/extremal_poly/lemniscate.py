@@ -120,10 +120,17 @@ def _scan(roots: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def _slope_and_curvature(roots: np.ndarray, x: float, s: float) -> tuple[float, float]:
     """(s'(x), s''(x)) of s = halfwidth^2 at a point with s > 0, by
     implicit differentiation of phi(x, s) = sum_k log((x - r_k)^2 + s) = 0
-    with u_k = x - r_k and q_k = u_k^2 + s."""
+    with u_k = x - r_k and q_k = u_k^2 + s.
+
+    The sums take c/q_k for 1/q_k, with c the power of two just above s,
+    so that their squares stay in float range however small s is. Scaling
+    by a power of two is exact unless a term is subnormal, and c is
+    divided out of the curvature at the end.
+    """
+    c = math.ldexp(1.0, math.frexp(s)[1])
     u = x - roots
     q = u * u + s
-    inv = 1.0 / q
+    inv = c / q
     inv2 = inv * inv
     phi_s = inv.sum()
     slope = -2.0 * (u * inv).sum() / phi_s
@@ -131,7 +138,7 @@ def _slope_and_curvature(roots: np.ndarray, x: float, s: float) -> tuple[float, 
     phi_xs = -2.0 * (u * inv2).sum()
     phi_ss = -inv2.sum()
     curv = -(phi_xx + 2.0 * phi_xs * slope + phi_ss * slope * slope) / phi_s
-    return float(slope), float(curv)
+    return float(slope), float(curv) / c
 
 
 def largest_disk(
@@ -158,6 +165,12 @@ def largest_disk(
     Every s comes from _halfwidth_grid; the disk is the probe with the
     largest s (the later one on ties), which is the best grid candidate
     when no probe beats it.
+
+    Raises InputError when the roots and the interval span more than
+    about 1.3e154, where the squared center-root differences overflow,
+    and when a root lies in the interval but every halfwidth is 0: the
+    disk around a root has positive radius, so there its square
+    underflowed.
     """
     rs = np.asarray(p.roots, dtype=float)
     if interval is None:
@@ -165,15 +178,31 @@ def largest_disk(
     lo_b, hi_b = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo_b) and math.isfinite(hi_b)) or hi_b <= lo_b:
         raise InputError("interval must be finite with positive width")
+    # every center-root difference lies in this span, and the halfwidth
+    # solve squares them
+    span = max(hi_b, float(rs[-1])) - min(lo_b, float(rs[0]))
+    if not math.isfinite(span * span):
+        raise InputError(
+            "roots and interval span more than about 1.3e154, so their "
+            "squared differences leave float range"
+        )
 
     n = 64 * rs.size
     grid = np.linspace(lo_b, hi_b, n)
-    candidates = np.concatenate([grid, rs[(rs >= lo_b) & (rs <= hi_b)]])
+    inside = rs[(rs >= lo_b) & (rs <= hi_b)]
+    candidates = np.concatenate([grid, inside])
     widths = _scan(rs, candidates)
     j = int(np.argmax(widths))
     best_c, best_r = float(candidates[j]), float(widths[j])
 
     if best_r <= 0.0:
+        if inside.size:
+            # the disk around a root has positive radius, so its square
+            # fell below the smallest float
+            raise InputError(
+                "the disks around the roots are too small for their "
+                "squared radii to be floats"
+            )
         return DiskResult(
             center_x=best_c, radius=0.0,
             boundary_point=complex(best_c, 0.0), has_interior=False,

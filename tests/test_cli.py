@@ -215,6 +215,34 @@ class TestLemniscateCommand:
         code, _, err = run_cli(capsys, "lemniscate", "--roots", "1,spam")
         assert code == 2
 
+    @pytest.mark.parametrize("bounds", [(), ("--bounds",)])
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            "-1e308,1e308",
+            "-1e308,0,1e308",
+            "-1e307,1e307",
+            "-1e200,1e200",
+            "-6e153,0,6e153",
+        ],
+    )
+    def test_unrepresentable_disk_rejected(self, capsys, roots, bounds):
+        # squared center-root differences overflow, or the squared radius
+        # underflows; a radius of 0 around a root would be wrong
+        code, out, err = run_cli(capsys, "lemniscate", "--roots=" + roots, *bounds)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("bounds", [(), ("--bounds",)])
+    def test_far_roots_answer_without_warning(self, capsys, bounds):
+        # x^2 - 1e200 has |f(1e100 + iy)| ~ 2e100 y, so radius 5e-101
+        code, out, _ = run_cli(capsys, "lemniscate", "--roots=-1e100,1e100", *bounds)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["has_interior"] is True
+        assert doc["radius"] == pytest.approx(5e-101, rel=1e-12)
+
 
 class TestEnergyCommand:
     def test_equilibrium_pair(self, capsys):

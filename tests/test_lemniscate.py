@@ -130,6 +130,32 @@ def test_largest_disk_far_from_origin():
     assert disk.center_x == pytest.approx(1e6 + 0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "roots,interval",
+    [
+        ([-1e200, 1e200], None),
+        ([-1.0, 1.0], (-1e155, 1e155)),
+        ([1e155, 1e155 + 1.0], (-1.0, 1.0)),
+    ],
+)
+def test_largest_disk_rejects_overflowing_span(roots, interval):
+    with pytest.raises(InputError):
+        largest_disk(poly_from_roots(roots), interval)
+
+
+def test_largest_disk_rejects_underflowing_radius():
+    # the radius around 0 is 1 / 3.6e307, whose square is below every float
+    with pytest.raises(InputError):
+        largest_disk(poly_from_roots([-6e153, 0.0, 6e153]))
+
+
+def test_largest_disk_tiny_radius_far_out():
+    disk = largest_disk(poly_from_roots([-1e100, 1e100]))
+    assert disk.has_interior
+    assert disk.radius == pytest.approx(5e-101, rel=1e-12)
+    assert abs(disk.center_x) == 1e100
+
+
 def test_largest_disk_bounded_memory_at_degree_300():
     rng = np.random.default_rng(300)
     roots = np.sort(rng.uniform(-2.0, 2.0, 300))
