@@ -196,11 +196,11 @@ def _cmd_emit_plot(args) -> int:
             raise InputError("--samples must be at least 2")
         lo = poly.roots[0] - 1.0
         hi = poly.roots[-1] + 1.0
-        sys.stdout.write("x,halfwidth\n")
-        for i in range(n):
-            x = lo + (hi - lo) * i / (n - 1)
-            y = vertical_halfwidth(poly, x)
-            sys.stdout.write("%.17g,%.17g\n" % (x, y))
+        xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        # every row is computed before the first is written, so a refused
+        # root set leaves stdout empty
+        rows = ["%.17g,%.17g\n" % (x, vertical_halfwidth(poly, x)) for x in xs]
+        sys.stdout.write("x,halfwidth\n" + "".join(rows))
         return 0
     if args.a <= 0 or not math.isfinite(args.a):
         raise InputError("--a must be positive and finite")

@@ -46,11 +46,34 @@ class DiskResult:
 def vertical_halfwidth(p: RealRootedPoly, x: float) -> float:
     """Largest y >= 0 with |f(x + iy)| <= 1, by the monotone Newton solve
     of _halfwidth_grid. Returns 0 when the real axis point itself lies
-    outside the lemniscate or on its boundary."""
+    outside the lemniscate or on its boundary.
+
+    Raises InputError when x and the roots span more than about 1.3e154
+    (see _check_span), and when x is a root but the halfwidth is 0: the
+    halfwidth at a root is positive, so there its square underflowed.
+    """
     if not math.isfinite(x):
         raise InputError("x must be finite")
     roots = np.asarray(p.roots, dtype=float)
-    return float(_halfwidth_grid(roots, np.array([x]))[0])
+    _check_span(roots, x, x)
+    width = float(_halfwidth_grid(roots, np.array([x]))[0])
+    if width == 0.0 and x in p.roots:
+        raise InputError(
+            "the halfwidth at a root is too small for its square to be a float"
+        )
+    return width
+
+
+def _check_span(roots: np.ndarray, lo: float, hi: float) -> None:
+    """Raise InputError unless the sorted roots and [lo, hi] span less
+    than about 1.3e154: every center-root difference lies in that span,
+    and the halfwidth solve squares them."""
+    span = max(hi, float(roots[-1])) - min(lo, float(roots[0]))
+    if not math.isfinite(span * span):
+        raise InputError(
+            "roots and interval span more than about 1.3e154, so their "
+            "squared differences leave float range"
+        )
 
 
 def _log_abs_sq(dx2: np.ndarray, excess: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -178,14 +201,7 @@ def largest_disk(
     lo_b, hi_b = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo_b) and math.isfinite(hi_b)) or hi_b <= lo_b:
         raise InputError("interval must be finite with positive width")
-    # every center-root difference lies in this span, and the halfwidth
-    # solve squares them
-    span = max(hi_b, float(rs[-1])) - min(lo_b, float(rs[0]))
-    if not math.isfinite(span * span):
-        raise InputError(
-            "roots and interval span more than about 1.3e154, so their "
-            "squared differences leave float range"
-        )
+    _check_span(rs, lo_b, hi_b)
 
     n = 64 * rs.size
     grid = np.linspace(lo_b, hi_b, n)

@@ -304,6 +304,32 @@ class TestEmitPlot:
         assert float(rows[0][2]) == pytest.approx(0.25, abs=1e-12)
         assert float(rows[1][2]) == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("roots", ["-1e200,1e200", "-1e100,0,1e100"])
+    def test_unrepresentable_halfwidth_rejected(self, capsys, roots):
+        # squared center-root differences overflow, or the squared
+        # halfwidth at a root underflows; a halfwidth of 0 there would be
+        # wrong
+        code, out, err = run_cli(
+            capsys,
+            "emit-plot", "--what", "lemniscate", "--roots=" + roots,
+            "--samples", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_far_roots_plot_without_warning(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "emit-plot", "--what", "lemniscate", "--roots=-1e100,1e100",
+            "--samples", "3",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [float(r[1]) for r in rows] == pytest.approx(
+            [5e-101, 0.0, 5e-101], rel=1e-12
+        )
+
     def test_bad_sample_count(self, capsys):
         for samples in ("1", "0"):
             code, out, err = run_cli(

@@ -75,6 +75,23 @@ def test_halfwidth_rejects_nonfinite():
         vertical_halfwidth(p, math.inf)
 
 
+@pytest.mark.parametrize(
+    "roots,x", [([-1e200, 1e200], 1e200), ([-1.0, 1.0], 1e155), ([-1.0, 1.0], -1e155)]
+)
+def test_halfwidth_rejects_overflowing_span(roots, x):
+    with pytest.raises(InputError):
+        vertical_halfwidth(poly_from_roots(roots), x)
+
+
+def test_halfwidth_rejects_underflow_at_root():
+    # the halfwidth at 0 is about 1e-200, whose square is below every float
+    p = poly_from_roots([-1e100, 0.0, 1e100])
+    with pytest.raises(InputError):
+        vertical_halfwidth(p, 0.0)
+    # off the roots a zero halfwidth is a true answer
+    assert vertical_halfwidth(p, 0.5e100) == 0.0
+
+
 def test_largest_disk_centered_family():
     # x^2 - 1/2 has its fattest disk at the origin with radius 2^(-1/2)
     p = poly_from_roots([-HALF_SQRT2, HALF_SQRT2])
