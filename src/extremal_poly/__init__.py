@@ -16,7 +16,6 @@ from .poly_core import (
     TOL_ORACLE,
     disc_resultant_oracle,
     log_disc_from_roots,
-    modulus_at_ai,
     poly_from_roots,
     rel_log_diff,
 )
@@ -24,10 +23,10 @@ from .binomial_family import (
     BinomialFamilyParams,
     binomial_coeffs,
     binomial_poly,
+    lattice_roots,
     min_modulus_bound,
     params_from_disc,
     small_height_condition,
-    tangent_lattice_roots,
 )
 from .jacobi_family import (
     JacobiFamilyParams,
@@ -102,9 +101,9 @@ __all__ = [
     "jacobi_disc",
     "lagrange_residuals",
     "largest_disk",
+    "lattice_roots",
     "log_disc_from_roots",
     "min_modulus_bound",
-    "modulus_at_ai",
     "multiplier_poles",
     "numeric_oracle_max_disc",
     "params_from_disc",
@@ -118,7 +117,6 @@ __all__ = [
     "solve_max_disc",
     "solve_min_abs",
     "solve_multiplier",
-    "tangent_lattice_roots",
     "vertical_halfwidth",
     "__version__",
 ]

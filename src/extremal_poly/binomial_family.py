@@ -1,22 +1,23 @@
-"""The binomial extremal family and its tangent-lattice roots.
+"""The binomial extremal family and its cotangent-lattice roots.
 
 For small evaluation heights a the minimisers of |f(ai)| at fixed
-discriminant are real combinations of (x + ai)^d and (x - ai)^d. Their
-roots sit on a tangent lattice a*tan(phase + pi k/d), so the family is
-parametrised either by the subleading coefficient B or by the lattice
-phase; the two are tied through B = a d cot(d pi/2 + d phase).
+discriminant are real combinations of (x + ai)^d and (x - ai)^d. A member
+is fixed by its log phase ratio log p <= 0 (p = 1 at the crossover), from
+which both its lattice roots and its subleading coefficient B are formed.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError
-from .poly_core import RealRootedPoly, poly_from_roots
+from .poly_core import RealRootedPoly, _exp_or_inf, poly_from_roots
 
-_POLE_TOL = 1e-12
+# Below this phase ratio asin(p) = p and cot(p/d) = d/p to double
+# precision, so the pole root is formed as exp(log(a d) - log p).
+_SMALL_P = 1e-8
 
 
-def _check_args(a: float, d: int, disc: float) -> None:
+def _check_args(a: float, d: int, disc: float = 1.0) -> None:
     if a <= 0 or not math.isfinite(a):
         raise DomainError("height a must be positive and finite")
     if not isinstance(d, int) or d < 2:
@@ -25,35 +26,52 @@ def _check_args(a: float, d: int, disc: float) -> None:
         raise DomainError("target discriminant must be positive and finite")
 
 
+def _in_regime(log_p: float) -> float:
+    """log p clamped to 0; RegimeError when p exceeds 1 beyond roundoff
+    (the height is too large for this family)."""
+    if log_p > 0.0 and math.expm1(-2.0 * log_p) < -1e-12:
+        raise RegimeError("height too large: phase ratio above 1")
+    return min(log_p, 0.0)
+
+
+def _past_float_range(log_p: float) -> DomainError:
+    return DomainError(
+        "largest root a*d/p is past float range (log p = %.17g is below "
+        "log(a d) - 709.78)" % log_p
+    )
+
+
 @dataclass(frozen=True)
 class BinomialFamilyParams:
-    """Height a, degree d, subleading coefficient and lattice phase.
-
-    The subleading coefficient must equal a*d*cot(d pi/2 + d*phase)
-    wherever the cotangent is finite; construction validates this to 1e-9
-    relative.
-    """
+    """Height a, degree d and log phase ratio log_p <= 0 (up to roundoff)
+    of one family member; B is derived from log_p."""
 
     a: float
     d: int
-    subleading: float
-    phase: float
+    log_p: float
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise DomainError("height a must be positive")
-        if not isinstance(self.d, int) or self.d < 2:
-            raise DomainError("d must be an integer >= 2")
-        theta = math.remainder(self.d * math.pi / 2 + self.d * self.phase, math.pi)
-        s = math.sin(theta)
-        if abs(s) <= 1e-9:
-            return  # cotangent pole; no finite consistency check possible
-        expected = self.a * self.d * (math.cos(theta) / s)
-        if abs(self.subleading - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise DomainError(
-                "subleading coefficient %.17g inconsistent with phase "
-                "(expected %.17g)" % (self.subleading, expected)
-            )
+        _check_args(self.a, self.d)
+        _in_regime(self.log_p)
+
+    @property
+    def subleading(self) -> float:
+        return subleading(self.a, self.d, self.log_p)
+
+
+def subleading(a: float, d: int, log_p: float) -> float:
+    """B = (-1)^d a d sqrt(1 - p^2)/p of the member lattice_roots(a, d,
+    log_p), formed in log space, 0 at p = 1; past float range only with
+    the largest root, about a d/p."""
+    log_p = _in_regime(log_p)
+    if log_p == 0.0:
+        return 0.0
+    b = _exp_or_inf(
+        math.log(a) + math.log(d) - log_p + 0.5 * math.log(-math.expm1(2.0 * log_p))
+    )
+    if math.isinf(b):
+        raise _past_float_range(log_p)
+    return -b if d % 2 else b
 
 
 def log_phase_ratio(a: float, d: int, disc: float) -> float:
@@ -78,74 +96,67 @@ def log_threshold_height(d: int, log_disc: float) -> float:
     )
 
 
-def boundary_phase(d: int) -> float:
-    """Lattice phase of the shared boundary member (p = 1, B = 0)."""
-    return 0.0 if d % 2 else math.pi / (2.0 * d)
-
-
-def _phase(d: int, log_p: float) -> float:
-    """Root-lattice phase in [0, pi/(2d)]: arccos(p)/d for odd d,
-    arcsin(p)/d for even d, with p clamped to 1."""
-    p = min(math.exp(log_p), 1.0)
-    return (math.acos(p) if d % 2 else math.asin(p)) / d
-
-
-def _subleading(a: float, d: int, log_p: float) -> float:
-    """Coefficient of x^(d-1), sign (-1)^d; zero exactly at p = 1, where
-    only one extremal polynomial exists."""
-    radicand = math.expm1(-2.0 * log_p)  # p^(-2) - 1
-    if radicand < -1e-12:
-        raise RegimeError("height too large: no real subleading coefficient")
-    return (-1.0 if d % 2 else 1.0) * a * d * math.sqrt(max(radicand, 0.0))
-
-
-def lattice_member(a: float, d: int, log_p: float) -> tuple[list[float], float]:
-    """Tangent-lattice roots and subleading coefficient of the member with
-    phase ratio p = exp(log_p) <= 1.
-
-    The roots are taken first, so a tiny p whose lattice hits a tangent
-    pole raises that DomainError before p^(-2) can overflow.
-    """
-    roots = tangent_lattice_roots(a, d, _phase(d, log_p))
-    return roots, _subleading(a, d, log_p)
-
-
 def params_from_disc(a: float, d: int, disc: float) -> BinomialFamilyParams:
     """Family member that attains the minimal modulus at this discriminant
-    (the one with nonnegative-phase roots; its mirror negates the roots).
+    (the one lattice_roots returns; its mirror negates the roots).
 
     RegimeError when the phase ratio p exceeds 1 beyond roundoff (the
     height is too large for this family at the given discriminant).
     """
-    log_p = log_phase_ratio(a, d, disc)
-    return BinomialFamilyParams(
-        a=a, d=d, subleading=_subleading(a, d, log_p), phase=_phase(d, log_p)
-    )
+    return BinomialFamilyParams(a=a, d=d, log_p=log_phase_ratio(a, d, disc))
 
 
-def tangent_lattice_roots(a: float, d: int, phase: float) -> list[float]:
-    """Roots a*tan(phase + pi k/d), k = 0..d-1, in ascending order.
+def lattice_roots(a: float, d: int, log_p: float) -> list[float]:
+    """Ascending roots a*cot(psi + pi j/d), j = -ceil(d/2)+1 .. floor(d/2),
+    of the member with log phase ratio log_p <= 0: psi = +-delta (+ for
+    odd d), delta = arcsin(p)/d. lattice_roots(a, d, 0.0) is the boundary
+    member (B = 0).
 
-    DomainError when any lattice angle lands within 1e-12 of a tangent
-    pole; the offending k is reported.
+    asin p and acos p both come from log p, as atan2 of p and
+    sqrt(1 - p^2). Angles within pi/4 of +-pi/2 give a*tan of the
+    complement, so the odd-d root 0 at p = 1 is exact; the pole root
+    a*cot(delta) is exp(log(a d) - log p) once p < 1e-8.
+
+    RegimeError when p exceeds 1 beyond roundoff; DomainError when the
+    largest root is past float range, at log p below about
+    log(a d) - 709.8.
     """
-    if a <= 0:
-        raise DomainError("height a must be positive")
-    if not isinstance(d, int) or d < 2:
-        raise DomainError("d must be an integer >= 2")
+    _check_args(a, d)
+    log_p = _in_regime(log_p)
+    p = math.exp(log_p)
+    q = math.sqrt(0.0 - math.expm1(2.0 * log_p))  # no -0.0 at p = 1
+    beta, gamma = math.atan2(p, q), math.atan2(q, p)  # d delta, pi/2 - d delta
+    # d times the angle psi + pi j/d is pi j + shift; d times its distance
+    # up to pi/2 is pi (top - j) + rest and down to -pi/2 is
+    # pi (bottom + j) - rest, with rest in [0, pi/2]
+    if d % 2:
+        shift, rest, top, bottom = beta, gamma, (d - 1) // 2, (d + 1) // 2
+    else:
+        shift, rest, top, bottom = -beta, beta, d // 2, d // 2
+    pi, tan = math.pi, math.tan
+    quarter = 0.25 * pi * d
     roots = []
-    for k in range(d):
-        theta = math.remainder(phase + math.pi * k / d, math.pi)
-        if math.pi / 2 - abs(theta) <= _POLE_TOL:
-            raise DomainError("lattice angle k=%d hits a tangent pole" % k)
-        roots.append(a * math.tan(theta))
+    for j in range(1 - bottom, top + 1):
+        up = pi * (top - j) + rest
+        down = pi * (bottom + j) - rest
+        if up <= quarter:
+            roots.append(a * tan(up / d))
+        elif down <= quarter:
+            roots.append(-a * tan(down / d))
+        elif j == 0 and p < _SMALL_P:
+            pole = _exp_or_inf(math.log(a) + math.log(d) - log_p)
+            roots.append(pole if d % 2 else -pole)
+        else:
+            roots.append(a / tan((pi * j + shift) / d))
     roots.sort()
+    if math.isinf(roots[0]) or math.isinf(roots[-1]):
+        raise _past_float_range(log_p)
     return roots
 
 
 def binomial_poly(params: BinomialFamilyParams) -> RealRootedPoly:
-    """The family member at params.phase, from its tangent-lattice roots."""
-    return poly_from_roots(tangent_lattice_roots(params.a, params.d, params.phase))
+    """The family member at params.log_p, from its lattice roots."""
+    return poly_from_roots(lattice_roots(params.a, params.d, params.log_p))
 
 
 def binomial_coeffs(params: BinomialFamilyParams) -> list[float]:

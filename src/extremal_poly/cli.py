@@ -197,9 +197,10 @@ def _cmd_emit_plot(args) -> int:
         lo = poly.roots[0] - 1.0
         hi = poly.roots[-1] + 1.0
         xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-        # every row is computed before the first is written, so a refused
-        # root set leaves stdout empty
-        rows = ["%.17g,%.17g\n" % (x, vertical_halfwidth(poly, x)) for x in xs]
+        # every width is computed before the first row is written, so a
+        # refused root set leaves stdout empty
+        widths = vertical_halfwidth(poly, xs).tolist()
+        rows = ["%.17g,%.17g\n" % (x, w) for x, w in zip(xs, widths)]
         sys.stdout.write("x,halfwidth\n" + "".join(rows))
         return 0
     if args.a <= 0 or not math.isfinite(args.a):

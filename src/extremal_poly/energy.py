@@ -90,6 +90,8 @@ def solve_equilibrium(a: float, d: int, v: float) -> ChargeConfig:
         m = math.exp(-v * d)
     except OverflowError:
         raise DomainError("modulus exp(-v*d) overflows a float") from None
+    if m == 0.0:
+        raise DomainError("modulus exp(-v*d) underflows a float")
     solution = solve_max_disc(a, d, m)
     # the solver has taken the log-discriminant of these very roots
     return _config(solution.polys[0].roots, a, solution.achieved_disc)

@@ -43,25 +43,29 @@ class DiskResult:
     has_interior: bool
 
 
-def vertical_halfwidth(p: RealRootedPoly, x: float) -> float:
-    """Largest y >= 0 with |f(x + iy)| <= 1, by the monotone Newton solve
-    of _halfwidth_grid. Returns 0 when the real axis point itself lies
-    outside the lemniscate or on its boundary.
+def vertical_halfwidth(p: RealRootedPoly, x):
+    """Largest y >= 0 with |f(x + iy)| <= 1 at each point of x (a float,
+    or an array of any shape, answered in its shape), by _scan; 0 where
+    |f(x)| >= 1. Each point gets the width it would get alone.
 
-    Raises InputError when x and the roots span more than about 1.3e154
-    (see _check_span), and when x is a root but the halfwidth is 0: the
-    halfwidth at a root is positive, so there its square underflowed.
+    Raises InputError when the points and the roots span more than about
+    1.3e154 (see _check_span), and when the width is 0 at a point with
+    |f(x)| < 1: the width there is positive, so its square underflowed.
     """
-    if not math.isfinite(x):
-        raise InputError("x must be finite")
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    if flat.size == 0 or not np.all(np.isfinite(flat)):
+        raise InputError("x must be finite and not empty")
     roots = np.asarray(p.roots, dtype=float)
-    _check_span(roots, x, x)
-    width = float(_halfwidth_grid(roots, np.array([x]))[0])
-    if width == 0.0 and x in p.roots:
+    _check_span(roots, float(flat.min()), float(flat.max()))
+    widths = _scan(roots, flat)
+    zero = flat[widths == 0.0]
+    if zero.size and _scan(roots, zero, _inside).any():
         raise InputError(
-            "the halfwidth at a root is too small for its square to be a float"
+            "the halfwidth at a point where |f| < 1 is too small for its "
+            "square to be a float"
         )
-    return width
+    return float(widths[0]) if xs.ndim == 0 else widths.reshape(xs.shape)
 
 
 def _check_span(roots: np.ndarray, lo: float, hi: float) -> None:
@@ -89,6 +93,12 @@ def _log_abs_sq(dx2: np.ndarray, excess: np.ndarray, s: np.ndarray) -> np.ndarra
             q > -0.5, np.log1p(np.maximum(q, -0.5)), np.log(dx2 + s[:, None])
         )
     return terms.sum(axis=1)
+
+
+def _inside(roots: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """|f(x)| < 1 at each x, decided as _halfwidth_grid decides it."""
+    dx = xs[:, None] - roots[None, :]
+    return _log_abs_sq(dx * dx, (dx - 1.0) * (dx + 1.0), np.zeros(xs.shape)) < 0.0
 
 
 def _halfwidth_grid(roots: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -130,13 +140,15 @@ def _halfwidth_grid(roots: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.sqrt(s_out)
 
 
-def _scan(roots: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """_halfwidth_grid over xs in chunks of at most _CHUNK_ELEMENTS
-    center-root pairs, so the scan holds O(chunk) memory at any degree.
-    Rows never mix, so the widths are those of one unchunked call."""
+def _scan(roots: np.ndarray, xs: np.ndarray, per_point=None) -> np.ndarray:
+    """per_point (_halfwidth_grid when None, looked up per call) over xs
+    in chunks of at most _CHUNK_ELEMENTS center-root pairs, so the scan
+    holds O(chunk) memory at any degree. Rows never mix, so the values
+    are those of one unchunked call."""
+    per_point = per_point or _halfwidth_grid
     rows = max(1, _CHUNK_ELEMENTS // roots.size)
     return np.concatenate(
-        [_halfwidth_grid(roots, xs[i:i + rows]) for i in range(0, xs.size, rows)]
+        [per_point(roots, xs[i:i + rows]) for i in range(0, xs.size, rows)]
     )
 
 
@@ -310,7 +322,7 @@ def inscribed_disk_poly(d: int, disc: float) -> tuple[RealRootedPoly, float, flo
     _check_bound_args(d, disc)
     log_disc = math.log(disc)
     height = math.exp(bf.log_threshold_height(d, log_disc))
-    poly = poly_from_roots(bf.tangent_lattice_roots(height, d, bf.boundary_phase(d)))
+    poly = poly_from_roots(bf.lattice_roots(height, d, 0.0))
     log_value = (
         math.log(2.0) - d * math.log(d) / (d - 1.0) + log_disc / (d - 1.0)
     )

@@ -48,12 +48,6 @@ class LogDiscriminant:
     def zero(cls) -> "LogDiscriminant":
         return cls(0, float("-inf"))
 
-    @classmethod
-    def from_value(cls, x: float) -> "LogDiscriminant":
-        if x == 0.0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
 
 def _exp_or_inf(log_x: float) -> float:
     """exp(log_x), or inf once the value leaves float range."""
@@ -147,31 +141,12 @@ def poly_from_roots(roots) -> RealRootedPoly:
     return RealRootedPoly(roots=tuple(rs))
 
 
-def eval_at(p: RealRootedPoly, z: complex) -> complex:
-    """Evaluate via the root product; exact zeros at the stored roots."""
-    acc = complex(1.0, 0.0)
-    for r in p.roots:
-        acc *= z - r
-    return acc
-
-
 def eval_coeffs(coeffs, x: float) -> float:
     """Horner evaluation of an ascending coefficient list."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def modulus_at_ai(p: RealRootedPoly, a: float) -> float:
-    """|f(ai)| for height a > 0; equals prod sqrt(a^2 + x_k^2) >= a^d."""
-    if a <= 0:
-        raise DomainError("height a must be positive")
-    prod = 1.0
-    for r in p.roots:
-        prod *= math.hypot(a, r)
-    # each factor is >= a, so the product cannot honestly dip below a^d
-    return max(prod, a ** p.degree)
 
 
 def log_modulus_at_ai(roots, a: float) -> float:

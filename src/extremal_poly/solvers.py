@@ -56,7 +56,7 @@ class ExtremalSolution:
     echoing the inputs; achieved_m is inf once the modulus leaves float
     range, like LogDiscriminant.value. lambda_or_b carries the family
     parameter: the Lagrange multiplier in the multiplier regime, the
-    subleading coefficient otherwise.
+    subleading coefficient of polys[0] otherwise.
     """
 
     problem: str
@@ -96,13 +96,14 @@ def _dispatch(
     boundary member misses the target by _BOUNDARY_SNAP; snapping only
     within half of it leaves room for the rounding of the target."""
     if abs(log_p) <= 0.5 * window:
-        poly = poly_from_roots(bf.tangent_lattice_roots(a, d, bf.boundary_phase(d)))
+        poly = poly_from_roots(bf.lattice_roots(a, d, 0.0))
         return _finish(problem, REGIME_BINOMIAL, [poly], a, 0.0)
     if log_p < 0.0:
-        roots, sub = bf.lattice_member(a, d, log_p)
-        pair = [poly_from_roots(roots), poly_from_roots(sorted(-r for r in roots))]
+        lead = poly_from_roots(bf.lattice_roots(a, d, log_p))
+        pair = [lead, poly_from_roots([-r for r in lead.roots])]
         pair.sort(key=lambda p: p.roots[0])
-        return _finish(problem, REGIME_BINOMIAL, pair, a, sub)
+        b = bf.subleading(a, d, log_p)  # the mirror's is -b
+        return _finish(problem, REGIME_BINOMIAL, pair, a, b if pair[0] is lead else -b)
     lam = solve_lambda()
     poly = poly_from_roots(
         jf.family_roots(jf.JacobiFamilyParams(a=a, d=d, multiplier=lam))

@@ -273,11 +273,7 @@ def _check_boundary_glue() -> CheckResult:
             gc = jf.family_coeffs(
                 jf.JacobiFamilyParams(a=a, d=d, multiplier=2 * d - 2)
             )
-            fc = bf.binomial_coeffs(
-                bf.BinomialFamilyParams(
-                    a=a, d=d, subleading=0.0, phase=bf.boundary_phase(d)
-                )
-            )
+            fc = bf.binomial_coeffs(bf.BinomialFamilyParams(a=a, d=d, log_p=0.0))
             scale = max(abs(c) for c in gc)
             diff = max(abs(x - y) for x, y in zip(gc, fc))
             worst = max(worst, diff / scale)
@@ -467,7 +463,7 @@ def _check_energy_equilibrium() -> CheckResult:
 def _check_arctan_cdf() -> CheckResult:
     dists = []
     for d in (10, 100, 1000):
-        points = bf.tangent_lattice_roots(1.0, d, bf.boundary_phase(d))
+        points = bf.lattice_roots(1.0, d, 0.0)
         config = config_from_points(points, 1.0)
         dists.append((d, arctan_cdf_distance(config)))
     decreasing = dists[0][1] > dists[1][1] > dists[2][1]

@@ -17,8 +17,8 @@ from extremal_poly.binomial_family import (
     min_modulus_bound,
     params_from_disc,
     binomial_poly,
+    lattice_roots,
     small_height_condition,
-    tangent_lattice_roots,
 )
 from extremal_poly.energy import (
     arctan_cdf_distance,
@@ -45,7 +45,7 @@ from extremal_poly.poly_core import (
     descartes_real_root_bound,
     disc_resultant_oracle,
     log_disc_from_roots,
-    modulus_at_ai,
+    log_modulus_at_ai,
     poly_from_roots,
     rel_log_diff,
 )
@@ -179,7 +179,7 @@ def test_criterion_04_small_height_equality():
         p = binomial_poly(params_from_disc(a, d, disc))
         worst_m = max(
             worst_m,
-            abs(modulus_at_ai(p, a) / min_modulus_bound(a, d, disc) - 1.0),
+            abs(log_modulus_at_ai(p.roots, a) - math.log(min_modulus_bound(a, d, disc))),
         )
         got = log_disc_from_roots(p)
         worst_disc = max(
@@ -189,9 +189,9 @@ def test_criterion_04_small_height_equality():
             else math.inf,
         )
     _verdict(
-        worst_m <= 1e-9 and worst_disc <= 1e-8,
+        worst_m <= math.log1p(1e-9) and worst_disc <= 1e-8,
         "criterion 4 (sharp modulus bound attained under small height)",
-        "100 cases, worst modulus err %.3e, worst disc rel log err %.3e"
+        "100 cases, worst modulus log err %.3e, worst disc rel log err %.3e"
         % (worst_m, worst_disc),
     )
 
@@ -313,8 +313,7 @@ def test_criterion_09_energy_configurations():
                 worst = max(worst, abs(cfg.energy_I - energy_lower_bound(a, d, v)))
     dists = []
     for d in (10, 100, 1000):
-        phase = 0.0 if d % 2 else math.pi / (2.0 * d)
-        pts = tangent_lattice_roots(1.0, d, phase)
+        pts = lattice_roots(1.0, d, 0.0)
         dists.append(arctan_cdf_distance(config_from_points(pts, 1.0)))
     decreasing = dists[0] > dists[1] > dists[2]
     capped = all(x <= 3.0 / d for d, x in zip((10, 100, 1000), dists))

@@ -7,16 +7,16 @@ from extremal_poly.binomial_family import (
     BinomialFamilyParams,
     binomial_coeffs,
     binomial_poly,
+    lattice_roots,
     log_phase_ratio,
     min_modulus_bound,
     params_from_disc,
     small_height_condition,
-    tangent_lattice_roots,
 )
 from extremal_poly.errors import DomainError, RegimeError
 from extremal_poly.poly_core import (
     log_disc_from_roots,
-    modulus_at_ai,
+    log_modulus_at_ai,
     poly_from_roots,
     rel_log_diff,
 )
@@ -24,35 +24,71 @@ from extremal_poly.poly_core import (
 SQ3 = math.sqrt(3.0)
 
 
+def _cot_lattice(a, d, log_p):
+    # a cot(psi + pi j/d) straight from the definition, in plain floats
+    delta = math.asin(math.exp(log_p)) / d
+    psi = delta if d % 2 else -delta
+    js = range(1 - (d + 1) // 2, d // 2 + 1)
+    return sorted(a / math.tan(psi + math.pi * j / d) for j in js)
+
+
 class TestTangentLattice:
+    # the cotangent lattice a cot(psi + pi j/d) is the paper's tangent
+    # lattice a tan(phase + pi k/d) written from the pole side
     def test_quarter_phase_degree_two(self):
-        assert tangent_lattice_roots(1.0, 2, math.pi / 4) == pytest.approx([-1.0, 1.0])
+        assert lattice_roots(1.0, 2, 0.0) == pytest.approx([-1.0, 1.0])
 
     def test_zero_phase_degree_three(self):
-        got = tangent_lattice_roots(1.0, 3, 0.0)
+        got = lattice_roots(1.0, 3, 0.0)
         assert got == pytest.approx([-SQ3, 0.0, SQ3], abs=1e-15)
+        assert got[1] == 0.0
 
     def test_height_scaling(self):
-        assert tangent_lattice_roots(2.0, 2, math.pi / 4) == pytest.approx([-2.0, 2.0])
+        assert lattice_roots(2.0, 2, 0.0) == pytest.approx([-2.0, 2.0])
 
-    def test_pole_reports_offending_k(self):
-        with pytest.raises(DomainError, match="k=0"):
-            tangent_lattice_roots(1.0, 2, math.pi / 2)
-        with pytest.raises(DomainError, match="k=1"):
-            tangent_lattice_roots(1.0, 2, 1e-14)
+    def test_near_pole_root_answers(self):
+        # delta = asin(p)/2 = 1e-14 put the tangent chart's angle 1e-14
+        # from its pole; the cot chart forms -cot(delta) and tan(delta)
+        got = lattice_roots(1.0, 2, math.log(2e-14))
+        assert got == pytest.approx([-1e14, 1e-14], rel=1e-12)
+
+    def test_root_past_float_range_is_named(self):
+        # the pole root a d/p leaves float range below log(a d) - 709.78
+        assert lattice_roots(1.0, 3, -708.5)[-1] == pytest.approx(
+            3.0 * math.exp(708.5), rel=1e-12
+        )
+        with pytest.raises(DomainError, match="largest root .* past float range"):
+            lattice_roots(1.0, 3, -709.0)
+        with pytest.raises(DomainError, match="past float range"):
+            BinomialFamilyParams(a=1.0, d=3, log_p=-709.0).subleading
 
     def test_bad_height(self):
         with pytest.raises(DomainError):
-            tangent_lattice_roots(-1.0, 2, 0.3)
+            lattice_roots(-1.0, 2, -0.3)
+
+
+@pytest.mark.parametrize("d", [3, 8, 20])
+@pytest.mark.parametrize("log_p", [0.0, -1e-6, -5.0, -30.0, -300.0])
+def test_lattice_roots_match_mpmath(d, log_p):
+    mp = pytest.importorskip("mpmath")
+    for a in (1.0, 0.37):
+        got = lattice_roots(a, d, log_p)
+        with mp.workdps(50):
+            delta = mp.asin(mp.exp(mp.mpf(log_p))) / d
+            psi = delta if d % 2 else -delta
+            js = range(1 - (d + 1) // 2, d // 2 + 1)
+            want = sorted(float(a * mp.cot(psi + mp.pi * j / d)) for j in js)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * max(abs(w), a)
 
 
 class TestPhaseRatio:
     def test_clamps_to_one_on_boundary(self):
-        # boundary disc for a=1, d=2 is 4; p = 1 gives phase asin(1)/2, B = 0,
-        # also for log p a roundoff above 0
+        # boundary disc for a=1, d=2 is 4; p = 1 gives the boundary member,
+        # B = 0, also for log p a roundoff above 0
         for disc in (4.0, 4.0 * math.exp(-2e-13)):
             params = params_from_disc(1.0, 2, disc)
-            assert params.phase == math.pi / 4
+            assert binomial_poly(params).roots == tuple(lattice_roots(1.0, 2, 0.0))
             assert params.subleading == 0.0
 
     def test_rejects_heights_beyond_regime(self):
@@ -69,9 +105,11 @@ class TestPhaseRatio:
             if lp > 0:
                 continue
             params = params_from_disc(a, d, disc)
-            # p = cos(d phase) for odd d, sin(d phase) for even d
-            trig = math.cos if d % 2 else math.sin
-            assert trig(d * params.phase) == pytest.approx(math.exp(lp))
+            assert params.log_p == lp
+            # the roots sit at a cot(psi + pi j/d), psi = +-asin(p)/d
+            assert lattice_roots(a, d, params.log_p) == pytest.approx(
+                _cot_lattice(a, d, lp)
+            )
             sign = -1.0 if d % 2 else 1.0
             assert params.subleading == pytest.approx(
                 sign * a * d * math.sqrt(math.exp(-2.0 * lp) - 1.0)
@@ -86,8 +124,10 @@ def test_lattice_phase_range():
         a = 0.2
         if log_phase_ratio(a, d, disc) > 0:
             continue
-        g = params_from_disc(a, d, disc).phase
-        assert 0.0 <= g <= math.pi / (2 * d) + 1e-15
+        roots = binomial_poly(params_from_disc(a, d, disc)).roots
+        # the pole root a cot(delta) fixes delta, which lies in [0, pi/(2d)]
+        pole = roots[-1] if d % 2 else -roots[0]
+        assert 0.0 <= math.atan(a / pole) <= math.pi / (2 * d) + 1e-15
 
 
 def test_subleading_sign_parity():
@@ -106,15 +146,10 @@ def test_known_expansion_degree_two():
 
 def test_known_expansion_boundary_quartic():
     # B=0, a=1, d=4: x^4 - 6x^2 + 1
-    params = BinomialFamilyParams(a=1.0, d=4, subleading=0.0, phase=math.pi / 8)
+    params = BinomialFamilyParams(a=1.0, d=4, log_p=0.0)
     assert binomial_coeffs(params) == pytest.approx(
         [1.0, 0.0, -6.0, 0.0, 1.0], abs=1e-12
     )
-
-
-def test_params_phase_consistency_enforced():
-    with pytest.raises(DomainError):
-        BinomialFamilyParams(a=1.0, d=3, subleading=5.0, phase=0.3)
 
 
 def test_coefficient_and_root_routes_agree():
@@ -130,7 +165,7 @@ def test_coefficient_and_root_routes_agree():
         a = math.exp(thr) * float(rng.uniform(0.3, 0.999))
         params = params_from_disc(a, d, disc)
         cs = binomial_coeffs(params)
-        q = poly_from_roots(tangent_lattice_roots(a, d, params.phase))
+        q = poly_from_roots(lattice_roots(a, d, params.log_p))
         scale = max(abs(c) for c in cs)
         assert max(abs(x - y) for x, y in zip(cs, q.coeffs)) < 1e-8 * scale
 
@@ -148,9 +183,8 @@ def test_modulus_attains_bound_under_small_height():
         a = math.exp(thr) * float(rng.uniform(0.3, 1.0))
         assert small_height_condition(a, d, disc)
         p = binomial_poly(params_from_disc(a, d, disc))
-        assert modulus_at_ai(p, a) == pytest.approx(
-            min_modulus_bound(a, d, disc), rel=1e-9
-        )
+        log_bound = math.log(min_modulus_bound(a, d, disc))
+        assert abs(log_modulus_at_ai(p.roots, a) - log_bound) <= math.log1p(1e-9)
         got = log_disc_from_roots(p)
         assert got.sign == 1
         assert rel_log_diff(got.log_abs, math.log(disc)) < 1e-8

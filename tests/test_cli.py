@@ -6,7 +6,7 @@ import pytest
 
 from extremal_poly.cli import canonical_json, main
 from extremal_poly.jacobi_family import JacobiFamilyParams, closed_form_disc
-from extremal_poly.poly_core import TOL_ORACLE, rel_log_diff
+from extremal_poly.poly_core import TOL_ORACLE, log_modulus_at_ai, rel_log_diff
 
 
 def run_cli(capsys, *argv):
@@ -146,12 +146,16 @@ class TestSolveCommands:
         assert rel_log_diff(doc["log_disc"]["log_abs"], want.log_abs) <= 1e-12
 
     @pytest.mark.parametrize("m", ["1e13", "1e160", repr(sys.float_info.max)])
-    def test_huge_modulus_hits_tangent_pole(self, capsys, m):
-        # the lattice angle of p ~ 1/m lands on a pole long before the
-        # subleading coefficient's radicand p^(-2) - 1 would overflow
+    def test_huge_modulus_meets_target(self, capsys, m):
+        # one root runs off to about a d/p = 3m/4, up to 1.35e308 at the
+        # largest float; it is formed from log p, with no pole in the way
         code, out, err = run_cli(capsys, "solve-disc", "--a", "1", "--d", "3", "--m", m)
-        assert code == 2 and out == ""
-        assert err == "error: lattice angle k=1 hits a tangent pole\n"
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["regime"] == "f_family"
+        for roots in (doc["roots"], doc["mirror"]["roots"]):
+            got = log_modulus_at_ai(roots, 1.0)
+            assert rel_log_diff(got, math.log(float(m))) <= 1e-9
 
     @pytest.mark.parametrize("disc", ["1", "1e-300", "1e300"])
     def test_overflowing_modulus_is_inf(self, capsys, disc):

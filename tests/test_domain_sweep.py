@@ -1,0 +1,146 @@
+"""Domain sweep of both dual solvers and the equilibrium solver.
+
+A fixed grid of heights, degrees and log phase ratios, from the
+multiplier side of the crossover (log p > 0) down to the far binomial
+side (log p = -700), plus the points where the binomial lattice once
+lost its pole root. Every call must either meet its target to 1e-9
+relative in log, recomputed here from the returned roots, or raise one of
+the named float-range errors. A target that is not itself a float (m or
+disc outside float range) is not a call the API can receive, so it is
+not made; solve_equilibrium takes its potential v, which always is. Nor
+are moduli at or below a^d (log p >= (d - 1) log 2), for which no
+real-rooted polynomial exists.
+"""
+
+import math
+
+import numpy as np
+
+from extremal_poly.energy import solve_equilibrium
+from extremal_poly.errors import DomainError
+from extremal_poly.poly_core import log_disc_from_roots, log_modulus_at_ai, rel_log_diff
+from extremal_poly.solvers import REGIME_BINOMIAL, solve_max_disc, solve_min_abs
+
+HEIGHTS = [float(a) for a in np.logspace(-3.0, 3.0, 7)]
+DEGREES = [2, 3, 4, 5, 6, 7, 8, 20, 50, 300, 1000]
+LOG_PS = [2.0, 0.3, 1e-6, 0.0, -1e-6, -0.3, -2.0, -10.0, -40.0, -150.0, -400.0, -700.0]
+# a tiny height whose pole root is far past the smallest normal p
+EXTRA = [(1e-14, 2, -735.0), (1e-14, 2, -741.0)]
+# (a, d, disc) targets of solve_min_abs that missed with exit 0
+MISSES = [
+    (0.27386251022309027, 3, 5.817114997558921e43),
+    (2.0, 5, 1e100),
+    (0.3, 20, 1e300),
+]
+FLOAT_RANGE = ("overflows a float", "underflows a float", "past float range")
+
+
+def _log_m(a, d, log_p):
+    # p = 2^(d-1) a^d / m
+    return (d - 1) * math.log(2.0) + d * math.log(a) - log_p
+
+
+def _log_disc(a, d, log_p):
+    # inverts binomial_family.log_phase_ratio
+    return (2.0 * d - 2.0) * (
+        0.5 * d * math.log(a)
+        + (0.5 * d - 1.0) * math.log(2.0)
+        + d / (2.0 * d - 2.0) * math.log(d)
+        - log_p
+    )
+
+
+def _as_float(log_x):
+    try:
+        x = math.exp(log_x)
+    except OverflowError:
+        return None
+    return x if x > 0.0 else None
+
+
+def _check_solution(sol, a, target, which):
+    """None if every returned polynomial meets the target, else why."""
+    for poly in sol.polys:
+        if which == "m":
+            got = log_modulus_at_ai(poly.roots, a)
+        else:
+            got = log_disc_from_roots(poly).log_abs
+        if not rel_log_diff(got, target) <= 1e-9:
+            return "log %s %.17g misses %.17g" % (which, got, target)
+    if sol.regime == REGIME_BINOMIAL:
+        roots = sol.polys[0].roots
+        total = math.fsum(roots)
+        scale = math.fsum(abs(r) for r in roots)
+        if not abs(sol.lambda_or_b + total) <= 1e-12 * scale:
+            return "B %.17g is not -sum(roots) %.17g" % (sol.lambda_or_b, -total)
+    return None
+
+
+def _outcome(call, check):
+    try:
+        result = call()
+    except DomainError as exc:
+        if any(name in str(exc) for name in FLOAT_RANGE):
+            return None
+        return "DomainError: %s" % exc
+    except Exception as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return check(result)
+
+
+def _cases():
+    for a in HEIGHTS:
+        for d in DEGREES:
+            for log_p in LOG_PS:
+                yield a, d, log_p
+    yield from EXTRA
+
+
+def test_domain_sweep():
+    failures = []
+    calls = 0
+    for a, d, log_p in _cases():
+        log_m = _log_m(a, d, log_p)
+        real_rooted = log_p < (d - 1) * math.log(2.0)
+        m = _as_float(log_m)
+        if m is not None and real_rooted:
+            calls += 1
+            bad = _outcome(
+                lambda: solve_max_disc(a, d, m),
+                lambda s: _check_solution(s, a, math.log(m), "m"),
+            )
+            if bad:
+                failures.append(("max_disc", a, d, log_p, bad))
+        disc = _as_float(_log_disc(a, d, log_p))
+        if disc is not None:
+            calls += 1
+            bad = _outcome(
+                lambda: solve_min_abs(a, d, disc),
+                lambda s: _check_solution(s, a, math.log(disc), "disc"),
+            )
+            if bad:
+                failures.append(("min_abs", a, d, log_p, bad))
+        if not real_rooted:
+            continue
+        calls += 1
+        v = -log_m / d
+        bad = _outcome(
+            lambda: solve_equilibrium(a, d, v),
+            lambda c: None
+            if rel_log_diff(log_modulus_at_ai(c.points, a), -v * d) <= 1e-9
+            else "potential of the points misses v",
+        )
+        if bad:
+            failures.append(("equilibrium", a, d, log_p, bad))
+    for a, d, disc in MISSES:
+        calls += 1
+        bad = _outcome(
+            lambda: solve_min_abs(a, d, disc),
+            lambda s: _check_solution(s, a, math.log(disc), "disc"),
+        )
+        if bad:
+            failures.append(("min_abs", a, d, disc, bad))
+    assert calls > 1000
+    assert not failures, "%d of %d calls failed, first: %r" % (
+        len(failures), calls, failures[:5]
+    )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from extremal_poly.binomial_family import tangent_lattice_roots
+from extremal_poly.binomial_family import lattice_roots
 from extremal_poly.energy import (
     arctan_cdf_distance,
     config_from_points,
@@ -148,8 +148,7 @@ def test_arctan_cdf_distance_pair():
 def test_arctan_cdf_distance_lattice(d):
     # the tangent lattice hits the arctan quantiles exactly, so the
     # two-sided gap collapses to the half-jump 1/(2d)
-    phase = 0.0 if d % 2 else math.pi / (2.0 * d)
-    pts = tangent_lattice_roots(1.0, d, phase)
+    pts = lattice_roots(1.0, d, 0.0)
     cfg = config_from_points(pts, 1.0)
     assert arctan_cdf_distance(cfg) == pytest.approx(0.5 / d, rel=1e-6)
 
@@ -157,8 +156,7 @@ def test_arctan_cdf_distance_lattice(d):
 def test_arctan_cdf_distance_decreases_along_lattices():
     dist = []
     for d in (10, 100, 1000):
-        phase = 0.0 if d % 2 else math.pi / (2.0 * d)
-        pts = tangent_lattice_roots(1.0, d, phase)
+        pts = lattice_roots(1.0, d, 0.0)
         dist.append(arctan_cdf_distance(config_from_points(pts, 1.0)))
     assert dist[0] > dist[1] > dist[2]
     for d, x in zip((10, 100, 1000), dist):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from extremal_poly.binomial_family import tangent_lattice_roots
+from extremal_poly.binomial_family import lattice_roots
 from extremal_poly.errors import (
     DomainError,
     MonotonicityError,
@@ -197,9 +197,8 @@ def test_family_roots_match_mpmath(a, d, frac):
 def test_family_roots_at_boundary_are_tangent_lattice(d, a):
     # both families meet at lam = 2d - 2; at d = 4, a = 1 the shared
     # member is x^4 - 6x^2 + 1
-    phase = 0.0 if d % 2 else math.pi / (2.0 * d)
     got = family_roots(JacobiFamilyParams(a=a, d=d, multiplier=2.0 * d - 2.0))
-    want = tangent_lattice_roots(a, d, phase)
+    want = lattice_roots(a, d, 0.0)
     assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * a)
     if (d, a) == (4, 1.0):
         quartic = sorted(math.tan(math.pi / 8 + k * math.pi / 4) for k in range(4))

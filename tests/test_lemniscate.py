@@ -92,6 +92,32 @@ def test_halfwidth_rejects_underflow_at_root():
     assert vertical_halfwidth(p, 0.5e100) == 0.0
 
 
+def test_halfwidth_rejects_underflow_off_root():
+    # |f(1e-250)| = 1e-50 < 1, so the halfwidth there is about 1e-200 > 0
+    p = poly_from_roots([-1e100, 0.0, 1e100])
+    with pytest.raises(InputError, match=r"\|f\| < 1"):
+        vertical_halfwidth(p, 1e-250)
+    with pytest.raises(InputError):
+        vertical_halfwidth(p, [0.5e100, 1e-250])
+
+
+def test_halfwidth_array_equals_pointwise():
+    # an array call gives each point the bits of its own call, in the
+    # array's shape; a float gives a float
+    rng = np.random.default_rng(77)
+    p = poly_from_roots(rng.uniform(-2.0, 2.0, 12))
+    xs = np.linspace(-3.0, 3.0, 301)
+    single = np.array([vertical_halfwidth(p, float(x)) for x in xs])
+    assert all(type(w) is float for w in single.tolist())
+    batch = vertical_halfwidth(p, xs)
+    assert batch.tobytes() == single.tobytes()
+    grid = vertical_halfwidth(p, xs[:300].reshape(20, 15))
+    assert grid.shape == (20, 15)
+    assert grid.tobytes() == single[:300].tobytes()
+    assert isinstance(vertical_halfwidth(p, 0.25), float)
+    assert np.count_nonzero(batch) > 100
+
+
 def test_largest_disk_centered_family():
     # x^2 - 1/2 has its fattest disk at the origin with radius 2^(-1/2)
     p = poly_from_roots([-HALF_SQRT2, HALF_SQRT2])
