@@ -58,9 +58,9 @@ def vertical_halfwidth(p: RealRootedPoly, x):
         raise InputError("x must be finite and not empty")
     roots = np.asarray(p.roots, dtype=float)
     _check_span(roots, float(flat.min()), float(flat.max()))
-    widths = _scan(roots, flat)
-    zero = flat[widths == 0.0]
-    if zero.size and _scan(roots, zero, _inside).any():
+    inside = np.empty(flat.shape, dtype=bool)
+    widths = _scan(roots, flat, inside)
+    if np.any(inside & (widths == 0.0)):
         raise InputError(
             "the halfwidth at a point where |f| < 1 is too small for its "
             "square to be a float"
@@ -95,13 +95,7 @@ def _log_abs_sq(dx2: np.ndarray, excess: np.ndarray, s: np.ndarray) -> np.ndarra
     return terms.sum(axis=1)
 
 
-def _inside(roots: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """|f(x)| < 1 at each x, decided as _halfwidth_grid decides it."""
-    dx = xs[:, None] - roots[None, :]
-    return _log_abs_sq(dx * dx, (dx - 1.0) * (dx + 1.0), np.zeros(xs.shape)) < 0.0
-
-
-def _halfwidth_grid(roots: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _halfwidth_grid(roots: np.ndarray, xs: np.ndarray, inside=None) -> np.ndarray:
     """Largest y >= 0 with |f(x + iy)| <= 1, for every x in xs at once.
 
     With s = y^2 and t = log s, phi(t) = log|f(x + iy)|^2 =
@@ -113,12 +107,18 @@ def _halfwidth_grid(roots: np.ndarray, xs: np.ndarray) -> np.ndarray:
     100 steps. A point with |f(x)| >= 1 gets 0 and one with |f(x + i)| <= 1
     gets 1. Rows never mix, so a point's width does not depend on the
     other points passed with it.
+
+    A bool array inside, shaped like xs, is set to |f(x)| < 1 at each
+    point: there the width is positive unless its square underflowed.
     """
     dx = xs[:, None] - roots[None, :]
     dx2 = dx * dx
     excess = (dx - 1.0) * (dx + 1.0)
     s_out = np.zeros(xs.shape)
-    rows = np.flatnonzero(_log_abs_sq(dx2, excess, s_out) < 0.0)
+    below = _log_abs_sq(dx2, excess, s_out) < 0.0
+    if inside is not None:
+        inside[:] = below
+    rows = np.flatnonzero(below)
     dx2, excess, s = dx2[rows], excess[rows], np.ones(rows.size)
     phi = _log_abs_sq(dx2, excess, s)
     done = phi <= 0.0
@@ -140,16 +140,18 @@ def _halfwidth_grid(roots: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.sqrt(s_out)
 
 
-def _scan(roots: np.ndarray, xs: np.ndarray, per_point=None) -> np.ndarray:
-    """per_point (_halfwidth_grid when None, looked up per call) over xs
-    in chunks of at most _CHUNK_ELEMENTS center-root pairs, so the scan
-    holds O(chunk) memory at any degree. Rows never mix, so the values
-    are those of one unchunked call."""
-    per_point = per_point or _halfwidth_grid
+def _scan(roots: np.ndarray, xs: np.ndarray, inside=None) -> np.ndarray:
+    """_halfwidth_grid over xs in chunks of at most _CHUNK_ELEMENTS
+    center-root pairs, so the scan holds O(chunk) memory at any degree,
+    setting inside as it does. Rows never mix, so the widths are those of
+    one unchunked call."""
     rows = max(1, _CHUNK_ELEMENTS // roots.size)
-    return np.concatenate(
-        [per_point(roots, xs[i:i + rows]) for i in range(0, xs.size, rows)]
-    )
+    return np.concatenate([
+        _halfwidth_grid(
+            roots, xs[i:i + rows], None if inside is None else inside[i:i + rows]
+        )
+        for i in range(0, xs.size, rows)
+    ])
 
 
 def _slope_and_curvature(roots: np.ndarray, x: float, s: float) -> tuple[float, float]:
