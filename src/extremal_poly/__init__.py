@@ -6,7 +6,6 @@ from .errors import (
     DomainError,
     ExtremalPolyError,
     InputError,
-    MonotonicityError,
     PoleError,
     RegimeError,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "JacobiFamilyParams",
     "JacobiParams",
     "LogDiscriminant",
-    "MonotonicityError",
     "OracleResult",
     "PoleError",
     "RealRootedPoly",

@@ -19,7 +19,3 @@ class RegimeError(ExtremalPolyError):
 
 class PoleError(ExtremalPolyError):
     """A parameter sits on (or too close to) a pole of a closed-form expression."""
-
-
-class MonotonicityError(ExtremalPolyError):
-    """A bracketing assumption failed at runtime; the solver cannot proceed."""

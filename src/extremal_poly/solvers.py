@@ -22,7 +22,7 @@ import numpy as np
 
 from . import binomial_family as bf
 from . import jacobi_family as jf
-from .errors import DomainError, MonotonicityError, RegimeError
+from .errors import DomainError, RegimeError
 from .poly_core import (
     LogDiscriminant,
     RealRootedPoly,
@@ -87,14 +87,22 @@ def _finish(problem: str, regime: str, polys, a: float, lambda_or_b: float):
 
 
 def _dispatch(
-    problem: str, a: float, d: int, log_p: float, window: float, solve_lambda
+    problem: str, a: float, d: int, log_p: float, solve_lambda
 ) -> ExtremalSolution:
     """The one regime decision: the boundary member within half the
     window of the crossover log p = 0, the binomial mirror pair below it,
     and above it the multiplier member at the multiplier that
-    solve_lambda() returns. window is the log p distance at which the
-    boundary member misses the target by _BOUNDARY_SNAP; snapping only
+    solve_lambda() returns. The window is the log p distance at which the
+    boundary member misses its modulus, or (2d-2 times faster) its
+    discriminant, by _BOUNDARY_SNAP; the smaller serves both problems, so
+    a round trip through both solvers keeps its regime. Snapping only
     within half of it leaves room for the rounding of the target."""
+    log_m = (d - 1) * math.log(2.0) + d * math.log(a)
+    # log p at disc = 1 is the boundary member's log disc over 2d-2
+    log_disc_rate = bf.log_phase_ratio(a, d, 1.0)
+    window = _BOUNDARY_SNAP * min(
+        max(1.0, abs(log_m)), max(1.0 / (2.0 * d - 2.0), abs(log_disc_rate))
+    )
     if abs(log_p) <= 0.5 * window:
         poly = poly_from_roots(bf.lattice_roots(a, d, 0.0))
         return _finish(problem, REGIME_BINOMIAL, [poly], a, 0.0)
@@ -124,9 +132,7 @@ def solve_max_disc(a: float, d: int, m: float) -> ExtremalSolution:
     # phase ratio p = 2^(d-1) a^d / m
     log_ratio = log_m - (d - 1) * math.log(2.0) - d * math.log(a)
     return _dispatch(
-        PROBLEM_MAX_DISC, a, d, -log_ratio,
-        _BOUNDARY_SNAP * max(1.0, abs(log_m)),
-        lambda: jf.solve_multiplier(a, d, m),
+        PROBLEM_MAX_DISC, a, d, -log_ratio, lambda: jf.solve_multiplier(a, d, m)
     )
 
 
@@ -136,32 +142,21 @@ def solve_min_abs(a: float, d: int, disc: float) -> ExtremalSolution:
     _validate_common(a, d)
     if disc <= 0 or not math.isfinite(disc):
         raise DomainError("target discriminant must be positive and finite")
-    log_disc = math.log(disc)
-    # Along the binomial family log disc moves 2d-2 times as fast as log p,
-    # so this window keeps the boundary member within _BOUNDARY_SNAP of the
-    # target discriminant, as the modulus window does for m.
     return _dispatch(
         PROBLEM_MIN_ABS, a, d, bf.log_phase_ratio(a, d, disc),
-        _BOUNDARY_SNAP * max(1.0, abs(log_disc)) / (2.0 * d - 2.0),
-        lambda: _multiplier_from_disc(a, d, log_disc),
+        lambda: _multiplier_from_disc(a, d, math.log(disc)),
     )
 
 
 def _multiplier_from_disc(a: float, d: int, log_disc: float) -> float:
     """Invert the closed-form discriminant for the multiplier on
-    [2d-2, inf). The closed form decreases there; both bracket ends are
-    sign-checked and violations raise MonotonicityError."""
+    [2d-2, inf), where it decreases, by jacobi_family._newton_multiplier."""
 
-    def log_value(lam: float) -> float:
-        return jf.closed_form_disc(
-            jf.JacobiFamilyParams(a=a, d=d, multiplier=lam)
-        ).log_abs
+    def log_disc_and_slope(lam: float) -> tuple[float, float]:
+        params = jf.JacobiFamilyParams(a=a, d=d, multiplier=lam)
+        return jf.closed_form_disc(params).log_abs, jf.closed_form_disc_slope(params)
 
-    if log_value(2.0 * d - 2.0) < log_disc:
-        raise MonotonicityError(
-            "target discriminant exceeds the family value at the boundary"
-        )
-    return jf.bisect_multiplier(log_value, log_disc, d)
+    return jf._newton_multiplier(log_disc_and_slope, log_disc, d)
 
 
 def lagrange_residuals(p: RealRootedPoly, lam: float) -> tuple[float, float]:

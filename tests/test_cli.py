@@ -157,6 +157,30 @@ class TestSolveCommands:
             got = log_modulus_at_ai(roots, 1.0)
             assert rel_log_diff(got, math.log(float(m))) <= 1e-9
 
+    def test_far_multiplier_meets_target(self, capsys):
+        # lambda is about 4e200; the bisection could not bracket it and
+        # the recurrence radicand overflowed there
+        code, out, err = run_cli(
+            capsys, "solve-min", "--a", "1", "--d", "2", "--disc", "1e-200"
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["regime"] == "g_family"
+        assert doc["roots"] == pytest.approx([-5e-101, 5e-101], rel=1e-12)
+        assert rel_log_diff(doc["log_disc"]["log_abs"], math.log(1e-200)) <= 1e-12
+
+    def test_modulus_ratio_past_float_range(self, capsys):
+        # m / a^d is about e^754, which the linear-space target overflowed
+        m = "0.0002458387573380644"
+        code, out, err = run_cli(
+            capsys, "solve-disc", "--a", "0.5", "--d", "1100", "--m", m
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["regime"] == "g_family"
+        got = log_modulus_at_ai(doc["roots"], 0.5)
+        assert rel_log_diff(got, math.log(float(m))) <= 1e-12
+
     @pytest.mark.parametrize("disc", ["1", "1e-300", "1e300"])
     def test_overflowing_modulus_is_inf(self, capsys, disc):
         # log m is about 843 here: the roots and the discriminant are fine,

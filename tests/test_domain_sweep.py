@@ -3,7 +3,8 @@
 A fixed grid of heights, degrees and log phase ratios, from the
 multiplier side of the crossover (log p > 0) down to the far binomial
 side (log p = -700), plus the points where the binomial lattice once
-lost its pole root. Every call must either meet its target to 1e-9
+lost its pole root. The far multiplier side (log p = 50, 230) sends the
+multiplier up to about 1e200. Every call must either meet its target to 1e-9
 relative in log, recomputed here from the returned roots, or raise one of
 the named float-range errors. A target that is not itself a float (m or
 disc outside float range) is not a call the API can receive, so it is
@@ -16,14 +17,23 @@ import math
 
 import numpy as np
 
+from extremal_poly import jacobi_family as jf
 from extremal_poly.energy import solve_equilibrium
 from extremal_poly.errors import DomainError
 from extremal_poly.poly_core import log_disc_from_roots, log_modulus_at_ai, rel_log_diff
-from extremal_poly.solvers import REGIME_BINOMIAL, solve_max_disc, solve_min_abs
+from extremal_poly.solvers import (
+    REGIME_BINOMIAL,
+    _multiplier_from_disc,
+    solve_max_disc,
+    solve_min_abs,
+)
 
 HEIGHTS = [float(a) for a in np.logspace(-3.0, 3.0, 7)]
 DEGREES = [2, 3, 4, 5, 6, 7, 8, 20, 50, 300, 1000]
-LOG_PS = [2.0, 0.3, 1e-6, 0.0, -1e-6, -0.3, -2.0, -10.0, -40.0, -150.0, -400.0, -700.0]
+LOG_PS = [
+    230.0, 50.0, 2.0, 0.3, 1e-6, 0.0, -1e-6, -0.3, -2.0, -10.0, -40.0, -150.0,
+    -400.0, -700.0,
+]
 # a tiny height whose pole root is far past the smallest normal p
 EXTRA = [(1e-14, 2, -735.0), (1e-14, 2, -741.0)]
 # (a, d, disc) targets of solve_min_abs that missed with exit 0
@@ -144,3 +154,30 @@ def test_domain_sweep():
     assert not failures, "%d of %d calls failed, first: %r" % (
         len(failures), calls, failures[:5]
     )
+
+
+def test_multiplier_solves_are_short(monkeypatch):
+    # every multiplier solve of the sweep, both targets, counted at the
+    # closed-form evaluations the Newton helper asks for
+    counts = []
+    newton = jf._newton_multiplier
+
+    def counted(value_and_slope, target, d):
+        counts.append(0)
+
+        def tally(lam):
+            counts[-1] += 1
+            return value_and_slope(lam)
+
+        return newton(tally, target, d)
+
+    monkeypatch.setattr(jf, "_newton_multiplier", counted)
+    for a, d, log_p in _cases():
+        if log_p <= 0.0:
+            continue
+        m = _as_float(_log_m(a, d, log_p))
+        if m is not None and log_p < (d - 1) * math.log(2.0):
+            jf.solve_multiplier(a, d, m)
+        _multiplier_from_disc(a, d, _log_disc(a, d, log_p))
+    assert len(counts) > 150
+    assert max(counts) <= 12

@@ -1,23 +1,18 @@
 """Multiplier family, its closed-form discriminant, and the Jacobi bridge."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from extremal_poly.binomial_family import lattice_roots
-from extremal_poly.errors import (
-    DomainError,
-    MonotonicityError,
-    PoleError,
-    RegimeError,
-)
+from extremal_poly.errors import DomainError, PoleError, RegimeError
 from extremal_poly.jacobi_family import (
     JacobiFamilyParams,
     JacobiParams,
-    bisect_multiplier,
     closed_form_disc,
-    constraint_sum,
+    closed_form_disc_slope,
     degenerate_family_coeffs,
     family_coeffs,
     family_roots,
@@ -27,6 +22,7 @@ from extremal_poly.jacobi_family import (
     jacobi_connection_residual,
     jacobi_disc,
     jacobi_gegenbauer_residual,
+    log_modulus_ratio,
     multiplier_poles,
     pochhammer,
     solve_multiplier,
@@ -73,17 +69,78 @@ def test_pole_rejection_on_construction():
     family_coeffs(JacobiFamilyParams(a=1.0, d=4, multiplier=3.0 + 1e-6))
 
 
-def test_constraint_sum_boundary_is_power_of_two():
-    for d in range(2, 11):
-        assert constraint_sum(d, 2.0 * d - 2.0) == pytest.approx(
-            2.0 ** (d - 1), rel=1e-13
+def _series_tail(d, lam):
+    """The terms after the leading 1 of the modulus series
+    m / a^d = 1 + sum_k C(d,2k)(2k-1)!! / prod_{j<=k}(lam-2d+2j+1), summed
+    in floats; all positive on lam > 2d-3."""
+    total, term = 0.0, 1.0
+    for k in range(1, d // 2 + 1):
+        term *= (d - 2 * k + 2) * (d - 2 * k + 1) / (2.0 * k)
+        term /= lam - 2.0 * d + 2.0 * k + 1.0
+        total += term
+    return total
+
+
+def test_log_modulus_ratio_boundary_is_power_of_two():
+    for d in (*range(2, 11), 100, 1000, 3000):
+        assert log_modulus_ratio(d, 2.0 * d - 2.0) == pytest.approx(
+            (d - 1) * math.log(2.0), rel=1e-13
         )
 
 
-def test_constraint_sum_decreasing():
+def test_log_modulus_ratio_decreasing():
     lams = np.linspace(2 * 5 - 2.9, 40.0, 200)
-    vals = [constraint_sum(5, float(l)) for l in lams]
+    vals = [log_modulus_ratio(5, float(l)) for l in lams]
     assert all(x > y for x, y in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("d", [*range(2, 21), 31, 44, 59, 60])
+def test_log_modulus_ratio_is_the_series(d):
+    # the Chu-Vandermonde product against the series it sums; the tail
+    # is compared with expm1 of the log, so far-out lam keep all digits
+    for lam in (2.0 * d - 2.0, 2.0 * d - 2.5, 2.5 * d, 5.0 * d, 1e3 * d, 1e12, 1e200):
+        want = _series_tail(d, lam)
+        got = math.expm1(log_modulus_ratio(d, lam))
+        assert got == pytest.approx(want, rel=1e-13), lam
+
+
+@pytest.mark.parametrize("d", [30, 1000, 3000])
+def test_log_modulus_ratio_matches_mpmath(d):
+    # every log1p term is positive and correct to a few ulps, and fsum is
+    # exact, so the sum is good to a few ulps of itself: bound 1e-14
+    mp = pytest.importorskip("mpmath")
+    for lam in (2.0 * d - 2.0, 2.0 * d + 0.5, 3.0 * d, 30.0 * d, 1e9):
+        with mp.workdps(60):
+            total, term = mp.mpf(1), mp.mpf(1)
+            for k in range(1, d // 2 + 1):
+                term *= mp.mpf((d - 2 * k + 2) * (d - 2 * k + 1)) / (2 * k)
+                term /= mp.mpf(lam) - 2 * d + 2 * k + 1
+                total += term
+            want = float(mp.log(total))
+        assert log_modulus_ratio(d, lam) == pytest.approx(want, rel=1e-14), lam
+
+
+def test_log_modulus_ratio_past_float_range():
+    # m / a^d is about e^784 here, which the linear-space series overflows
+    got = log_modulus_ratio(3000, 9000.0)
+    assert math.isfinite(got)
+    assert got == pytest.approx(784.38194449717, rel=1e-12)
+
+
+def test_closed_form_disc_slope_is_the_derivative():
+    # central differences of the log disc in log lam
+    for d in (2, 3, 4, 7, 30, 301):
+        for lam in (2.0 * d - 2.0, 3.0 * d, 1e4 * d):
+            h = 1e-6
+
+            def at(t):
+                params = JacobiFamilyParams(a=0.7, d=d, multiplier=lam * math.exp(t))
+                return closed_form_disc(params).log_abs
+
+            want = (at(h) - at(-h)) / (2.0 * h)
+            got = closed_form_disc_slope(JacobiFamilyParams(a=0.7, d=d, multiplier=lam))
+            assert got < 0.0
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-6), (d, lam)
 
 
 def test_solve_multiplier_cubic_value():
@@ -123,12 +180,17 @@ def test_solve_multiplier_roundtrip():
         m = a**d * math.exp(u * (d - 1) * math.log(2.0))
         lam = solve_multiplier(a, d, m)
         assert lam >= 2 * d - 2 - 1e-12
-        assert a**d * constraint_sum(d, lam) == pytest.approx(m, rel=1e-10)
+        got = d * math.log(a) + log_modulus_ratio(d, lam)
+        assert got == pytest.approx(math.log(m), abs=1e-10)
 
 
-def test_bisect_multiplier_reports_missing_bracket():
-    with pytest.raises(MonotonicityError):
-        bisect_multiplier(lambda lam: 1.0, 0.5, 4)
+def test_solve_multiplier_far_from_the_crossover():
+    # m just above a^d sends lam off to about d^2 / (2 log(m/a^d))
+    for d in (2, 3, 10, 1000):
+        for log_t in (1e-3, 1e-9, 1e-15):
+            lam = solve_multiplier(1.0, d, math.exp(log_t))
+            want = math.log(math.exp(log_t))  # the target as the solver sees it
+            assert log_modulus_ratio(d, lam) == pytest.approx(want, rel=1e-13)
 
 
 def _pairwise_log_disc(roots) -> float:
@@ -153,8 +215,8 @@ def test_family_roots_sweep_against_closed_form(d, frac):
 
 @pytest.mark.parametrize("frac", [0.05, 0.5, 0.9])
 def test_solve_max_disc_past_float_degree_range(frac):
-    # at d = 1100, 2^(d-1) and constraint_sum(d, 2d-2) overflow to inf,
-    # yet the multiplier solve and the roots stay finite and right
+    # at d = 1100, 2^(d-1) overflows to inf, yet the multiplier solve and
+    # the roots stay finite and right
     d = 1100
     log_m = frac * (d - 1) * math.log(2.0)
     sol = solve_max_disc(1.0, d, math.exp(log_m))
@@ -205,7 +267,19 @@ def test_family_roots_at_boundary_are_tangent_lattice(d, a):
         assert got == pytest.approx(quartic, rel=1e-14)
 
 
-@pytest.mark.parametrize("lam", [1.0, 2.0, 5.5])
+@pytest.mark.parametrize("lam", [4e200, 1e300, sys.float_info.max])
+def test_family_roots_far_out(lam):
+    # at d = 2 and 3 the roots are +-a sqrt(1/(lam-1)) and 0,
+    # +-a sqrt(3/(lam-3)); the recurrence forms them with no overflow
+    for a in (0.5, 3.0):
+        got = family_roots(JacobiFamilyParams(a=a, d=2, multiplier=lam))
+        assert got == pytest.approx([-a / math.sqrt(lam), a / math.sqrt(lam)], rel=1e-15)
+        got = family_roots(JacobiFamilyParams(a=a, d=3, multiplier=lam))
+        r = a * math.sqrt(3.0) / math.sqrt(lam)
+        assert got == pytest.approx([-r, 0.0, r], rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", [-3.0, 0.0, 1.0, 2.0, 5.5])
 def test_family_roots_reject_nonpositive_radicand(lam):
     # below the extremal range the recurrence would need imaginary
     # off-diagonals; the roots are refused rather than returned as NaN

@@ -109,7 +109,8 @@ class TestSolveMinAbs:
     @pytest.mark.parametrize("disc", [2.0, 4.0])
     def test_multiplier_end_nearer_the_target(self, disc):
         # near lambda = 2d - 2 one ulp of the multiplier moves the log disc
-        # by about 1.4e-9, so the bisection must return the better end
+        # by about 1.4e-9, so the solve must return the better of its last
+        # two iterates
         sol = solve_min_abs(0.5, 1000, disc)
         assert sol.regime == REGIME_MULTIPLIER
         closed = closed_form_disc(
@@ -196,6 +197,22 @@ def test_duality_roundtrip_near_crossover(log_p):
         back = solve_max_disc(a, d, fwd.achieved_m)
         assert fwd.regime == (REGIME_BINOMIAL if log_p < 0 else REGIME_MULTIPLIER)
         assert (back.regime, len(back.polys)) == (fwd.regime, len(fwd.polys)), (a, d)
+
+
+@pytest.mark.parametrize("log_p", [2e-8, -2e-8, 1e-8, -1e-8])
+def test_roundtrip_keeps_regime_at_the_window_edge(log_p):
+    # at a = 2, d = 20 the modulus and discriminant windows once differed
+    # twofold, so log p = +-1e-8 snapped in one solver and not the other;
+    # one window serves both now, in either direction of the round trip
+    a, d = 2.0, 20
+    log_m = (d - 1) * math.log(2.0) + d * math.log(a) - log_p
+    fwd = solve_min_abs(a, d, _disc_at_log_p(a, d, log_p))
+    back = solve_max_disc(a, d, fwd.achieved_m)
+    assert (back.regime, len(back.polys)) == (fwd.regime, len(fwd.polys))
+    fwd = solve_max_disc(a, d, math.exp(log_m))
+    back = solve_min_abs(a, d, fwd.achieved_disc.value)
+    assert (back.regime, len(back.polys)) == (fwd.regime, len(fwd.polys))
+    assert len(fwd.polys) == (2 if log_p < 0 else 1)
 
 
 def test_min_abs_is_minimal_against_perturbations():
