@@ -2,12 +2,11 @@
 
 Maximisers of the discriminant at fixed modulus |f(ai)| (below the
 boundary modulus 2^(d-1) a^d) form a one-parameter family indexed by a
-Lagrange multiplier lam. The family's coefficients and roots, both its
-targets in closed form and log space (the modulus as a Chu-Vandermonde
-product, the discriminant) and the one Newton solve that pins lam to
-either live here, together with general Jacobi/Gegenbauer expansions and
-the discriminant formula for Jacobi polynomials that the closed form is
-checked against.
+Lagrange multiplier lam. The family's coefficients and roots, its modulus
+(a Chu-Vandermonde product) and discriminant in closed log forms, and the
+one Newton solve that pins lam to either live here, together with general
+Jacobi/Gegenbauer expansions and the discriminant formula for Jacobi
+polynomials that the closed form is checked against.
 """
 
 import math
@@ -86,9 +85,8 @@ def family_roots(params: JacobiFamilyParams) -> list[float]:
     A zero diagonal pairs the eigenvalues as +-sigma, where the sigma are
     the singular values of the half-size lower-bidiagonal block that
     couples odd and even indices; odd d adds one exact zero. DomainError
-    when a radicand is not positive (never for lam >= 2d-2). Its factors
-    are taken over lam, so no lam up to float max overflows them.
-    """
+    when a radicand is not positive (never for lam >= 2d-2); its factors
+    are taken over lam, so none overflows."""
     a, d, lam = params.a, params.d, params.multiplier
     n = np.arange(1.0, d)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -117,11 +115,18 @@ def log_modulus_ratio(d: int, lam: float) -> float:
     2F1 at 1, is by Chu-Vandermonde the product over k < floor(d/2) of
     (lam - d + 2 + 2k + (d mod 2)) / (lam - 2d + 3 + 2k), whose log sums
     positive log1p terms: no cancellation or overflow at any degree."""
+    return _log_modulus_ratio_and_slope(d, lam)[0]
+
+
+def _log_modulus_ratio_and_slope(d: int, lam: float) -> tuple[float, float]:
+    """(log_modulus_ratio, its derivative in log lam) over one list of the
+    product's denominators x; lam d/dlam log1p(c/x) = -(c/x) lam/(x+c)."""
     if not isinstance(d, int) or d < 2:
         raise DomainError("d must be an integer >= 2")
     c = d - 1 + d % 2
-    xs = (lam - 2.0 * d + 3.0 + 2.0 * k for k in range(d // 2))
-    return math.fsum(math.log1p(c / x) for x in xs)
+    xs = [lam - 2.0 * d + 3.0 + 2.0 * k for k in range(d // 2)]
+    slope = -math.fsum(c / x * (lam / (x + c)) for x in xs)
+    return math.fsum(math.log1p(c / x) for x in xs), slope
 
 
 def solve_multiplier(a: float, d: int, modulus: float) -> float:
@@ -140,13 +145,10 @@ def solve_multiplier(a: float, d: int, modulus: float) -> float:
         raise RegimeError("modulus must exceed a^d")
     if log_t > (d - 1) * math.log(2.0) + 1e-12:
         raise RegimeError("modulus exceeds the boundary 2^(d-1) a^d")
-    c = d - 1 + d % 2
 
     def log_log_ratio(lam: float) -> tuple[float, float]:
-        s = log_modulus_ratio(d, lam)
-        # lam d/dlam log1p(c/x) = -(c/x) lam/(x+c): finite at any lam
-        xs = (lam - 2.0 * d + 3.0 + 2.0 * k for k in range(d // 2))
-        return math.log(s), -math.fsum(c / x * (lam / (x + c)) for x in xs) / s
+        s, slope = _log_modulus_ratio_and_slope(d, lam)
+        return math.log(s), slope / s
 
     return _newton_multiplier(log_log_ratio, math.log(log_t), d)
 
@@ -157,11 +159,11 @@ def _newton_multiplier(value_and_slope, target: float, d: int) -> float:
     F(2d-2) <= target. Newton steps in t from 2d-2, with no bracket: both
     targets, log log(m/a^d) and log disc, are decreasing and convex in t
     on [2d-2, inf) (checked at 40 digits for d <= 40 and d in {60, 101,
-    200, 500}, up to lam = 1e304). A tangent lies below a convex F, so each
-    step lands at or before the root and the iterates rise monotonically,
-    as in lemniscate._halfwidth_grid. Once a step no longer lowers
-    |F - target| rounding has taken over, and the better of the last two
-    iterates is returned. DomainError when lam leaves float range.
+    200, 500, 1100, 3000}, up to lam = 1e304). A tangent lies below a
+    convex F, so the iterates rise monotonically to the root, as in
+    lemniscate._halfwidth_grid; once a step no longer lowers |F - target|,
+    rounding has taken over and the better of the last two is returned.
+    DomainError when lam leaves float range or 100 steps do not settle.
     """
     lam = 2.0 * d - 2.0
     value, slope = value_and_slope(lam)
@@ -177,12 +179,12 @@ def _newton_multiplier(value_and_slope, target: float, d: int) -> float:
             log_lam = math.log(lam) + step
             raise DomainError("multiplier past float range (log lam = %.17g)" % log_lam)
         if nxt == lam:
-            break
+            return lam
         value, slope = value_and_slope(nxt)
         if not abs(value - target) < abs(err):
-            break
+            return lam
         lam, err = nxt, value - target
-    return lam
+    raise DomainError("multiplier solve did not settle in 100 steps (d = %d)" % d)
 
 
 def closed_form_disc(params: JacobiFamilyParams):
@@ -219,9 +221,8 @@ def closed_form_disc_slope(params: JacobiFamilyParams) -> float:
     - sum_k (2k-1) lam/(lam - 2k + 1) over closed_form_disc's ranges."""
     d, lam = params.d, params.multiplier
     terms = [2 * k * (lam / (lam - 2.0 * k)) for k in range(1, d // 2)]
-    terms += [
-        (1 - 2 * k) * (lam / (lam - 2.0 * k + 1.0)) for k in range((d + 1) // 2, d)
-    ]
+    top = range((d + 1) // 2, d)
+    terms += [(1 - 2 * k) * (lam / (lam - 2.0 * k + 1.0)) for k in top]
     return math.fsum(terms)
 
 

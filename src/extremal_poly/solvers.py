@@ -99,10 +99,8 @@ def _dispatch(
     within half of it leaves room for the rounding of the target."""
     log_m = (d - 1) * math.log(2.0) + d * math.log(a)
     # log p at disc = 1 is the boundary member's log disc over 2d-2
-    log_disc_rate = bf.log_phase_ratio(a, d, 1.0)
-    window = _BOUNDARY_SNAP * min(
-        max(1.0, abs(log_m)), max(1.0 / (2.0 * d - 2.0), abs(log_disc_rate))
-    )
+    log_disc_rate = max(1.0 / (2.0 * d - 2.0), abs(bf.log_phase_ratio(a, d, 1.0)))
+    window = _BOUNDARY_SNAP * min(max(1.0, abs(log_m)), log_disc_rate)
     if abs(log_p) <= 0.5 * window:
         poly = poly_from_roots(bf.lattice_roots(a, d, 0.0))
         return _finish(problem, REGIME_BINOMIAL, [poly], a, 0.0)

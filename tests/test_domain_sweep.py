@@ -34,6 +34,10 @@ LOG_PS = [
     230.0, 50.0, 2.0, 0.3, 1e-6, 0.0, -1e-6, -0.3, -2.0, -10.0, -40.0, -150.0,
     -400.0, -700.0,
 ]
+# degrees past DEGREES, on the multiplier side only, at a height where
+# the boundary modulus 2^(d-1) a^d is a float (at a = 1 it overflows past
+# d = 1025); d = 1100 is where the linear-space modulus target overflowed
+FAR_DEGREES = [(0.5, 1100), (0.5, 3000)]
 # a tiny height whose pole root is far past the smallest normal p
 EXTRA = [(1e-14, 2, -735.0), (1e-14, 2, -741.0)]
 # (a, d, disc) targets of solve_min_abs that missed with exit 0
@@ -104,6 +108,13 @@ def _cases():
             for log_p in LOG_PS:
                 yield a, d, log_p
     yield from EXTRA
+
+
+def _far_moduli():
+    for a, d in FAR_DEGREES:
+        for log_p in LOG_PS:
+            if log_p > 0.0:
+                yield a, d, math.exp(_log_m(a, d, log_p))
 
 
 def test_domain_sweep():
@@ -179,5 +190,19 @@ def test_multiplier_solves_are_short(monkeypatch):
         if m is not None and log_p < (d - 1) * math.log(2.0):
             jf.solve_multiplier(a, d, m)
         _multiplier_from_disc(a, d, _log_disc(a, d, log_p))
+    for a, d, m in _far_moduli():
+        jf.solve_multiplier(a, d, m)
     assert len(counts) > 150
     assert max(counts) <= 12
+
+
+def test_far_degree_modulus_solves():
+    # the modulus solve meets log m at the lam it returns to within a few
+    # ulps of lam; at d = 1100 the whole answer is checked from its roots
+    for a, d, m in _far_moduli():
+        lam = jf.solve_multiplier(a, d, m)
+        got = d * math.log(a) + jf.log_modulus_ratio(d, lam)
+        assert rel_log_diff(got, math.log(m)) <= 1e-11, (a, d, m, lam)
+        if d < 3000:
+            sol = solve_max_disc(a, d, m)
+            assert _check_solution(sol, a, math.log(m), "m") is None, (a, d, m)

@@ -11,6 +11,7 @@ from extremal_poly.errors import DomainError, PoleError, RegimeError
 from extremal_poly.jacobi_family import (
     JacobiFamilyParams,
     JacobiParams,
+    _newton_multiplier,
     closed_form_disc,
     closed_form_disc_slope,
     degenerate_family_coeffs,
@@ -82,10 +83,14 @@ def _series_tail(d, lam):
 
 
 def test_log_modulus_ratio_boundary_is_power_of_two():
-    for d in (*range(2, 11), 100, 1000, 3000):
-        assert log_modulus_ratio(d, 2.0 * d - 2.0) == pytest.approx(
-            (d - 1) * math.log(2.0), rel=1e-13
-        )
+    # m / a^d = 2^(d-1) at lam = 2d-2 to 1e-13 relative, as for the series
+    for d in range(2, 11):
+        got = log_modulus_ratio(d, 2.0 * d - 2.0)
+        assert abs(got - (d - 1) * math.log(2.0)) <= 1e-13
+    # a few ulps of the log at large degree
+    for d in (100, 1000, 3000):
+        got = log_modulus_ratio(d, 2.0 * d - 2.0)
+        assert got == pytest.approx((d - 1) * math.log(2.0), rel=1e-15, abs=0.0)
 
 
 def test_log_modulus_ratio_decreasing():
@@ -141,6 +146,15 @@ def test_closed_form_disc_slope_is_the_derivative():
             got = closed_form_disc_slope(JacobiFamilyParams(a=0.7, d=d, multiplier=lam))
             assert got < 0.0
             assert got == pytest.approx(want, rel=1e-6, abs=1e-6), (d, lam)
+
+
+def test_newton_multiplier_names_a_solve_that_does_not_settle():
+    # steps that always lower the residual but never reach the target
+    def crawl(lam):
+        return 1.0 / lam, -1e6
+
+    with pytest.raises(DomainError, match="did not settle"):
+        _newton_multiplier(crawl, 0.0, 2)
 
 
 def test_solve_multiplier_cubic_value():
