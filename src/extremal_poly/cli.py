@@ -16,8 +16,8 @@ from .energy import solve_equilibrium
 from .errors import ExtremalPolyError, InputError
 from .lemniscate import (
     largest_disk,
-    radius_lower_bound,
-    radius_upper_bound,
+    log_radius_upper_bound,
+    radius_lower_bound_at_log,
     vertical_halfwidth,
 )
 from .poly_core import TOL_ORACLE, log_disc_from_roots, poly_from_roots
@@ -64,6 +64,14 @@ def log_disc_to_dict(ld) -> dict:
     if ld.sign != 0 and ld.log_abs < _VALUE_CUTOFF:
         value = ld.value
     return {"sign": ld.sign, "log_abs": ld.log_abs, "value": value}
+
+
+def _exp_or_null(log_x: float) -> float | None:
+    # e^log_x, or null where it is not a float: past 1e300 it nears
+    # overflow, and below 1e-300 it loses digits to subnormals or to 0
+    if abs(log_x) < _VALUE_CUTOFF:
+        return math.exp(log_x)
+    return None
 
 
 def _coeffs_or_null(poly):
@@ -176,12 +184,11 @@ def _cmd_lemniscate(args) -> int:
         if ld.sign != 1:
             bounds = {"disc": 0.0, "upper": None, "lower": None}
         else:
-            disc = math.exp(ld.log_abs) if ld.log_abs < _VALUE_CUTOFF else None
             d = poly.degree
             bounds = {
-                "disc": disc,
-                "upper": radius_upper_bound(d, disc) if disc else None,
-                "lower": radius_lower_bound(d, disc) if disc else None,
+                "disc": _exp_or_null(ld.log_abs),
+                "upper": _exp_or_null(log_radius_upper_bound(d, ld.log_abs)),
+                "lower": radius_lower_bound_at_log(d, ld.log_abs),
             }
     print(canonical_json(disk_to_dict(disk, bounds)))
     return 0

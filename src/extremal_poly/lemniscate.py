@@ -9,6 +9,7 @@ this module to the rest of the package.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,12 +282,18 @@ def radius_upper_bound(d: int, disc: float) -> float:
     """Upper bound on the inscribed-disk radius over all degree-d unit
     lemniscates whose polynomial has discriminant >= disc."""
     _check_bound_args(d, disc)
-    log_r = (
+    return math.exp(log_radius_upper_bound(d, math.log(disc)))
+
+
+def log_radius_upper_bound(d: int, log_disc: float) -> float:
+    """log radius_upper_bound(d, e^log_disc), also where e^log_disc or the
+    bound is past float range."""
+    _check_degree(d)
+    return (
         math.log(d) / (d - 1.0)
         - math.log(2.0)
-        - math.log(disc) / (d * (d - 1.0))
+        - log_disc / (d * (d - 1.0))
     )
-    return math.exp(log_r)
 
 
 def radius_lower_bound(d: int, disc: float) -> float | None:
@@ -297,15 +304,32 @@ def radius_lower_bound(d: int, disc: float) -> float | None:
     the whole window from below.
     """
     _check_bound_args(d, disc)
-    log_disc = math.log(disc)
-    if log_disc < 0.0 or log_disc > (1.0 - d) * math.log(2.0) + d * math.log(d):
+    return radius_lower_bound_at_log(d, math.log(disc))
+
+
+def radius_lower_bound_at_log(d: int, log_disc: float) -> float | None:
+    """radius_lower_bound(d, e^log_disc), also where e^log_disc is past
+    float range.
+
+    The window is closed up to rounding: a log_disc within 4 ulps (of
+    max(1, |edge|)) past an edge counts as on it, as a log disc from
+    rounded roots lands there (roots +-sqrt(1/2) give 2 + 4e-16).
+    """
+    _check_degree(d)
+    top = (1.0 - d) * math.log(2.0) + d * math.log(d)
+    slack = 4.0 * sys.float_info.epsilon
+    if not -slack <= log_disc <= top + slack * max(1.0, top):
         return None
     return math.exp(bf.log_threshold_height(d, 0.0))
 
 
-def _check_bound_args(d: int, disc: float) -> None:
+def _check_degree(d: int) -> None:
     if not isinstance(d, int) or d < 2:
         raise DomainError("d must be an integer >= 2")
+
+
+def _check_bound_args(d: int, disc: float) -> None:
+    _check_degree(d)
     if disc <= 0 or not math.isfinite(disc):
         raise DomainError("discriminant must be positive and finite")
 

@@ -234,6 +234,38 @@ class TestLemniscateCommand:
         assert doc["bounds"]["upper"] == pytest.approx(math.sqrt(0.5), rel=1e-12)
         assert doc["bounds"]["lower"] == pytest.approx(0.5, rel=1e-12)
 
+    def test_bounds_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "lemniscate", "--roots=0,1,2", "--bounds")
+        assert code == 0
+        assert out == (
+            '{"center_x":1,"radius":0.68232780382801927,"boundary_point":'
+            '{"re":1,"im":0.68232780382801927},"has_interior":true,"bounds":'
+            '{"disc":4,"upper":0.68736481849930142,"lower":0.45824321233286747}}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "roots,upper",
+        [
+            # disc = 1e-400 is positive and not a float; upper = disc^(-1/2)
+            ("0,1e-200", 1e200),
+            # disc = 4e360; upper = (sqrt 3 / 2) disc^(-1/6)
+            ("-1e60,0,1e60", math.sqrt(3.0) / 2.0 * 4.0 ** (-1.0 / 6.0) * 1e-60),
+            # disc = 2.5e-647 and its upper bound e^744 are both past float range
+            ("0,5e-324", None),
+        ],
+    )
+    def test_bounds_past_float_range(self, capsys, roots, upper):
+        code, out, err = run_cli(capsys, "lemniscate", "--roots=" + roots, "--bounds")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["bounds"]["disc"] is None
+        assert doc["bounds"]["lower"] is None
+        if upper is None:
+            assert doc["bounds"]["upper"] is None
+        else:
+            assert doc["bounds"]["upper"] == pytest.approx(upper, rel=1e-12)
+            assert doc["radius"] <= doc["bounds"]["upper"]
+
     def test_single_root_rejected(self, capsys):
         code, _, err = run_cli(capsys, "lemniscate", "--roots", "1")
         assert code == 2

@@ -132,6 +132,27 @@ def test_log_modulus_ratio_past_float_range():
     assert got == pytest.approx(784.38194449717, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [30, 1000, 3000, 10_000])
+def test_closed_form_disc_matches_mpmath(d):
+    # each float term is an integer times a correctly rounded log of an
+    # exact integer (or of a), good to 1.5 ulps of itself, and the fsum
+    # rounds once: bound 4 eps times the summed magnitudes
+    mp = pytest.importorskip("mpmath")
+    a = 0.7
+    with mp.workdps(40):
+        fixed = [d * (d - 1) * mp.log(mp.mpf(a))]
+        fixed += [k * mp.log(k) for k in range(1, d + 1)]
+        for lam in (2.0 * d - 2.0, 3.0 * d, 10.0 * d):
+            terms = [2 * k * mp.log(int(lam) - 2 * k) for k in range(1, d // 2)]
+            top = range((d + 1) // 2, d)
+            terms += [-(2 * k - 1) * mp.log(int(lam) - 2 * k + 1) for k in top]
+            want = float(mp.fsum(fixed + terms))
+            size = float(mp.fsum(abs(t) for t in fixed + terms))
+            got = closed_form_disc(JacobiFamilyParams(a=a, d=d, multiplier=lam))
+            assert got.sign == 1
+            assert abs(got.log_abs - want) <= 4.0 * sys.float_info.epsilon * size, lam
+
+
 def test_closed_form_disc_slope_is_the_derivative():
     # central differences of the log disc in log lam
     for d in (2, 3, 4, 7, 30, 301):

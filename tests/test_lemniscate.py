@@ -11,7 +11,9 @@ from extremal_poly.lemniscate import (
     _halfwidth_grid,
     _scan,
     largest_disk,
+    log_radius_upper_bound,
     radius_lower_bound,
+    radius_lower_bound_at_log,
     radius_upper_bound,
     vertical_halfwidth,
 )
@@ -238,6 +240,23 @@ def test_radius_bounds_spec_values():
     assert radius_lower_bound(2, 0.5) is None  # below the window
     assert radius_lower_bound(3, 1.0) == pytest.approx(
         2.0 ** (2.0 / 3.0 - 1.0) * 3.0 ** (-0.5), rel=1e-14
+    )
+
+
+def test_radius_bounds_in_log_form():
+    # at d = 200 the window reaches disc = e^921.7, past float range
+    inside = radius_lower_bound(200, 1.0)
+    assert radius_lower_bound_at_log(200, 800.0) == inside
+    assert radius_lower_bound_at_log(200, 930.0) is None
+    # an ulp past either edge, as from rounded roots, is on it
+    assert radius_lower_bound_at_log(2, math.log(2.0) + 2.0**-52) == 0.5
+    assert radius_lower_bound_at_log(2, -(2.0**-52)) == 0.5
+    assert radius_lower_bound_at_log(2, math.log(2.0) + 1e-12) is None
+    assert radius_lower_bound_at_log(2, -1e-12) is None
+    # d = 2: the bound is disc^(-1/2), also where neither is a float
+    assert log_radius_upper_bound(2, 2000.0) == pytest.approx(-1000.0, rel=1e-15)
+    assert radius_upper_bound(3, 8.0) == pytest.approx(
+        math.exp(log_radius_upper_bound(3, math.log(8.0))), rel=1e-15
     )
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import struct
 import sys
@@ -11,7 +12,10 @@ import pytest
 from extremal_poly import poly_core
 from extremal_poly.errors import DomainError, InputError
 from extremal_poly.poly_core import (
+    _BINADE_MIN_PAIRS,
+    _PAIR_BLOCK,
     _ROW_EXPAND_DEGREE,
+    _binade_sums,
     _expand_monic_loop,
     _expand_monic_rows,
     LogDiscriminant,
@@ -218,6 +222,84 @@ def test_log_disc_overflowing_gap_is_inf(roots):
         warnings.simplefilter("error")
         ld = log_disc_from_roots(poly_from_roots(roots))
     assert ld == LogDiscriminant(1, math.inf)
+
+
+def _fsum_of_every_log(rs) -> LogDiscriminant:
+    # reference: the kernel's row blocks, every np.log of a positive gap
+    # as a Python float, one fsum over all of them
+    xs = np.array(sorted(rs))
+    if np.any(xs[1:] == xs[:-1]):
+        return LogDiscriminant.zero()
+    rows = max(1, _PAIR_BLOCK // xs.size)
+    with np.errstate(over="ignore"):
+        blocks = [
+            xs[j + 1 :] - xs[j : j + rows, None]
+            for j in range(0, xs.size - 1, rows)
+        ]
+        logs = [np.log(gaps[gaps > 0]).tolist() for gaps in blocks]
+    return LogDiscriminant(1, 2.0 * math.fsum(itertools.chain.from_iterable(logs)))
+
+
+# smallest degree whose one block is summed by binade
+_BINADE_D = next(d for d in itertools.count(2) if d * (d - 1) // 2 >= _BINADE_MIN_PAIRS)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [2, 3, 8, _BINADE_D - 1, _BINADE_D, _BINADE_D + 1, 127, 128, 129, 300, 1000, 3000],
+)
+def test_log_disc_binade_sums_match_fsum_of_every_log(d):
+    p = poly_from_roots(np.random.default_rng(d).uniform(-3.0, 3.0, size=d))
+    assert log_disc_from_roots(p) == _fsum_of_every_log(p.roots)
+
+
+def _spread(rng, d):
+    # magnitudes from 1e-300 to 1e300, either sign
+    return rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-300.0, 300.0, d)
+
+
+def _clustered(rng, d):
+    # integers moved by about 1e-9, so gaps near 1 put logs in many binades
+    return np.arange(d) + rng.uniform(-1e-9, 1e-9, d)
+
+
+def _unit_gaps(rng, d):
+    # gaps of exactly 1, whose log is 0, beside gaps of 2, 3, ...
+    return np.arange(d, dtype=float) - d // 2
+
+
+def _past_float_range(rng, d):
+    # a block of more than _BINADE_MIN_PAIRS gaps holding inf ones
+    return 1e308 * rng.uniform(-1.0, 1.0, d)
+
+
+@pytest.mark.parametrize("roots", [_spread, _clustered, _unit_gaps, _past_float_range])
+@pytest.mark.parametrize("d", [_BINADE_D + 7, 300])
+def test_log_disc_binade_sums_match_fsum_on_extreme_gaps(roots, d):
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        p = poly_from_roots(roots(rng, d))
+        assert log_disc_from_roots(p) == _fsum_of_every_log(p.roots)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [1.0, 2.0**-53],  # half-way, ties to the even 1.0
+        [1.0 + 2.0**-52, 2.0**-53],  # half-way, ties up to 1 + 2^-51
+        [1.0, 2.0**-53, 2.0**-105],  # just past half-way
+        [1.0, -(2.0**-54)],  # half-way below 1
+        [-1.0, -(2.0**-53), 0.0],
+        [2.0**-52, 1.0, -(2.0**-53), 3.0, -3.0],
+        [0.1] * 1000 + [2.0**-60, -744.4, 709.8],
+        [0.0, 0.0],
+    ],
+)
+def test_binade_sums_round_like_fsum(terms):
+    parts = _binade_sums(np.array(terms))
+    assert math.fsum(parts) == math.fsum(terms)
+    binades = {math.frexp(t)[1] for t in terms}
+    assert len(parts) <= 2 * (max(binades) - min(binades) + 1)
 
 
 def test_log_disc_bounded_memory_at_degree_3000():
