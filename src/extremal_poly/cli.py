@@ -59,19 +59,19 @@ def canonical_json(obj) -> str:
     raise TypeError("cannot serialize %r" % type(obj))
 
 
-def log_disc_to_dict(ld) -> dict:
-    value = None
-    if ld.sign != 0 and ld.log_abs < _VALUE_CUTOFF:
-        value = ld.value
-    return {"sign": ld.sign, "log_abs": ld.log_abs, "value": value}
-
-
 def _exp_or_null(log_x: float) -> float | None:
     # e^log_x, or null where it is not a float: past 1e300 it nears
     # overflow, and below 1e-300 it loses digits to subnormals or to 0
     if abs(log_x) < _VALUE_CUTOFF:
         return math.exp(log_x)
     return None
+
+
+def log_disc_to_dict(ld) -> dict:
+    value = _exp_or_null(ld.log_abs) if ld.sign != 0 else None
+    if value is not None:
+        value *= ld.sign
+    return {"sign": ld.sign, "log_abs": ld.log_abs, "value": value}
 
 
 def _coeffs_or_null(poly):

@@ -24,10 +24,12 @@ from .poly_core import (
     rel_log_diff,
 )
 
-# Center-root pairs per _halfwidth_grid call of the grid scan: the
-# 65 d^2 pairs of a d <= 63 scan go in one call, and at any degree a
-# call's temporaries stay near 15 MB.
+# Center-root pairs per _halfwidth_grid call of a scan: the at most
+# 8 (d + 1) d pairs of a candidate scan with d <= 180 go in one call, and
+# at any degree a call's temporaries stay near 15 MB.
 _CHUNK_ELEMENTS = 1 << 18
+# Candidate centers per gap between consecutive knots of largest_disk.
+_GAP_SAMPLES = 8
 # Probes of the Newton refinement, beyond which the best one is kept.
 _MAX_PROBES = 100
 
@@ -179,69 +181,54 @@ def _slope_and_curvature(roots: np.ndarray, x: float, s: float) -> tuple[float, 
     return float(slope), float(curv) / c
 
 
-def largest_disk(
-    p: RealRootedPoly, interval: tuple[float, float] | None = None
-) -> DiskResult:
-    """Largest disk centered on the real axis inside |f| <= 1.
+def _peaks(xs: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Indices of the candidates worth refining, in increasing order: the
+    discrete local maxima of s = width^2 (the first of a plateau) whose
+    parabola through their two neighbours peaks at or above the largest
+    sampled s. The best candidate is always one of them. So is a rival
+    local peak that its samples may have missed by more than it trails
+    the best sample: two components can peak within 1e-6 of each other
+    across one wide gap, far less than its samples miss either peak by.
 
-    The radius equals the maximal vertical halfwidth (disk-union
-    structure of real-rooted lemniscates). Candidate centers are a
-    uniform grid of 64 d points over the interval (default: root span
-    padded by 1, outside which |f| > 1 always) plus the roots themselves,
-    whose halfwidths are positive no matter how coarse the grid. Their
-    halfwidths come from _halfwidth_grid, in chunks of bounded size.
-
-    The best candidate is refined by a safeguarded Newton iteration on
-    the slope of s = halfwidth^2, inside the bracket of one grid step to
-    either side. At each probe the sign of s' moves one bracket end to
-    the probe; the next probe is the Newton point x - s'/s'' when s'' < 0
-    and the point lies inside the bracket, the bracket midpoint
-    otherwise. A probe outside the lemniscate (s = 0) cuts the bracket
-    on its side of the best probe. The search stops once the bracket is
-    below 1e-10 wide, the Newton step is below one ulp of the center, the
-    bracket has no float left inside it, or after _MAX_PROBES probes.
-    Every s comes from _halfwidth_grid; the disk is the probe with the
-    largest s (the later one on ties), which is the best grid candidate
-    when no probe beats it.
-
-    Raises InputError when the roots and the interval span more than
-    about 1.3e154, where the squared center-root differences overflow,
-    and when a root lies in the interval but every halfwidth is 0: the
-    disk around a root has positive radius, so there its square
-    underflowed.
+    A concave parabola peaks at or above its middle sample, so an end
+    candidate, a flat triple or a triple with coincident centers counts
+    with its own s.
     """
-    rs = np.asarray(p.roots, dtype=float)
-    if interval is None:
-        interval = (float(rs[0]) - 1.0, float(rs[-1]) + 1.0)
-    lo_b, hi_b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(lo_b) and math.isfinite(hi_b)) or hi_b <= lo_b:
-        raise InputError("interval must be finite with positive width")
-    _check_span(rs, lo_b, hi_b)
+    s = widths * widths
+    top = s.copy()
+    x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
+    s0, s1, s2 = s[:-2], s[1:-1], s[2:]
+    with np.errstate(all="ignore"):
+        left = (s1 - s0) / (x1 - x0)
+        half_curv = ((s2 - s1) / (x2 - x1) - left) / (x2 - x0)
+        slope = left + half_curv * (x1 - x0)
+        vertex = s1 - slope * slope / (4.0 * half_curv)
+    top[1:-1] = np.where(half_curv < 0.0, np.fmax(vertex, s1), s1)
+    rises = np.concatenate([[True], s[1:] > s[:-1]])
+    holds = np.concatenate([s[:-1] >= s[1:], [True]])
+    return np.flatnonzero(rises & holds & (top >= s.max()))
 
-    n = 64 * rs.size
-    grid = np.linspace(lo_b, hi_b, n)
-    inside = rs[(rs >= lo_b) & (rs <= hi_b)]
-    candidates = np.concatenate([grid, inside])
-    widths = _scan(rs, candidates)
-    j = int(np.argmax(widths))
-    best_c, best_r = float(candidates[j]), float(widths[j])
 
-    if best_r <= 0.0:
-        if inside.size:
-            # the disk around a root has positive radius, so its square
-            # fell below the smallest float
-            raise InputError(
-                "the disks around the roots are too small for their "
-                "squared radii to be floats"
-            )
-        return DiskResult(
-            center_x=best_c, radius=0.0,
-            boundary_point=complex(best_c, 0.0), has_interior=False,
-        )
+def _refine(
+    rs: np.ndarray, xs: np.ndarray, widths: np.ndarray, j: int
+) -> tuple[float, float]:
+    """(center, halfwidth) of the best probe of a safeguarded Newton
+    iteration on the slope of s = halfwidth^2 from candidate j, inside
+    the bracket of its two neighbours among the sorted candidates xs.
 
-    step = (hi_b - lo_b) / (n - 1)
-    lo = max(best_c - step, lo_b)
-    hi = min(best_c + step, hi_b)
+    At each probe the sign of s' moves one bracket end to the probe; the
+    next probe is the Newton point x - s'/s'' when s'' < 0 and the point
+    lies inside the bracket, the bracket midpoint otherwise. A probe
+    outside the lemniscate (s = 0) cuts the bracket on its side of the
+    best probe. The search stops once the bracket is below 1e-10 wide,
+    the Newton step is below one ulp of the center, the bracket has no
+    float left inside it, or after _MAX_PROBES probes. Every s comes from
+    _halfwidth_grid; the best probe is the one with the largest s (the
+    later one on ties), which is candidate j when no probe beats it.
+    """
+    lo = float(xs[max(j - 1, 0)])
+    hi = float(xs[min(j + 1, xs.size - 1)])
+    best_c, best_r = float(xs[j]), float(widths[j])
     x, s = best_c, best_r * best_r
     for _ in range(_MAX_PROBES):
         if s > 0.0:
@@ -272,6 +259,74 @@ def largest_disk(
         s = r * r
         if r >= best_r:
             best_c, best_r = x, r
+    return best_c, best_r
+
+
+def largest_disk(
+    p: RealRootedPoly, interval: tuple[float, float] | None = None
+) -> DiskResult:
+    """Largest disk centered on the real axis inside |f| <= 1.
+
+    The radius equals the maximal vertical halfwidth (disk-union
+    structure of real-rooted lemniscates). Every component of |f| <= 1
+    holds a root, and |f| > 1 outside the root span padded by 1, so the
+    candidate centers are seeded from the roots. The knots are the roots
+    in the interval (default: the padded span) and the interval's ends,
+    clipped to the padded span; the candidates are _GAP_SAMPLES equally
+    spaced points in each gap between consecutive knots, the gap's left
+    knot included, and the last knot. So about 8 (d + 1) centers are
+    scanned, the roots among them, whose halfwidths are positive however
+    wide their gaps. Their halfwidths come from _halfwidth_grid, in
+    chunks of bounded size.
+
+    Each candidate that _peaks selects (the best one, and any local peak
+    whose parabolic top reaches the best sample) is refined by _refine
+    inside the bracket of its two neighbours, and the disk is the best of
+    those refinements, the leftmost on ties. An interval that misses the
+    padded span, or holds no center of positive halfwidth, gives the
+    empty disk at its lower end.
+
+    Raises InputError when the roots and the interval span more than
+    about 1.3e154, where the squared center-root differences overflow,
+    and when a root lies in the interval but every halfwidth is 0: the
+    disk around a root has positive radius, so there its square
+    underflowed.
+    """
+    rs = np.asarray(p.roots, dtype=float)
+    if interval is None:
+        interval = (float(rs[0]) - 1.0, float(rs[-1]) + 1.0)
+    lo_b, hi_b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(lo_b) and math.isfinite(hi_b)) or hi_b <= lo_b:
+        raise InputError("interval must be finite with positive width")
+    _check_span(rs, lo_b, hi_b)
+
+    # every halfwidth outside the padded root span is 0
+    lo = max(lo_b, float(rs[0]) - 1.0)
+    hi = min(hi_b, float(rs[-1]) + 1.0)
+    inside = rs[(rs >= lo_b) & (rs <= hi_b)]
+    if lo <= hi:
+        knots = np.unique(np.concatenate([[lo], inside, [hi]]))
+        fractions = np.arange(_GAP_SAMPLES) / _GAP_SAMPLES
+        gaps = knots[:-1, None] + np.diff(knots)[:, None] * fractions
+        candidates = np.append(gaps.ravel(), knots[-1])
+        widths = _scan(rs, candidates)
+    if lo > hi or widths.max() <= 0.0:
+        if inside.size:
+            # the disk around a root has positive radius, so its square
+            # fell below the smallest float
+            raise InputError(
+                "the disks around the roots are too small for their "
+                "squared radii to be floats"
+            )
+        return DiskResult(
+            center_x=lo_b, radius=0.0,
+            boundary_point=complex(lo_b, 0.0), has_interior=False,
+        )
+
+    best_c, best_r = max(
+        (_refine(rs, candidates, widths, j) for j in _peaks(candidates, widths)),
+        key=lambda disk: disk[1],
+    )
     return DiskResult(
         center_x=best_c, radius=best_r,
         boundary_point=complex(best_c, best_r), has_interior=True,

@@ -197,6 +197,23 @@ class TestSolveCommands:
         got = doc["log_disc"]["log_abs"]
         assert rel_log_diff(got, math.log(float(disc))) <= TOL_ORACLE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve-disc", "--a", "1e-100", "--d", "4", "--m", "1e-300"),
+            ("solve-min", "--a", "1e-100", "--d", "3", "--disc", "1e-320"),
+        ],
+    )
+    def test_discriminant_below_float_range_is_null(self, capsys, argv):
+        # log disc is about -1384 and -737: the plain value would print as
+        # 0 or as a subnormal, so only (sign, log_abs) carry it
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out.count('"value":null') == 1
+        log_disc = json.loads(out)["log_disc"]
+        assert log_disc["sign"] == 1 and log_disc["value"] is None
+        assert log_disc["log_abs"] < math.log(1e-300)
+
     @pytest.mark.parametrize("frac,regime", [(0.999, "g_family"), (1.01, "f_family")])
     def test_overflowing_coeffs_are_null(self, capsys, frac, regime):
         m = repr(2.0 ** (frac * 999))

@@ -167,6 +167,76 @@ def test_largest_disk_beats_roots_and_midpoints(d):
         assert disk.radius >= float(np.max(_halfwidth_grid(roots, probes)))
 
 
+def _root_set(kind, d, rng):
+    if kind == "uniform":
+        return np.sort(rng.uniform(-2.0, 2.0, d))
+    if kind == "cauchy":
+        return np.sort(rng.standard_cauchy(d))
+    # tight clusters far apart: the components around two clusters can
+    # peak within 1e-6 of each other across a gap that 8 samples span
+    centers = rng.uniform(-3.0, 3.0, 3)
+    return np.sort(centers[rng.integers(0, 3, d)] + rng.normal(0.0, 1e-3, d))
+
+
+@pytest.mark.parametrize("d", [6, 20, 50])
+@pytest.mark.parametrize(
+    "kind", ["uniform", "cauchy", "clustered", "below_crossover", "above_crossover"]
+)
+def test_largest_disk_never_beaten_by_uniform_grid(kind, d):
+    # the root-seeded candidates must do as well as a uniform grid of
+    # 64 d centers over the padded span plus the roots, to roundoff
+    rng = np.random.default_rng(6400 + d)
+    if kind.endswith("crossover"):
+        u = 0.6 if kind.startswith("below") else 1.3
+        m = math.exp(d * math.log(0.7) + u * (d - 1) * math.log(2.0))
+        sets = [np.array(solve_max_disc(0.7, d, m).polys[0].roots)]
+    else:
+        sets = [_root_set(kind, d, rng) for _ in range(8)]
+    for roots in sets:
+        xs = np.concatenate(
+            [np.linspace(roots[0] - 1.0, roots[-1] + 1.0, 64 * d), roots]
+        )
+        grid_best = float(np.max(_halfwidth_grid(roots, xs)))
+        disk = largest_disk(poly_from_roots(roots))
+        assert disk.radius >= (1.0 - 4e-15) * grid_best
+
+
+def test_largest_disk_takes_the_taller_of_two_close_peaks():
+    # two tight clusters whose components peak 1.6e-6 (relative) apart,
+    # near either end of one wide gap; the best sample lies under the
+    # lower peak, so refining only the best candidate gives that one
+    roots = np.array([
+        -0.1139, -0.11318, -0.11308, -0.11288, -0.11249, -0.11247, -0.11214,
+        -0.11145, -0.11056, -0.10922, -0.10894, 1.56551, 1.56845, 1.56858,
+        1.56862, 1.57007, 1.57012, 1.57057, 1.57132, 1.57168, 1.5722, 1.57288,
+    ])
+    coarse = np.linspace(roots[0] - 1.0, roots[-1] + 1.0, 4001)
+    w = _halfwidth_grid(roots, coarse)
+    tops = []
+    for j in np.flatnonzero((w[1:-1] > w[:-2]) & (w[1:-1] >= w[2:])) + 1:
+        fine = np.linspace(coarse[j - 1], coarse[j + 1], 4001)
+        tops.append(float(np.max(_halfwidth_grid(roots, fine))))
+    assert len(tops) == 2 and abs(tops[0] / tops[1] - 1.0) < 2e-6
+    disk = largest_disk(poly_from_roots(roots))
+    assert disk.radius >= (1.0 - 4e-15) * max(tops)
+
+
+def test_largest_disk_wide_interval_is_clipped():
+    rng = np.random.default_rng(11)
+    p = poly_from_roots(rng.uniform(-1.0, 1.0, 9))
+    assert largest_disk(p, interval=(-1e6, 1e6)) == largest_disk(p)
+
+
+def test_largest_disk_interval_inside_one_gap():
+    roots = np.array([-1.0, -0.3, 0.4, 1.1])
+    lo, hi = -0.25, -0.05
+    disk = largest_disk(poly_from_roots(roots), interval=(lo, hi))
+    assert disk.has_interior
+    assert lo <= disk.center_x <= hi
+    xs = np.linspace(lo, hi, 20001)
+    assert disk.radius >= float(np.max(_halfwidth_grid(roots, xs)))
+
+
 def test_largest_disk_far_from_origin():
     # centers near 1e6 have an ulp above 1e-10; the search must still
     # stop, and x^2 - 1/4 shifted there has radius sqrt(3)/2 at its middle
