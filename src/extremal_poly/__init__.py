@@ -42,10 +42,10 @@ from .jacobi_family import (
 from .solvers import (
     ExtremalSolution,
     OracleResult,
-    lagrange_residuals,
     numeric_oracle_max_disc,
     solve_max_disc,
     solve_min_abs,
+    stationarity_residual,
 )
 from .lemniscate import (
     DiskResult,
@@ -97,7 +97,6 @@ __all__ = [
     "inscribed_disk_poly",
     "jacobi_coeffs",
     "jacobi_disc",
-    "lagrange_residuals",
     "largest_disk",
     "lattice_roots",
     "log_disc_from_roots",
@@ -115,6 +114,7 @@ __all__ = [
     "solve_max_disc",
     "solve_min_abs",
     "solve_multiplier",
+    "stationarity_residual",
     "vertical_halfwidth",
     "__version__",
 ]

@@ -129,6 +129,8 @@ def _parse_roots(text: str) -> list[float]:
         raise InputError("could not parse --roots: %s" % exc) from None
     if len(roots) < 2:
         raise InputError("--roots needs at least two comma-separated reals")
+    if not all(math.isfinite(r) for r in roots):
+        raise InputError("roots must be finite")
     return roots
 
 

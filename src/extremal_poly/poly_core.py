@@ -141,14 +141,6 @@ def poly_from_roots(roots) -> RealRootedPoly:
     return RealRootedPoly(roots=tuple(rs))
 
 
-def eval_coeffs(coeffs, x: float) -> float:
-    """Horner evaluation of an ascending coefficient list."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def log_modulus_at_ai(roots, a: float) -> float:
     """log |f(ai)| from roots, safe for any degree."""
     if a <= 0:

@@ -12,7 +12,8 @@ A multi-start ascent oracle is included for certifying the closed forms
 numerically; it never looks at either family. It takes reduced Newton
 steps on the KKT system of the pairwise log product under the modulus
 constraint and stops each start once a step gains no more than
-1e-12 (1 + |g|) or no halved step gains at all.
+1e-12 (1 + |g|) or no halved step gains at all. Its KKT gradients also
+serve stationarity_residual, the roots-only check of an answer.
 """
 
 import math
@@ -22,12 +23,11 @@ import numpy as np
 
 from . import binomial_family as bf
 from . import jacobi_family as jf
-from .errors import DomainError, RegimeError
+from .errors import DomainError, InputError, RegimeError
 from .poly_core import (
     LogDiscriminant,
     RealRootedPoly,
     _exp_or_inf,
-    eval_coeffs,
     log_disc_from_roots,
     log_modulus_at_ai,
     poly_from_roots,
@@ -157,42 +157,6 @@ def _multiplier_from_disc(a: float, d: int, log_disc: float) -> float:
     return jf._newton_multiplier(log_disc_and_slope, log_disc, d)
 
 
-def lagrange_residuals(p: RealRootedPoly, lam: float) -> tuple[float, float]:
-    """(ode_residual, recurrence_residual) of the stationarity conditions
-    at multiplier lam, both relatively scaled.
-
-    The differential identity (x^2+1) f'' - lam x f' + d (lam-d+1) f = 0
-    is sampled on a Chebyshev grid of 4d points spanning the roots plus
-    margin 1; the coefficient recurrence is checked slot by slot. Extremal
-    members at height 1 drive both to roundoff; anything else does not.
-    """
-    d = p.degree
-    cs = list(p.coeffs)
-    worst = abs((lam - 2.0 * d + 2.0) * cs[d - 1])
-    scale = max(1.0, abs((lam - 2.0 * d + 2.0) * cs[d - 1]))
-    for k in range(d - 1):
-        lhs = (k + 1.0) * (k + 2.0) * cs[k + 2]
-        rhs = (d - k) * (d + k - 1.0 - lam) * cs[k]
-        worst = max(worst, abs(lhs - rhs))
-        scale = max(scale, abs(lhs), abs(rhs))
-    rec_residual = worst / scale
-
-    d1 = [k * cs[k] for k in range(1, d + 1)]
-    d2 = [k * d1[k] for k in range(1, d)]
-    half_width = max(abs(r) for r in p.roots) + 1.0
-    n = 4 * d
-    worst = 0.0
-    scale = max(1.0, max(abs(c) for c in cs))
-    for i in range(n):
-        x = half_width * math.cos(math.pi * (2 * i + 1) / (2 * n))
-        t1 = (x * x + 1.0) * eval_coeffs(d2, x)
-        t2 = -lam * x * eval_coeffs(d1, x)
-        t3 = d * (lam - d + 1.0) * eval_coeffs(cs, x)
-        worst = max(worst, abs(t1 + t2 + t3))
-        scale = max(scale, abs(t1), abs(t2), abs(t3))
-    return worst / scale, rec_residual
-
-
 @dataclass(frozen=True)
 class OracleResult:
     """Best configuration found by the ascent oracle. converged describes
@@ -237,9 +201,54 @@ def _pairwise_log(x: np.ndarray) -> np.ndarray:
         return 2.0 * np.sum(np.log(np.abs(x[:, iu] - x[:, ju])), axis=1)
 
 
+def _kkt_gradients(x: np.ndarray, a: float):
+    """Per row, the KKT data of g = sum_{j<k} 2 log|x_j - x_k| under
+    h = sum 0.5 log(a^2 + x^2): inv[k, j] = 1/(x_k - x_j) (0 on the
+    diagonal), grad g, grad h and the least-squares mu of grad g = mu grad h.
+    Rows must have distinct entries. grad h goes through hypot, and mu
+    through grad h scaled to a largest entry of 1, so neither overflows
+    for roots past sqrt(max float) or at heights like 1e-200."""
+    diag = np.eye(x.shape[1], dtype=bool)
+    diff = x[:, :, None] - x[:, None, :]
+    diff[:, diag] = 1.0
+    inv = 1.0 / diff
+    inv[:, diag] = 0.0
+    grad_g = 2.0 * inv.sum(axis=2)
+    h = np.hypot(a, x)
+    grad_h = (x / h) / h
+    h_max = np.max(np.abs(grad_h), axis=1, keepdims=True)
+    h_unit = grad_h / h_max
+    mu = np.sum(grad_g * h_unit, axis=1) / np.sum(h_unit * h_unit, axis=1)
+    return inv, grad_g, grad_h, mu / h_max[:, 0]
+
+
+def stationarity_residual(roots, a: float) -> tuple[float, float]:
+    """(residual, mu): how far distinct real roots are from a critical
+    point of the log discriminant at fixed log |f(ai)|, from the roots
+    alone.
+
+    The residual is |grad g - mu grad h| / |grad g| with mu the
+    least-squares multiplier, the charges' electrostatic balance
+    sum_{j != k} 2/(x_k - x_j) = mu x_k / (a^2 + x_k^2). Every extremal
+    polynomial drives it to roundoff, with mu its multiplier: lambda in
+    the multiplier family, 2d - 2 in the binomial family. It forms d x d
+    arrays, sized for d up to a few thousand."""
+    x = np.sort(np.asarray(roots, dtype=float))
+    _validate_common(a, x.size)
+    if not np.all(np.isfinite(x)):
+        raise InputError("roots must be finite")
+    if np.any(x[1:] == x[:-1]):
+        raise DomainError("roots must be distinct")
+    _, grad_g, grad_h, mu = _kkt_gradients(x[None, :], a)
+    scale = np.max(np.abs(grad_g[0]))
+    resid = np.linalg.norm((grad_g[0] - mu[0] * grad_h[0]) / scale)
+    return float(resid / np.linalg.norm(grad_g[0] / scale)), float(mu[0])
+
+
 def _newton_directions(x: np.ndarray, a: float) -> np.ndarray:
     """Per row, an ascent direction for g on the tangent space of
-    h(x) = sum 0.5 log(a^2 + x^2): a Newton step on the KKT system.
+    h(x) = sum 0.5 log(a^2 + x^2): a Newton step on the KKT system
+    (_kkt_gradients).
 
     With mu the least-squares multiplier of grad g = mu grad h, the
     Lagrangian Hessian W = hess g - mu hess h is reduced to an orthonormal
@@ -249,14 +258,8 @@ def _newton_directions(x: np.ndarray, a: float) -> np.ndarray:
     indefinite. Rows must have distinct entries."""
     d = x.shape[1]
     diag = np.eye(d, dtype=bool)
-    diff = x[:, :, None] - x[:, None, :]
-    diff[:, diag] = 1.0
-    inv = 1.0 / diff
-    inv[:, diag] = 0.0
-    grad_g = 2.0 * inv.sum(axis=2)
+    inv, grad_g, grad_h, mu = _kkt_gradients(x, a)
     s2 = a * a + x * x
-    grad_h = x / s2
-    mu = np.sum(grad_g * grad_h, axis=1) / np.sum(grad_h * grad_h, axis=1)
     # hess g: 2/(x_k - x_j)^2 off the diagonal, the negated row sum on it;
     # hess h is diagonal, (a^2 - x^2)/(a^2 + x^2)^2
     w = 2.0 * inv * inv

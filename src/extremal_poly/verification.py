@@ -3,8 +3,9 @@
 Every check is deterministic (fixed seeds, fixed grids) so that two runs
 produce byte-identical reports. The suite cross-checks the closed forms
 against independent routes: the resultant-based discriminant oracle, the
-low-degree reference formulas, the stationarity residuals, and (in deep
-mode) the brute-force ascent oracle.
+low-degree reference formulas, the roots-only stationarity residual of
+each answer with its multiplier matched against the family's, and (in
+deep mode) the brute-force ascent oracle.
 """
 
 import math
@@ -36,10 +37,10 @@ from .poly_core import (
 from .solvers import (
     REGIME_BINOMIAL,
     _rescale_to_modulus,
-    lagrange_residuals,
     numeric_oracle_max_disc,
     solve_max_disc,
     solve_min_abs,
+    stationarity_residual,
 )
 
 
@@ -303,9 +304,8 @@ def _check_lagrange_stationarity() -> CheckResult:
             else 2.0 * d - 2.0
         )
         for poly in sol.polys:
-            rescaled = poly_from_roots([r / a for r in poly.roots])
-            ode, rec = lagrange_residuals(rescaled, lam)
-            worst = max(worst, ode, rec)
+            residual, mu = stationarity_residual(poly.roots, a)
+            worst = max(worst, residual, abs(mu / lam - 1.0))
     return CheckResult(
         "lagrange-stationarity",
         worst <= 1e-9,

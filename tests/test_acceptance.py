@@ -51,10 +51,10 @@ from extremal_poly.poly_core import (
 )
 from extremal_poly.solvers import (
     REGIME_MULTIPLIER,
-    lagrange_residuals,
     numeric_oracle_max_disc,
     solve_max_disc,
     solve_min_abs,
+    stationarity_residual,
 )
 from extremal_poly.trig_products import (
     cos_sq_product,
@@ -247,13 +247,12 @@ def test_criterion_07_lagrange_structure():
         # multiplier regime at height 1
         sol = solve_max_disc(1.0, d, 1.0 + 0.4 * (2.0 ** (d - 1) - 1.0))
         assert sol.regime == REGIME_MULTIPLIER
-        ode, rec = lagrange_residuals(sol.polys[0], sol.lambda_or_b)
-        worst = max(worst, ode, rec)
-        # binomial regime, roots rescaled to height 1
+        res, mu = stationarity_residual(sol.polys[0].roots, 1.0)
+        worst = max(worst, res, abs(mu / sol.lambda_or_b - 1.0))
+        # binomial regime at height 0.4, multiplier 2d - 2
         small = solve_min_abs(0.4, d, 2.0)
-        scaled = poly_from_roots([r / 0.4 for r in small.polys[0].roots])
-        ode, rec = lagrange_residuals(scaled, 2.0 * d - 2.0)
-        worst = max(worst, ode, rec)
+        res, mu = stationarity_residual(small.polys[0].roots, 0.4)
+        worst = max(worst, res, abs(mu / (2.0 * d - 2.0) - 1.0))
     bad = 0
     total = 0
     for d in range(3, 10):

@@ -381,6 +381,15 @@ class TestEmitPlot:
         assert float(rows[0][2]) == pytest.approx(0.25, abs=1e-12)
         assert float(rows[1][2]) == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("roots", ["nan,1,inf", "1,1e400"])
+    def test_cdf_nonfinite_roots_rejected(self, capsys, roots):
+        code, out, err = run_cli(
+            capsys, "emit-plot", "--what", "cdf", "--roots=" + roots, "--a", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: roots must be finite\n"
+
     @pytest.mark.parametrize("roots", ["-1e200,1e200", "-1e100,0,1e100"])
     def test_unrepresentable_halfwidth_rejected(self, capsys, roots):
         # squared center-root differences overflow, or the squared

@@ -22,7 +22,6 @@ from extremal_poly.poly_core import (
     RealRootedPoly,
     descartes_real_root_bound,
     disc_resultant_oracle,
-    eval_coeffs,
     log_disc_from_roots,
     log_modulus_at_ai,
     poly_from_roots,
@@ -54,16 +53,6 @@ def test_poly_from_roots_rejects_nonfinite():
 def test_poly_from_roots_needs_degree_two():
     with pytest.raises(DomainError):
         poly_from_roots([1.0])
-
-
-def test_eval_agreement():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        roots = rng.uniform(-3, 3, size=int(rng.integers(2, 7)))
-        p = poly_from_roots(roots)
-        x = float(rng.uniform(-4, 4))
-        direct = math.prod(x - r for r in p.roots)
-        assert eval_coeffs(p.coeffs, x) == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
 def test_roots_are_the_only_field():

@@ -15,11 +15,12 @@ from extremal_poly.solvers import (
     PROBLEM_MIN_ABS,
     REGIME_BINOMIAL,
     REGIME_MULTIPLIER,
-    lagrange_residuals,
     numeric_oracle_max_disc,
     solve_max_disc,
     solve_min_abs,
+    stationarity_residual,
 )
+from extremal_poly.verification import run_suite
 
 SQ3 = math.sqrt(3.0)
 
@@ -245,26 +246,18 @@ def log_disc_from_roots_arr(xs) -> float:
 
 class TestLagrangeResiduals:
     def test_boundary_quadratic(self):
-        from extremal_poly.poly_core import poly_from_roots
-
-        ode, rec = lagrange_residuals(poly_from_roots([-1.0, 1.0]), 2.0)
-        assert ode < 1e-12
-        assert rec < 1e-12
+        res, mu = stationarity_residual([-1.0, 1.0], 1.0)
+        assert res < 1e-12
+        assert abs(mu / 2.0 - 1.0) < 1e-12
 
     def test_boundary_cubic(self):
-        from extremal_poly.poly_core import poly_from_roots
-
-        ode, rec = lagrange_residuals(
-            poly_from_roots([-SQ3, 0.0, SQ3]), 4.0
-        )
-        assert ode < 1e-12
-        assert rec < 1e-12
+        res, mu = stationarity_residual([-SQ3, 0.0, SQ3], 1.0)
+        assert res < 1e-12
+        assert abs(mu / 4.0 - 1.0) < 1e-12
 
     def test_wrong_multiplier_flags_loudly(self):
-        from extremal_poly.poly_core import poly_from_roots
-
-        ode, rec = lagrange_residuals(poly_from_roots([-1.0, 1.0]), 5.0)
-        assert rec > 0.1
+        _, mu = stationarity_residual([-1.0, 1.0], 1.0)
+        assert abs(mu / 5.0 - 1.0) > 0.1
 
     def test_solver_output_is_stationary(self):
         sol = solve_min_abs(1.0, 4, 3.0)
@@ -273,10 +266,64 @@ class TestLagrangeResiduals:
             if sol.regime == REGIME_MULTIPLIER
             else 2.0 * 4 - 2.0
         )
-        # residual contract holds at height 1 directly
-        ode, rec = lagrange_residuals(sol.polys[0], lam)
-        assert ode < 1e-9
-        assert rec < 1e-9
+        res, mu = stationarity_residual(sol.polys[0].roots, 1.0)
+        assert res < 1e-9
+        assert abs(mu / lam - 1.0) < 1e-9
+
+    def test_large_degree_answers_are_certified(self):
+        # both regimes, out to a root of 3.1e182 (d = 300, frac = 3) whose
+        # squared gradient denominator would overflow; any RuntimeWarning
+        # fails the test
+        checked, far = 0, 0.0
+        for d in (100, 300, 1000):
+            for frac in (0.05, 0.5, 1.01, 3.0):
+                if frac * (d - 1) >= 1024:
+                    continue  # the target modulus is past float range
+                sol = solve_max_disc(1.0, d, 2.0 ** (frac * (d - 1)))
+                lam = (
+                    sol.lambda_or_b
+                    if sol.regime == REGIME_MULTIPLIER
+                    else 2.0 * d - 2.0
+                )
+                for p in sol.polys:
+                    res, mu = stationarity_residual(p.roots, 1.0)
+                    assert res <= 1e-12, (d, frac, res)
+                    assert abs(mu / lam - 1.0) <= 1e-14, (d, frac, mu, lam)
+                    checked += 1
+                    far = max(far, -p.roots[0], p.roots[-1])
+        assert checked == 16
+        assert far > 1e182
+
+    @pytest.mark.parametrize("m", [3.0, 1e300])
+    def test_tiny_height_is_scale_free(self, m):
+        # at height 1e-200 grad g reaches 1e200, whose square overflows
+        sol = solve_max_disc(1.0, 3, m)
+        res, mu = stationarity_residual(sol.polys[0].roots, 1.0)
+        tiny = [1e-200 * r for r in sol.polys[0].roots]
+        res_tiny, mu_tiny = stationarity_residual(tiny, 1e-200)
+        assert max(res, res_tiny) <= 1e-12
+        assert mu_tiny == pytest.approx(mu, rel=1e-14)
+        sol = solve_max_disc(1e-200, 3, 1e-300)  # roots 5.8e-201 and 7.5e99
+        res, mu = stationarity_residual(sol.polys[0].roots, 1e-200)
+        assert res <= 1e-12
+        assert abs(mu / 4.0 - 1.0) <= 1e-14
+
+    def test_moved_root_is_not_stationary(self):
+        sol = solve_max_disc(1.0, 50, 2.0 ** (0.5 * 49))
+        x = np.array(sol.polys[0].roots)
+        assert stationarity_residual(x, 1.0)[0] <= 1e-12
+        x[10] += 1e-6
+        assert stationarity_residual(x, 1.0)[0] > 1e-7
+
+    def test_coincident_roots_rejected(self):
+        with pytest.raises(DomainError):
+            stationarity_residual([0.5, -1.0, 0.5], 1.0)
+
+
+def test_verify_stationarity_lines_are_pinned():
+    lines = {r.name: r.detail for r in run_suite(deep=True)}
+    assert lines["lagrange-stationarity"] == "7 cases, worst residual <1e-12"
+    assert lines["oracle-agreement"] == "6 cases, worst rel log err <1e-12"
 
 
 class TestNumericOracle:
@@ -317,17 +364,11 @@ class TestNumericOracle:
 
     @pytest.mark.parametrize("a, m", [(1.0, 2.0), (0.5, 1.0)])
     def test_roots_are_stieltjes_stationary(self, a, m):
-        # sum_{j != k} 1/(x_k - x_j) = nu x_k / (a^2 + x_k^2) for one nu:
+        # sum_{j != k} 2/(x_k - x_j) = mu x_k / (a^2 + x_k^2) for one mu:
         # the electrostatic equilibrium of the maximiser
         res = numeric_oracle_max_disc(a, 3, m, starts=8, seed=0)
         x = np.array(res.roots)
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
-        force = np.sum(1.0 / diff, axis=1)
-        pull = x / (a * a + x * x)
-        nu = (force @ pull) / (pull @ pull)
-        residual = np.max(np.abs(force - nu * pull)) / np.max(np.abs(force))
-        assert residual <= 1e-8
+        assert stationarity_residual(x, a)[0] <= 1e-8
         sol = solve_max_disc(a, 3, m)
         assert min(
             np.max(np.abs(x - np.array(p.roots))) for p in sol.polys
