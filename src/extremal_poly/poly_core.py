@@ -9,7 +9,9 @@ realistic spread.
 Two independent discriminant routes are provided on purpose: the pairwise
 root-difference product, and a Sylvester resultant determinant that only
 ever sees coefficients. Agreement between them is what the verification
-suite leans on.
+suite leans on. The resultant oracle takes many coefficient rows at once
+and eliminates one stack of Sylvester matrices per degree, one numpy
+operation per column; each row reads the bits of its own single call.
 """
 
 import itertools
@@ -224,66 +226,118 @@ def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
     return LogDiscriminant(1, 2.0 * total)
 
 
-def _log_det(mat: np.ndarray) -> tuple[int, float]:
-    """Determinant of a square matrix as (sign, log|det|).
+def _log_dets(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants of a stack of square matrices as (signs, log|dets|).
 
-    Gaussian elimination with partial pivoting; rows are pre-scaled and all
-    magnitude bookkeeping happens in logs so nothing overflows.
+    Gaussian elimination with partial pivoting, one numpy operation per
+    column for the whole stack. Rows are pre-scaled to a largest entry of 1
+    and every magnitude is kept as a log, so nothing overflows. A matrix
+    with a zero row or a zero pivot reads sign 0 and log -inf; a zero pivot
+    is taken as 1, so that matrix runs on beside the others with no
+    division by zero. Each matrix gets the float operations of an
+    elimination of its own, in their order, and its logs are summed left to
+    right, so its answer has the same bits in any stack. The logs are
+    math.log's, since numpy's SIMD log differs from it in the last bit.
+    The float stack is eliminated in place, with no copy of its size.
     """
-    a = np.array(mat, dtype=float)
-    n = a.shape[0]
-    sign = 1
-    log_abs = 0.0
-    for i in range(n):
-        s = np.max(np.abs(a[i]))
-        if s == 0.0:
-            return 0, float("-inf")
-        a[i] /= s
-        log_abs += math.log(s)
+    count, n, _ = a.shape
+    at = np.arange(count)
+    # max |x| of each row, without an |a| temporary the size of the stack
+    scales = np.maximum(a.max(axis=2), -a.min(axis=2))
+    singular = (scales == 0.0).any(axis=1)
+    scales[scales == 0.0] = 1.0
+    a /= scales[:, :, None]
+    pivots = np.empty((count, n))
+    signs = np.ones(count, dtype=int)
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0.0:
-            return 0, float("-inf")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            sign = -sign
-        v = a[col, col]
-        sign = sign if v > 0 else -sign
-        log_abs += math.log(abs(v))
-        a[col + 1 :, col:] -= np.outer(a[col + 1 :, col] / v, a[col, col:])
-    return sign, log_abs
+        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+        top = a[at, col].copy()
+        a[at, col] = a[at, piv]
+        a[at, piv] = top
+        v = a[:, col, col].copy()
+        zero = v == 0.0
+        singular |= zero
+        v[zero] = 1.0
+        signs[(piv != col) != (v < 0.0)] *= -1
+        pivots[:, col] = np.abs(v)
+        mult = a[:, col + 1 :, col] / v[:, None]
+        a[:, col + 1 :, col + 1 :] -= mult[:, :, None] * a[:, None, col, col + 1 :]
+    mags = np.concatenate([scales, pivots], axis=1)
+    logs = np.array(list(map(math.log, mags.ravel().tolist()))).reshape(mags.shape)
+    log_abs = np.cumsum(logs, axis=1)[:, -1]
+    signs[singular] = 0
+    log_abs[singular] = -np.inf
+    return signs, log_abs
+
+
+def _resultant_rows(d: int, rows: list[list[float]]) -> list[LogDiscriminant]:
+    # discriminants of same-degree rows from one stack of Sylvester matrices
+    f = np.array(rows)
+    k = np.arange(1, d + 1)
+    with np.errstate(over="ignore"):
+        g = f[:, 1:] * k
+    # disc(t·f) = t^(2d-2)·disc(f): a row whose k·c_k overflows is scaled by
+    # t = 2^-e, 2^e >= d, which is exact and keeps every k·c_k finite
+    big = ~np.isfinite(g).all(axis=1)
+    e = (d - 1).bit_length()
+    f[big] = np.ldexp(f[big], -e)
+    g[big] = f[big, 1:] * k
+    n = 2 * d - 1
+    syl = np.zeros((len(rows), n, n))
+    f_desc = f[:, ::-1]
+    g_desc = g[:, ::-1]
+    for i in range(d - 1):
+        syl[:, i, i : i + d + 1] = f_desc
+    for i in range(d):
+        syl[:, d - 1 + i, i : i + d] = g_desc
+    signs, log_res = _log_dets(syl)
+    parity = 1 if (d * (d - 1) // 2) % 2 == 0 else -1
+    out = []
+    for s_res, log_r, lead, scaled in zip(
+        signs.tolist(), log_res.tolist(), f[:, -1].tolist(), big.tolist()
+    ):
+        if s_res == 0:
+            out.append(LogDiscriminant.zero())
+            continue
+        log_abs = log_r - math.log(abs(lead))
+        if scaled:
+            log_abs += (2 * d - 2) * e * math.log(2.0)
+        out.append(LogDiscriminant(s_res * parity * (1 if lead > 0 else -1), log_abs))
+    return out
+
+
+def disc_resultant_oracles(coeff_rows) -> list[LogDiscriminant]:
+    """Discriminants via the Sylvester resultant of f and f', one per row.
+
+    Coefficient-only route, independent of any root knowledge:
+    disc = (-1)^(d(d-1)/2) * Res(f, f') / c_d. Leading coefficients may be
+    any nonzero reals. The rows are grouped by degree and each degree's
+    Sylvester matrices are eliminated as one stack; every answer has the
+    bits of its own single call.
+    """
+    rows = []
+    by_degree: dict[int, list[int]] = {}
+    for i, coeffs in enumerate(coeff_rows):
+        cs = [float(c) for c in coeffs]
+        if len(cs) - 1 < 2:
+            raise DomainError("degree must be >= 2")
+        if cs[-1] == 0.0:
+            raise DomainError("leading coefficient must be nonzero")
+        if not all(math.isfinite(c) for c in cs):
+            raise InputError("coefficients must be finite")
+        rows.append(cs)
+        by_degree.setdefault(len(cs) - 1, []).append(i)
+    out: list[LogDiscriminant] = [LogDiscriminant.zero()] * len(rows)
+    for d, where in by_degree.items():
+        for i, disc in zip(where, _resultant_rows(d, [rows[i] for i in where])):
+            out[i] = disc
+    return out
 
 
 def disc_resultant_oracle(coeffs) -> LogDiscriminant:
-    """Discriminant via the Sylvester resultant of f and f'.
-
-    Coefficient-only route, independent of any root knowledge:
-    disc = (-1)^(d(d-1)/2) * Res(f, f') / c_d. Leading coefficient may be
-    any nonzero real.
-    """
-    cs = [float(c) for c in coeffs]
-    d = len(cs) - 1
-    if d < 2:
-        raise DomainError("degree must be >= 2")
-    if cs[-1] == 0.0:
-        raise DomainError("leading coefficient must be nonzero")
-    if not all(math.isfinite(c) for c in cs):
-        raise InputError("coefficients must be finite")
-    deriv = [k * cs[k] for k in range(1, d + 1)]
-    n = 2 * d - 1
-    syl = np.zeros((n, n))
-    f_desc = cs[::-1]
-    g_desc = deriv[::-1]
-    for i in range(d - 1):
-        syl[i, i : i + d + 1] = f_desc
-    for i in range(d):
-        syl[d - 1 + i, i : i + d] = g_desc
-    s_res, log_res = _log_det(syl)
-    if s_res == 0:
-        return LogDiscriminant.zero()
-    sign = s_res * (1 if (d * (d - 1) // 2) % 2 == 0 else -1)
-    sign *= 1 if cs[-1] > 0 else -1
-    return LogDiscriminant(sign, log_res - math.log(abs(cs[-1])))
+    """Discriminant via the Sylvester resultant of f and f'; the
+    one-polynomial call of disc_resultant_oracles."""
+    return disc_resultant_oracles([coeffs])[0]
 
 
 def quartic_disc(c2: float, c0: float) -> float:

@@ -25,7 +25,7 @@ from .energy import (
 )
 from .poly_core import (
     TOL_ORACLE,
-    disc_resultant_oracle,
+    disc_resultant_oracles,
     descartes_real_root_bound,
     log_disc_from_roots,
     log_modulus_at_ai,
@@ -133,39 +133,26 @@ def _check_duality_roundtrip() -> CheckResult:
     )
 
 
-def _check_multiplier_vs_resultant(tol: float, deep: bool) -> CheckResult:
+def _multiplier_cases(deep: bool) -> list:
+    # the multiplier-family members checked against the resultant, in order
     rng = np.random.default_rng(20240915)
-    worst = 0.0
-    count = 0
+    cases = []
     degrees = range(2, 9) if deep else range(2, 7)
     for d in degrees:
         for _ in range(20):
             lam = float(rng.uniform(2 * d - 2 + 1e-3, 6 * d))
             for a in (0.5, 1.0, 2.0):
-                params = jf.JacobiFamilyParams(a=a, d=d, multiplier=lam)
-                closed = jf.closed_form_disc(params)
-                oracle = disc_resultant_oracle(jf.family_coeffs(params))
-                if closed.sign != oracle.sign:
-                    return CheckResult(
-                        "multiplier-vs-resultant", False,
-                        "sign mismatch at d=%d lam=%.6f a=%s" % (d, lam, a),
-                    )
-                worst = max(worst, rel_log_diff(closed.log_abs, oracle.log_abs))
-                count += 1
-    return CheckResult(
-        "multiplier-vs-resultant",
-        worst <= tol,
-        "%d cases, worst rel log err %s" % (count, _err(worst)),
-    )
+                cases.append(jf.JacobiFamilyParams(a=a, d=d, multiplier=lam))
+    return cases
 
 
-def _check_jacobi_vs_resultant(tol: float) -> CheckResult:
+def _jacobi_cases() -> list:
+    # the 50 Jacobi polynomials checked against the resultant, in order
     rng = np.random.default_rng(77001)
-    worst = 0.0
-    count = 0
-    while count < 50:
+    cases = []
+    while len(cases) < 50:
         d = int(rng.integers(2, 8))
-        if count % 3 == 0:
+        if len(cases) % 3 == 0:
             alpha = beta = float(rng.uniform(-2 * d - 3.0, -d - 0.5))
         else:
             alpha = float(rng.uniform(-4.0, 4.0))
@@ -176,20 +163,47 @@ def _check_jacobi_vs_resultant(tol: float) -> CheckResult:
             continue
         if min(abs(beta + k) for k in range(1, d)) < 1e-6:
             continue
-        params = jf.JacobiParams(d=d, alpha=alpha, beta=beta)
+        cases.append(jf.JacobiParams(d=d, alpha=alpha, beta=beta))
+    return cases
+
+
+def _check_multiplier_vs_resultant(tol: float, deep: bool) -> CheckResult:
+    cases = _multiplier_cases(deep)
+    oracles = disc_resultant_oracles([jf.family_coeffs(p) for p in cases])
+    worst = 0.0
+    for params, oracle in zip(cases, oracles):
+        closed = jf.closed_form_disc(params)
+        if closed.sign != oracle.sign:
+            return CheckResult(
+                "multiplier-vs-resultant", False,
+                "sign mismatch at d=%d lam=%.6f a=%s"
+                % (params.d, params.multiplier, params.a),
+            )
+        worst = max(worst, rel_log_diff(closed.log_abs, oracle.log_abs))
+    return CheckResult(
+        "multiplier-vs-resultant",
+        worst <= tol,
+        "%d cases, worst rel log err %s" % (len(cases), _err(worst)),
+    )
+
+
+def _check_jacobi_vs_resultant(tol: float) -> CheckResult:
+    cases = _jacobi_cases()
+    oracles = disc_resultant_oracles([jf.jacobi_coeffs(p) for p in cases])
+    worst = 0.0
+    for params, oracle in zip(cases, oracles):
         closed = jf.jacobi_disc(params)
-        oracle = disc_resultant_oracle(jf.jacobi_coeffs(params))
         if closed.sign != oracle.sign:
             return CheckResult(
                 "jacobi-vs-resultant", False,
-                "sign mismatch at d=%d alpha=%.6f beta=%.6f" % (d, alpha, beta),
+                "sign mismatch at d=%d alpha=%.6f beta=%.6f"
+                % (params.d, params.alpha, params.beta),
             )
         worst = max(worst, rel_log_diff(closed.log_abs, oracle.log_abs))
-        count += 1
     return CheckResult(
         "jacobi-vs-resultant",
         worst <= tol,
-        "50 cases, worst rel log err %s" % _err(worst),
+        "%d cases, worst rel log err %s" % (len(cases), _err(worst)),
     )
 
 
