@@ -9,11 +9,15 @@ boundary member, where both families collapse to one polynomial, within
 a snap window around the crossover p = 1, m = 2^(d-1) a^d.
 
 A multi-start ascent oracle is included for certifying the closed forms
-numerically; it never looks at either family. It takes reduced Newton
-steps on the KKT system of the pairwise log product under the modulus
-constraint and stops each start once a step gains no more than
-1e-12 (1 + |g|) or no halved step gains at all. Its KKT gradients also
-serve stationarity_residual, the roots-only check of an answer.
+numerically; it never looks at either family. numeric_oracle_max_discs
+runs the starts of many moduli at one height and degree in one loop, and
+numeric_oracle_max_disc is its one-modulus call. It works in the unit
+chart (height 1, roots scaled by a), takes reduced Newton steps on the
+KKT system of the pairwise log product under the modulus constraint, and
+stops each start once a step gains no more than 1e-12 (1 + |log disc|),
+a rejected Newton step predicted no more than that, or no halved step
+gains at all. Its KKT gradients also serve stationarity_residual, the
+roots-only check of an answer.
 """
 
 import math
@@ -170,8 +174,10 @@ class OracleResult:
     iterations: int
 
 
-def _rescale_to_modulus(x: np.ndarray, a: float, target: float) -> np.ndarray:
-    """Per-row scale factors t > 0 with sum 0.5 log(a^2 + t^2 x^2) = target.
+def _rescale_to_modulus(x: np.ndarray, target) -> np.ndarray:
+    """Per-row scale factors t > 0 with sum 0.5 log(1 + t^2 x^2) = target,
+    the modulus constraint in the unit chart; target is one float or one
+    per row.
 
     Newton in log t from t = 1 (after a tangent step the violation is
     second order, so this is a handful of iterations), with the per-round
@@ -179,26 +185,34 @@ def _rescale_to_modulus(x: np.ndarray, a: float, target: float) -> np.ndarray:
     A row stops moving once it meets the tolerance, so each row's factor
     is the same as if it were solved alone. Rows must be nonzero."""
     t = np.ones(x.shape[0])
-    tol = 1e-13 * max(1.0, abs(target))
+    tol = 1e-13 * np.maximum(1.0, np.abs(target))
     for _ in range(80):
         tx2 = (t[:, None] * x) ** 2
-        val = 0.5 * np.sum(np.log(a * a + tx2), axis=1) - target
+        val = 0.5 * np.sum(np.log(1.0 + tx2), axis=1) - target
         off = np.abs(val) > tol
         if not off.any():
             break
         # d/d(log t) of the constraint sum
-        slope = np.sum(tx2[off] / (a * a + tx2[off]), axis=1)
+        slope = np.sum(tx2[off] / (1.0 + tx2[off]), axis=1)
         step = val[off] / np.maximum(slope, 1e-300)
         t[off] *= np.exp(-np.clip(step, -math.log(2.0), math.log(2.0)))
     return t
 
 
-def _pairwise_log(x: np.ndarray) -> np.ndarray:
-    """Per row, g(x) = sum_{j<k} 2 log|x_j - x_k|; -inf where two points
+def _pairwise_log(x: np.ndarray, pairs) -> np.ndarray:
+    """Per row, g(x) = sum_{j<k} 2 log|x_j - x_k|, with pairs the
+    np.triu_indices(d, k=1) of the row length; -inf where two points
     meet."""
-    iu, ju = np.triu_indices(x.shape[1], k=1)
+    iu, ju = pairs
     with np.errstate(divide="ignore"):
         return 2.0 * np.sum(np.log(np.abs(x[:, iu] - x[:, ju])), axis=1)
+
+
+def _diagonals(t: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a C-contiguous stack of square
+    matrices, shape (n, d)."""
+    n, d, _ = t.shape
+    return t.reshape(n, d * d)[:, :: d + 1]
 
 
 def _kkt_gradients(x: np.ndarray, a: float):
@@ -208,11 +222,10 @@ def _kkt_gradients(x: np.ndarray, a: float):
     Rows must have distinct entries. grad h goes through hypot, and mu
     through grad h scaled to a largest entry of 1, so neither overflows
     for roots past sqrt(max float) or at heights like 1e-200."""
-    diag = np.eye(x.shape[1], dtype=bool)
     diff = x[:, :, None] - x[:, None, :]
-    diff[:, diag] = 1.0
+    _diagonals(diff)[:] = 1.0
     inv = 1.0 / diff
-    inv[:, diag] = 0.0
+    _diagonals(inv)[:] = 0.0
     grad_g = 2.0 * inv.sum(axis=2)
     h = np.hypot(a, x)
     grad_h = (x / h) / h
@@ -245,25 +258,27 @@ def stationarity_residual(roots, a: float) -> tuple[float, float]:
     return float(resid / np.linalg.norm(grad_g[0] / scale)), float(mu[0])
 
 
-def _newton_directions(x: np.ndarray, a: float) -> np.ndarray:
-    """Per row, an ascent direction for g on the tangent space of
-    h(x) = sum 0.5 log(a^2 + x^2): a Newton step on the KKT system
-    (_kkt_gradients).
+def _newton_directions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, an ascent direction for g on the tangent space of the unit
+    chart's constraint h(x) = sum 0.5 log(1 + x^2), a Newton step on the
+    KKT system (_kkt_gradients), and the step's first-order predicted gain
+    grad g . step.
 
     With mu the least-squares multiplier of grad g = mu grad h, the
     Lagrangian Hessian W = hess g - mu hess h is reduced to an orthonormal
     basis Z of the tangent space, and the step solves
     |Z^T W Z| s = Z^T grad g with each eigenvalue taken as
     max(|w|, 1e-12 max|w|); the direction Z s ascends even where W is
-    indefinite. Rows must have distinct entries."""
+    indefinite. With V the eigenvectors and r = V^T Z^T grad g, the
+    predicted gain grad g . Z s is sum r_i^2 / |w_i|, from the same r.
+    Rows must have distinct entries."""
     d = x.shape[1]
-    diag = np.eye(d, dtype=bool)
-    inv, grad_g, grad_h, mu = _kkt_gradients(x, a)
-    s2 = a * a + x * x
+    inv, grad_g, grad_h, mu = _kkt_gradients(x, 1.0)
+    s2 = 1.0 + x * x
     # hess g: 2/(x_k - x_j)^2 off the diagonal, the negated row sum on it;
-    # hess h is diagonal, (a^2 - x^2)/(a^2 + x^2)^2
+    # hess h is diagonal, (1 - x^2)/(1 + x^2)^2
     w = 2.0 * inv * inv
-    w[:, diag] = -w.sum(axis=2) - mu[:, None] * (a * a - x * x) / (s2 * s2)
+    _diagonals(w)[:] = -w.sum(axis=2) - mu[:, None] * (1.0 - x * x) / (s2 * s2)
     # columns 1..d-1 of the Householder reflector that maps grad h onto
     # the first axis span its orthogonal complement
     v = grad_h / np.linalg.norm(grad_h, axis=1, keepdims=True)
@@ -275,8 +290,135 @@ def _newton_directions(x: np.ndarray, a: float) -> np.ndarray:
     evals, evecs = np.linalg.eigh(zt @ w @ z)
     mag = np.abs(evals)
     mag = np.maximum(mag, 1e-12 * np.maximum(mag.max(axis=1, keepdims=True), 1e-300))
-    coef = (np.swapaxes(evecs, 1, 2) @ (zt @ grad_g[:, :, None]))[:, :, 0] / mag
-    return (z @ (evecs @ coef[:, :, None]))[:, :, 0]
+    r = (np.swapaxes(evecs, 1, 2) @ (zt @ grad_g[:, :, None]))[:, :, 0]
+    coef = r / mag
+    return (z @ (evecs @ coef[:, :, None]))[:, :, 0], np.sum(r * coef, axis=1)
+
+
+def _count_arg(name: str, value, low: int) -> None:
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < low:
+        raise DomainError("%s must be an integer >= %d" % (name, low))
+
+
+def numeric_oracle_max_discs(
+    a: float,
+    d: int,
+    ms,
+    starts: int = 32,
+    seed: int = 0,
+    max_iters: int = 100_000,
+) -> list[OracleResult]:
+    """Direct numerical maximisation of the pairwise log product
+    g(x) = sum_{j<k} 2 log|x_j - x_k| under the modulus constraint
+    sum 0.5 log(a^2 + x_k^2) = log m, one OracleResult per m in ms (a
+    nonempty sequence); knows nothing about either closed-form family.
+
+    The ascent runs in the unit chart x = a u: at height 1 with the
+    target log m - d log a, so the height alone over- or underflows
+    nothing, even at a = 1e150 or 1e-150. The roots come back as a u, and
+    the log disc gains d (d - 1) log a.
+
+    Each case has its own Cauchy-distributed starts (seeded seed + index),
+    rescaled onto its constraint, and all starts of all cases advance in
+    one loop, one trial point per active start and round. A trial is a
+    reduced Newton step on the KKT system (_newton_directions), halved
+    until the trial point, rescaled back onto the constraint by a damped
+    Newton iteration in log scale, raises g. With tol = 1e-12 (1 + |log
+    disc|), a start stops, and counts as converged, once an accepted step
+    gains at most tol, once a fresh step that is rejected predicted at most
+    tol to first order (grad g . step), or once 60 halvings fail to raise
+    g; max_iters caps the Newton iterations per start. Each case's winner
+    is its best final value, ties to the lowest start index. Rows never
+    interact, so each case returns the bits of its own one-case call.
+    """
+    _validate_common(a, d)
+    if d > 6:
+        raise DomainError("oracle cost grows too fast beyond d = 6")
+    _count_arg("starts", starts, 1)
+    _count_arg("seed", seed, 0)
+    _count_arg("max_iters", max_iters, 1)
+    ms = list(ms)
+    if not ms:
+        raise DomainError("need at least one modulus")
+    log_a = math.log(a)
+    targets = []
+    for m in ms:
+        if m <= 0 or not math.isfinite(m) or math.log(m) <= d * log_a:
+            raise RegimeError("need m > a^d")
+        targets.append(math.log(m) - d * log_a)
+    offset = d * (d - 1) * log_a
+
+    u = np.empty((starts, d))
+    for i in range(starts):
+        rng = np.random.default_rng(seed + i)
+        row = rng.standard_cauchy(d)
+        while np.unique(row).size < d:
+            row = rng.standard_cauchy(d)
+        u[i] = row
+    # case c owns rows c * starts ... (c + 1) * starts - 1
+    x = np.tile(u, (len(ms), 1))
+    target = np.repeat(targets, starts)
+    x *= _rescale_to_modulus(x, target)[:, None]
+    pairs = np.triu_indices(d, k=1)
+    g = _pairwise_log(x, pairs)
+
+    # Each round tries one trial point per active start, either a fresh
+    # Newton step or the last one halved.
+    n = x.shape[0]
+    step = np.zeros_like(x)
+    predicted = np.zeros(n)
+    iters = np.zeros(n, int)
+    halvings = np.zeros(n, int)
+    converged = np.zeros(n, bool)
+    active = np.ones(n, bool)
+    fresh = active.copy()
+    while active.any():
+        if fresh.any():
+            step[fresh], predicted[fresh] = _newton_directions(x[fresh])
+            iters[fresh] += 1
+            halvings[fresh] = 0
+        act = np.flatnonzero(active)
+        y = x[act] + step[act]
+        ok = np.all(np.isfinite(y), axis=1) & np.any(y != 0.0, axis=1)
+        y[~ok] = x[act[~ok]]
+        y *= _rescale_to_modulus(y, target[act])[:, None]
+        g_new = _pairwise_log(y, pairs)
+        up = ok & (g_new > g[act])
+        acc, rej = act[up], act[~up]
+        gain = g_new[up] - g[acc]
+        x[acc], g[acc] = y[up], g_new[up]
+        tol = 1e-12 * (1.0 + np.abs(g[act] + offset))
+        # stop on a negligible gain, on a rejected fresh step that promised
+        # no more, or once 60 halvings (down to 1e-18 of the Newton step)
+        # fail to raise g
+        flat = rej[(halvings[rej] == 0) & (predicted[rej] <= tol[~up])]
+        step[rej] *= 0.5
+        halvings[rej] += 1
+        done = np.concatenate(
+            [acc[gain <= tol[up]], flat, rej[halvings[rej] >= 60]]
+        )
+        converged[done] = True
+        active[done] = False
+        fresh = np.zeros(n, bool)
+        fresh[acc] = True
+        active[fresh & (iters >= max_iters)] = False
+        fresh &= active
+
+    results = []
+    for c in range(len(ms)):
+        rows = slice(c * starts, (c + 1) * starts)
+        best = c * starts + int(np.argmax(g[rows]))
+        results.append(
+            OracleResult(
+                log_disc=LogDiscriminant(1, float(g[best] + offset)),
+                roots=tuple(float(v) for v in np.sort(a * x[best])),
+                converged=bool(converged[best]),
+                starts_converged=int(converged[rows].sum()),
+                iterations=int(iters[rows].max()),
+            )
+        )
+    return results
 
 
 def numeric_oracle_max_disc(
@@ -287,81 +429,6 @@ def numeric_oracle_max_disc(
     seed: int = 0,
     max_iters: int = 100_000,
 ) -> OracleResult:
-    """Direct numerical maximisation of the pairwise log product
-    g(x) = sum_{j<k} 2 log|x_j - x_k| under the modulus constraint
-    sum 0.5 log(a^2 + x_k^2) = log m; knows nothing about either
-    closed-form family.
-
-    Each Cauchy-distributed start (seeded seed + index) is rescaled onto
-    the constraint and then improved by reduced Newton steps on the KKT
-    system (_newton_directions). A step is halved until the trial point,
-    rescaled back onto the constraint by a damped Newton iteration in log
-    scale, raises g. A start stops when the gain falls to
-    1e-12 (1 + |g|) or when no halving raises g, and counts as converged
-    then; max_iters caps the Newton iterations per start. Winner is the
-    best final value, ties to the lowest start index.
-    """
-    _validate_common(a, d)
-    if d > 6:
-        raise DomainError("oracle cost grows too fast beyond d = 6")
-    if m <= 0 or not math.isfinite(m) or math.log(m) <= d * math.log(a):
-        raise RegimeError("need m > a^d")
-    if starts < 1:
-        raise DomainError("need at least one start")
-    target = math.log(m)
-
-    x = np.empty((starts, d))
-    for i in range(starts):
-        rng = np.random.default_rng(seed + i)
-        row = a * rng.standard_cauchy(d)
-        while np.unique(row).size < d or np.all(row == 0.0):
-            row = a * rng.standard_cauchy(d)
-        x[i] = row
-    x *= _rescale_to_modulus(x, a, target)[:, None]
-    g = _pairwise_log(x)
-
-    # All starts advance together: each round tries one trial point per
-    # active start, either a fresh Newton step or the last one halved.
-    step = np.zeros_like(x)
-    iters = np.zeros(starts, int)
-    halvings = np.zeros(starts, int)
-    converged = np.zeros(starts, bool)
-    active = np.full(starts, max_iters > 0)
-    fresh = active.copy()
-    while active.any():
-        if fresh.any():
-            step[fresh] = _newton_directions(x[fresh], a)
-            iters[fresh] += 1
-            halvings[fresh] = 0
-        act = np.flatnonzero(active)
-        y = x[act] + step[act]
-        ok = np.all(np.isfinite(y), axis=1) & np.any(y != 0.0, axis=1)
-        y[~ok] = x[act[~ok]]
-        y *= _rescale_to_modulus(y, a, target)[:, None]
-        g_new = _pairwise_log(y)
-        up = ok & (g_new > g[act])
-        acc, rej = act[up], act[~up]
-        gain = g_new[up] - g[acc]
-        x[acc], g[acc] = y[up], g_new[up]
-        step[rej] *= 0.5
-        halvings[rej] += 1
-        # stop on a negligible gain, or once 60 halvings (down to 1e-18 of
-        # the Newton step) fail to raise g
-        done = np.concatenate(
-            [acc[gain <= 1e-12 * (1.0 + np.abs(g[acc]))], rej[halvings[rej] >= 60]]
-        )
-        converged[done] = True
-        active[done] = False
-        fresh = np.zeros(starts, bool)
-        fresh[acc] = True
-        active[fresh & (iters >= max_iters)] = False
-        fresh &= active
-
-    best = int(np.argmax(g))
-    return OracleResult(
-        log_disc=LogDiscriminant(1, float(g[best])),
-        roots=tuple(float(v) for v in np.sort(x[best])),
-        converged=bool(converged[best]),
-        starts_converged=int(converged.sum()),
-        iterations=int(iters.max()),
-    )
+    """The ascent oracle for one modulus: the one-case call of
+    numeric_oracle_max_discs."""
+    return numeric_oracle_max_discs(a, d, [m], starts, seed, max_iters)[0]

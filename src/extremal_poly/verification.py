@@ -37,7 +37,7 @@ from .poly_core import (
 from .solvers import (
     REGIME_BINOMIAL,
     _rescale_to_modulus,
-    numeric_oracle_max_disc,
+    numeric_oracle_max_discs,
     solve_max_disc,
     solve_min_abs,
     stationarity_residual,
@@ -463,7 +463,7 @@ def _check_energy_equilibrium() -> CheckResult:
             worst_eq = max(worst_eq, abs(config.energy_I - bound))
             for _ in range(5):
                 pert = np.asarray(config.points) + 1e-2 * rng.standard_normal(d)
-                t = _rescale_to_modulus(pert[None, :], 1.0, -d * config.potential_v)[0]
+                t = _rescale_to_modulus(pert[None, :], -d * config.potential_v)[0]
                 other = config_from_points([float(t * x) for x in pert], 1.0)
                 min_margin = min(min_margin, other.energy_I - config.energy_I)
     return CheckResult(
@@ -494,14 +494,15 @@ def _check_oracle_agreement() -> CheckResult:
     count = 0
     for d in (2, 3):
         boundary = 2.0 ** (d - 1)
-        for m in (0.3 + 0.7 * boundary, boundary, 2.0 * boundary):
-            got = numeric_oracle_max_disc(1.0, d, m, starts=8, seed=7)
+        ms = (0.3 + 0.7 * boundary, boundary, 2.0 * boundary)
+        got = numeric_oracle_max_discs(1.0, d, ms, starts=8, seed=7)
+        for m, res in zip(ms, got):
             want = solve_max_disc(1.0, d, m).achieved_disc
-            worst = max(worst, rel_log_diff(got.log_disc.log_abs, want.log_abs))
+            worst = max(worst, rel_log_diff(res.log_disc.log_abs, want.log_abs))
             count += 1
     return CheckResult(
         "oracle-agreement",
-        worst <= 1e-5,
+        worst <= 1e-9,
         "%d cases, worst rel log err %s" % (count, _err(worst)),
     )
 

@@ -1,12 +1,16 @@
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
 from extremal_poly.cli import canonical_json, main
 from extremal_poly.jacobi_family import JacobiFamilyParams, closed_form_disc
 from extremal_poly.poly_core import TOL_ORACLE, log_modulus_at_ai, rel_log_diff
+from extremal_poly.verification import format_report, run_suite
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -429,6 +433,14 @@ class TestEmitPlot:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize(
+        "deep, name", [(False, "verify.txt"), (True, "verify_deep.txt")]
+    )
+    def test_report_matches_golden_file(self, deep, name):
+        # the checked-in stdout of `verify` and `verify --deep`
+        want = (DATA / name).read_text()
+        assert format_report(run_suite(deep=deep)) + "\n" == want
+
     def test_fast_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from extremal_poly.poly_core import (
     log_disc_from_roots,
     rel_log_diff,
 )
+from extremal_poly import solvers
 from extremal_poly.solvers import (
     PROBLEM_MAX_DISC,
     PROBLEM_MIN_ABS,
     REGIME_BINOMIAL,
     REGIME_MULTIPLIER,
     numeric_oracle_max_disc,
+    numeric_oracle_max_discs,
     solve_max_disc,
     solve_min_abs,
     stationarity_residual,
@@ -379,3 +382,57 @@ class TestNumericOracle:
         r2 = numeric_oracle_max_disc(1.0, 2, 1.7, starts=4, seed=11)
         assert r1.roots == r2.roots
         assert r1.log_disc.log_abs == r2.log_disc.log_abs
+
+    @pytest.mark.parametrize("a, d", [(1.0, 2), (1.0, 3), (0.7, 4), (2.0, 5)])
+    def test_batch_equals_single_calls_bitwise(self, a, d):
+        # fractions of the crossover exponent below 1 are multiplier
+        # targets, above 1 binomial ones, and 1 is the boundary member
+        ms = [a**d * 2.0 ** (f * (d - 1)) for f in (1.3, 0.4, 1.0, 0.9, 1.05, 0.2)]
+        batch = numeric_oracle_max_discs(a, d, ms, starts=5, seed=3)
+        assert batch == [
+            numeric_oracle_max_disc(a, d, m, starts=5, seed=3) for m in ms
+        ]
+
+    def test_rejected_flat_step_stops_the_start(self, monkeypatch):
+        # a start whose fresh step is rejected while promising no more than
+        # the tolerance stops at once instead of halving it 60 times
+        calls = []
+        rescale = solvers._rescale_to_modulus
+
+        def counted(x, target):
+            calls.append(x.shape[0])
+            return rescale(x, target)
+
+        monkeypatch.setattr(solvers, "_rescale_to_modulus", counted)
+        res = numeric_oracle_max_disc(1.0, 2, 1.7)
+        assert res.converged and res.starts_converged == 32
+        assert len(calls) <= res.iterations + 2
+
+    @pytest.mark.parametrize("a, d", [(1e100, 3), (1e-100, 3), (1e-150, 2), (1e150, 2)])
+    def test_extreme_heights_solve_in_the_unit_chart(self, a, d):
+        m = a**d * 2.0 ** ((d - 1) / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = numeric_oracle_max_disc(a, d, m, starts=8, seed=7)
+        want = solve_max_disc(a, d, m).achieved_disc
+        assert res.converged
+        assert rel_log_diff(res.log_disc.log_abs, want.log_abs) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"starts": 2.5},
+            {"starts": True},
+            {"starts": 0},
+            {"seed": -1},
+            {"seed": 1.0},
+            {"max_iters": -1},
+            {"max_iters": 0},
+            {"ms": []},
+        ],
+    )
+    def test_argument_validation(self, kwargs):
+        args = {"a": 1.0, "d": 2, "ms": [1.5]}
+        args.update(kwargs)
+        with pytest.raises(DomainError):
+            numeric_oracle_max_discs(**args)
