@@ -2,11 +2,14 @@
 
 Maximisers of the discriminant at fixed modulus |f(ai)| (below the
 boundary modulus 2^(d-1) a^d) form a one-parameter family indexed by a
-Lagrange multiplier lam. The family's coefficients and roots, its modulus
-(a Chu-Vandermonde product) and discriminant in closed log forms, and the
-one Newton solve that pins lam to either live here, together with general
+Lagrange multiplier lam. The family's coefficients, its modulus (a
+Chu-Vandermonde product) and discriminant in closed log forms, and the one
+Newton solve that pins lam to either live here, together with general
 Jacobi/Gegenbauer expansions and the discriminant formula for Jacobi
-polynomials that the closed form is checked against.
+polynomials that the closed form is checked against. So do its roots: a
+dense SVD of the recurrence's bidiagonal block below d = 512, and from
+there on Newton on the normal form of the family's ODE from WKB seeds,
+O(d^2).
 """
 
 import math
@@ -18,6 +21,13 @@ from .errors import DomainError, PoleError, RegimeError
 from .poly_core import LogDiscriminant
 
 _POLE_REJECT = 1e-9
+# Degree from which family_roots takes Newton on the recurrence instead of
+# the dense SVD: the measured crossover (the SVD is O(d^3), Newton O(d^2)
+# with a larger constant).
+_NEWTON_DEGREE = 512
+# Newton sweeps before a root solve is refused as not settling; a multiplier
+# from solve_multiplier takes two or three.
+_NEWTON_SWEEPS = 16
 
 
 def multiplier_poles(d: int) -> tuple[int, ...]:
@@ -82,11 +92,14 @@ def family_roots(params: JacobiFamilyParams) -> list[float]:
     symmetric tridiagonal matrix of its monic three-term recurrence
     (Golub-Welsch): zero diagonal, off-diagonals
     e_n = a sqrt(n (lam+2-n) / ((lam+3-2n) (lam+1-2n))), n = 1..d-1.
-    A zero diagonal pairs the eigenvalues as +-sigma, where the sigma are
-    the singular values of the half-size lower-bidiagonal block that
-    couples odd and even indices; odd d adds one exact zero. DomainError
-    when a radicand is not positive (never for lam >= 2d-2); its factors
-    are taken over lam, so none overflows."""
+    A zero diagonal pairs the eigenvalues as +-sigma, and odd d adds one
+    exact zero. Below d = _NEWTON_DEGREE the sigma are the singular values
+    of the half-size lower-bidiagonal block that couples odd and even
+    indices (one dense SVD, O(d^3)); from there on they come from
+    _newton_roots, O(d^2). DomainError when a radicand is not positive
+    (never for lam >= 2d-2; its factors are taken over lam, so none
+    overflows), or when the Newton solve does not settle on floor(d/2)
+    distinct positive roots."""
     a, d, lam = params.a, params.d, params.multiplier
     n = np.arange(1.0, d)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -97,16 +110,137 @@ def family_roots(params: JacobiFamilyParams) -> list[float]:
         raise DomainError(
             "recurrence radicand is not positive at multiplier %.17g" % lam
         )
-    e = a * np.sqrt(scaled) / math.sqrt(lam)
-    cols = d // 2
-    b = np.zeros(((d + 1) // 2, cols))
-    diag = np.arange(cols)
-    b[diag, diag] = e[0::2]
-    sub = np.arange((d - 1) // 2)
-    b[sub + 1, sub] = e[1::2]
-    sigma = np.linalg.svd(b, compute_uv=False)  # descending
+    if d >= _NEWTON_DEGREE:
+        # scaled are the e_n^2 at a = 1 in xi = sqrt(lam) x
+        sigma = _newton_roots(d, lam, scaled)[::-1] * (a / math.sqrt(lam))
+    else:
+        e = a * np.sqrt(scaled) / math.sqrt(lam)
+        cols = d // 2
+        b = np.zeros(((d + 1) // 2, cols))
+        diag = np.arange(cols)
+        b[diag, diag] = e[0::2]
+        sub = np.arange((d - 1) // 2)
+        b[sub + 1, sub] = e[1::2]
+        sigma = np.linalg.svd(b, compute_uv=False)  # descending
     mid = [0.0] if d % 2 else []
     return (-sigma).tolist() + mid + sigma[::-1].tolist()
+
+
+def _newton_roots(d: int, lam: float, e2: np.ndarray) -> np.ndarray:
+    """The floor(d/2) positive roots, ascending, of p_d from the monic
+    recurrence p_{n+1} = xi p_n - e2[n-1] p_{n-1}: the family at a = 1 in
+    the variable xi = sqrt(lam) x, which keeps every quantity in float
+    range up to lam near the largest float.
+
+    The family's ODE (x^2 + 1) y'' - lam x y' + d (lam + 1 - d) y = 0 has
+    the normal form w = y (x^2 + 1)^(-lam/4), w'' = -I w, so w'' = 0 at
+    every root and Newton on w, xi <- xi - 1/(p'/p - xi / (2 (xi^2/lam + 1))),
+    converges cubically (plain Newton on p only linearly near the largest
+    root). A step s at local root gap g leaves an error of about s^3/g^2,
+    so a root is done once that is below 1e-16 xi, and later sweeps
+    carry only the roots not yet done; from _wkb_seeds a solve takes two
+    or three sweeps. DomainError after _NEWTON_SWEEPS sweeps, or unless
+    the result is positive, finite and strictly ascending: floor(d/2)
+    distinct roots are all of them."""
+    xi = _wkb_seeds(d, lam)
+    todo = np.arange(xi.size)
+    for _ in range(_NEWTON_SWEEPS):
+        x = xi[todo]
+        log_deriv = _log_derivative(x, e2)  # may move x by an ulp
+        step = 1.0 / (log_deriv - x / (2.0 * (x * x / lam + 1.0)))
+        xi[todo] = x - step
+        gap = np.diff(xi, prepend=0.0 if d % 2 else -xi[0])[todo]
+        todo = todo[~(np.abs(step) ** 3 <= 1e-16 * x * gap * gap)]
+        if not todo.size:
+            break
+    else:
+        raise DomainError(
+            "multiplier roots did not settle in %d Newton sweeps (d = %d, lam = %.17g)"
+            % (_NEWTON_SWEEPS, d, lam)
+        )
+    if not (np.all(np.isfinite(xi)) and xi[0] > 0.0 and np.all(np.diff(xi) > 0.0)):
+        raise DomainError(
+            "multiplier roots are not positive, finite and strictly ascending "
+            "(d = %d, lam = %.17g)" % (d, lam)
+        )
+    return xi
+
+
+def _log_derivative(x: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """p_d'/p_d at each x by one pass of the continued fraction of the
+    recurrence: r_1 = x, u_1 = 1/x, t = e2_n/r_n, r_{n+1} = x - t,
+    u_{n+1} = (1 + t u_n)/r_{n+1} (r_n = p_n/p_{n-1}, u_n = r_n'/r_n), and
+    p_d'/p_d is the sum of the u_n. A pivot r_n of exactly 0 (the pass then
+    gives NaN or inf) moves that x, in place, up one ulp, and its pass is
+    redone."""
+    out = _continued_fraction(x, e2)
+    for _ in range(4):
+        bad = ~np.isfinite(out)
+        if not bad.any():
+            return out
+        x[bad] = np.nextafter(x[bad], np.inf)
+        out[bad] = _continued_fraction(x[bad], e2)
+    raise DomainError("the recurrence has a zero pivot at every nearby point")
+
+
+def _continued_fraction(x: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """One pass of _log_derivative, updating its work vectors in place."""
+    r, t = x.copy(), np.empty_like(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = 1.0 / x
+        total = u.copy()
+        for e in e2.tolist():
+            np.divide(e, r, out=t)
+            np.subtract(x, t, out=r)
+            u *= t
+            u += 1.0
+            u /= r
+            total += u
+    return total
+
+
+def _wkb_seeds(d: int, lam: float) -> np.ndarray:
+    """Seeds for _newton_roots (lam > 2d - 3), within 0.04 of the local
+    root gap for lam >= 2d - 2 and exact at 2d - 2 and 2d; below 2d - 2
+    the largest root's seed is off by up to 0.9 gaps toward the pole
+    2d - 3, where that root runs off to infinity.
+
+    In the chart x = cot(theta), v = y sin(theta)^(mu+1), mu = lam/2,
+    satisfies v'' + (s^2 - tau / sin(theta)^2) v = 0 with s = mu + 1 and
+    tau = (mu - d)(mu - d + 1). The WKB phase of the d roots on (0, pi) is
+    Phi(theta) = int sqrt(s^2 - t^2/sin^2) from the turning point
+    sin(theta_t) = t/s, with t = sqrt(tau); on 2d - 2 <= lam <= 2d, where
+    -1/4 <= tau <= 0, t = 0 and the seeds are equally spaced in theta, as
+    the roots are exactly at both ends. The total phase is pi (s - t) =
+    pi k, so equal end margins put the roots at Phi = (j + c) pi,
+    c = (k - d + 1)/2. In terms of cot(theta), Phi = k pi/2 - k alpha -
+    t delta with q = sqrt(s^2 - t^2 - t^2 cot^2), alpha = arctan2(s cot, q)
+    and delta = alpha - arcsin(t cot / sqrt(s^2 - t^2)) written without
+    cancellation. It is tabulated at
+    theta = pi/2 - beta cos(psi), beta = pi/2 - theta_t, for 8d + 64
+    uniform psi, which is smooth through the turning point, and inverted
+    by linear interpolation."""
+    # past 1e300 the seeds in xi have long settled to their lam -> inf
+    # limit (the Hermite roots), and the cap keeps d lam in float range
+    mu = min(lam, 1e300) / 2.0
+    s = mu + 1.0
+    if mu > d or mu < d - 1.0:
+        t = math.sqrt(abs(mu - d)) * math.sqrt(abs(mu - d + 1.0))
+        area = d * (2.0 * mu + 1.0 - d) + s  # s^2 - t^2
+    else:
+        t, area = 0.0, s * s
+    k = area / (s + t)
+    root_area = math.sqrt(area)
+    beta = math.atan2(root_area, t)
+    psi = np.linspace(0.0, 0.5 * math.pi, 8 * d + 64)
+    cot = np.tan(beta * np.cos(psi))
+    q = np.sqrt(np.maximum((root_area - t * cot) * (root_area + t * cot), 0.0))
+    alpha = np.arctan2(s * cot, q)
+    delta = np.arctan2(k * cot * q, q * q + (s * cot) * (t * cot))
+    phase = 0.5 * math.pi * k - (k * alpha + t * delta)
+    c = 0.5 * (k - d + 1.0)
+    at = np.interp((np.arange(d // 2) + c) * math.pi, phase, psi)
+    return math.sqrt(2.0 * mu) * np.tan(beta * np.cos(at))[::-1]
 
 
 def log_modulus_ratio(d: int, lam: float) -> float:

@@ -48,6 +48,13 @@ REGIME_MULTIPLIER = "g_family"
 # boundary, so resolving anything finer is illusory anyway.
 _BOUNDARY_SNAP = 1e-9
 
+# Largest unit-chart target T = log m - d log a the ascent oracle takes.
+# Each term of its constraint sum 0.5 log(1 + x_k^2) = T is >= 0, so every
+# feasible point has 1 + x_k^2 <= e^(2T), that is |x_k| <= sqrt(e^(2T) - 1)
+# < e^T, and the (1 + x^2)^2 of _newton_directions is at most e^(4T): below
+# 2^1024, the float overflow, exactly when T < 256 log 2 (about 177.4).
+_ORACLE_MAX_TARGET = 256.0 * math.log(2.0)
+
 
 @dataclass(frozen=True)
 class ExtremalSolution:
@@ -313,6 +320,8 @@ def numeric_oracle_max_discs(
     g(x) = sum_{j<k} 2 log|x_j - x_k| under the modulus constraint
     sum 0.5 log(a^2 + x_k^2) = log m, one OracleResult per m in ms (a
     nonempty sequence); knows nothing about either closed-form family.
+    DomainError for a target log m - d log a of 256 log 2 (about 177.4) or
+    more, where the unit-chart roots may pass 2^256 (_ORACLE_MAX_TARGET).
 
     The ascent runs in the unit chart x = a u: at height 1 with the
     target log m - d log a, so the height alone over- or underflows
@@ -347,6 +356,11 @@ def numeric_oracle_max_discs(
         if m <= 0 or not math.isfinite(m) or math.log(m) <= d * log_a:
             raise RegimeError("need m > a^d")
         targets.append(math.log(m) - d * log_a)
+        if targets[-1] >= _ORACLE_MAX_TARGET:
+            raise DomainError(
+                "log m - d log a = %.17g is past the oracle's bound 256 log 2: "
+                "its roots would overflow" % targets[-1]
+            )
     offset = d * (d - 1) * log_a
 
     u = np.empty((starts, d))

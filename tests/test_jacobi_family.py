@@ -2,11 +2,13 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from extremal_poly.binomial_family import lattice_roots
+import extremal_poly.jacobi_family as jf
 from extremal_poly.errors import DomainError, PoleError, RegimeError
 from extremal_poly.jacobi_family import (
     JacobiFamilyParams,
@@ -320,6 +322,125 @@ def test_family_roots_reject_nonpositive_radicand(lam):
     # off-diagonals; the roots are refused rather than returned as NaN
     with pytest.raises(DomainError):
         family_roots(JacobiFamilyParams(a=1.0, d=6, multiplier=lam))
+
+
+NEWTON_D = jf._NEWTON_DEGREE
+# multipliers as fractions of the boundary 2d - 2, then two at fixed
+# offsets: one below the boundary (family_roots accepts lam > 2d - 3), and
+# 2d - 1, where the turning points of the seeds' phase meet the ends
+NEWTON_LAMS = [
+    (f, 0.0) for f in (1.0 + 1e-6, 1.0001, 1.01, 1.28, 1e10)
+] + [(1.0, -0.5), (1.0, 1.0)]
+
+
+def _newton_lam(d, frac, offset):
+    return frac * (2.0 * d - 2.0) + offset
+
+
+def _mpmath_newton_correction(mp, x, d, lam):
+    # |p/p'| / x at 40 digits, p and p' from the monic recurrence at a = 1
+    with mp.workdps(40):
+        x, lam = mp.mpf(x), mp.mpf(lam)
+        p0, p1, q0, q1 = mp.mpf(1), x, mp.mpf(0), mp.mpf(1)
+        for n in range(1, d):
+            e2 = n * (lam + 2 - n) / ((lam + 3 - 2 * n) * (lam + 1 - 2 * n))
+            p0, p1, q0, q1 = p1, x * p1 - e2 * p0, q1, p1 + x * q1 - e2 * q0
+        return float(abs(p1 / q1) / x)
+
+
+@pytest.mark.parametrize("frac, offset", NEWTON_LAMS)
+@pytest.mark.parametrize("d", [NEWTON_D, 1000, 1001])
+def test_newton_roots_match_mpmath(d, frac, offset):
+    mp = pytest.importorskip("mpmath")
+    lam = _newton_lam(d, frac, offset)
+    pos = family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))[(d + 1) // 2 :]
+    half = len(pos)
+    for k in (0, 1, half // 4, half // 2, half - 2, half - 1):
+        assert _mpmath_newton_correction(mp, pos[k], d, lam) <= 1e-14
+
+
+def _assert_newton_matches_svd(params, monkeypatch):
+    # the SVD is backward stable: its roots are off by a small multiple of
+    # eps times the largest, and the two paths agree to that
+    monkeypatch.setattr(jf, "_NEWTON_DEGREE", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        newton = np.array(family_roots(params))
+    monkeypatch.setattr(jf, "_NEWTON_DEGREE", 10**9)
+    svd = np.array(family_roots(params))
+    assert np.max(np.abs(newton - svd)) <= 32.0 * np.finfo(float).eps * svd[-1]
+
+
+@pytest.mark.parametrize("frac, offset", NEWTON_LAMS[:5])
+@pytest.mark.parametrize("d", [NEWTON_D - 1, NEWTON_D])
+def test_newton_roots_match_the_svd_at_the_crossover(d, frac, offset, monkeypatch):
+    lam = _newton_lam(d, frac, offset)
+    _assert_newton_matches_svd(JacobiFamilyParams(a=1.0, d=d, multiplier=lam), monkeypatch)
+
+
+@pytest.mark.parametrize("lam", [1e300, sys.float_info.max])
+def test_newton_roots_far_out(lam, monkeypatch):
+    # the seeds take lam as at most 1e300, past which d lam overflows
+    _assert_newton_matches_svd(JacobiFamilyParams(a=1.0, d=NEWTON_D, multiplier=lam), monkeypatch)
+
+
+def test_newton_roots_at_ten_thousand():
+    # sum x^2 = -2 c_{d-2} = a^2 d (d - 1) / (lam - 2d + 3) by family_coeffs
+    d = 10_000
+    lam = _newton_lam(d, 1.28, 0.0)
+    roots = family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))
+    assert len(roots) == d and all(x < y for x, y in zip(roots, roots[1:]))
+    want = d * (d - 1) / (lam - 2.0 * d + 3.0)
+    assert math.fsum(x * x for x in roots) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("a", [1e-150, 1e150])
+def test_newton_roots_scale_with_height(a):
+    d = NEWTON_D + 1
+    lam = _newton_lam(d, 1.28, 0.0)
+    unit = family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))
+    got = family_roots(JacobiFamilyParams(a=a, d=d, multiplier=lam))
+    assert got == pytest.approx([a * x for x in unit], rel=4e-16)
+
+
+@pytest.mark.parametrize("d, lam", [(513, 1.0001 * 1024.0), (1000, None)])
+def test_newton_roots_raise_no_warning(d, lam):
+    # inputs where an earlier seeding met an exact zero pivot r_n = 0
+    if lam is None:
+        lam = solve_multiplier(1.0, d, 2.0 ** (0.5 * (d - 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))
+    assert all(x < y for x, y in zip(roots, roots[1:]))
+
+
+def test_log_derivative_steps_off_a_zero_pivot():
+    # e2 = (1, 1, 1): p_4 = x^4 - 3x^2 + 1, and at x = 1 the pivot
+    # r_2 = x - 1/x is exactly 0; that point moves up one ulp
+    x = np.array([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = jf._log_derivative(x, np.ones(3))
+    assert x.tolist() == [math.nextafter(1.0, 2.0), 2.0]
+    want = [(4 * t**3 - 6 * t) / (t**4 - 3 * t**2 + 1) for t in x.tolist()]
+    assert got.tolist() == pytest.approx(want, rel=1e-14)
+
+
+def test_newton_roots_that_do_not_settle_are_refused(monkeypatch):
+    params = JacobiFamilyParams(a=1.0, d=NEWTON_D, multiplier=_newton_lam(NEWTON_D, 1.28, 0.0))
+    monkeypatch.setattr(jf, "_NEWTON_SWEEPS", 1)
+    with pytest.raises(DomainError, match="did not settle"):
+        family_roots(params)
+
+
+def test_newton_roots_out_of_order_are_refused(monkeypatch):
+    # reversed seeds converge root by root, but descending
+    d = NEWTON_D
+    seeds = jf._wkb_seeds
+    monkeypatch.setattr(jf, "_wkb_seeds", lambda d, lam: seeds(d, lam)[::-1].copy())
+    params = JacobiFamilyParams(a=1.0, d=d, multiplier=_newton_lam(d, 1.28, 0.0))
+    with pytest.raises(DomainError, match="strictly ascending"):
+        family_roots(params)
 
 
 def test_closed_form_disc_values():

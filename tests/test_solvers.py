@@ -418,6 +418,15 @@ class TestNumericOracle:
         assert res.converged
         assert rel_log_diff(res.log_disc.log_abs, want.log_abs) <= 1e-12
 
+    @pytest.mark.parametrize("a, d, m", [(1e-200, 2, 1.0), (1.0, 3, 1e100)])
+    def test_targets_past_the_unit_chart_bound_are_refused(self, a, d, m):
+        # log m - d log a is 921 and 230: feasible unit-chart roots reach
+        # up to e^T, and past T = 256 log 2 their (1 + x^2)^2 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="256 log 2"):
+                numeric_oracle_max_disc(a, d, m)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
