@@ -30,7 +30,8 @@ from .poly_core import (
 _CHUNK_ELEMENTS = 1 << 18
 # Candidate centers per gap between consecutive knots of largest_disk.
 _GAP_SAMPLES = 8
-# Probes of the Newton refinement, beyond which the best one is kept.
+# Newton steps and midpoint probes of one _refine, after which the center
+# it has reached is certified as it stands.
 _MAX_PROBES = 100
 
 
@@ -157,30 +158,6 @@ def _scan(roots: np.ndarray, xs: np.ndarray, inside=None) -> np.ndarray:
     ])
 
 
-def _slope_and_curvature(roots: np.ndarray, x: float, s: float) -> tuple[float, float]:
-    """(s'(x), s''(x)) of s = halfwidth^2 at a point with s > 0, by
-    implicit differentiation of phi(x, s) = sum_k log((x - r_k)^2 + s) = 0
-    with u_k = x - r_k and q_k = u_k^2 + s.
-
-    The sums take c/q_k for 1/q_k, with c the power of two just above s,
-    so that their squares stay in float range however small s is. Scaling
-    by a power of two is exact unless a term is subnormal, and c is
-    divided out of the curvature at the end.
-    """
-    c = math.ldexp(1.0, math.frexp(s)[1])
-    u = x - roots
-    q = u * u + s
-    inv = c / q
-    inv2 = inv * inv
-    phi_s = inv.sum()
-    slope = -2.0 * (u * inv).sum() / phi_s
-    phi_xx = 2.0 * ((s - u * u) * inv2).sum()
-    phi_xs = -2.0 * (u * inv2).sum()
-    phi_ss = -inv2.sum()
-    curv = -(phi_xx + 2.0 * phi_xs * slope + phi_ss * slope * slope) / phi_s
-    return float(slope), float(curv) / c
-
-
 def _peaks(xs: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Indices of the candidates worth refining, in increasing order: the
     discrete local maxima of s = width^2 (the first of a plateau) whose
@@ -209,54 +186,109 @@ def _peaks(xs: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return np.flatnonzero(rises & holds & (top >= s.max()))
 
 
+def _peak_system(roots: np.ndarray, x: float, t: float) -> tuple[float, ...]:
+    """Newton data at (x, t) for the peak conditions of s = halfwidth^2,
+    in one pass over the roots: (f1, f2, noise, j11, j12, j21, j22) with
+    the residuals f1 = phi and f2 = c phi_x, their Jacobian rows
+    (j11, j12) = (phi_x, phi_t) and (j21, j22) = (c phi_xx, c phi_xt),
+    and noise, eight times the rounding error of f2 were each of its
+    terms off by one unit roundoff. Here phi(x, t) =
+    sum_k log((x - r_k)^2 + e^t), taken through _log_abs_sq.
+
+    The second row is scaled by c, the power of two just above s = e^t:
+    the sums take c/q_k for 1/q_k, with q_k = (x - r_k)^2 + s, so their
+    squares stay in float range however small s is. Scaling by a power of
+    two is exact unless a term is subnormal.
+    """
+    s = math.exp(t)
+    c = math.ldexp(1.0, math.frexp(s)[1])
+    u = x - roots
+    dx2 = u * u
+    phi = _log_abs_sq(dx2[None], ((u - 1.0) * (u + 1.0))[None], np.array([s]))
+    inv = c / (dx2 + s)
+    u_inv = u * inv
+    inv2 = inv * inv
+    f2 = 2.0 * u_inv.sum()
+    return (
+        float(phi[0]),
+        float(f2),
+        16.0 * sys.float_info.epsilon * float(np.abs(u_inv).sum()),
+        float(f2) / c,
+        s / c * float(inv.sum()),
+        2.0 / c * float(((s - dx2) * inv2).sum()),
+        -2.0 * s / c * float((u * inv2).sum()),
+    )
+
+
 def _refine(
     rs: np.ndarray, xs: np.ndarray, widths: np.ndarray, j: int
 ) -> tuple[float, float]:
-    """(center, halfwidth) of the best probe of a safeguarded Newton
-    iteration on the slope of s = halfwidth^2 from candidate j, inside
-    the bracket of its two neighbours among the sorted candidates xs.
+    """(center, halfwidth) of the peak of s = halfwidth^2 next to
+    candidate j, by Newton on both peak conditions at once, inside the
+    bracket of j's two neighbours among the sorted candidates xs.
 
-    At each probe the sign of s' moves one bracket end to the probe; the
-    next probe is the Newton point x - s'/s'' when s'' < 0 and the point
-    lies inside the bracket, the bracket midpoint otherwise. A probe
-    outside the lemniscate (s = 0) cuts the bracket on its side of the
-    best probe. The search stops once the bracket is below 1e-10 wide,
-    the Newton step is below one ulp of the center, the bracket has no
-    float left inside it, or after _MAX_PROBES probes. Every s comes from
-    _halfwidth_grid; the best probe is the one with the largest s (the
-    later one on ties), which is candidate j when no probe beats it.
+    The unknowns are the center x and t = log s; the conditions are
+    phi = 0, so that (x, e^(t/2)) is on the boundary |f| = 1, and
+    phi_x = 0, where s' = -phi_x / phi_t vanishes (see _peak_system).
+    No halfwidth is solved along the way. A step is replaced by a probe
+    at the bracket midpoint when it leaves the bracket or the range
+    0 < s <= 1 of every boundary point (|f(x + iy)| >= y^d), or when its
+    Jacobian is not finite or not that of a maximum (at a peak the
+    determinant is -phi_t phi_xx < 0). A probe is a fresh
+    _halfwidth_grid: it can become the best disk, and the iteration goes
+    on from it. At j and at each probe, the sign of s' moves one bracket
+    end there; a probe outside the lemniscate (s = 0) cuts the bracket on
+    its side of the best point instead.
+
+    The search stops when phi_x is zero to within its rounding error, at
+    a step below four ulps of x, at a bracket below 1e-10 wide, or after
+    _MAX_PROBES steps. One fresh _halfwidth_grid certifies the center it
+    stops at, which is returned when its halfwidth is at least the best
+    certified one (j's or a probe's); otherwise that best is. So the
+    width is the bits of vertical_halfwidth at the center, and never
+    less than candidate j's.
     """
     lo = float(xs[max(j - 1, 0)])
     hi = float(xs[min(j + 1, xs.size - 1)])
     best_c, best_r = float(xs[j]), float(widths[j])
-    x, s = best_c, best_r * best_r
+    x, t = best_c, 2.0 * math.log(best_r)
+    certified = True
     for _ in range(_MAX_PROBES):
-        if s > 0.0:
-            slope, curv = _slope_and_curvature(rs, x, s)
-            if slope == 0.0:
-                break
-            if slope > 0.0:
+        f1, f2, noise, j11, j12, j21, j22 = _peak_system(rs, x, t)
+        if abs(f2) <= noise:
+            break
+        if certified:
+            if f2 < 0.0:  # s' > 0
                 lo = x
             else:
                 hi = x
-            nx = x - slope / curv if curv < 0.0 else math.nan
-            if abs(nx - x) <= math.ulp(x):
+        if hi - lo <= 1e-10:
+            break
+        det = j11 * j22 - j12 * j21
+        if -math.inf < det < 0.0:
+            dx = (j12 * f2 - j22 * f1) / det
+            if abs(dx) <= 4.0 * math.ulp(x):
                 break
+            nt = t + (j21 * f1 - j11 * f2) / det
+            if lo < x + dx < hi and nt <= 0.0 and math.exp(nt) > 0.0:
+                x, t, certified = x + dx, nt, False
+                continue
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:
+            break
+        r = float(_halfwidth_grid(rs, np.array([x]))[0])
+        if r >= best_r:
+            best_c, best_r = x, r
+        if r > 0.0:
+            t, certified = 2.0 * math.log(r), True
         else:
             if x > best_c:
                 hi = x
             else:
                 lo = x
-            nx = math.nan
-        if hi - lo <= 1e-10:
-            break
-        if not lo < nx < hi:
-            nx = 0.5 * (lo + hi)
-            if not lo < nx < hi:
-                break
-        x = nx
+            x, t, certified = best_c, 2.0 * math.log(best_r), True
+    if not certified:
         r = float(_halfwidth_grid(rs, np.array([x]))[0])
-        s = r * r
         if r >= best_r:
             best_c, best_r = x, r
     return best_c, best_r
@@ -281,9 +313,12 @@ def largest_disk(
 
     Each candidate that _peaks selects (the best one, and any local peak
     whose parabolic top reaches the best sample) is refined by _refine
-    inside the bracket of its two neighbours, and the disk is the best of
-    those refinements, the leftmost on ties. An interval that misses the
-    padded span, or holds no center of positive halfwidth, gives the
+    inside the bracket of its two neighbours: Newton on the two peak
+    conditions in the center and log halfwidth^2 at once, which solves no
+    halfwidth until one certifies the center it reaches. The disk is the
+    best of those refinements, the leftmost on ties, and its radius is
+    the bits of vertical_halfwidth at its center. An interval that misses
+    the padded span, or holds no center of positive halfwidth, gives the
     empty disk at its lower end.
 
     Raises InputError when the roots and the interval span more than

@@ -461,9 +461,9 @@ def _check_energy_equilibrium() -> CheckResult:
             config = solve_equilibrium(1.0, d, v)
             bound = energy_lower_bound(1.0, d, config.potential_v)
             worst_eq = max(worst_eq, abs(config.energy_I - bound))
-            for _ in range(5):
-                pert = np.asarray(config.points) + 1e-2 * rng.standard_normal(d)
-                t = _rescale_to_modulus(pert[None, :], -d * config.potential_v)[0]
+            perts = np.asarray(config.points) + 1e-2 * rng.standard_normal((5, d))
+            scales = _rescale_to_modulus(perts, -d * config.potential_v)
+            for t, pert in zip(scales, perts):
                 other = config_from_points([float(t * x) for x in pert], 1.0)
                 min_margin = min(min_margin, other.energy_I - config.energy_I)
     return CheckResult(

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from extremal_poly import lemniscate as lem
 from extremal_poly.errors import DomainError, InputError
 from extremal_poly.lemniscate import (
     DiskResult,
@@ -197,8 +198,41 @@ def test_largest_disk_never_beaten_by_uniform_grid(kind, d):
             [np.linspace(roots[0] - 1.0, roots[-1] + 1.0, 64 * d), roots]
         )
         grid_best = float(np.max(_halfwidth_grid(roots, xs)))
-        disk = largest_disk(poly_from_roots(roots))
+        p = poly_from_roots(roots)
+        disk = largest_disk(p)
         assert disk.radius >= (1.0 - 4e-15) * grid_best
+        assert disk.radius == vertical_halfwidth(p, disk.center_x)
+
+
+@pytest.mark.parametrize("d", [6, 50])
+def test_refinement_solves_few_halfwidths_per_peak(monkeypatch, d):
+    # past the scan, a refined peak costs one certifying _halfwidth_grid
+    # and at most one bracket-midpoint probe: its Newton steps solve none
+    counts = {"grid": 0, "scan": 0, "peaks": 0}
+    grid, scan, refine = lem._halfwidth_grid, lem._scan, lem._refine
+
+    def counted_grid(*args):
+        counts["grid"] += 1
+        return grid(*args)
+
+    def counted_scan(*args):
+        before = counts["grid"]
+        widths = scan(*args)
+        counts["scan"] += counts["grid"] - before
+        return widths
+
+    def counted_refine(*args):
+        counts["peaks"] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(lem, "_halfwidth_grid", counted_grid)
+    monkeypatch.setattr(lem, "_scan", counted_scan)
+    monkeypatch.setattr(lem, "_refine", counted_refine)
+    rng = np.random.default_rng(9100 + d)
+    for roots in [np.sort(rng.uniform(-2.0, 2.0, d)) for _ in range(8)]:
+        largest_disk(poly_from_roots(roots))
+    assert counts["scan"] == 8
+    assert counts["grid"] - counts["scan"] <= 2 * counts["peaks"]
 
 
 def test_largest_disk_takes_the_taller_of_two_close_peaks():
