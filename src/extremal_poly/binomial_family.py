@@ -162,25 +162,27 @@ def binomial_poly(params: BinomialFamilyParams) -> RealRootedPoly:
 def binomial_coeffs(params: BinomialFamilyParams) -> list[float]:
     """Ascending coefficients of ((ad - Bi)(x + ai)^d + (ad + Bi)(x - ai)^d) / (2ad).
 
-    The binomial expansion never looks at the roots. The imaginary parts
-    must cancel and the x^(d-1) coefficient must reproduce B, both checked
-    here, so the coefficient route into the family stays honest.
+    With n = d - j, x^j carries (-1)^(n/2) C(d,n) a^n for even n and
+    (-1)^((n-1)/2) C(d,n) B a^(n-1) / d for odd n. Neither cancels, so
+    each is a running product over rho_n = a (d - n + 1) / n: t from 1
+    for the even slots, u from B at n = 1 for the odd ones. The odd slots
+    keep their own product because t alone underflows first (a = 0.3,
+    d = 600). A product that leaves float range stays inf, so a list with
+    an inf holds a true coefficient past float range. The mirror (roots
+    negated) is the same list with the odd-n slots negated.
     """
     a, d, b = params.a, params.d, params.subleading
-    w_plus = complex(a * d, -b) / (2.0 * a * d)
-    w_minus = complex(a * d, b) / (2.0 * a * d)
-    coeffs_c = []
-    for j in range(d + 1):
-        ai_pow = complex(0.0, a) ** (d - j)
-        term = math.comb(d, j) * (w_plus * ai_pow + w_minus * ai_pow.conjugate())
-        coeffs_c.append(term)
-    scale = max(1.0, max(abs(c.real) for c in coeffs_c))
-    if any(abs(c.imag) > 1e-12 * scale for c in coeffs_c):
-        raise RuntimeError("imaginary parts failed to cancel in expansion")
-    coeffs = [c.real for c in coeffs_c]
-    if abs(coeffs[d - 1] - b) > 1e-10 * max(1.0, abs(b)):
-        raise RuntimeError("x^(d-1) coefficient disagrees with subleading input")
-    coeffs[d] = 1.0
+    coeffs = [0.0] * (d + 1)
+    coeffs[d], coeffs[d - 1] = 1.0, b
+    t, u = a * d, b  # C(d,n) a^n and C(d,n) B a^(n-1) / d at n = 1
+    for n in range(2, d + 1):
+        rho = a * (d - n + 1) / n
+        t *= rho
+        u *= rho
+        if n % 2:
+            coeffs[d - n] = -u if n % 4 == 3 else u
+        else:
+            coeffs[d - n] = -t if n % 4 == 2 else t
     return coeffs
 
 

@@ -74,25 +74,18 @@ def log_disc_to_dict(ld) -> dict:
     return {"sign": ld.sign, "log_abs": ld.log_abs, "value": value}
 
 
-def _coeffs_or_null(poly):
-    # the expansion from the roots overflows into NaN near d = 1000; the
-    # roots alone still define the polynomial
-    if any(math.isnan(c) for c in poly.coeffs):
-        return None
-    return list(poly.coeffs)
-
-
 def solution_to_dict(sol) -> dict:
-    lead = sol.polys[0]
+    # a coefficient row with an entry past float range prints as null;
+    # the roots alone still define the polynomial
+    rows = [list(row) if all(map(math.isfinite, row)) else None for row in sol.coeffs]
     mirror = None
     if len(sol.polys) > 1:
-        other = sol.polys[1]
-        mirror = {"roots": list(other.roots), "coeffs": _coeffs_or_null(other)}
+        mirror = {"roots": list(sol.polys[1].roots), "coeffs": rows[1]}
     return {
         "problem": sol.problem,
         "regime": sol.regime,
-        "roots": list(lead.roots),
-        "coeffs": _coeffs_or_null(lead),
+        "roots": list(sol.polys[0].roots),
+        "coeffs": rows[0],
         "achieved_m": sol.achieved_m,
         "log_disc": log_disc_to_dict(sol.achieved_disc),
         "lambda_or_B": sol.lambda_or_b,

@@ -1,10 +1,10 @@
 """Monic real-rooted polynomials with overflow-safe discriminants.
 
-A polynomial is its sorted roots; coefficients are expanded from them on
-demand. Coefficient lists are ascending: coeffs[k] multiplies x**k.
-Discriminants are kept as (sign, log|value|) pairs because the values
-themselves overflow float64 well before degree 20 for root sets of any
-realistic spread.
+A polynomial is its sorted roots. Coefficient lists (the resultant
+oracle's input, and the family closed forms' output) are ascending:
+coeffs[k] multiplies x**k. Discriminants are kept as (sign, log|value|)
+pairs because the values themselves overflow float64 well before degree
+20 for root sets of any realistic spread.
 
 Two independent discriminant routes are provided on purpose: the pairwise
 root-difference product, and a Sylvester resultant determinant that only
@@ -17,7 +17,6 @@ operation per column; each row reads the bits of its own single call.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -73,12 +72,10 @@ def rel_log_diff(lhs: float, rhs: float) -> float:
 class RealRootedPoly:
     """Monic polynomial of degree d >= 2 with d real roots, sorted ascending.
 
-    The roots are the whole representation. coeffs (length d + 1, with
-    coeffs[d] == 1) is expanded from them on first read and cached, by a
-    pure-Python loop below degree _ROW_EXPAND_DEGREE (56) and one numpy
-    row operation per root from there on; both paths give the same bits.
-    Near d = 1000 the expansion overflows into inf or NaN while the roots
-    stay finite.
+    The roots are the whole representation. Coefficients are not kept
+    here: a solver answer carries its family's closed-form rows
+    (ExtremalSolution.coeffs), accurate per coefficient where multiplying
+    the rounded roots back out is not.
     """
 
     roots: tuple[float, ...]
@@ -86,50 +83,6 @@ class RealRootedPoly:
     @property
     def degree(self) -> int:
         return len(self.roots)
-
-    @cached_property
-    def coeffs(self) -> tuple[float, ...]:
-        return tuple(_expand_monic(self.roots))
-
-
-# Degree from which _expand_monic multiplies out with numpy rows. A numpy
-# step costs about 2 us per root whatever its length, which the loop's d
-# float operations per root match near here: on a 2-vCPU Xeon VM the two
-# take about 150 us each at d = 56, the loop 8 us against 33 us at d = 8
-# and 58 ms against 3.4 ms at d = 1000.
-_ROW_EXPAND_DEGREE = 56
-
-
-def _expand_monic(roots) -> list[float]:
-    """Ascending coefficients of prod (x - r), bit-identical on both paths."""
-    if len(roots) >= _ROW_EXPAND_DEGREE:
-        return _expand_monic_rows(roots)
-    return _expand_monic_loop(roots)
-
-
-def _expand_monic_loop(roots) -> list[float]:
-    # multiply out prod (x - r) left to right; new[k] = old[k-1] - r*old[k]
-    coeffs = [1.0]
-    for r in roots:
-        nxt = [0.0] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] += c
-            nxt[k] -= r * c
-        coeffs = nxt
-    return coeffs
-
-
-def _expand_monic_rows(roots) -> list[float]:
-    # the loop's float operations in its order, one numpy row per root;
-    # floats overflow into inf and NaN silently there, so here too
-    coeffs = np.ones(1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in roots:
-            nxt = np.zeros(coeffs.size + 1)
-            nxt[1:] += coeffs
-            nxt[:-1] -= r * coeffs
-            coeffs = nxt
-    return coeffs.tolist()
 
 
 def poly_from_roots(roots) -> RealRootedPoly:

@@ -55,6 +55,11 @@ _BOUNDARY_SNAP = 1e-9
 # 2^1024, the float overflow, exactly when T < 256 log 2 (about 177.4).
 _ORACLE_MAX_TARGET = 256.0 * math.log(2.0)
 
+# Largest stationarity residual (_kkt_residuals) of an oracle start that
+# counts as converged. Starts that reach a maximum end at or below about
+# 3e-7 for d = 2..6, and stalled ones near 0.7.
+_ORACLE_STATIONARY = 1e-4
+
 
 @dataclass(frozen=True)
 class ExtremalSolution:
@@ -67,12 +72,16 @@ class ExtremalSolution:
     echoing the inputs; achieved_m is inf once the modulus leaves float
     range, like LogDiscriminant.value. lambda_or_b carries the family
     parameter: the Lagrange multiplier in the multiplier regime, the
-    subleading coefficient of polys[0] otherwise.
+    subleading coefficient of polys[0] otherwise. coeffs holds one
+    ascending coefficient row per entry of polys, in the same order,
+    from the family's closed form rather than from the rounded roots
+    (inf where a coefficient leaves float range).
     """
 
     problem: str
     regime: str
     polys: tuple[RealRootedPoly, ...]
+    coeffs: tuple[tuple[float, ...], ...]
     achieved_m: float
     achieved_disc: LogDiscriminant
     lambda_or_b: float
@@ -85,12 +94,13 @@ def _validate_common(a: float, d: int) -> None:
         raise DomainError("height a must be positive and finite")
 
 
-def _finish(problem: str, regime: str, polys, a: float, lambda_or_b: float):
+def _finish(problem: str, regime: str, polys, coeffs, a: float, lambda_or_b: float):
     lead = polys[0]
     return ExtremalSolution(
         problem=problem,
         regime=regime,
         polys=tuple(polys),
+        coeffs=tuple(tuple(row) for row in coeffs),
         achieved_m=_exp_or_inf(log_modulus_at_ai(lead.roots, a)),
         achieved_disc=log_disc_from_roots(lead),
         lambda_or_b=lambda_or_b,
@@ -114,18 +124,28 @@ def _dispatch(
     window = _BOUNDARY_SNAP * min(max(1.0, abs(log_m)), log_disc_rate)
     if abs(log_p) <= 0.5 * window:
         poly = poly_from_roots(bf.lattice_roots(a, d, 0.0))
-        return _finish(problem, REGIME_BINOMIAL, [poly], a, 0.0)
+        row = bf.binomial_coeffs(bf.BinomialFamilyParams(a=a, d=d, log_p=0.0))
+        return _finish(problem, REGIME_BINOMIAL, [poly], [row], a, 0.0)
     if log_p < 0.0:
         lead = poly_from_roots(bf.lattice_roots(a, d, log_p))
-        pair = [lead, poly_from_roots([-r for r in lead.roots])]
-        pair.sort(key=lambda p: p.roots[0])
-        b = bf.subleading(a, d, log_p)  # the mirror's is -b
-        return _finish(problem, REGIME_BINOMIAL, pair, a, b if pair[0] is lead else -b)
+        row = bf.binomial_coeffs(bf.BinomialFamilyParams(a=a, d=d, log_p=log_p))
+        # negating the roots negates every x^j with d - j odd, B among them
+        pair = [
+            (lead, row),
+            (
+                poly_from_roots([-r for r in lead.roots]),
+                [-c if (d - j) % 2 else c for j, c in enumerate(row)],
+            ),
+        ]
+        pair.sort(key=lambda member: member[0].roots[0])
+        polys, rows = zip(*pair)
+        return _finish(problem, REGIME_BINOMIAL, polys, rows, a, rows[0][d - 1])
     lam = solve_lambda()
-    poly = poly_from_roots(
-        jf.family_roots(jf.JacobiFamilyParams(a=a, d=d, multiplier=lam))
+    params = jf.JacobiFamilyParams(a=a, d=d, multiplier=lam)
+    poly = poly_from_roots(jf.family_roots(params))
+    return _finish(
+        problem, REGIME_MULTIPLIER, [poly], [jf.family_coeffs(params)], a, lam
     )
-    return _finish(problem, REGIME_MULTIPLIER, [poly], a, lam)
 
 
 def solve_max_disc(a: float, d: int, m: float) -> ExtremalSolution:
@@ -172,7 +192,8 @@ def _multiplier_from_disc(a: float, d: int, log_disc: float) -> float:
 class OracleResult:
     """Best configuration found by the ascent oracle. converged describes
     the winning start; starts_converged counts all that stopped before
-    max_iters; iterations is the most Newton iterations any start took."""
+    max_iters at a stationary point; iterations is the most Newton
+    iterations any start took."""
 
     log_disc: LogDiscriminant
     roots: tuple[float, ...]
@@ -259,10 +280,18 @@ def stationarity_residual(roots, a: float) -> tuple[float, float]:
         raise InputError("roots must be finite")
     if np.any(x[1:] == x[:-1]):
         raise DomainError("roots must be distinct")
-    _, grad_g, grad_h, mu = _kkt_gradients(x[None, :], a)
-    scale = np.max(np.abs(grad_g[0]))
-    resid = np.linalg.norm((grad_g[0] - mu[0] * grad_h[0]) / scale)
-    return float(resid / np.linalg.norm(grad_g[0] / scale)), float(mu[0])
+    resid, mu = _kkt_residuals(x[None, :], a)
+    return float(resid[0]), float(mu[0])
+
+
+def _kkt_residuals(x: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, |grad g - mu grad h| / |grad g| and mu of _kkt_gradients,
+    both norms taken after scaling by the largest |grad g| so neither
+    overflows."""
+    _, grad_g, grad_h, mu = _kkt_gradients(x, a)
+    scale = np.max(np.abs(grad_g), axis=1, keepdims=True)
+    resid = np.linalg.norm((grad_g - mu[:, None] * grad_h) / scale, axis=1)
+    return resid / np.linalg.norm(grad_g / scale, axis=1), mu
 
 
 def _newton_directions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,12 +363,14 @@ def numeric_oracle_max_discs(
     reduced Newton step on the KKT system (_newton_directions), halved
     until the trial point, rescaled back onto the constraint by a damped
     Newton iteration in log scale, raises g. With tol = 1e-12 (1 + |log
-    disc|), a start stops, and counts as converged, once an accepted step
-    gains at most tol, once a fresh step that is rejected predicted at most
-    tol to first order (grad g . step), or once 60 halvings fail to raise
-    g; max_iters caps the Newton iterations per start. Each case's winner
-    is its best final value, ties to the lowest start index. Rows never
-    interact, so each case returns the bits of its own one-case call.
+    disc|), a start stops once an accepted step gains at most tol, once a
+    fresh step that is rejected predicted at most tol to first order
+    (grad g . step), or once 60 halvings fail to raise g; max_iters caps
+    the Newton iterations per start. A stopped start counts as converged
+    when its stationarity residual (as in stationarity_residual) is at
+    most _ORACLE_STATIONARY = 1e-4. Each case's winner is its best final
+    value, ties to the lowest start index. Rows never interact, so each
+    case returns the bits of its own one-case call.
     """
     _validate_common(a, d)
     if d > 6:
@@ -419,6 +450,10 @@ def numeric_oracle_max_discs(
         active[fresh & (iters >= max_iters)] = False
         fresh &= active
 
+    # a start can also stop on small gains while it crawls along a flat
+    # direction far from the maximum (d = 3, m = 1e30 stalls at a residual
+    # of 0.7); it counts as converged only where its roots are stationary
+    converged &= _kkt_residuals(x, 1.0)[0] <= _ORACLE_STATIONARY
     results = []
     for c in range(len(ms)):
         rows = slice(c * starts, (c + 1) * starts)

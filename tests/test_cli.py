@@ -219,7 +219,9 @@ class TestSolveCommands:
         assert log_disc["log_abs"] < math.log(1e-300)
 
     @pytest.mark.parametrize("frac,regime", [(0.999, "g_family"), (1.01, "f_family")])
-    def test_overflowing_coeffs_are_null(self, capsys, frac, regime):
+    def test_degree_1000_coeffs_are_finite(self, capsys, frac, regime):
+        # the closed forms stay in float range here (largest 1.4e299 and
+        # 2.7e302), where multiplying the roots out overflowed
         m = repr(2.0 ** (frac * 999))
         code, out, err = run_cli(
             capsys, "solve-disc", "--a", "1", "--d", "1000", "--m", m
@@ -227,9 +229,26 @@ class TestSolveCommands:
         assert code == 0, err
         doc = json.loads(out)
         assert doc["regime"] == regime
-        assert doc["coeffs"] is None and len(doc["roots"]) == 1000
+        rows = [doc["coeffs"]]
         if doc["mirror"] is not None:
-            assert doc["mirror"]["coeffs"] is None
+            rows.append(doc["mirror"]["coeffs"])
+        for row in rows:
+            assert len(row) == 1001 and row[1000] == 1.0
+            assert all(math.isfinite(c) for c in row)
+        if regime == "g_family":
+            assert all(c == 0.0 for c in doc["coeffs"][1::2])
+
+    def test_coeffs_past_float_range_are_null(self, capsys):
+        # the roots are finite, but B a^(n-1) C(d,n) / d passes 1e308
+        code, out, err = run_cli(
+            capsys, "solve-disc", "--a", "0.4", "--d", "30", "--m", "1e302"
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["regime"] == "f_family"
+        assert doc["coeffs"] is None and doc["mirror"]["coeffs"] is None
+        assert len(doc["roots"]) == 30
+        assert all(math.isfinite(r) for r in doc["roots"])
 
 
 class TestLemniscateCommand:

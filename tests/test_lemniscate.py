@@ -381,7 +381,7 @@ def test_inscribed_disk_poly_above_window():
     poly, height, value = inscribed_disk_poly(2, 4.0)
     assert height == pytest.approx(1.0, rel=1e-13)
     assert value == pytest.approx(2.0, rel=1e-12)
-    assert poly.coeffs == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
+    assert poly.roots == pytest.approx((-1.0, 1.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 20, 50])

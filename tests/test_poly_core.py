@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-import struct
 import sys
 import tracemalloc
 import warnings
@@ -9,17 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from extremal_poly import poly_core
 from extremal_poly.errors import DomainError, InputError
 from extremal_poly.jacobi_family import family_coeffs, jacobi_coeffs
 from extremal_poly.poly_core import (
     TOL_ORACLE,
     _BINADE_MIN_PAIRS,
     _PAIR_BLOCK,
-    _ROW_EXPAND_DEGREE,
     _binade_sums,
-    _expand_monic_loop,
-    _expand_monic_rows,
     LogDiscriminant,
     RealRootedPoly,
     descartes_real_root_bound,
@@ -44,7 +39,6 @@ def test_poly_from_roots_basic():
     p = poly_from_roots([1.0, -1.0])
     assert p.degree == 2
     assert p.roots == (-1.0, 1.0)
-    assert p.coeffs == (-1.0, 0.0, 1.0)
 
 
 def test_poly_from_roots_sorts():
@@ -68,67 +62,15 @@ def test_roots_are_the_only_field():
     p = poly_from_roots([2.0, -1.0, 0.5])
     assert [f.name for f in dataclasses.fields(RealRootedPoly)] == ["roots"]
     assert p.degree == 3
-    assert "coeffs" not in p.__dict__
-    assert p.coeffs == (1.0, -1.5, -1.5, 1.0)
-    assert "coeffs" in p.__dict__
+    assert not hasattr(p, "coeffs")
 
 
 def test_equality_and_hash_follow_the_roots():
     p = poly_from_roots([1.0, -1.0])
     q = poly_from_roots([-1.0, 1.0])
-    assert q.coeffs == (-1.0, 0.0, 1.0)  # q's cache is filled, p's is not
     assert p == q and hash(p) == hash(q)
     assert p != poly_from_roots([-1.0, 2.0])
     assert len({p, q, poly_from_roots([0.0, 1.0])}) == 2
-
-
-def _bits(coeffs):
-    return struct.pack("<%dd" % len(coeffs), *coeffs)
-
-
-@pytest.mark.parametrize(
-    "d", [2, _ROW_EXPAND_DEGREE - 1, _ROW_EXPAND_DEGREE, _ROW_EXPAND_DEGREE + 1, 300, 1000]
-)
-def test_row_expansion_equals_loop_bitwise(d):
-    rng = np.random.default_rng(d)
-    nonfinite = False
-    for trial in range(6):
-        roots = rng.uniform(-3.0, 3.0, size=d).tolist()
-        if trial % 2:
-            roots[int(rng.integers(d))] = 0.0
-            roots[int(rng.integers(d))] = -0.0
-        if trial % 3 == 2:
-            roots[int(rng.integers(d))] = 1e300
-            roots[int(rng.integers(d))] = -1e300
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _expand_monic_rows(roots)
-        want = _expand_monic_loop(roots)
-        assert _bits(got) == _bits(want)
-        nonfinite |= not all(math.isfinite(c) for c in want)
-    # the +-1e300 sets overflow into inf or NaN
-    assert nonfinite
-
-
-@pytest.mark.parametrize(
-    "roots",
-    [
-        [0.0, -0.0],
-        [-0.0, 0.0, 0.5, -0.0],
-        [1e300, -1e300, 0.0, 2.0],
-        [-1e300, -0.0, 1e300, 1e300, -1e300],
-    ],
-)
-def test_row_expansion_signed_zeros_and_overflow(roots):
-    assert _bits(_expand_monic_rows(roots)) == _bits(_expand_monic_loop(roots))
-
-
-def test_expansion_switches_to_rows_at_the_cut(monkeypatch):
-    rows = []
-    monkeypatch.setattr(poly_core, "_expand_monic_rows", lambda r: rows.append(len(r)) or [])
-    for d in (_ROW_EXPAND_DEGREE - 1, _ROW_EXPAND_DEGREE):
-        poly_from_roots(np.linspace(-1.0, 1.0, d)).coeffs
-    assert rows == [_ROW_EXPAND_DEGREE]
 
 
 def test_modulus_at_ai():
@@ -317,7 +259,7 @@ def test_resultant_oracle_agrees_with_root_product():
         roots = rng.uniform(-3, 3, size=int(rng.integers(2, 8)))
         p = poly_from_roots(roots)
         want = log_disc_from_roots(p)
-        got = disc_resultant_oracle(p.coeffs)
+        got = disc_resultant_oracle(np.poly(p.roots)[::-1])
         assert got.sign == want.sign
         assert rel_log_diff(got.log_abs, want.log_abs) < 1e-8
 

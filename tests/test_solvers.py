@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -60,7 +61,7 @@ class TestSolveMaxDisc:
         assert sol.regime == REGIME_MULTIPLIER
         assert len(sol.polys) == 1
         assert sol.lambda_or_b == pytest.approx(3.0, rel=1e-12)
-        assert sol.polys[0].coeffs == pytest.approx([-0.5, 0.0, 1.0], abs=1e-14)
+        assert sol.coeffs == ((-0.5, 0.0, 1.0),)
         assert sol.achieved_disc.value == pytest.approx(2.0, rel=1e-11)
 
     def test_rejects_modulus_at_or_below_floor(self):
@@ -93,8 +94,8 @@ class TestSolveMinAbs:
         assert sol.regime == REGIME_BINOMIAL
         assert len(sol.polys) == 2
         assert sol.achieved_m == pytest.approx(1.0, rel=1e-12)
-        assert sol.polys[0].coeffs == pytest.approx([-0.25, SQ3, 1.0], rel=1e-11)
-        assert sol.polys[1].coeffs == pytest.approx([-0.25, -SQ3, 1.0], rel=1e-11)
+        assert sol.coeffs[0] == pytest.approx([-0.25, SQ3, 1.0], rel=1e-11)
+        assert sol.coeffs[1] == pytest.approx([-0.25, -SQ3, 1.0], rel=1e-11)
 
     def test_large_height_multiplier(self):
         sol = solve_min_abs(2.0, 2, 2.0)
@@ -418,6 +419,16 @@ class TestNumericOracle:
         assert res.converged
         assert rel_log_diff(res.log_disc.log_abs, want.log_abs) <= 1e-12
 
+    @pytest.mark.parametrize("m", [1e30, 1e70])
+    def test_stalled_starts_are_not_converged(self, m):
+        # every start stops on small gains along the flat direction, well
+        # below the maximum (log disc 213 against 275 at m = 1e30), with a
+        # stationarity residual near 0.7
+        res = numeric_oracle_max_disc(1.0, 3, m)
+        want = solve_max_disc(1.0, 3, m).achieved_disc
+        assert rel_log_diff(res.log_disc.log_abs, want.log_abs) > 0.1
+        assert not res.converged and res.starts_converged == 0
+
     @pytest.mark.parametrize("a, d, m", [(1e-200, 2, 1.0), (1.0, 3, 1e100)])
     def test_targets_past_the_unit_chart_bound_are_refused(self, a, d, m):
         # log m - d log a is 921 and 230: feasible unit-chart roots reach
@@ -445,3 +456,66 @@ class TestNumericOracle:
         args.update(kwargs)
         with pytest.raises(DomainError):
             numeric_oracle_max_discs(**args)
+
+
+def _mpmath_coeff_rows(mp, sol, a, d):
+    """The closed-form coefficient rows of sol at its own lambda or B, to
+    60 digits: the multiplier member's (-1)^k a^(2k) C(d,2k) (2k-1)!! /
+    prod_{j<=k} (lam - 2d + 2j + 1) at x^(d-2k), or the binomial pair's
+    (-1)^(n/2) C(d,n) a^n and (-1)^((n-1)/2) C(d,n) B a^(n-1) / d at x^(d-n)."""
+    a = mp.mpf(a)
+    if sol.regime == REGIME_MULTIPLIER:
+        lam = mp.mpf(sol.lambda_or_b)
+        row = [mp.mpf(0)] * (d + 1)
+        den = mp.mpf(1)
+        for k in range(d // 2 + 1):
+            if k:
+                den *= lam - 2 * d + 2 * k + 1
+            row[d - 2 * k] = (-1) ** k * a ** (2 * k) * mp.binomial(d, 2 * k) * (
+                mp.fac2(2 * k - 1) / den
+            )
+        return [row]
+    rows = []
+    for b in (sol.lambda_or_b, -sol.lambda_or_b)[: len(sol.polys)]:
+        b, row = mp.mpf(b), []
+        for n in range(d, -1, -1):
+            if n % 2:
+                sign = (-1) ** ((n - 1) // 2)
+                row.append(sign * mp.binomial(d, n) * b * a ** (n - 1) / d)
+            else:
+                row.append((-1) ** (n // 2) * mp.binomial(d, n) * a**n)
+        rows.append(row)
+    return rows
+
+
+# m = a^d 2^(frac (d - 1)); at a = 1, d = 1000, frac = 1.5 it is 2^1498.5,
+# past float range, so that target cannot be asked for
+_COEFF_GRID = [
+    (a, d, frac)
+    for a, ds in ((1.0, (20, 60, 200, 1000)), (0.3, (20, 200)), (2.0, (20, 200)))
+    for d in ds
+    for frac in (0.5, 0.999, 1.01, 1.5)
+    if (a, d, frac) != (1.0, 1000, 1.5)
+]
+
+
+@pytest.mark.parametrize("a, d, frac", _COEFF_GRID)
+def test_coeffs_match_mpmath_closed_forms(a, d, frac):
+    # every coefficient in [1e-300, 1e300] is within 2e-14 of 60-digit
+    # mpmath, and exact zeros are 0; a row with an inf (which the CLI
+    # prints as null) must really hold a coefficient past float range
+    mp = pytest.importorskip("mpmath")
+    sol = solve_max_disc(a, d, a**d * 2.0 ** (frac * (d - 1)))
+    assert len(sol.coeffs) == len(sol.polys)
+    with mp.workdps(60):
+        rows = _mpmath_coeff_rows(mp, sol, a, d)
+        for got, want in zip(sol.coeffs, rows):
+            assert len(got) == d + 1 and got[d] == 1.0
+            if not all(math.isfinite(c) for c in got):
+                assert max(abs(w) for w in want) > sys.float_info.max
+                continue
+            for g, w in zip(got, want):
+                if w == 0:
+                    assert g == 0.0
+                elif 1e-300 <= abs(w) <= 1e300:
+                    assert abs(mp.mpf(g) / w - 1) <= 2e-14, (g, w)
