@@ -7,14 +7,12 @@ pairs because the values themselves overflow float64 well before degree
 20 for root sets of any realistic spread.
 
 Two independent discriminant routes are provided on purpose: the pairwise
-root-difference product, and a Sylvester resultant determinant that only
-ever sees coefficients. Agreement between them is what the verification
-suite leans on. The resultant oracle takes many coefficient rows at once
-and eliminates one stack of Sylvester matrices per degree, one numpy
-operation per column; each row reads the bits of its own single call.
+root-difference product, its logs summed exactly in row blocks, and a
+Sylvester resultant determinant that only ever sees coefficients, up to
+RESULTANT_MAX_DEGREE. Agreement between them is what the verification
+suite leans on.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +22,10 @@ from .errors import DomainError, InputError
 
 # Default oracle tolerance, relative in log magnitude.
 TOL_ORACLE = 1e-8
+
+# Largest degree of disc_resultant_oracles: the last at which family_coeffs
+# rows (a in [0.01, 100], multiplier in [2d - 2 + 1e-3, 20d]) stay in TOL_ORACLE.
+RESULTANT_MAX_DEGREE = 12
 
 
 @dataclass(frozen=True)
@@ -103,49 +105,39 @@ def log_modulus_at_ai(roots, a: float) -> float:
     return math.fsum(math.log(math.hypot(a, r)) for r in roots)
 
 
-# Root pairs per row block of log_disc_from_roots: the blocks bound its
-# memory, and wider ones raise the peak and run no faster.
+# Root pairs per block of log_disc_from_roots, the most _split_sums sums
+# exactly; the blocks bound its memory. A degree with at most this many
+# pairs is one block.
 _PAIR_BLOCK = 1 << 14
 
-# Pairs from which a block's logs are summed by binade rather than as a
-# list. The two cost the same, about 15 us, near 500 pairs on a 2-vCPU
-# Xeon VM (list 7.5 against 12 us at 256 pairs, 650 against 140 us at
-# 2^14), so every block at d <= 32 takes the list.
-_BINADE_MIN_PAIRS = 512
+# Pairs from which one block's logs are split rather than listed: the two
+# cost the same, about 28 us, between d = 25 and 26 on a 2-vCPU Xeon VM.
+_SPLIT_MIN_PAIRS = 320
+
+_SPLIT_CONSTANTS = (1.5 * 2.0**24, 1.5 * 2.0**-14)
 
 
-def _binade_sums(logs: np.ndarray) -> list[float]:
-    """At most two floats per binade of logs, summing exactly to sum(logs).
+def _split_sums(g: np.ndarray, h: np.ndarray) -> list[float]:
+    """Three floats summing exactly to sum(g); g and h are overwritten.
 
-    Exponent buckets after Demmel and Hida (SIAM J. Sci. Comput. 25,
-    2003): each entry m·2^e splits as (hi + lo)·2^(e-26), hi an integer
-    with |hi| <= 2^26 and lo a multiple of 2^-27 with |lo| <= 1/2. Over
-    fewer than 2^26 entries every partial sum of either part is a multiple
-    of its unit below 2^53, so each binade's sums are exact in any order,
-    and so is their scaling while 2^(e-53) stays normal. The entries must
-    be finite and each 0 or at least 2^-968 in magnitude; the log of a
-    positive float is 0 or above 2^-54.
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008): for C = 1.5·2^e and |g| <= 2^(e-1), h = (g + C) - C is g
+    rounded to a multiple of 2^(e-52), and g - h is exact and at most
+    2^(e-53); the units here are 2^-28 and 2^-66. The entries must be
+    multiples of 2^-106 below 2^10 in magnitude, as logs of positive
+    floats are (each is 0 or above 2^-54). Over at most 2^14 entries the
+    partial sums of each level, and of the remainders (at most 2^-67),
+    are then multiples of their unit below 2^53 units: every sum is exact
+    in any order.
     """
-    m, e = np.frexp(logs)
-    m *= 2.0**26
-    hi = np.rint(m)
-    m -= hi
-    e_min = int(e.min())
-    e -= e_min
-    hi_sums = np.bincount(e, weights=hi)
-    lo_sums = np.bincount(e, weights=m)
-    scale = np.arange(e_min - 26, e_min - 26 + hi_sums.size)
-    return np.ldexp(hi_sums, scale).tolist() + np.ldexp(lo_sums, scale).tolist()
-
-
-def _block_terms(gaps: np.ndarray) -> list[float]:
-    # floats whose exact sum is that of the logs of the positive gaps
-    logs = np.log(gaps[gaps > 0])
-    if logs.size >= _BINADE_MIN_PAIRS and math.isfinite(logs.max()):
-        return _binade_sums(logs)
-    # a small block sums as fast as a list, and an inf log (a gap past
-    # float range) makes the fsum inf
-    return logs.tolist()
+    sums = []
+    for c in _SPLIT_CONSTANTS:
+        np.add(g, c, out=h)
+        h -= c
+        sums.append(float(h.sum()))
+        g -= h
+    sums.append(float(g.sum()))
+    return sums
 
 
 def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
@@ -154,29 +146,42 @@ def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
     sign 0 exactly when two stored roots coincide as floats; otherwise +1,
     since the polynomial is monic with all roots real. log_abs is
     2·log prod (x_k - x_i), the exact sum of the np.log of every gap
-    rounded once: a block of at least _BINADE_MIN_PAIRS gaps contributes
-    its exact per-binade sums, a smaller one its logs, and one fsum of
-    those floats gives the same bits as an fsum of every log.
+    rounded once (doubling is exact): each block of at most _PAIR_BLOCK
+    gaps gives its logs or, from _SPLIT_MIN_PAIRS on, their three exact
+    _split_sums, and one fsum of those floats, correctly rounded, has the
+    bits of an fsum of every log.
     """
     rs = sorted(p.roots)
     if any(x == y for x, y in zip(rs, rs[1:])):
         return LogDiscriminant.zero()
+    if not math.isfinite(rs[-1] - rs[0]):
+        # the widest gap is past float range, and so is its log
+        return LogDiscriminant(1, math.inf)
     xs = np.array(rs)
-    rows = max(1, _PAIR_BLOCK // xs.size)
-    # block j holds x_k - x_i for rows j <= i < j + rows and columns k > j;
-    # the roots are sorted and distinct, so its pairs k > i are exactly its
-    # positive entries, at most max(2^14, d - 1) of them: below the 2^26
-    # that _binade_sums allows. A gap past float range is inf and so is
-    # log_abs.
-    blocks = (
-        xs[j + 1 :] - xs[j : j + rows, None]
-        for j in range(0, xs.size - 1, rows)
-    )
-    with np.errstate(over="ignore"):
-        # fsum is correctly rounded and doubling is exact, so the log of
-        # prod (x_k - x_i)^2 is rounded once
-        total = math.fsum(itertools.chain.from_iterable(map(_block_terms, blocks)))
-    return LogDiscriminant(1, 2.0 * total)
+    d = xs.size
+    if d * (d - 1) // 2 <= _PAIR_BLOCK:
+        # one block: the positive gaps of the (d - 1) x (d - 1) square
+        gaps = xs[1:] - xs[:-1, None]
+        logs = np.log(gaps[gaps > 0])
+        few = logs.size < _SPLIT_MIN_PAIRS
+        terms = logs.tolist() if few else _split_sums(logs, np.empty_like(logs))
+        return LogDiscriminant(1, 2.0 * math.fsum(terms))
+    # row blocks in one buffer: block (j, k) holds x_c - x_i for rows j <= i
+    # < j + rows and columns k <= c < k + cols; cols < d - 1 only if rows = 1
+    rows = max(1, _PAIR_BLOCK // d)
+    cols = _PAIR_BLOCK // rows
+    g, h = np.empty((2, rows * min(cols, d - 1)))
+    below = np.tri(rows, k=-1, dtype=bool)  # pairs c <= i: gap 1, log 0
+    terms = []
+    for j in range(0, d - 1, rows):
+        y = xs[j : min(j + rows, d - 1), None]
+        for k in range(j + 1, d, cols):
+            gaps = g[: y.size * min(cols, d - k)].reshape(y.size, -1)
+            np.subtract(xs[k : k + cols], y, out=gaps)
+            np.copyto(gaps[:, : y.size], 1.0, where=below[: y.size, : y.size])
+            np.log(gaps, out=gaps)
+            terms += _split_sums(gaps.ravel(), h[: gaps.size])
+    return LogDiscriminant(1, 2.0 * math.fsum(terms))
 
 
 def _log_dets(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,20 +271,23 @@ def disc_resultant_oracles(coeff_rows) -> list[LogDiscriminant]:
     disc = (-1)^(d(d-1)/2) * Res(f, f') / c_d. Leading coefficients may be
     any nonzero reals. The rows are grouped by degree and each degree's
     Sylvester matrices are eliminated as one stack; every answer has the
-    bits of its own single call.
+    bits of its own single call. Past RESULTANT_MAX_DEGREE it raises
+    DomainError: the error grows about tenfold per degree (0.91 at d = 80
+    for family_coeffs at a = 1), and more for nearly repeated roots.
     """
     rows = []
     by_degree: dict[int, list[int]] = {}
     for i, coeffs in enumerate(coeff_rows):
         cs = [float(c) for c in coeffs]
-        if len(cs) - 1 < 2:
-            raise DomainError("degree must be >= 2")
+        d = len(cs) - 1
+        if not 2 <= d <= RESULTANT_MAX_DEGREE:
+            raise DomainError("degree %d is outside 2..%d" % (d, RESULTANT_MAX_DEGREE))
         if cs[-1] == 0.0:
             raise DomainError("leading coefficient must be nonzero")
         if not all(math.isfinite(c) for c in cs):
             raise InputError("coefficients must be finite")
         rows.append(cs)
-        by_degree.setdefault(len(cs) - 1, []).append(i)
+        by_degree.setdefault(d, []).append(i)
     out: list[LogDiscriminant] = [LogDiscriminant.zero()] * len(rows)
     for d, where in by_degree.items():
         for i, disc in zip(where, _resultant_rows(d, [rows[i] for i in where])):

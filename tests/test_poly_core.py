@@ -4,17 +4,25 @@ import math
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from extremal_poly import poly_core
 from extremal_poly.errors import DomainError, InputError
-from extremal_poly.jacobi_family import family_coeffs, jacobi_coeffs
+from extremal_poly.jacobi_family import (
+    JacobiFamilyParams,
+    closed_form_disc,
+    family_coeffs,
+    jacobi_coeffs,
+)
 from extremal_poly.poly_core import (
+    RESULTANT_MAX_DEGREE,
     TOL_ORACLE,
-    _BINADE_MIN_PAIRS,
     _PAIR_BLOCK,
-    _binade_sums,
+    _SPLIT_MIN_PAIRS,
+    _split_sums,
     LogDiscriminant,
     RealRootedPoly,
     descartes_real_root_bound,
@@ -132,7 +140,7 @@ def test_log_disc_equals_list_reference_bitwise():
 
 @pytest.mark.parametrize("d", [2, 3, 127, 128, 129, 300, 1000])
 def test_log_disc_across_row_blocks(d):
-    # rows split across blocks from d = 129 on. np.log may differ from
+    # rows split across blocks from d = 182 on. np.log may differ from
     # math.log by an ulp per term; the exact sum adds those differences
     # and rounds once
     rng = np.random.default_rng(d)
@@ -180,13 +188,26 @@ def _fsum_of_every_log(rs) -> LogDiscriminant:
     return LogDiscriminant(1, 2.0 * math.fsum(itertools.chain.from_iterable(logs)))
 
 
-# smallest degree whose one block is summed by binade
-_BINADE_D = next(d for d in itertools.count(2) if d * (d - 1) // 2 >= _BINADE_MIN_PAIRS)
+# smallest degree whose one block is summed by the split
+_SPLIT_D = next(d for d in itertools.count(2) if d * (d - 1) // 2 >= _SPLIT_MIN_PAIRS)
+# smallest degree summed in row blocks
+_ROW_D = next(d for d in itertools.count(2) if d * (d - 1) // 2 > _PAIR_BLOCK)
+# smallest row-block degrees whose last block is full, one row, or one
+# row short: d - 1 is a multiple of the row count, or one off it
+_LAST_BLOCK_D = [
+    next(d for d in itertools.count(_ROW_D) if (d - 1 - off) % (_PAIR_BLOCK // d) == 0)
+    for off in (0, 1, -1)
+]
 
 
 @pytest.mark.parametrize(
     "d",
-    [2, 3, 8, _BINADE_D - 1, _BINADE_D, _BINADE_D + 1, 127, 128, 129, 300, 1000, 3000],
+    sorted(
+        {2, 3, 8, _SPLIT_D - 1, _SPLIT_D, _SPLIT_D + 1, 32, 33, 34, 127, 128, 129}
+        | {_ROW_D - 1, _ROW_D}
+        | set(_LAST_BLOCK_D)
+        | {300, 1000, 1024, 1025, 3000}
+    ),
 )
 def test_log_disc_binade_sums_match_fsum_of_every_log(d):
     p = poly_from_roots(np.random.default_rng(d).uniform(-3.0, 3.0, size=d))
@@ -209,17 +230,21 @@ def _unit_gaps(rng, d):
 
 
 def _past_float_range(rng, d):
-    # a block of more than _BINADE_MIN_PAIRS gaps holding inf ones
+    # gaps past float range: the widest is inf, and so is the log disc
     return 1e308 * rng.uniform(-1.0, 1.0, d)
 
 
 @pytest.mark.parametrize("roots", [_spread, _clustered, _unit_gaps, _past_float_range])
-@pytest.mark.parametrize("d", [_BINADE_D + 7, 300])
+@pytest.mark.parametrize("d", [40, 300])  # one block, and row blocks
 def test_log_disc_binade_sums_match_fsum_on_extreme_gaps(roots, d):
     rng = np.random.default_rng(d)
     for _ in range(5):
         p = poly_from_roots(roots(rng, d))
         assert log_disc_from_roots(p) == _fsum_of_every_log(p.roots)
+
+
+def _exact_sum(xs) -> Fraction:
+    return sum(map(Fraction, xs), Fraction(0))
 
 
 @pytest.mark.parametrize(
@@ -236,10 +261,53 @@ def test_log_disc_binade_sums_match_fsum_on_extreme_gaps(roots, d):
     ],
 )
 def test_binade_sums_round_like_fsum(terms):
-    parts = _binade_sums(np.array(terms))
+    # the cases of the per-binade sums that _split_sums replaced
+    g = np.array(terms)
+    parts = _split_sums(g.copy(), np.empty_like(g))
+    assert len(parts) == 3
     assert math.fsum(parts) == math.fsum(terms)
-    binades = {math.frexp(t)[1] for t in terms}
-    assert len(parts) <= 2 * (max(binades) - min(binades) + 1)
+    assert _exact_sum(parts) == _exact_sum(terms)
+
+
+_TINY, _HUGE = 5e-324, sys.float_info.max
+# odd integers below 2^10 whose sum is odd: a split level too coarse for
+# the values below leaves sums that need one bit more than a float holds
+_ODD = 2.0 * np.random.default_rng(3).integers(0, 2**9, _PAIR_BLOCK - 1) + 1.0
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        np.log([1.0 + 2.0**-52, 1.0 - 2.0**-53]),  # gaps 1 ± 1 ulp
+        np.log([_HUGE, 1.0 / _HUGE, _TINY]),  # ±709.78 and -744.44
+        [745.0] * _PAIR_BLOCK,  # the largest block, every entry past any log
+        np.log(np.random.default_rng(1).uniform(0.0, 2.0, _PAIR_BLOCK)),
+        np.log(np.random.default_rng(2).uniform(0.5, 1.5, _SPLIT_MIN_PAIRS)),
+        [745.0, -745.0, 2.0**-54, 709.0, 1.0 - 2.0**-53],
+        # each case needs the level it names to be no coarser or finer
+        745.0 - _ODD * 2.0**-30,  # first level no coarser
+        2.0**-26 - _ODD * 2.0**-66,  # first level no finer
+        2.0**-29 - _ODD * 2.0**-69,  # second level no finer
+        2.0**-53 + 2.0**-65 - _ODD * 2.0**-105,  # second level no coarser
+        2.0**-53 + 2.0**-67 - _ODD * 2.0**-105,  # remainders at their bound
+    ],
+)
+def test_split_sums_exact_at_the_edges(terms):
+    g = np.array(terms)
+    parts = _split_sums(g.copy(), np.empty_like(g))
+    assert _exact_sum(parts) == _exact_sum(g.tolist())
+
+
+@pytest.mark.parametrize("d", [9, 12, 30, 64, 65, 100])
+def test_log_disc_column_blocks_match_fsum(monkeypatch, d):
+    # with blocks of 8 pairs every row block from d = 5 on is one row,
+    # and rows of more than 8 gaps are cut into column blocks: the path
+    # of d > 2^14
+    monkeypatch.setattr(poly_core, "_PAIR_BLOCK", 8)
+    rng = np.random.default_rng(d)
+    for roots in (rng.uniform(-3.0, 3.0, d), _spread(rng, d), _clustered(rng, d)):
+        p = poly_from_roots(roots)
+        assert log_disc_from_roots(p) == _fsum_of_every_log(p.roots)
 
 
 def test_log_disc_bounded_memory_at_degree_3000():
@@ -290,6 +358,42 @@ def test_resultant_oracle_rejects_bad_rows():
         disc_resultant_oracle([math.nan, 0.0, 1.0])
     with pytest.raises(InputError):
         disc_resultant_oracles([[1.0, 0.0, 1.0], [math.inf, 0.0, 1.0]])
+
+
+# relative log error of the oracle on family_coeffs at a = 1, multiplier
+# 2.5d, against closed_form_disc, where it now refuses the row
+_PAST_MAX_DEGREE = {16: 5.1e-13, 20: 3.4e-11, 24: 1.1e-9, 30: 4.9e-8, 40: 2.5e-3, 80: 0.91}
+
+
+@pytest.mark.parametrize("d", sorted(_PAST_MAX_DEGREE))
+def test_resultant_oracle_refuses_past_max_degree(monkeypatch, d):
+    params = JacobiFamilyParams(a=1.0, d=d, multiplier=2.5 * d)
+    row = family_coeffs(params)
+    with pytest.raises(DomainError, match="outside 2..%d" % RESULTANT_MAX_DEGREE):
+        disc_resultant_oracles([[1.0, 0.0, -1.0], row])
+    # with the bound lifted, the error it would report grows as tabled
+    monkeypatch.setattr(poly_core, "RESULTANT_MAX_DEGREE", d)
+    got, want = disc_resultant_oracle(row), closed_form_disc(params)
+    assert got.sign == want.sign
+    err = rel_log_diff(got.log_abs, want.log_abs)
+    assert _PAST_MAX_DEGREE[d] / 10 <= err <= 10 * _PAST_MAX_DEGREE[d]
+
+
+def test_resultant_oracle_within_tolerance_to_max_degree():
+    # the grid the bound was chosen on: heights 0.01 to 100, multipliers
+    # from 2d - 2 + 1e-3 to 20d; the worst is 4.5e-10 at d = 12, and a = 0.1,
+    # d = 13 is already 1.4e-8
+    cases = [
+        JacobiFamilyParams(a=a, d=d, multiplier=lam)
+        for d in range(2, RESULTANT_MAX_DEGREE + 1)
+        for a in np.geomspace(0.01, 100.0, 9).tolist()
+        for lam in [2 * d - 2 + 1e-3, 2 * d - 1.9, 2 * d - 1.0, 2.5 * d, 20.0 * d]
+    ]
+    got = disc_resultant_oracles([family_coeffs(p) for p in cases])
+    for params, oracle in zip(cases, got):
+        want = closed_form_disc(params)
+        assert oracle.sign == want.sign
+        assert rel_log_diff(oracle.log_abs, want.log_abs) <= TOL_ORACLE
 
 
 def test_resultant_batch_equals_single_bitwise():
