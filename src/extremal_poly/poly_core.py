@@ -272,8 +272,8 @@ def disc_resultant_oracles(coeff_rows) -> list[LogDiscriminant]:
     any nonzero reals. The rows are grouped by degree and each degree's
     Sylvester matrices are eliminated as one stack; every answer has the
     bits of its own single call. Past RESULTANT_MAX_DEGREE it raises
-    DomainError: the error grows about tenfold per degree (0.91 at d = 80
-    for family_coeffs at a = 1), and more for nearly repeated roots.
+    DomainError: the worst family row's error then grows about twentyfold
+    per degree, and rows with nearly repeated roots lose more at any degree.
     """
     rows = []
     by_degree: dict[int, list[int]] = {}
