@@ -7,7 +7,7 @@ Chu-Vandermonde product) and discriminant in closed log forms, and the one
 Newton solve that pins lam to either live here, together with general
 Jacobi/Gegenbauer expansions and the discriminant formula for Jacobi
 polynomials that the closed form is checked against. So do its roots: a
-dense SVD of the recurrence's bidiagonal block below d = 512, and from
+dense SVD of the recurrence's bidiagonal block below d = 336, and from
 there on Newton on the normal form of the family's ODE from WKB seeds,
 O(d^2).
 """
@@ -22,9 +22,11 @@ from .poly_core import LogDiscriminant
 
 _POLE_REJECT = 1e-9
 # Degree from which family_roots takes Newton on the recurrence instead of
-# the dense SVD: the measured crossover (the SVD is O(d^3), Newton O(d^2)
-# with a larger constant).
-_NEWTON_DEGREE = 512
+# the dense SVD: the measured crossover at one BLAS thread, where a Newton
+# sweep costs two numpy calls per recurrence step. The two tie near
+# d = 320; Newton (O(d^2)) is faster from d = 336 on, 2.5x at d = 511,
+# and the SVD (O(d^3)) below, 3-4x at d <= 8.
+_NEWTON_DEGREE = 336
 # Newton sweeps before a root solve is refused as not settling; a multiplier
 # from solve_multiplier takes two or three.
 _NEWTON_SWEEPS = 16
@@ -93,13 +95,14 @@ def family_roots(params: JacobiFamilyParams) -> list[float]:
     (Golub-Welsch): zero diagonal, off-diagonals
     e_n = a sqrt(n (lam+2-n) / ((lam+3-2n) (lam+1-2n))), n = 1..d-1.
     A zero diagonal pairs the eigenvalues as +-sigma, and odd d adds one
-    exact zero. Below d = _NEWTON_DEGREE the sigma are the singular values
-    of the half-size lower-bidiagonal block that couples odd and even
-    indices (one dense SVD, O(d^3)); from there on they come from
-    _newton_roots, O(d^2). DomainError when a radicand is not positive
-    (never for lam >= 2d-2; its factors are taken over lam, so none
-    overflows), or when the Newton solve does not settle on floor(d/2)
-    distinct positive roots."""
+    exact zero. Below d = _NEWTON_DEGREE (336) the sigma are the singular
+    values of the half-size lower-bidiagonal block that couples odd and
+    even indices (one dense SVD, O(d^3)); from there on they come from
+    _newton_roots, O(d^2): about 5 ms at d = 1000, 19-27 ms at d = 3000
+    and 0.12-0.13 s at d = 10^4 on one core. DomainError when a radicand
+    is not positive (never for lam >= 2d-2; its factors are taken over
+    lam, so none overflows), or when the Newton solve does not settle on
+    floor(d/2) distinct positive roots."""
     a, d, lam = params.a, params.d, params.multiplier
     n = np.arange(1.0, d)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -136,18 +139,18 @@ def _newton_roots(d: int, lam: float, e2: np.ndarray) -> np.ndarray:
     the normal form w = y (x^2 + 1)^(-lam/4), w'' = -I w, so w'' = 0 at
     every root and Newton on w, xi <- xi - 1/(p'/p - xi / (2 (xi^2/lam + 1))),
     converges cubically (plain Newton on p only linearly near the largest
-    root). A step s at local root gap g leaves an error of about s^3/g^2,
-    so a root is done once that is below 1e-16 xi, and later sweeps
-    carry only the roots not yet done; from _wkb_seeds a solve takes two
-    or three sweeps. DomainError after _NEWTON_SWEEPS sweeps, or unless
-    the result is positive, finite and strictly ascending: floor(d/2)
-    distinct roots are all of them."""
+    root); _newton_step takes p'/p from the structure relation. A step s
+    at local root gap g leaves an error of about s^3/g^2, so a root is
+    done once that is below 1e-16 xi, and later sweeps carry only the
+    roots not yet done; from _wkb_seeds a solve takes two or three sweeps.
+    DomainError after _NEWTON_SWEEPS sweeps, or unless the result is
+    positive, finite and strictly ascending: floor(d/2) distinct roots are
+    all of them."""
     xi = _wkb_seeds(d, lam)
     todo = np.arange(xi.size)
     for _ in range(_NEWTON_SWEEPS):
         x = xi[todo]
-        log_deriv = _log_derivative(x, e2)  # may move x by an ulp
-        step = 1.0 / (log_deriv - x / (2.0 * (x * x / lam + 1.0)))
+        step = _newton_step(x, e2, lam)
         xi[todo] = x - step
         gap = np.diff(xi, prepend=0.0 if d % 2 else -xi[0])[todo]
         todo = todo[~(np.abs(step) ** 3 <= 1e-16 * x * gap * gap)]
@@ -166,37 +169,25 @@ def _newton_roots(d: int, lam: float, e2: np.ndarray) -> np.ndarray:
     return xi
 
 
-def _log_derivative(x: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """p_d'/p_d at each x by one pass of the continued fraction of the
-    recurrence: r_1 = x, u_1 = 1/x, t = e2_n/r_n, r_{n+1} = x - t,
-    u_{n+1} = (1 + t u_n)/r_{n+1} (r_n = p_n/p_{n-1}, u_n = r_n'/r_n), and
-    p_d'/p_d is the sum of the u_n. A pivot r_n of exactly 0 (the pass then
-    gives NaN or inf) moves that x, in place, up one ulp, and its pass is
-    redone."""
-    out = _continued_fraction(x, e2)
-    for _ in range(4):
-        bad = ~np.isfinite(out)
-        if not bad.any():
-            return out
-        x[bad] = np.nextafter(x[bad], np.inf)
-        out[bad] = _continued_fraction(x[bad], e2)
-    raise DomainError("the recurrence has a zero pivot at every nearby point")
+def _newton_step(x: np.ndarray, e2: np.ndarray, lam: float) -> np.ndarray:
+    """The normal-form Newton step of _newton_roots at each x, for
+    d = e2.size + 1.
 
-
-def _continued_fraction(x: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """One pass of _log_derivative, updating its work vectors in place."""
+    The family's ODE in xi gives the structure relation
+    (xi^2 + lam) p_d' = d xi p_d + beta p_{d-1}, beta = lam d + 2 sum(e2)
+    (match the xi^(d-1) coefficients), so p_d'/p_d needs only the ratio
+    r_d = p_d/p_{d-1}: one divide and one subtract per n, r_1 = xi,
+    r_{n+1} = xi - e2_n/r_n. An exact zero pivot r_n = 0 passes through
+    exactly, as p_n = 0 does: r_{n+1} = -inf, then r_{n+2} = xi. The step
+    is formed over lam, so nothing overflows up to the largest float."""
+    d = e2.size + 1
+    beta = d + 2.0 * (float(np.sum(e2)) / lam)  # beta / lam
     r, t = x.copy(), np.empty_like(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = 1.0 / x
-        total = u.copy()
+    with np.errstate(divide="ignore", over="ignore"):
         for e in e2.tolist():
             np.divide(e, r, out=t)
             np.subtract(x, t, out=r)
-            u *= t
-            u += 1.0
-            u /= r
-            total += u
-    return total
+        return (x * x / lam + 1.0) / (beta / r + (d / lam - 0.5) * x)
 
 
 def _wkb_seeds(d: int, lam: float) -> np.ndarray:

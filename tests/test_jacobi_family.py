@@ -3,6 +3,7 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -349,7 +350,7 @@ def _mpmath_newton_correction(mp, x, d, lam):
 
 
 @pytest.mark.parametrize("frac, offset", NEWTON_LAMS)
-@pytest.mark.parametrize("d", [NEWTON_D, 1000, 1001])
+@pytest.mark.parametrize("d", [NEWTON_D, 512, 1000, 1001])
 def test_newton_roots_match_mpmath(d, frac, offset):
     mp = pytest.importorskip("mpmath")
     lam = _newton_lam(d, frac, offset)
@@ -371,8 +372,10 @@ def _assert_newton_matches_svd(params, monkeypatch):
     assert np.max(np.abs(newton - svd)) <= 32.0 * np.finfo(float).eps * svd[-1]
 
 
+# and at 511 and 512, well past the crossover, where the SVD is still
+# cheap enough to compare against
 @pytest.mark.parametrize("frac, offset", NEWTON_LAMS[:5])
-@pytest.mark.parametrize("d", [NEWTON_D - 1, NEWTON_D])
+@pytest.mark.parametrize("d", [NEWTON_D - 1, NEWTON_D, 511, 512])
 def test_newton_roots_match_the_svd_at_the_crossover(d, frac, offset, monkeypatch):
     lam = _newton_lam(d, frac, offset)
     _assert_newton_matches_svd(JacobiFamilyParams(a=1.0, d=d, multiplier=lam), monkeypatch)
@@ -414,16 +417,59 @@ def test_newton_roots_raise_no_warning(d, lam):
     assert all(x < y for x, y in zip(roots, roots[1:]))
 
 
-def test_log_derivative_steps_off_a_zero_pivot():
-    # e2 = (1, 1, 1): p_4 = x^4 - 3x^2 + 1, and at x = 1 the pivot
-    # r_2 = x - 1/x is exactly 0; that point moves up one ulp
+def _fraction_recurrence(d, lam):
+    # ascending coefficients of p_{d-1} and p_d in xi, and the e2 of
+    # family_roots, all exact
+    e2 = [lam * n * (lam + 2 - n) / ((lam + 3 - 2 * n) * (lam + 1 - 2 * n)) for n in range(1, d)]
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for e in e2:
+        shifted = [Fraction(0)] + cur
+        prev, cur = cur, [s - e * p for s, p in zip(shifted, prev + [0, 0])]
+    return prev, cur, e2
+
+
+STRUCTURE_LAMS = {
+    "2d-2": lambda d: Fraction(2 * d - 2),
+    "just-above-2d-3": lambda d: 2 * d - 3 + Fraction(1, 1000),
+    "far-out": lambda d: Fraction(10**6, 7),
+}
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+@pytest.mark.parametrize("where", sorted(STRUCTURE_LAMS))
+def test_structure_relation_is_exact(d, where):
+    # (xi^2 + lam) p_d' = d xi p_d + beta p_{d-1}, beta = lam d + 2 sum(e2),
+    # the relation _newton_step takes p_d'/p_d from
+    lam = STRUCTURE_LAMS[where](d)
+    prev, cur, e2 = _fraction_recurrence(d, lam)
+    beta = lam * d + 2 * sum(e2)
+    deriv = [k * c for k, c in enumerate(cur)][1:] + [Fraction(0)]
+    lhs = [lam * c for c in deriv] + [Fraction(0), Fraction(0)]
+    for k, c in enumerate(deriv):
+        lhs[k + 2] += c
+    rhs = [Fraction(0)] + [d * c for c in cur] + [Fraction(0)]
+    for k, c in enumerate(prev):
+        rhs[k] += beta * c
+    assert lhs == rhs
+
+
+def test_newton_step_passes_through_a_zero_pivot():
+    # at lam = 1e300 the e2 of family_roots round to 1, 2, 3 exactly, so
+    # p_4 = xi^4 - 6 xi^2 + 3, and at xi = 1 the pivot r_2 = xi - 1/xi is
+    # exactly 0; r_3 = -inf and r_4 = xi then give p'/p = -8/-2 = 4
+    # exactly, a normal-form step of 1/(4 - 1/2), with no point moved
+    lam = 1e300
+    n = np.arange(1.0, 4.0)
+    e2 = n * ((lam + 2.0 - n) / lam) / (((lam + 3.0 - 2.0 * n) / lam) * ((lam + 1.0 - 2.0 * n) / lam))
+    assert e2.tolist() == [1.0, 2.0, 3.0]
     x = np.array([1.0, 2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = jf._log_derivative(x, np.ones(3))
-    assert x.tolist() == [math.nextafter(1.0, 2.0), 2.0]
-    want = [(4 * t**3 - 6 * t) / (t**4 - 3 * t**2 + 1) for t in x.tolist()]
-    assert got.tolist() == pytest.approx(want, rel=1e-14)
+        step = jf._newton_step(x, e2, lam)
+    assert x.tolist() == [1.0, 2.0]
+    assert step[0] == 1.0 / 3.5 and 1.0 / step[0] + 0.5 == 4.0
+    # p'/p = 8 / -5 at xi = 2
+    assert step[1] == pytest.approx(1.0 / (-1.6 - 1.0), rel=1e-15)
 
 
 def test_newton_roots_that_do_not_settle_are_refused(monkeypatch):
