@@ -49,6 +49,11 @@ def canonical_json(obj) -> str:
         # the bytes json.dumps gives a str with its default arguments
         return _json_string(obj)
     if isinstance(obj, (list, tuple)):
+        # a list of finite floats, as roots and coefficient rows are, in
+        # one % with the bytes of the per-element path below
+        floats = [x + 0.0 for x in obj if type(x) is float]
+        if floats and len(floats) == len(obj) and math.isfinite(sum(floats)):
+            return ("[" + "%.17g," * (len(obj) - 1) + "%.17g]") % tuple(floats)
         return "[" + ",".join(map(canonical_json, obj)) + "]"
     if isinstance(obj, dict):
         parts = (

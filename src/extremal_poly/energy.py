@@ -48,14 +48,17 @@ def config_from_points(points, a: float) -> ChargeConfig:
     if not all(math.isfinite(x) for x in pts):
         raise InputError("points must be finite")
 
-    return _config(pts, a, log_disc_from_roots(poly_from_roots(pts)))
+    ld = log_disc_from_roots(poly_from_roots(pts))
+    return _config(pts, a, ld, log_modulus_at_ai(pts, a))
 
 
-def _config(pts: tuple[float, ...], a: float, ld: LogDiscriminant) -> ChargeConfig:
-    """ChargeConfig of validated points whose log-discriminant ld is
-    already known."""
+def _config(
+    pts: tuple[float, ...], a: float, ld: LogDiscriminant, log_m: float
+) -> ChargeConfig:
+    """ChargeConfig of validated points whose log-discriminant ld and
+    log-modulus log |f(ai)| are already known."""
     d = len(pts)
-    v = -log_modulus_at_ai(pts, a) / d
+    v = -log_m / d
     energy = math.inf if ld.sign == 0 else -ld.log_abs / (d * (d - 1.0))
     return ChargeConfig(points=pts, a=a, potential_v=v, energy_I=energy)
 
@@ -93,8 +96,11 @@ def solve_equilibrium(a: float, d: int, v: float) -> ChargeConfig:
     if m == 0.0:
         raise DomainError("modulus exp(-v*d) underflows a float")
     solution = solve_max_disc(a, d, m)
-    # the solver has taken the log-discriminant of these very roots
-    return _config(solution.polys[0].roots, a, solution.achieved_disc)
+    # the solver has taken the log-discriminant and log-modulus of these
+    # very roots
+    return _config(
+        solution.polys[0].roots, a, solution.achieved_disc, solution.log_m
+    )
 
 
 def arctan_cdf_distance(config: ChargeConfig) -> float:

@@ -116,9 +116,18 @@ _SPLIT_MIN_PAIRS = 320
 
 _SPLIT_CONSTANTS = (1.5 * 2.0**24, 1.5 * 2.0**-14)
 
+# Bound, per log, on the error of a float sum of first-level remainders:
+# n <= 2^14 of them, each at most 2^-29, sum in any order to within
+# gamma_(n-1)·n·2^-29 < n·2^-68 (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2002, eq. 4.4 with gamma_k = k·2^-53/(1 - k·2^-53)).
+_REMAINDER_ERROR = 2.0**-68
 
-def _split_sums(g: np.ndarray, h: np.ndarray) -> list[float]:
-    """Three floats summing exactly to sum(g); g and h are overwritten.
+
+def _split_sums(
+    g: np.ndarray, h: np.ndarray, constants: tuple[float, ...] = _SPLIT_CONSTANTS
+) -> list[float]:
+    """Floats summing to sum(g), exactly with both _SPLIT_CONSTANTS; g
+    and h are overwritten.
 
     Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
     2008): for C = 1.5·2^e and |g| <= 2^(e-1), h = (g + C) - C is g
@@ -128,10 +137,12 @@ def _split_sums(g: np.ndarray, h: np.ndarray) -> list[float]:
     floats are (each is 0 or above 2^-54). Over at most 2^14 entries the
     partial sums of each level, and of the remainders (at most 2^-67),
     are then multiples of their unit below 2^53 units: every sum is exact
-    in any order.
+    in any order. With the first constant alone the first float is still
+    exact, and the last, the float sum of remainders of at most 2^-29, is
+    within _REMAINDER_ERROR per entry of theirs.
     """
     sums = []
-    for c in _SPLIT_CONSTANTS:
+    for c in constants:
         np.add(g, c, out=h)
         h -= c
         sums.append(float(h.sum()))
@@ -140,16 +151,51 @@ def _split_sums(g: np.ndarray, h: np.ndarray) -> list[float]:
     return sums
 
 
+def _row_block_sums(xs: np.ndarray, op, weight: float, constants) -> list[float]:
+    """weight times the _split_sums, at constants, of np.log(op(x_c, x_i))
+    over the pairs i < c of xs, in blocks of at most _PAIR_BLOCK pairs."""
+    d = xs.size
+    # blocks in one buffer: rows j <= i < j + rows, as many as keep the
+    # row block within _PAIR_BLOCK gaps (so at most isqrt(_PAIR_BLOCK) of
+    # them), and columns k <= c < k + cols, fewer than d - 1 only if rows = 1
+    g, h = np.empty((2, _PAIR_BLOCK))
+    below = np.tri(math.isqrt(_PAIR_BLOCK), k=-1, dtype=bool)  # c <= i: gap 1, log 0
+    terms = []
+    j = 0
+    while j < d - 1:
+        rows = max(1, min(d - 1 - j, _PAIR_BLOCK // (d - 1 - j)))
+        cols = _PAIR_BLOCK // rows
+        y = xs[j : j + rows, None]
+        for k in range(j + 1, d, cols):
+            gaps = g[: rows * min(cols, d - k)].reshape(rows, -1)
+            op(xs[k : k + cols], y, out=gaps)
+            np.copyto(gaps[:, :rows], 1.0, where=below[:rows, :rows])
+            np.log(gaps, out=gaps)
+            terms += _split_sums(gaps.ravel(), h[: gaps.size], constants)
+        j += rows
+    return [weight * t for t in terms]
+
+
 def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
     """Discriminant from the pairwise root-difference product.
 
     sign 0 exactly when two stored roots coincide as floats; otherwise +1,
     since the polynomial is monic with all roots real. log_abs is
-    2·log prod (x_k - x_i), the exact sum of the np.log of every gap
-    rounded once (doubling is exact): each block of at most _PAIR_BLOCK
-    gaps gives its logs or, from _SPLIT_MIN_PAIRS on, their three exact
-    _split_sums, and one fsum of those floats, correctly rounded, has the
-    bits of an fsum of every log.
+    2·log prod (x_k - x_i), the correctly rounded sum of the np.log of
+    every gap rounded once, doubled (which is exact), so it has the bits
+    of 2·fsum over every log.
+
+    Up to _PAIR_BLOCK gaps are one block: its logs or, from
+    _SPLIT_MIN_PAIRS on, their three exact _split_sums go to one fsum.
+    More gaps are taken in row blocks (_row_block_sums). A mirror root
+    set, x_i = -x_(d-1-i) with 0 in the middle for odd d, as the
+    multiplier family's are, takes each distinct gap once: every
+    sigma_c - sigma_i and sigma_c + sigma_i (i < c) over its positive
+    roots sigma, and every sigma_c - 0, is two gaps, and 2·sigma_i is one.
+    Each block is split at one level, whose remainders are summed in
+    float within _REMAINDER_ERROR per gap, E in all. When the fsums of
+    the terms with -E and with +E agree, that is the rounded sum; else
+    every block is taken again with the exact two-level split.
     """
     rs = sorted(p.roots)
     if any(x == y for x, y in zip(rs, rs[1:])):
@@ -166,22 +212,27 @@ def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
         few = logs.size < _SPLIT_MIN_PAIRS
         terms = logs.tolist() if few else _split_sums(logs, np.empty_like(logs))
         return LogDiscriminant(1, 2.0 * math.fsum(terms))
-    # row blocks in one buffer: block (j, k) holds x_c - x_i for rows j <= i
-    # < j + rows and columns k <= c < k + cols; cols < d - 1 only if rows = 1
-    rows = max(1, _PAIR_BLOCK // d)
-    cols = _PAIR_BLOCK // rows
-    g, h = np.empty((2, rows * min(cols, d - 1)))
-    below = np.tri(rows, k=-1, dtype=bool)  # pairs c <= i: gap 1, log 0
-    terms = []
-    for j in range(0, d - 1, rows):
-        y = xs[j : min(j + rows, d - 1), None]
-        for k in range(j + 1, d, cols):
-            gaps = g[: y.size * min(cols, d - k)].reshape(y.size, -1)
-            np.subtract(xs[k : k + cols], y, out=gaps)
-            np.copyto(gaps[:, : y.size], 1.0, where=below[: y.size, : y.size])
-            np.log(gaps, out=gaps)
-            terms += _split_sums(gaps.ravel(), h[: gaps.size])
-    return LogDiscriminant(1, 2.0 * math.fsum(terms))
+    half = d // 2
+    mirror = np.array_equal(xs, -xs[::-1])
+    sigma = xs[d - half :]
+
+    def block_sums(constants) -> list[float]:
+        if not mirror:
+            return _row_block_sums(xs, np.subtract, 1.0, constants)
+        # xs[half:] is sigma, after the middle 0 for odd d
+        terms = _row_block_sums(xs[half:], np.subtract, 2.0, constants)
+        terms += _row_block_sums(sigma, np.add, 2.0, constants)
+        for k in range(0, half, _PAIR_BLOCK):
+            logs = np.log(2.0 * sigma[k : k + _PAIR_BLOCK])
+            terms += _split_sums(logs, np.empty_like(logs), constants)
+        return terms
+
+    terms = block_sums(_SPLIT_CONSTANTS[:1])
+    err = _REMAINDER_ERROR * (d * (d - 1) // 2)
+    total = math.fsum(terms + [-err])
+    if total != math.fsum(terms + [err]):
+        total = math.fsum(block_sums(_SPLIT_CONSTANTS))
+    return LogDiscriminant(1, 2.0 * total)
 
 
 def _log_dets(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -69,7 +69,8 @@ class ExtremalSolution:
     nonzero subleading coefficient (mirror pair, sorted by smallest
     root); the shared boundary member has a single entry. achieved_m and
     achieved_disc are recomputed from the returned roots rather than
-    echoing the inputs; achieved_m is inf once the modulus leaves float
+    echoing the inputs; achieved_m is exp(log_m), log_m being
+    log |f(ai)| of polys[0], and is inf once the modulus leaves float
     range, like LogDiscriminant.value. lambda_or_b carries the family
     parameter: the Lagrange multiplier in the multiplier regime, the
     subleading coefficient of polys[0] otherwise. coeffs holds one
@@ -83,6 +84,7 @@ class ExtremalSolution:
     polys: tuple[RealRootedPoly, ...]
     coeffs: tuple[tuple[float, ...], ...]
     achieved_m: float
+    log_m: float
     achieved_disc: LogDiscriminant
     lambda_or_b: float
 
@@ -96,12 +98,14 @@ def _validate_common(a: float, d: int) -> None:
 
 def _finish(problem: str, regime: str, polys, coeffs, a: float, lambda_or_b: float):
     lead = polys[0]
+    log_m = log_modulus_at_ai(lead.roots, a)
     return ExtremalSolution(
         problem=problem,
         regime=regime,
         polys=tuple(polys),
         coeffs=tuple(tuple(row) for row in coeffs),
-        achieved_m=_exp_or_inf(log_modulus_at_ai(lead.roots, a)),
+        achieved_m=_exp_or_inf(log_m),
+        log_m=log_m,
         achieved_disc=log_disc_from_roots(lead),
         lambda_or_b=lambda_or_b,
     )

@@ -47,6 +47,28 @@ class TestCanonicalJson:
         assert canonical_json(text) == json.dumps(text)
         assert canonical_json(obj) == json.dumps(obj, separators=(",", ":"))
 
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [-0.0, 0.0, -0.0],
+            [5e-324, -2.2250738585072014e-308, 1e-310],
+            [1.7976931348623157e308, 1.7976931348623157e308, -1.0],  # sum overflows
+            [1.5, math.inf, -2.0],
+            [-math.inf],
+            [True, 1.5, False, 2, 10**20, -3],
+            [1.0, 2, 3.5],
+            [0.1, 1.0 / 3.0, -2.5e-7, 6.02e23],
+            [],
+        ],
+    )
+    def test_float_lists_print_like_each_float(self, items):
+        each = "[" + ",".join(canonical_json(x) for x in items) + "]"
+        assert canonical_json(items) == canonical_json(tuple(items)) == each
+
+    def test_nan_in_a_float_list_rejected(self):
+        with pytest.raises(ValueError):
+            canonical_json([1.0, math.nan, 2.0])
+
     def test_idempotent_through_parse(self):
         s1 = canonical_json({"roots": [-1.5, 0.25], "m": 2.0})
         s2 = canonical_json(json.loads(s1))

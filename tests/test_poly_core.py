@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from extremal_poly import poly_core
+from extremal_poly.binomial_family import lattice_roots
 from extremal_poly.errors import DomainError, InputError
 from extremal_poly.jacobi_family import (
     JacobiFamilyParams,
     closed_form_disc,
     family_coeffs,
+    family_roots,
     jacobi_coeffs,
 )
 from extremal_poly.poly_core import (
@@ -298,14 +300,84 @@ def test_split_sums_exact_at_the_edges(terms):
     assert _exact_sum(parts) == _exact_sum(g.tolist())
 
 
+def _mirror(rng, d):
+    # random pairs ±sigma, and 0 in the middle for odd d
+    sigma = rng.uniform(0.01, 3.0, d // 2)
+    return np.concatenate([-sigma, [0.0] * (d % 2), sigma])
+
+
+def _row_block_calls(monkeypatch) -> list:
+    # (op, weight, split levels) of each _row_block_sums call
+    calls = []
+    real = poly_core._row_block_sums
+
+    def spy(xs, op, weight, constants):
+        calls.append((op, weight, len(constants)))
+        return real(xs, op, weight, constants)
+
+    monkeypatch.setattr(poly_core, "_row_block_sums", spy)
+    return calls
+
+
+@pytest.mark.parametrize("d", [_ROW_D, _ROW_D + 1, 400, 1001])
+def test_log_disc_of_mirror_sets_matches_fsum(monkeypatch, d):
+    # multiplier-family members and mirrored random sets take each
+    # distinct gap once; binomial members and random sets every gap
+    rng = np.random.default_rng(d)
+    mirrors = [
+        family_roots(JacobiFamilyParams(1.0, d, lam))
+        for lam in (2.0 * d - 2.0 + 1e-3, 2.5 * d, 20.0 * d)
+    ] + [_mirror(rng, d), 1e-3 * _mirror(rng, d)]
+    others = [lattice_roots(1.0, d, log_p) for log_p in (-1e-3, -1.0, -30.0)]
+    others.append(rng.uniform(-3.0, 3.0, d))
+    calls = _row_block_calls(monkeypatch)
+    for i, roots in enumerate(mirrors + others):
+        calls.clear()
+        p = poly_from_roots(roots)
+        assert log_disc_from_roots(p) == _fsum_of_every_log(p.roots)
+        if i < len(mirrors):
+            assert calls == [(np.subtract, 2.0, 1), (np.add, 2.0, 1)]
+        else:
+            assert calls == [(np.subtract, 1.0, 1)]
+
+
+@pytest.mark.parametrize("d", [_ROW_D, 1000])
+def test_log_disc_near_mirror_set_takes_every_gap(monkeypatch, d):
+    calls = _row_block_calls(monkeypatch)
+    roots = family_roots(JacobiFamilyParams(1.0, d, 2.5 * d))
+    roots[-1] = math.nextafter(roots[-1], math.inf)
+    p = poly_from_roots(roots)
+    assert log_disc_from_roots(p) == _fsum_of_every_log(p.roots)
+    assert calls == [(np.subtract, 1.0, 1)]
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_log_disc_failed_certificate_falls_back_to_the_exact_split(
+    monkeypatch, mirror
+):
+    # an error bound of 1 per gap leaves no certified rounding
+    monkeypatch.setattr(poly_core, "_REMAINDER_ERROR", 1.0)
+    calls = _row_block_calls(monkeypatch)
+    rng = np.random.default_rng(7)
+    p = poly_from_roots(_mirror(rng, 301) if mirror else rng.uniform(-3.0, 3.0, 300))
+    assert log_disc_from_roots(p) == _fsum_of_every_log(p.roots)
+    levels = [levels for _, _, levels in calls]
+    assert levels == ([1, 1, 2, 2] if mirror else [1, 2])
+
+
 @pytest.mark.parametrize("d", [9, 12, 30, 64, 65, 100])
 def test_log_disc_column_blocks_match_fsum(monkeypatch, d):
-    # with blocks of 8 pairs every row block from d = 5 on is one row,
-    # and rows of more than 8 gaps are cut into column blocks: the path
-    # of d > 2^14
+    # with blocks of 8 pairs a row block is one row until the rows left
+    # have at most 4 gaps, and rows of more than 8 gaps are cut into
+    # column blocks: the path of d > 2^14
     monkeypatch.setattr(poly_core, "_PAIR_BLOCK", 8)
     rng = np.random.default_rng(d)
-    for roots in (rng.uniform(-3.0, 3.0, d), _spread(rng, d), _clustered(rng, d)):
+    for roots in (
+        rng.uniform(-3.0, 3.0, d),
+        _spread(rng, d),
+        _clustered(rng, d),
+        _mirror(rng, d),
+    ):
         p = poly_from_roots(roots)
         assert log_disc_from_roots(p) == _fsum_of_every_log(p.roots)
 
