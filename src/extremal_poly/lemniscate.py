@@ -26,7 +26,8 @@ from .poly_core import (
 
 # Center-root pairs per _halfwidth_grid call of a scan: the at most
 # 8 (d + 1) d pairs of a candidate scan with d <= 180 go in one call, and
-# at any degree a call's temporaries stay near 15 MB.
+# at any degree a call's temporaries stay near 15 MB (at most 14.8 MB under
+# tracemalloc, with every center inside the lemniscate, d = 50 to 3000).
 _CHUNK_ELEMENTS = 1 << 18
 # Candidate centers per gap between consecutive knots of largest_disk.
 _GAP_SAMPLES = 8
@@ -84,33 +85,46 @@ def _check_span(roots: np.ndarray, lo: float, hi: float) -> None:
         )
 
 
-def _log_abs_sq(dx2: np.ndarray, excess: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _log_abs_sq(
+    dx2: np.ndarray, excess: np.ndarray, s: np.ndarray, q: np.ndarray
+) -> np.ndarray:
     """Row sums of log|x + iy - r_k|^2, from dx2 = (x - r_k)^2, excess =
-    (x - r_k - 1)(x - r_k + 1) and s = y^2; -inf at a root.
+    (x - r_k - 1)(x - r_k + 1) and s = y^2; -inf at a root. Writes
+    q = dx2 + s, the squared factor moduli, into the buffer q.
 
     Factor moduli near 1 go through log1p of the squared excess, which
-    stays resolvable where dx2 + s would round to exactly 1.
+    stays resolvable where dx2 + s would round to exactly 1; the rest take
+    log q. Each term is one of the two, computed once into one buffer by
+    masked ufuncs. A masked ufunc is fast only while its mask is a few
+    contiguous runs: here each row's mask excess + s <= -0.5 is one run,
+    because the roots are sorted and (x - r_k)^2 is unimodal in k. Roots
+    in any other order give the same sums, many times slower.
+
+    A log of 0 (a center at a root with s = 0) raises a divide warning
+    unless the caller has numpy ignore it.
     """
-    q = excess + s[:, None]
-    with np.errstate(divide="ignore"):
-        terms = np.where(
-            q > -0.5, np.log1p(np.maximum(q, -0.5)), np.log(dx2 + s[:, None])
-        )
+    terms = excess + s[:, None]
+    near = terms <= -0.5
+    np.log1p(terms, out=terms, where=~near)
+    np.add(dx2, s[:, None], out=q)
+    np.log(q, out=terms, where=near)
     return terms.sum(axis=1)
 
 
 def _halfwidth_grid(roots: np.ndarray, xs: np.ndarray, inside=None) -> np.ndarray:
-    """Largest y >= 0 with |f(x + iy)| <= 1, for every x in xs at once.
+    """Largest y >= 0 with |f(x + iy)| <= 1, for every x in xs at once,
+    for sorted roots (see _log_abs_sq).
 
     With s = y^2 and t = log s, phi(t) = log|f(x + iy)|^2 =
     sum_k log((x - r_k)^2 + e^t) is increasing and convex in t, and
     phi(0) >= 0 because every factor has modulus >= 1 at y = 1. Newton in
     t from t = 0 therefore descends monotonically onto the root, with no
-    bracket: s <- s exp(-phi / phi'), phi' = sum_k s / ((x - r_k)^2 + s).
-    A row stops once phi <= 0 or a step no longer lowers s, after at most
-    100 steps. A point with |f(x)| >= 1 gets 0 and one with |f(x + i)| <= 1
-    gets 1. Rows never mix, so a point's width does not depend on the
-    other points passed with it.
+    bracket: s <- s exp(-phi / phi'), phi' = sum_k s / ((x - r_k)^2 + s),
+    whose denominators q = (x - r_k)^2 + s the kernel leaves behind at
+    each step. A row stops once phi <= 0 or a step no longer lowers s,
+    after at most 100 steps. A point with |f(x)| >= 1 gets 0 and one with
+    |f(x + i)| <= 1 gets 1. Rows never mix, so a point's width does not
+    depend on the other points passed with it.
 
     A bool array inside, shaped like xs, is set to |f(x)| < 1 at each
     point: there the width is positive unless its square underflowed.
@@ -119,27 +133,30 @@ def _halfwidth_grid(roots: np.ndarray, xs: np.ndarray, inside=None) -> np.ndarra
     dx2 = dx * dx
     excess = (dx - 1.0) * (dx + 1.0)
     s_out = np.zeros(xs.shape)
-    below = _log_abs_sq(dx2, excess, s_out) < 0.0
-    if inside is not None:
-        inside[:] = below
-    rows = np.flatnonzero(below)
-    dx2, excess, s = dx2[rows], excess[rows], np.ones(rows.size)
-    phi = _log_abs_sq(dx2, excess, s)
-    done = phi <= 0.0
-    for _ in range(100):
-        if done.any():
-            s_out[rows[done]] = s[done]
-            more = ~done
-            rows, dx2, excess, s, phi = (
-                rows[more], dx2[more], excess[more], s[more], phi[more]
-            )
-        if rows.size == 0:
-            break
-        slope = (s[:, None] / (dx2 + s[:, None])).sum(axis=1)
-        step = s * np.exp(-phi / slope)
-        phi = _log_abs_sq(dx2, excess, step)
-        done = (phi <= 0.0) | (step >= s)
-        s = np.minimum(step, s)
+    with np.errstate(divide="ignore"):
+        below = _log_abs_sq(dx2, excess, s_out, dx) < 0.0
+        if inside is not None:
+            inside[:] = below
+        rows = np.flatnonzero(below)
+        dx2, excess, s = dx2[rows], excess[rows], np.ones(rows.size)
+        q = np.empty_like(dx2)
+        phi = _log_abs_sq(dx2, excess, s, q)
+        done = phi <= 0.0
+        for _ in range(100):
+            if done.any():
+                s_out[rows[done]] = s[done]
+                more = ~done
+                rows, dx2, excess, q, s, phi = (
+                    rows[more], dx2[more], excess[more], q[more], s[more],
+                    phi[more],
+                )
+            if rows.size == 0:
+                break
+            slope = np.divide(s[:, None], q, out=q).sum(axis=1)
+            step = s * np.exp(-phi / slope)
+            phi = _log_abs_sq(dx2, excess, step, q)
+            done = (phi <= 0.0) | (step >= s)
+            s = np.minimum(step, s)
     s_out[rows] = s
     return np.sqrt(s_out)
 
@@ -188,12 +205,14 @@ def _peaks(xs: np.ndarray, widths: np.ndarray) -> np.ndarray:
 
 def _peak_system(roots: np.ndarray, x: float, t: float) -> tuple[float, ...]:
     """Newton data at (x, t) for the peak conditions of s = halfwidth^2,
-    in one pass over the roots: (f1, f2, noise, j11, j12, j21, j22) with
-    the residuals f1 = phi and f2 = c phi_x, their Jacobian rows
+    in one pass over the roots: (f1, f2, noise, bend, j11, j12, j21, j22)
+    with the residuals f1 = phi and f2 = c phi_x, their Jacobian rows
     (j11, j12) = (phi_x, phi_t) and (j21, j22) = (c phi_xx, c phi_xt),
-    and noise, eight times the rounding error of f2 were each of its
-    terms off by one unit roundoff. Here phi(x, t) =
-    sum_k log((x - r_k)^2 + e^t), taken through _log_abs_sq.
+    and noise and bend, eight times the rounding error of f2 and of j21
+    were each of their terms off by one unit roundoff of its scale (for
+    j21 that scale is 2c/q_k, since its numerators s - (x - r_k)^2
+    cancel). Here phi(x, t) = sum_k log((x - r_k)^2 + e^t), taken
+    through _log_abs_sq.
 
     The second row is scaled by c, the power of two just above s = e^t:
     the sums take c/q_k for 1/q_k, with q_k = (x - r_k)^2 + s, so their
@@ -204,28 +223,32 @@ def _peak_system(roots: np.ndarray, x: float, t: float) -> tuple[float, ...]:
     c = math.ldexp(1.0, math.frexp(s)[1])
     u = x - roots
     dx2 = u * u
-    phi = _log_abs_sq(dx2[None], ((u - 1.0) * (u + 1.0))[None], np.array([s]))
-    inv = c / (dx2 + s)
+    q = np.empty((1, u.size))
+    with np.errstate(divide="ignore"):
+        phi = _log_abs_sq(dx2[None], ((u - 1.0) * (u + 1.0))[None], np.array([s]), q)
+        inv = c / q[0]
     u_inv = u * inv
     inv2 = inv * inv
     f2 = 2.0 * u_inv.sum()
+    inv_sum = float(inv.sum())
     return (
         float(phi[0]),
         float(f2),
         16.0 * sys.float_info.epsilon * float(np.abs(u_inv).sum()),
+        16.0 * sys.float_info.epsilon * inv_sum,
         float(f2) / c,
-        s / c * float(inv.sum()),
+        s / c * inv_sum,
         2.0 / c * float(((s - dx2) * inv2).sum()),
         -2.0 * s / c * float((u * inv2).sum()),
     )
 
 
 def _refine(
-    rs: np.ndarray, xs: np.ndarray, widths: np.ndarray, j: int
+    rs: np.ndarray, lo: float, hi: float, x: float, r: float
 ) -> tuple[float, float]:
-    """(center, halfwidth) of the peak of s = halfwidth^2 next to
-    candidate j, by Newton on both peak conditions at once, inside the
-    bracket of j's two neighbours among the sorted candidates xs.
+    """(center, halfwidth) of the peak of s = halfwidth^2 in the bracket
+    (lo, hi), from the center x inside it, whose halfwidth r > 0 is
+    certified, by Newton on both peak conditions at once.
 
     The unknowns are the center x and t = log s; the conditions are
     phi = 0, so that (x, e^(t/2)) is on the boundary |f| = 1, and
@@ -236,27 +259,33 @@ def _refine(
     Jacobian is not finite or not that of a maximum (at a peak the
     determinant is -phi_t phi_xx < 0). A probe is a fresh
     _halfwidth_grid: it can become the best disk, and the iteration goes
-    on from it. At j and at each probe, the sign of s' moves one bracket
+    on from it. At x and at each probe, the sign of s' moves one bracket
     end there; a probe outside the lemniscate (s = 0) cuts the bracket on
     its side of the best point instead.
 
-    The search stops when phi_x is zero to within its rounding error, at
-    a step below four ulps of x, at a bracket below 1e-10 wide, or after
-    _MAX_PROBES steps. One fresh _halfwidth_grid certifies the center it
-    stops at, which is returned when its halfwidth is at least the best
-    certified one (j's or a probe's); otherwise that best is. So the
-    width is the bits of vertical_halfwidth at the center, and never
-    less than candidate j's.
+    The search stops at a maximum, where phi_x is zero to within its
+    rounding error and phi_xx is not below zero by more than its own
+    (a quartically flat peak has phi_xx = 0), at a step below four ulps
+    of x, at a bracket below 1e-10 wide, or after _MAX_PROBES steps. One
+    fresh _halfwidth_grid certifies the center it stops at, which is
+    returned when its halfwidth is at least the best certified one (x's
+    or a probe's); otherwise that best is. So the width is the bits of
+    vertical_halfwidth at the center, and never less than r. A certified
+    center where phi_x is zero and phi_xx < 0 is a minimum of s, with a
+    peak on either side: both halves of the bracket are searched
+    (_refine_side), and the best of the three is returned.
     """
-    lo = float(xs[max(j - 1, 0)])
-    hi = float(xs[min(j + 1, xs.size - 1)])
-    best_c, best_r = float(xs[j]), float(widths[j])
-    x, t = best_c, 2.0 * math.log(best_r)
+    best_c, best_r = x, r
+    t = 2.0 * math.log(r)
     certified = True
     for _ in range(_MAX_PROBES):
-        f1, f2, noise, j11, j12, j21, j22 = _peak_system(rs, x, t)
+        f1, f2, noise, bend, j11, j12, j21, j22 = _peak_system(rs, x, t)
         if abs(f2) <= noise:
-            break
+            if j21 >= -bend:
+                break
+            if certified:
+                sides = [_refine_side(rs, x, end) for end in (lo, hi)]
+                return max([(best_c, best_r)] + sides, key=lambda disk: disk[1])
         if certified:
             if f2 < 0.0:  # s' > 0
                 lo = x
@@ -292,6 +321,22 @@ def _refine(
         if r >= best_r:
             best_c, best_r = x, r
     return best_c, best_r
+
+
+def _refine_side(rs: np.ndarray, x: float, end: float) -> tuple[float, float]:
+    """_refine between a minimum x of s and the bracket end end, from the
+    midpoint of the two, or from the first point of positive halfwidth
+    found by halving from there toward x (s rises from x, and the
+    lemniscate may end before the midpoint); (x, 0.0) if none is found."""
+    lo, hi = min(x, end), max(x, end)
+    m = 0.5 * (x + end)
+    while lo < m < hi:
+        r = float(_halfwidth_grid(rs, np.array([m]))[0])
+        if r > 0.0:
+            return _refine(rs, lo, hi, m, r)
+        lo, hi = (m, hi) if m < x else (lo, m)
+        m = 0.5 * (x + m)
+    return x, 0.0
 
 
 def largest_disk(
@@ -358,8 +403,16 @@ def largest_disk(
             boundary_point=complex(lo_b, 0.0), has_interior=False,
         )
 
+    last = candidates.size - 1
     best_c, best_r = max(
-        (_refine(rs, candidates, widths, j) for j in _peaks(candidates, widths)),
+        (
+            _refine(
+                rs, float(candidates[max(j - 1, 0)]),
+                float(candidates[min(j + 1, last)]),
+                float(candidates[j]), float(widths[j]),
+            )
+            for j in _peaks(candidates, widths)
+        ),
         key=lambda disk: disk[1],
     )
     return DiskResult(

@@ -17,6 +17,7 @@ from extremal_poly.errors import DomainError, RegimeError
 from extremal_poly.poly_core import (
     log_disc_from_roots,
     log_modulus_at_ai,
+    poly_from_roots,
     rel_log_diff,
 )
 
@@ -79,6 +80,22 @@ def test_lattice_roots_match_mpmath(d, log_p):
             want = sorted(float(a * mp.cot(psi + mp.pi * j / d)) for j in js)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-13 * max(abs(w), a)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 9, 181, 182, 1000, 1001])
+def test_boundary_member_is_an_exact_mirror_set(d):
+    # the boundary member has only x^(d-2k) terms, so its roots are exact
+    # +- pairs with an exact 0 for odd d; the log disc then takes the
+    # mirror path and keeps its value
+    for a in (1.0, 0.37):
+        x = np.array(lattice_roots(a, d, 0.0))
+        assert np.array_equal(x, -x[::-1])
+        assert np.all(np.diff(x) > 0.0)
+        assert x[d // 2] == 0.0 if d % 2 else x[d // 2 - 1] < 0.0
+        got = log_disc_from_roots(poly_from_roots(x))
+        want = log_disc_from_roots(poly_from_roots(_cot_lattice(a, d, 0.0)))
+        assert got.sign == 1
+        assert rel_log_diff(got.log_abs, want.log_abs) <= 1e-13
 
 
 class TestPhaseRatio:

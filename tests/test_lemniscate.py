@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,8 @@ from extremal_poly.lemniscate import (
     DiskResult,
     inscribed_disk_poly,
     _halfwidth_grid,
+    _log_abs_sq,
+    _peak_system,
     _scan,
     largest_disk,
     log_radius_upper_bound,
@@ -50,6 +53,100 @@ def test_halfwidth_grid_rows_are_independent():
     single = [_halfwidth_grid(roots, np.array([x]))[0] for x in xs]
     assert batch.tobytes() == np.array(single).tobytes()
     assert np.count_nonzero(batch) > 100
+
+
+def _where_log_abs_sq(dx2, excess, s):
+    # the kernel as one np.where over both logarithms of every term
+    q = excess + s[:, None]
+    with np.errstate(divide="ignore"):
+        terms = np.where(
+            q > -0.5, np.log1p(np.maximum(q, -0.5)), np.log(dx2 + s[:, None])
+        )
+    return terms.sum(axis=1)
+
+
+def _kernel_rows(x, roots, s):
+    dx = x[:, None] - roots[None, :]
+    return dx * dx, (dx - 1.0) * (dx + 1.0), s
+
+
+def _assert_kernel_matches_where_form(dx2, excess, s):
+    q = np.empty_like(dx2)
+    with np.errstate(divide="ignore"):
+        got = _log_abs_sq(dx2, excess, s, q)
+    assert got.tobytes() == _where_log_abs_sq(dx2, excess, s).tobytes()
+    assert q.tobytes() == (dx2 + s[:, None]).tobytes()
+    return got
+
+
+def test_log_abs_sq_edge_rows():
+    # a center on a root at s = 0 (-inf), a term with excess + s exactly
+    # -0.5 (the log branch) and one just above -1 (dx = 2^-26 gives
+    # excess = -1 + 2^-52), and s = 1
+    roots = np.array([-1.0, 0.0, 2.0 ** -26, 0.5, 3.0])
+    x = np.array([0.0, 0.0, 1.0, -0.75])
+    s = np.array([0.0, 0.25, 1.0, 0.5])
+    dx2, excess, s = _kernel_rows(x, roots, s)
+    assert excess[1, 3] + s[1] == -0.5
+    assert -1.0 < excess[0, 2] + s[0] < -1.0 + 2.0 ** -51
+    got = _assert_kernel_matches_where_form(dx2, excess, s)
+    assert got[0] == -math.inf and np.all(np.isfinite(got[1:]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 50, 181, 1000, 5000])
+def test_log_abs_sq_matches_where_form_on_sorted_rows(d):
+    # each term is the same function of the same float as in the where
+    # form, so the row sums keep their bits; the centers include roots
+    rng = np.random.default_rng(5100 + d)
+    roots = np.sort(rng.normal(0.0, 1.0, d))
+    x = np.concatenate([
+        np.linspace(roots[0] - 1.0, roots[-1] + 1.0, 37), roots[:: max(1, d // 7)]
+    ])
+    s = np.exp(rng.uniform(-40.0, 0.0, x.size))
+    s[::5] = 1.0
+    _assert_kernel_matches_where_form(*_kernel_rows(x, roots, s))
+
+
+def test_halfwidth_grid_at_roots_warns_nothing():
+    # its first pass takes log 0 at every root (s = 0); the configured
+    # RuntimeWarning filter turns any warning into an error
+    roots = np.array([-1.0, -0.2, 0.3, 1.5])
+    inside = np.empty(roots.shape, dtype=bool)
+    widths = _halfwidth_grid(roots, roots, inside)
+    assert inside.all() and np.all(widths > 0.0)
+
+
+def _where_peak_system(roots, x, t):
+    # the seven Newton floats with 1/q formed as c / (dx2 + s)
+    s = math.exp(t)
+    c = math.ldexp(1.0, math.frexp(s)[1])
+    u = x - roots
+    dx2 = u * u
+    phi = _where_log_abs_sq(dx2[None], ((u - 1.0) * (u + 1.0))[None], np.array([s]))
+    inv = c / (dx2 + s)
+    u_inv, inv2 = u * inv, inv * inv
+    f2 = 2.0 * u_inv.sum()
+    return (
+        float(phi[0]),
+        float(f2),
+        16.0 * sys.float_info.epsilon * float(np.abs(u_inv).sum()),
+        float(f2) / c,
+        s / c * float(inv.sum()),
+        2.0 / c * float(((s - dx2) * inv2).sum()),
+        -2.0 * s / c * float((u * inv2).sum()),
+    ), 16.0 * sys.float_info.epsilon * float(inv.sum())
+
+
+def test_peak_system_matches_formula():
+    rng = np.random.default_rng(5200)
+    roots = np.sort(rng.uniform(-2.0, 2.0, 40))
+    points = [(0.0, -1.0), (0.31, -0.2), (float(roots[3]), -3.0),
+              (float(roots[7]) + 1e-9, -60.0), (-2.5, 0.0), (1.1, -700.0)]
+    for x, t in points:
+        got = _peak_system(roots, x, t)
+        seven, bend = _where_peak_system(roots, x, t)
+        assert got[:3] + got[4:] == seven
+        assert got[3] == bend
 
 
 def test_halfwidth_above_root():
@@ -133,6 +230,47 @@ def test_largest_disk_centered_family():
     assert disk.boundary_point == pytest.approx(
         complex(disk.center_x, disk.radius)
     )
+
+
+@pytest.mark.parametrize(
+    "c", [0.5, 0.7, HALF_SQRT2, 0.7072, 0.708, 0.71, 0.72, 0.8, 0.99]
+)
+@pytest.mark.parametrize("m", [0.0, 0.3, -1.7])
+def test_largest_disk_of_two_roots_closed_form(c, m):
+    # roots m +- c: for c > 1/sqrt2 the halfwidth has a local minimum at m
+    # and peaks 1/(2c) at m +- sqrt(c^2 - 1/(4c^2)); for c <= 1/sqrt2 it
+    # peaks sqrt(1 - c^2) at m (quartically flat at c = 1/sqrt2)
+    lo, hi = m - c, m + c
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    p = poly_from_roots([lo, hi])
+    disk = largest_disk(p)
+    if half * half > 0.5:
+        want, off = 0.5 / half, math.sqrt(half * half - 0.25 / (half * half))
+    else:
+        want, off = math.sqrt(1.0 - half * half), 0.0
+    assert abs(disk.radius - want) <= 4e-15
+    assert abs(abs(disk.center_x - mid) - off) <= 1e-6
+    assert disk.radius == vertical_halfwidth(p, disk.center_x)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.3, -1.7])
+def test_flat_peak_stops_at_its_candidate(monkeypatch, m):
+    # at c = 1/sqrt2, within an ulp either way, phi_xx at the midpoint is
+    # zero to within its rounding bound: the refinement accepts the scanned
+    # midpoint as it stands and solves no halfwidth past the scan
+    calls = []
+    grid = lem._halfwidth_grid
+
+    def counted_grid(*args):
+        calls.append(args[1].size)
+        return grid(*args)
+
+    monkeypatch.setattr(lem, "_halfwidth_grid", counted_grid)
+    for c in (math.nextafter(HALF_SQRT2, 0.0), HALF_SQRT2, math.nextafter(HALF_SQRT2, 1.0)):
+        calls.clear()
+        disk = largest_disk(poly_from_roots([m - c, m + c]))
+        assert len(calls) == 1 and calls[0] > 1
+        assert abs(disk.center_x - m) <= 4e-16
 
 
 def test_largest_disk_off_axis_peak():
