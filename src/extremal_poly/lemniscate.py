@@ -134,6 +134,7 @@ def _halfwidth_grid(roots: np.ndarray, xs: np.ndarray, inside=None) -> np.ndarra
     excess = (dx - 1.0) * (dx + 1.0)
     s_out = np.zeros(xs.shape)
     with np.errstate(divide="ignore"):
+        # dx is spent: the first pass takes it as its buffer q
         below = _log_abs_sq(dx2, excess, s_out, dx) < 0.0
         if inside is not None:
             inside[:] = below
