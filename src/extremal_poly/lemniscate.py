@@ -224,9 +224,10 @@ def _peak_system(roots: np.ndarray, x: float, t: float) -> tuple[float, ...]:
     c = math.ldexp(1.0, math.frexp(s)[1])
     u = x - roots
     dx2 = u * u
+    excess = (u - 1.0) * (u + 1.0)
     q = np.empty((1, u.size))
     with np.errstate(divide="ignore"):
-        phi = _log_abs_sq(dx2[None], ((u - 1.0) * (u + 1.0))[None], np.array([s]), q)
+        phi = _log_abs_sq(dx2[None], excess[None], np.array([s]), q)
         inv = c / q[0]
     u_inv = u * inv
     inv2 = inv * inv
@@ -272,9 +273,10 @@ def _refine(
     returned when its halfwidth is at least the best certified one (x's
     or a probe's); otherwise that best is. So the width is the bits of
     vertical_halfwidth at the center, and never less than r. A certified
-    center where phi_x is zero and phi_xx < 0 is a minimum of s, with a
-    peak on either side: both halves of the bracket are searched
-    (_refine_side), and the best of the three is returned.
+    center where phi_x is zero and phi_xx is below zero by more than its
+    rounding error is a minimum of s, with a peak on either side: both
+    halves of the bracket are searched (_refine_side), and the best of
+    the three is returned.
     """
     best_c, best_r = x, r
     t = 2.0 * math.log(r)
@@ -325,10 +327,11 @@ def _refine(
 
 
 def _refine_side(rs: np.ndarray, x: float, end: float) -> tuple[float, float]:
-    """_refine between a minimum x of s and the bracket end end, from the
-    midpoint of the two, or from the first point of positive halfwidth
-    found by halving from there toward x (s rises from x, and the
-    lemniscate may end before the midpoint); (x, 0.0) if none is found."""
+    """_refine between x, a minimum of s, and end, one end of its bracket:
+    from the midpoint of the two, or from the first point of positive
+    halfwidth found by halving from there toward x (s rises from x, and
+    the lemniscate may end before the midpoint); (x, 0.0) if none is
+    found."""
     lo, hi = min(x, end), max(x, end)
     m = 0.5 * (x + end)
     while lo < m < hi:

@@ -266,7 +266,8 @@ def test_flat_peak_stops_at_its_candidate(monkeypatch, m):
         return grid(*args)
 
     monkeypatch.setattr(lem, "_halfwidth_grid", counted_grid)
-    for c in (math.nextafter(HALF_SQRT2, 0.0), HALF_SQRT2, math.nextafter(HALF_SQRT2, 1.0)):
+    below, above = math.nextafter(HALF_SQRT2, 0.0), math.nextafter(HALF_SQRT2, 1.0)
+    for c in (below, HALF_SQRT2, above):
         calls.clear()
         disk = largest_disk(poly_from_roots([m - c, m + c]))
         assert len(calls) == 1 and calls[0] > 1
