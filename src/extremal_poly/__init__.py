@@ -13,7 +13,7 @@ from .poly_core import (
     LogDiscriminant,
     RealRootedPoly,
     TOL_ORACLE,
-    disc_resultant_oracle,
+    disc_resultant_oracles,
     log_disc_from_roots,
     poly_from_roots,
     rel_log_diff,
@@ -21,10 +21,8 @@ from .poly_core import (
 from .binomial_family import (
     BinomialFamilyParams,
     binomial_coeffs,
-    binomial_poly,
     lattice_roots,
     min_modulus_bound,
-    params_from_disc,
     small_height_condition,
 )
 from .jacobi_family import (
@@ -42,7 +40,7 @@ from .jacobi_family import (
 from .solvers import (
     ExtremalSolution,
     OracleResult,
-    numeric_oracle_max_disc,
+    numeric_oracle_max_discs,
     solve_max_disc,
     solve_min_abs,
     stationarity_residual,
@@ -85,11 +83,10 @@ __all__ = [
     "TOL_ORACLE",
     "arctan_cdf_distance",
     "binomial_coeffs",
-    "binomial_poly",
     "closed_form_disc",
     "config_from_points",
     "degenerate_family_coeffs",
-    "disc_resultant_oracle",
+    "disc_resultant_oracles",
     "energy_lower_bound",
     "family_coeffs",
     "family_roots",
@@ -102,8 +99,7 @@ __all__ = [
     "log_disc_from_roots",
     "min_modulus_bound",
     "multiplier_poles",
-    "numeric_oracle_max_disc",
-    "params_from_disc",
+    "numeric_oracle_max_discs",
     "poly_from_roots",
     "radius_lower_bound",
     "radius_upper_bound",

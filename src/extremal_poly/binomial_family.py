@@ -4,34 +4,74 @@ For small evaluation heights a the minimisers of |f(ai)| at fixed
 discriminant are real combinations of (x + ai)^d and (x - ai)^d. A member
 is fixed by its log phase ratio log p <= 0 (p = 1 at the crossover), from
 which both its lattice roots and its subleading coefficient B are formed.
+The crossover itself is decided here, once (crossover_side), for every
+public entry point.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, RegimeError
-from .poly_core import RealRootedPoly, _exp_or_inf, poly_from_roots
+from .errors import DomainError, RegimeError, check_degree, check_height
+from .poly_core import _exp_or_inf
 
 # Below this phase ratio asin(p) = p and cot(p/d) = d/p to double
 # precision, so the pole root is formed as exp(log(a d) - log p).
 _SMALL_P = 1e-8
 
+# Targets near the crossover snap to the shared boundary member (binomial
+# regime, zero subleading), which then meets the target to this relative
+# accuracy. Root positions vary like the square root of the distance to the
+# boundary, so resolving anything finer is illusory anyway.
+_BOUNDARY_SNAP = 1e-9
+
 
 def _check_args(a: float, d: int, disc: float = 1.0) -> None:
-    if a <= 0 or not math.isfinite(a):
-        raise DomainError("height a must be positive and finite")
-    if not isinstance(d, int) or d < 2:
-        raise DomainError("d must be an integer >= 2")
+    check_height(a)
+    check_degree(d)
     if disc <= 0 or not math.isfinite(disc):
         raise DomainError("target discriminant must be positive and finite")
 
 
-def _in_regime(log_p: float) -> float:
-    """log p clamped to 0; RegimeError when p exceeds 1 beyond roundoff
-    (the height is too large for this family)."""
-    if log_p > 0.0 and math.expm1(-2.0 * log_p) < -1e-12:
+# One solve asks for the window of its (a, d) up to four times. A hit
+# needs equal arguments of the same types, which pass log_phase_ratio's
+# checks again.
+@functools.lru_cache(maxsize=1, typed=True)
+def _snap_window(a: float, d: int) -> float:
+    """The log p distance at which the boundary member misses its
+    modulus, or (2d-2 times faster) its discriminant, by _BOUNDARY_SNAP;
+    the smaller serves both problems, so a round trip through both solvers
+    keeps its regime. DomainError for a bad height or degree."""
+    # log p at disc = 1 is the boundary member's log disc over 2d-2
+    log_disc_rate = max(1.0 / (2.0 * d - 2.0), abs(log_phase_ratio(a, d, 1.0)))
+    log_m = (d - 1) * math.log(2.0) + d * math.log(a)
+    return _BOUNDARY_SNAP * min(max(1.0, abs(log_m)), log_disc_rate)
+
+
+def crossover_side(a: float, d: int, log_p: float) -> int:
+    """The one crossover test, shared by both solvers, the members'
+    regime checks, small_height_condition and
+    jacobi_family.solve_multiplier: 0 for the boundary member, within half
+    the snap window of log p = 0; -1 below it, on the binomial side; +1
+    above it, on the multiplier side. Snapping only within half of the
+    window leaves room for the rounding of the target. DomainError for a
+    bad height or degree, or a nan log_p."""
+    if abs(log_p) <= 0.5 * _snap_window(a, d):
+        return 0
+    if log_p < 0.0:
+        return -1
+    if log_p > 0.0:
+        return 1
+    raise DomainError("log phase ratio is nan")
+
+
+def _in_regime(a: float, d: int, log_p: float) -> float:
+    """log p, or 0.0 within the snap window (the boundary member);
+    RegimeError above it (the height is too large for this family)."""
+    side = crossover_side(a, d, log_p)
+    if side > 0:
         raise RegimeError("height too large: phase ratio above 1")
-    return min(log_p, 0.0)
+    return log_p if side else 0.0
 
 
 def _past_float_range(log_p: float) -> DomainError:
@@ -43,16 +83,16 @@ def _past_float_range(log_p: float) -> DomainError:
 
 @dataclass(frozen=True)
 class BinomialFamilyParams:
-    """Height a, degree d and log phase ratio log_p <= 0 (up to roundoff)
-    of one family member; B is derived from log_p."""
+    """Height a, degree d and log phase ratio log_p of one family member,
+    on the binomial side of the crossover or within its snap window (the
+    boundary member); B is derived from log_p."""
 
     a: float
     d: int
     log_p: float
 
     def __post_init__(self):
-        _check_args(self.a, self.d)
-        _in_regime(self.log_p)
+        _in_regime(self.a, self.d, self.log_p)
 
     @property
     def subleading(self) -> float:
@@ -63,7 +103,7 @@ def subleading(a: float, d: int, log_p: float) -> float:
     """B = (-1)^d a d sqrt(1 - p^2)/p of the member lattice_roots(a, d,
     log_p), formed in log space, 0 at p = 1; past float range only with
     the largest root, about a d/p."""
-    log_p = _in_regime(log_p)
+    log_p = _in_regime(a, d, log_p)
     if log_p == 0.0:
         return 0.0
     b = _exp_or_inf(
@@ -86,6 +126,24 @@ def log_phase_ratio(a: float, d: int, disc: float) -> float:
     )
 
 
+def _log_phase_of_modulus(a: float, d: int, log_m: float) -> float:
+    """log p = log(2^(d-1) a^d / m) of the target modulus m: the phase
+    ratio of the binomial member with |f(ai)| = m."""
+    return -(log_m - (d - 1) * math.log(2.0) - d * math.log(a))
+
+
+def _log_modulus(a: float, d: int, m: float) -> float:
+    """log m of a target modulus for a checked height and degree.
+    DomainError unless m is positive and finite; RegimeError unless m
+    exceeds a^d, the least |f(ai)| of any monic real-rooted f."""
+    if m <= 0 or not math.isfinite(m):
+        raise DomainError("modulus m must be positive and finite")
+    log_m = math.log(m)
+    if log_m <= d * math.log(a):
+        raise RegimeError("m must exceed a^d for a real-rooted solution")
+    return log_m
+
+
 def log_threshold_height(d: int, log_disc: float) -> float:
     """log of the height 2^(2/d-1) d^(-1/(d-1)) disc^(1/(d(d-1))) at which
     the phase ratio of discriminant disc reaches 1."""
@@ -94,16 +152,6 @@ def log_threshold_height(d: int, log_disc: float) -> float:
         - math.log(d) / (d - 1.0)
         + log_disc / (d * (d - 1.0))
     )
-
-
-def params_from_disc(a: float, d: int, disc: float) -> BinomialFamilyParams:
-    """Family member that attains the minimal modulus at this discriminant
-    (the one lattice_roots returns; its mirror negates the roots).
-
-    RegimeError when the phase ratio p exceeds 1 beyond roundoff (the
-    height is too large for this family at the given discriminant).
-    """
-    return BinomialFamilyParams(a=a, d=d, log_p=log_phase_ratio(a, d, disc))
 
 
 def lattice_roots(a: float, d: int, log_p: float) -> list[float]:
@@ -120,12 +168,12 @@ def lattice_roots(a: float, d: int, log_p: float) -> list[float]:
     complement, so the odd-d root 0 at p = 1 is exact; the pole root
     a*cot(delta) is exp(log(a d) - log p) once p < 1e-8.
 
-    RegimeError when p exceeds 1 beyond roundoff; DomainError when the
+    A log_p within the snap window of 0 (crossover_side) gives the
+    boundary member, and one above it a RegimeError; DomainError when the
     largest root is past float range, at log p below about
     log(a d) - 709.8.
     """
-    _check_args(a, d)
-    log_p = _in_regime(log_p)
+    log_p = _in_regime(a, d, log_p)
     p = math.exp(log_p)
     q = math.sqrt(0.0 - math.expm1(2.0 * log_p))  # no -0.0 at p = 1
     beta, gamma = math.atan2(p, q), math.atan2(q, p)  # d delta, pi/2 - d delta
@@ -159,11 +207,6 @@ def lattice_roots(a: float, d: int, log_p: float) -> list[float]:
     if math.isinf(roots[0]) or math.isinf(roots[-1]):
         raise _past_float_range(log_p)
     return roots
-
-
-def binomial_poly(params: BinomialFamilyParams) -> RealRootedPoly:
-    """The family member at params.log_p, from its lattice roots."""
-    return poly_from_roots(lattice_roots(params.a, params.d, params.log_p))
 
 
 def binomial_coeffs(params: BinomialFamilyParams) -> list[float]:
@@ -208,7 +251,8 @@ def min_modulus_bound(a: float, d: int, disc: float) -> float:
 
 def small_height_condition(a: float, d: int, disc: float) -> bool:
     """The paper's small-height predicate: True iff a is at most the
-    threshold height 2^(2/d-1) d^(-1/(d-1)) disc^(1/(d(d-1))), with 1e-12
-    relative slack on the boundary."""
-    _check_args(a, d, disc)
-    return math.log(a) <= log_threshold_height(d, math.log(disc)) + 1e-12
+    threshold height 2^(2/d-1) d^(-1/(d-1)) disc^(1/(d(d-1))), that is iff
+    the log phase ratio of disc is on the binomial side of the crossover or
+    within its snap window (crossover_side), exactly when solve_min_abs
+    answers in the binomial regime."""
+    return crossover_side(a, d, log_phase_ratio(a, d, disc)) <= 0

@@ -8,7 +8,6 @@ codes: 0 success, 1 verification failure, 2 input error.
 
 import argparse
 import math
-import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -20,7 +19,7 @@ from .lemniscate import (
     radius_lower_bound_at_log,
     vertical_halfwidth,
 )
-from .poly_core import TOL_ORACLE, log_disc_from_roots, poly_from_roots
+from .poly_core import log_disc_from_roots, poly_from_roots
 from .solvers import solve_max_disc, solve_min_abs
 from .verification import format_report, run_suite
 
@@ -222,16 +221,7 @@ def _cmd_emit_plot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = TOL_ORACLE
-    env = os.environ.get("EXTREMAL_POLY_TOL")
-    if env is not None:
-        try:
-            tol = float(env)
-        except ValueError:
-            raise InputError("EXTREMAL_POLY_TOL is not a number: %r" % env)
-        if tol <= 0 or not math.isfinite(tol):
-            raise InputError("EXTREMAL_POLY_TOL must be positive and finite")
-    results = run_suite(deep=args.deep, tol_oracle=tol)
+    results = run_suite(deep=args.deep)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1
 

@@ -11,7 +11,7 @@ problem, so the equilibrium solver is a thin wrapper over solve_max_disc.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, check_degree, check_height
 from .poly_core import (
     LogDiscriminant,
     log_disc_from_roots,
@@ -43,8 +43,7 @@ def config_from_points(points, a: float) -> ChargeConfig:
     d = len(pts)
     if d < 2:
         raise DomainError("need at least two charges")
-    if a <= 0 or not math.isfinite(a):
-        raise DomainError("height a must be positive and finite")
+    check_height(a)
     if not all(math.isfinite(x) for x in pts):
         raise InputError("points must be finite")
 
@@ -67,10 +66,8 @@ def energy_lower_bound(a: float, d: int, v: float) -> float:
     """Sharp lower bound on the energy of d charges whose potential at
     ai equals v. Requires v < -log a, which every configuration with
     finite energy satisfies strictly."""
-    if not isinstance(d, int) or d < 2:
-        raise DomainError("d must be an integer >= 2")
-    if a <= 0 or not math.isfinite(a):
-        raise DomainError("height a must be positive and finite")
+    check_degree(d)
+    check_height(a)
     if not math.isfinite(v) or v >= -math.log(a):
         raise DomainError("potential must satisfy v < -log a")
     return 2.0 * v + math.log(2.0 * a) - math.log(d) / (d - 1.0)
@@ -85,8 +82,7 @@ def solve_equilibrium(a: float, d: int, v: float) -> ChargeConfig:
     two shapes of equilibria. When the extremal pair is a mirror pair,
     the member with the smaller least root is returned.
     """
-    if a <= 0 or not math.isfinite(a):
-        raise DomainError("height a must be positive and finite")
+    check_height(a)
     if not math.isfinite(v) or v >= -math.log(a):
         raise DomainError("potential must satisfy v < -log a")
     try:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two argument
+checks every module makes."""
+
+import math
 
 
 class ExtremalPolyError(Exception):
@@ -19,3 +22,15 @@ class RegimeError(ExtremalPolyError):
 
 class PoleError(ExtremalPolyError):
     """A parameter sits on (or too close to) a pole of a closed-form expression."""
+
+
+def check_degree(d) -> None:
+    """DomainError unless d is a Python int >= 2."""
+    if not isinstance(d, int) or d < 2:
+        raise DomainError("d must be an integer >= 2")
+
+
+def check_height(a) -> None:
+    """DomainError unless the height a is positive and finite; nan fails."""
+    if a <= 0 or not math.isfinite(a):
+        raise DomainError("height a must be positive and finite")

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError, RegimeError
+from . import binomial_family as bf
+from .errors import DomainError, PoleError, RegimeError, check_degree, check_height
 from .poly_core import LogDiscriminant
 
 _POLE_REJECT = 1e-9
@@ -35,8 +36,7 @@ _NEWTON_SWEEPS = 16
 def multiplier_poles(d: int) -> tuple[int, ...]:
     """Multiplier values where the family coefficients blow up:
     2d - 2j - 1 for j = 1..floor(d/2), ascending."""
-    if not isinstance(d, int) or d < 2:
-        raise DomainError("d must be an integer >= 2")
+    check_degree(d)
     return tuple(sorted(2 * d - 2 * j - 1 for j in range(1, d // 2 + 1)))
 
 
@@ -53,10 +53,8 @@ class JacobiFamilyParams:
     multiplier: float
 
     def __post_init__(self):
-        if self.a <= 0 or not math.isfinite(self.a):
-            raise DomainError("height a must be positive and finite")
-        if not isinstance(self.d, int) or self.d < 2:
-            raise DomainError("d must be an integer >= 2")
+        check_height(self.a)
+        check_degree(self.d)
         if not math.isfinite(self.multiplier):
             raise DomainError("multiplier must be finite")
         for pole in multiplier_poles(self.d):
@@ -246,8 +244,7 @@ def log_modulus_ratio(d: int, lam: float) -> float:
 def _log_modulus_ratio_and_slope(d: int, lam: float) -> tuple[float, float]:
     """(log_modulus_ratio, its derivative in log lam) over one list of the
     product's denominators x; lam d/dlam log1p(c/x) = -(c/x) lam/(x+c)."""
-    if not isinstance(d, int) or d < 2:
-        raise DomainError("d must be an integer >= 2")
+    check_degree(d)
     c = d - 1 + d % 2
     xs = [lam - 2.0 * d + 3.0 + 2.0 * k for k in range(d // 2)]
     slope = -math.fsum(c / x * (lam / (x + c)) for x in xs)
@@ -256,20 +253,21 @@ def _log_modulus_ratio_and_slope(d: int, lam: float) -> tuple[float, float]:
 
 def solve_multiplier(a: float, d: int, modulus: float) -> float:
     """Unique multiplier >= 2d-2 with d log a + log_modulus_ratio = log
-    modulus, for a^d < modulus <= 2^(d-1) a^d (the boundary maps to
-    exactly 2d-2); _newton_multiplier on log log(modulus / a^d).
+    modulus, for a^d < modulus < 2^(d-1) a^d; _newton_multiplier on
+    log log(modulus / a^d). A modulus within the crossover's snap window
+    of the boundary 2^(d-1) a^d (binomial_family.crossover_side) maps to
+    exactly 2d-2, and one beyond it is refused with RegimeError, as
+    solve_max_disc decides.
     """
-    if a <= 0 or not math.isfinite(a):
-        raise DomainError("height a must be positive and finite")
-    if not isinstance(d, int) or d < 2:
-        raise DomainError("d must be an integer >= 2")
-    if modulus <= 0 or not math.isfinite(modulus):
-        raise DomainError("modulus must be positive and finite")
-    log_t = math.log(modulus) - d * math.log(a)
-    if log_t <= 0.0:
-        raise RegimeError("modulus must exceed a^d")
-    if log_t > (d - 1) * math.log(2.0) + 1e-12:
+    check_height(a)
+    check_degree(d)
+    log_m = bf._log_modulus(a, d, modulus)
+    side = bf.crossover_side(a, d, bf._log_phase_of_modulus(a, d, log_m))
+    if side < 0:
         raise RegimeError("modulus exceeds the boundary 2^(d-1) a^d")
+    if side == 0:
+        return 2.0 * d - 2.0
+    log_t = log_m - d * math.log(a)
 
     def log_log_ratio(lam: float) -> tuple[float, float]:
         s, slope = _log_modulus_ratio_and_slope(d, lam)

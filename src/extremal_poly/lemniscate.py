@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binomial_family as bf
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, check_degree
 from .poly_core import (
     RealRootedPoly,
     log_disc_from_roots,
@@ -435,7 +435,7 @@ def radius_upper_bound(d: int, disc: float) -> float:
 def log_radius_upper_bound(d: int, log_disc: float) -> float:
     """log radius_upper_bound(d, e^log_disc), also where e^log_disc or the
     bound is past float range."""
-    _check_degree(d)
+    check_degree(d)
     return (
         math.log(d) / (d - 1.0)
         - math.log(2.0)
@@ -462,7 +462,7 @@ def radius_lower_bound_at_log(d: int, log_disc: float) -> float | None:
     max(1, |edge|)) past an edge counts as on it, as a log disc from
     rounded roots lands there (roots +-sqrt(1/2) give 2 + 4e-16).
     """
-    _check_degree(d)
+    check_degree(d)
     top = (1.0 - d) * math.log(2.0) + d * math.log(d)
     slack = 4.0 * sys.float_info.epsilon
     if not -slack <= log_disc <= top + slack * max(1.0, top):
@@ -470,13 +470,8 @@ def radius_lower_bound_at_log(d: int, log_disc: float) -> float | None:
     return math.exp(bf.log_threshold_height(d, 0.0))
 
 
-def _check_degree(d: int) -> None:
-    if not isinstance(d, int) or d < 2:
-        raise DomainError("d must be an integer >= 2")
-
-
 def _check_bound_args(d: int, disc: float) -> None:
-    _check_degree(d)
+    check_degree(d)
     if disc <= 0 or not math.isfinite(disc):
         raise DomainError("discriminant must be positive and finite")
 

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, check_height
 
-# Default oracle tolerance, relative in log magnitude.
+# Oracle tolerance, relative in log magnitude: verify's two resultant
+# checks hold their worst error to it.
 TOL_ORACLE = 1e-8
 
 # Largest degree of disc_resultant_oracles: the last at which family_coeffs
@@ -100,8 +101,7 @@ def poly_from_roots(roots) -> RealRootedPoly:
 
 def log_modulus_at_ai(roots, a: float) -> float:
     """log |f(ai)| from roots, safe for any degree."""
-    if a <= 0:
-        raise DomainError("height a must be positive")
+    check_height(a)
     return math.fsum(math.log(math.hypot(a, r)) for r in roots)
 
 
@@ -344,12 +344,6 @@ def disc_resultant_oracles(coeff_rows) -> list[LogDiscriminant]:
         for i, disc in zip(where, _resultant_rows(d, [rows[i] for i in where])):
             out[i] = disc
     return out
-
-
-def disc_resultant_oracle(coeffs) -> LogDiscriminant:
-    """Discriminant via the Sylvester resultant of f and f'; the
-    one-polynomial call of disc_resultant_oracles."""
-    return disc_resultant_oracles([coeffs])[0]
 
 
 def quartic_disc(c2: float, c0: float) -> float:

@@ -3,21 +3,21 @@
 solve_min_abs: minimise |f(ai)| over monic real-rooted f at fixed
 discriminant. solve_max_disc: maximise the discriminant at fixed
 |f(ai)| = m. Both reduce their target to the log phase ratio log p and
-make one decision on it (_dispatch): the binomial family for p < 1 (large
-modulus / small height), the multiplier family for p > 1, and the shared
-boundary member, where both families collapse to one polynomial, within
-a snap window around the crossover p = 1, m = 2^(d-1) a^d.
+make one decision on it (_dispatch, by binomial_family.crossover_side):
+the binomial family for p < 1 (large modulus / small height), the
+multiplier family for p > 1, and the shared boundary member, where both
+families collapse to one polynomial, within a snap window around the
+crossover p = 1, m = 2^(d-1) a^d.
 
 A multi-start ascent oracle is included for certifying the closed forms
 numerically; it never looks at either family. numeric_oracle_max_discs
-runs the starts of many moduli at one height and degree in one loop, and
-numeric_oracle_max_disc is its one-modulus call. It works in the unit
-chart (height 1, roots scaled by a), takes reduced Newton steps on the
-KKT system of the pairwise log product under the modulus constraint, and
-stops each start once a step gains no more than 1e-12 (1 + |log disc|),
-a rejected Newton step predicted no more than that, or no halved step
-gains at all. Its KKT gradients also serve stationarity_residual, the
-roots-only check of an answer.
+runs the starts of many moduli at one height and degree in one loop. It
+works in the unit chart (height 1, roots scaled by a), takes reduced
+Newton steps on the KKT system of the pairwise log product under the
+modulus constraint, and stops each start once a step gains no more than
+1e-12 (1 + |log disc|), a rejected Newton step predicted no more than
+that, or no halved step gains at all. Its KKT gradients also serve
+stationarity_residual, the roots-only check of an answer.
 """
 
 import math
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import binomial_family as bf
 from . import jacobi_family as jf
-from .errors import DomainError, InputError, RegimeError
+from .errors import DomainError, InputError, check_degree, check_height
 from .poly_core import (
     LogDiscriminant,
     RealRootedPoly,
@@ -41,12 +41,6 @@ PROBLEM_MIN_ABS = "min_abs"
 PROBLEM_MAX_DISC = "max_disc"
 REGIME_BINOMIAL = "f_family"
 REGIME_MULTIPLIER = "g_family"
-
-# Targets near the crossover snap to the shared boundary member (binomial
-# regime, zero subleading), which then meets the target to this relative
-# accuracy. Root positions vary like the square root of the distance to the
-# boundary, so resolving anything finer is illusory anyway.
-_BOUNDARY_SNAP = 1e-9
 
 # Largest unit-chart target T = log m - d log a the ascent oracle takes.
 # Each term of its constraint sum 0.5 log(1 + x_k^2) = T is >= 0, so every
@@ -89,13 +83,6 @@ class ExtremalSolution:
     lambda_or_b: float
 
 
-def _validate_common(a: float, d: int) -> None:
-    if not isinstance(d, int) or d < 2:
-        raise DomainError("d must be an integer >= 2")
-    if a <= 0 or not math.isfinite(a):
-        raise DomainError("height a must be positive and finite")
-
-
 def _finish(problem: str, regime: str, polys, coeffs, a: float, lambda_or_b: float):
     lead = polys[0]
     log_m = log_modulus_at_ai(lead.roots, a)
@@ -114,23 +101,16 @@ def _finish(problem: str, regime: str, polys, coeffs, a: float, lambda_or_b: flo
 def _dispatch(
     problem: str, a: float, d: int, log_p: float, solve_lambda
 ) -> ExtremalSolution:
-    """The one regime decision: the boundary member within half the
-    window of the crossover log p = 0, the binomial mirror pair below it,
-    and above it the multiplier member at the multiplier that
-    solve_lambda() returns. The window is the log p distance at which the
-    boundary member misses its modulus, or (2d-2 times faster) its
-    discriminant, by _BOUNDARY_SNAP; the smaller serves both problems, so
-    a round trip through both solvers keeps its regime. Snapping only
-    within half of it leaves room for the rounding of the target."""
-    log_m = (d - 1) * math.log(2.0) + d * math.log(a)
-    # log p at disc = 1 is the boundary member's log disc over 2d-2
-    log_disc_rate = max(1.0 / (2.0 * d - 2.0), abs(bf.log_phase_ratio(a, d, 1.0)))
-    window = _BOUNDARY_SNAP * min(max(1.0, abs(log_m)), log_disc_rate)
-    if abs(log_p) <= 0.5 * window:
+    """The one regime decision, binomial_family.crossover_side: the
+    boundary member within the snap window of the crossover log p = 0,
+    the binomial mirror pair below it, and above it the multiplier member
+    at the multiplier that solve_lambda() returns."""
+    side = bf.crossover_side(a, d, log_p)
+    if side == 0:
         poly = poly_from_roots(bf.lattice_roots(a, d, 0.0))
         row = bf.binomial_coeffs(bf.BinomialFamilyParams(a=a, d=d, log_p=0.0))
         return _finish(problem, REGIME_BINOMIAL, [poly], [row], a, 0.0)
-    if log_p < 0.0:
+    if side < 0:
         lead = poly_from_roots(bf.lattice_roots(a, d, log_p))
         row = bf.binomial_coeffs(bf.BinomialFamilyParams(a=a, d=d, log_p=log_p))
         # negating the roots negates every x^j with d - j odd, B among them
@@ -156,25 +136,20 @@ def solve_max_disc(a: float, d: int, m: float) -> ExtremalSolution:
     """Maximise the discriminant over monic degree-d real-rooted f with
     |f(ai)| = m. Requires m > a^d (the unconstrained minimum of the
     modulus); RegimeError otherwise."""
-    _validate_common(a, d)
-    if m <= 0 or not math.isfinite(m):
-        raise DomainError("modulus m must be positive and finite")
-    log_m = math.log(m)
-    if log_m <= d * math.log(a):
-        raise RegimeError("m must exceed a^d for a real-rooted solution")
-    # phase ratio p = 2^(d-1) a^d / m
-    log_ratio = log_m - (d - 1) * math.log(2.0) - d * math.log(a)
+    check_degree(d)
+    check_height(a)
+    log_m = bf._log_modulus(a, d, m)
     return _dispatch(
-        PROBLEM_MAX_DISC, a, d, -log_ratio, lambda: jf.solve_multiplier(a, d, m)
+        PROBLEM_MAX_DISC, a, d, bf._log_phase_of_modulus(a, d, log_m),
+        lambda: jf.solve_multiplier(a, d, m),
     )
 
 
 def solve_min_abs(a: float, d: int, disc: float) -> ExtremalSolution:
     """Minimise |f(ai)| over monic degree-d real-rooted f with
     discriminant disc > 0."""
-    _validate_common(a, d)
-    if disc <= 0 or not math.isfinite(disc):
-        raise DomainError("target discriminant must be positive and finite")
+    check_degree(d)
+    check_height(a)
     return _dispatch(
         PROBLEM_MIN_ABS, a, d, bf.log_phase_ratio(a, d, disc),
         lambda: _multiplier_from_disc(a, d, math.log(disc)),
@@ -279,7 +254,8 @@ def stationarity_residual(roots, a: float) -> tuple[float, float]:
     the multiplier family, 2d - 2 in the binomial family. It forms d x d
     arrays, sized for d up to a few thousand."""
     x = np.sort(np.asarray(roots, dtype=float))
-    _validate_common(a, x.size)
+    check_degree(x.size)
+    check_height(a)
     if not np.all(np.isfinite(x)):
         raise InputError("roots must be finite")
     if np.any(x[1:] == x[:-1]):
@@ -353,6 +329,7 @@ def numeric_oracle_max_discs(
     g(x) = sum_{j<k} 2 log|x_j - x_k| under the modulus constraint
     sum 0.5 log(a^2 + x_k^2) = log m, one OracleResult per m in ms (a
     nonempty sequence); knows nothing about either closed-form family.
+    RegimeError unless every m exceeds a^d.
     DomainError for a target log m - d log a of 256 log 2 (about 177.4) or
     more, where the unit-chart roots may pass 2^256 (_ORACLE_MAX_TARGET).
 
@@ -376,7 +353,8 @@ def numeric_oracle_max_discs(
     value, ties to the lowest start index. Rows never interact, so each
     case returns the bits of its own one-case call.
     """
-    _validate_common(a, d)
+    check_degree(d)
+    check_height(a)
     if d > 6:
         raise DomainError("oracle cost grows too fast beyond d = 6")
     _count_arg("starts", starts, 1)
@@ -388,9 +366,7 @@ def numeric_oracle_max_discs(
     log_a = math.log(a)
     targets = []
     for m in ms:
-        if m <= 0 or not math.isfinite(m) or math.log(m) <= d * log_a:
-            raise RegimeError("need m > a^d")
-        targets.append(math.log(m) - d * log_a)
+        targets.append(bf._log_modulus(a, d, m) - d * log_a)
         if targets[-1] >= _ORACLE_MAX_TARGET:
             raise DomainError(
                 "log m - d log a = %.17g is past the oracle's bound 256 log 2: "
@@ -472,16 +448,3 @@ def numeric_oracle_max_discs(
             )
         )
     return results
-
-
-def numeric_oracle_max_disc(
-    a: float,
-    d: int,
-    m: float,
-    starts: int = 32,
-    seed: int = 0,
-    max_iters: int = 100_000,
-) -> OracleResult:
-    """The ascent oracle for one modulus: the one-case call of
-    numeric_oracle_max_discs."""
-    return numeric_oracle_max_discs(a, d, [m], starts, seed, max_iters)[0]

@@ -14,12 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-
-
-def _check_d(d: int) -> None:
-    if not isinstance(d, int) or d < 2:
-        raise DomainError("d must be an integer >= 2")
+from .errors import DomainError, check_degree
 
 
 def _result(arr: np.ndarray):
@@ -28,7 +23,7 @@ def _result(arr: np.ndarray):
 
 def cos_sq_product(x, d: int):
     """prod_{k=0}^{d-1} cos^2(x + pi k / d), elementwise in x."""
-    _check_d(d)
+    check_degree(d)
     x = np.asarray(x, dtype=float)
     prod = np.ones(x.shape)
     for k in range(d):
@@ -40,7 +35,7 @@ def cos_sq_product(x, d: int):
 def cos_sq_product_closed_form(x, d: int):
     """Closed form of cos_sq_product: 2^(2-2d) cos^2(dx) for odd d,
     2^(2-2d) sin^2(dx) for even d."""
-    _check_d(d)
+    check_degree(d)
     x = np.asarray(x, dtype=float)
     t = np.cos(d * x) if d % 2 else np.sin(d * x)
     return _result(2.0 ** (2 - 2 * d) * t * t)
@@ -49,7 +44,7 @@ def cos_sq_product_closed_form(x, d: int):
 def sine_product_identity_residual(x, d: int):
     """sin(dx) - 2^(d-1) prod_{k=0}^{d-1} sin(x + pi k / d), elementwise
     in x; zero in exact arithmetic for every x."""
-    _check_d(d)
+    check_degree(d)
     x = np.asarray(x, dtype=float)
     prod = np.ones(x.shape)
     for k in range(d):
@@ -83,5 +78,5 @@ def log_hadamard_bound(d: int) -> float:
     """log of the sharp upper bound 2^(-d(d-1)) d^d on
     pairwise_sin_sq_product, attained exactly when the sorted angles form
     an arithmetic progression with difference pi/d."""
-    _check_d(d)
+    check_degree(d)
     return d * math.log(d) - d * (d - 1) * math.log(2.0)

@@ -28,7 +28,6 @@ from .poly_core import (
     disc_resultant_oracles,
     descartes_real_root_bound,
     log_disc_from_roots,
-    log_modulus_at_ai,
     poly_from_roots,
     quartic_disc,
     quintic_disc,
@@ -167,7 +166,7 @@ def _jacobi_cases() -> list:
     return cases
 
 
-def _check_multiplier_vs_resultant(tol: float, deep: bool) -> CheckResult:
+def _check_multiplier_vs_resultant(deep: bool) -> CheckResult:
     cases = _multiplier_cases(deep)
     oracles = disc_resultant_oracles([jf.family_coeffs(p) for p in cases])
     worst = 0.0
@@ -182,12 +181,12 @@ def _check_multiplier_vs_resultant(tol: float, deep: bool) -> CheckResult:
         worst = max(worst, rel_log_diff(closed.log_abs, oracle.log_abs))
     return CheckResult(
         "multiplier-vs-resultant",
-        worst <= tol,
+        worst <= TOL_ORACLE,
         "%d cases, worst rel log err %s" % (len(cases), _err(worst)),
     )
 
 
-def _check_jacobi_vs_resultant(tol: float) -> CheckResult:
+def _check_jacobi_vs_resultant() -> CheckResult:
     cases = _jacobi_cases()
     oracles = disc_resultant_oracles([jf.jacobi_coeffs(p) for p in cases])
     worst = 0.0
@@ -202,7 +201,7 @@ def _check_jacobi_vs_resultant(tol: float) -> CheckResult:
         worst = max(worst, rel_log_diff(closed.log_abs, oracle.log_abs))
     return CheckResult(
         "jacobi-vs-resultant",
-        worst <= tol,
+        worst <= TOL_ORACLE,
         "%d cases, worst rel log err %s" % (len(cases), _err(worst)),
     )
 
@@ -507,7 +506,7 @@ def _check_oracle_agreement() -> CheckResult:
     )
 
 
-def run_suite(deep: bool = False, tol_oracle: float = TOL_ORACLE) -> list[CheckResult]:
+def run_suite(deep: bool = False) -> list[CheckResult]:
     """Run every check; deep widens degree ranges and adds the ascent
     oracle. Deterministic: repeated runs return identical results."""
     results = [
@@ -518,8 +517,8 @@ def run_suite(deep: bool = False, tol_oracle: float = TOL_ORACLE) -> list[CheckR
         _check_reference_max_disc(),
         _check_pinned_values(),
         _check_duality_roundtrip(),
-        _check_multiplier_vs_resultant(tol_oracle, deep),
-        _check_jacobi_vs_resultant(tol_oracle),
+        _check_multiplier_vs_resultant(deep),
+        _check_jacobi_vs_resultant(),
         _check_jacobi_gegenbauer(),
         _check_multiplier_jacobi_connection(),
         _check_binomial_equality(),

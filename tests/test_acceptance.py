@@ -14,10 +14,9 @@ import time
 import numpy as np
 
 from extremal_poly.binomial_family import (
-    min_modulus_bound,
-    params_from_disc,
-    binomial_poly,
     lattice_roots,
+    log_phase_ratio,
+    min_modulus_bound,
     small_height_condition,
 )
 from extremal_poly.energy import (
@@ -43,7 +42,7 @@ from extremal_poly.lemniscate import (
 )
 from extremal_poly.poly_core import (
     descartes_real_root_bound,
-    disc_resultant_oracle,
+    disc_resultant_oracles,
     log_disc_from_roots,
     log_modulus_at_ai,
     poly_from_roots,
@@ -51,7 +50,7 @@ from extremal_poly.poly_core import (
 )
 from extremal_poly.solvers import (
     REGIME_MULTIPLIER,
-    numeric_oracle_max_disc,
+    numeric_oracle_max_discs,
     solve_max_disc,
     solve_min_abs,
     stationarity_residual,
@@ -108,7 +107,7 @@ def test_criterion_02_multiplier_disc_vs_resultant():
             for a in (0.5, 1.0, 2.0):
                 params = JacobiFamilyParams(a=a, d=d, multiplier=lam)
                 got = closed_form_disc(params)
-                want = disc_resultant_oracle(family_coeffs(params))
+                want = disc_resultant_oracles([family_coeffs(params)])[0]
                 ok = got.sign == want.sign
                 worst = max(
                     worst,
@@ -146,7 +145,7 @@ def test_criterion_03_jacobi_disc_vs_resultant():
             got = jacobi_disc(params)
         except DomainError:
             continue
-        want = disc_resultant_oracle(jacobi_coeffs(params))
+        want = disc_resultant_oracles([jacobi_coeffs(params)])[0]
         if want.sign == 0:
             continue
         if got.sign != want.sign:
@@ -176,7 +175,7 @@ def test_criterion_04_small_height_equality():
         )
         a = float(np.exp(log_thr) * rng.uniform(0.3, 1.0))
         assert small_height_condition(a, d, disc)
-        p = binomial_poly(params_from_disc(a, d, disc))
+        p = poly_from_roots(lattice_roots(a, d, log_phase_ratio(a, d, disc)))
         worst_m = max(
             worst_m,
             abs(log_modulus_at_ai(p.roots, a) - math.log(min_modulus_bound(a, d, disc))),
@@ -203,7 +202,7 @@ def test_criterion_05_numeric_oracle_certification():
     for d in range(2, 6):
         boundary = 2.0 ** (d - 1)
         for m in (1.0 + 0.3 * (boundary - 1.0), boundary, 3.0 * boundary):
-            res = numeric_oracle_max_disc(1.0, d, m, starts=32, seed=0)
+            res = numeric_oracle_max_discs(1.0, d, [m], starts=32, seed=0)[0]
             want = solve_max_disc(1.0, d, m).achieved_disc
             worst = max(worst, rel_log_diff(res.log_disc.log_abs, want.log_abs))
             cases += 1

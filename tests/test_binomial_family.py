@@ -6,11 +6,9 @@ import pytest
 from extremal_poly.binomial_family import (
     BinomialFamilyParams,
     binomial_coeffs,
-    binomial_poly,
     lattice_roots,
     log_phase_ratio,
     min_modulus_bound,
-    params_from_disc,
     small_height_condition,
 )
 from extremal_poly.errors import DomainError, RegimeError
@@ -22,6 +20,15 @@ from extremal_poly.poly_core import (
 )
 
 SQ3 = math.sqrt(3.0)
+
+
+def _member(a, d, disc):
+    # the member that attains the minimal modulus at this discriminant
+    return BinomialFamilyParams(a=a, d=d, log_p=log_phase_ratio(a, d, disc))
+
+
+def _member_poly(params):
+    return poly_from_roots(lattice_roots(params.a, params.d, params.log_p))
 
 
 def _cot_lattice(a, d, log_p):
@@ -103,13 +110,13 @@ class TestPhaseRatio:
         # boundary disc for a=1, d=2 is 4; p = 1 gives the boundary member,
         # B = 0, also for log p a roundoff above 0
         for disc in (4.0, 4.0 * math.exp(-2e-13)):
-            params = params_from_disc(1.0, 2, disc)
-            assert binomial_poly(params).roots == tuple(lattice_roots(1.0, 2, 0.0))
+            params = _member(1.0, 2, disc)
+            assert _member_poly(params).roots == tuple(lattice_roots(1.0, 2, 0.0))
             assert params.subleading == 0.0
 
     def test_rejects_heights_beyond_regime(self):
         with pytest.raises(RegimeError):
-            params_from_disc(2.0, 2, 4.0)
+            _member(2.0, 2, 4.0)
 
     def test_log_form_consistency(self):
         rng = np.random.default_rng(4)
@@ -120,7 +127,7 @@ class TestPhaseRatio:
             lp = log_phase_ratio(a, d, disc)
             if lp > 0:
                 continue
-            params = params_from_disc(a, d, disc)
+            params = _member(a, d, disc)
             assert params.log_p == lp
             # the roots sit at a cot(psi + pi j/d), psi = +-asin(p)/d
             assert lattice_roots(a, d, params.log_p) == pytest.approx(
@@ -140,7 +147,7 @@ def test_lattice_phase_range():
         a = 0.2
         if log_phase_ratio(a, d, disc) > 0:
             continue
-        roots = binomial_poly(params_from_disc(a, d, disc)).roots
+        roots = _member_poly(_member(a, d, disc)).roots
         # the pole root a cot(delta) fixes delta, which lies in [0, pi/(2d)]
         pole = roots[-1] if d % 2 else -roots[0]
         assert 0.0 <= math.atan(a / pole) <= math.pi / (2 * d) + 1e-15
@@ -148,14 +155,14 @@ def test_lattice_phase_range():
 
 def test_subleading_sign_parity():
     # B carries sign (-1)^d away from the boundary
-    assert params_from_disc(0.5, 2, 4.0).subleading > 0
-    assert params_from_disc(0.5, 3, 4.0).subleading < 0
-    assert params_from_disc(1.0, 2, 4.0).subleading == 0.0  # boundary
+    assert _member(0.5, 2, 4.0).subleading > 0
+    assert _member(0.5, 3, 4.0).subleading < 0
+    assert _member(1.0, 2, 4.0).subleading == 0.0  # boundary
 
 
 def test_known_expansion_degree_two():
     # a=0.5, B=sqrt(3): x^2 + sqrt(3) x - 1/4
-    params = params_from_disc(0.5, 2, 4.0)
+    params = _member(0.5, 2, 4.0)
     assert params.subleading == pytest.approx(SQ3, rel=1e-12)
     assert binomial_coeffs(params) == pytest.approx([-0.25, SQ3, 1.0], rel=1e-12)
 
@@ -179,7 +186,7 @@ def test_coefficient_and_root_routes_agree():
             + math.log(disc) / (d * (d - 1))
         )
         a = math.exp(thr) * float(rng.uniform(0.3, 0.999))
-        params = params_from_disc(a, d, disc)
+        params = _member(a, d, disc)
         cs = binomial_coeffs(params)
         q = np.poly(lattice_roots(a, d, params.log_p))[::-1]
         scale = max(abs(c) for c in cs)
@@ -198,7 +205,7 @@ def test_modulus_attains_bound_under_small_height():
         )
         a = math.exp(thr) * float(rng.uniform(0.3, 1.0))
         assert small_height_condition(a, d, disc)
-        p = binomial_poly(params_from_disc(a, d, disc))
+        p = _member_poly(_member(a, d, disc))
         log_bound = math.log(min_modulus_bound(a, d, disc))
         assert abs(log_modulus_at_ai(p.roots, a) - log_bound) <= math.log1p(1e-9)
         got = log_disc_from_roots(p)

@@ -488,12 +488,9 @@ class TestVerifyCommand:
         assert "checks passed" in out
         assert "FAIL" not in out
 
-    def test_tolerance_env_must_be_numeric(self, capsys, monkeypatch):
-        monkeypatch.setenv("EXTREMAL_POLY_TOL", "not-a-number")
-        code, _, err = run_cli(capsys, "verify")
-        assert code == 2
-
-    def test_tolerance_env_must_be_positive(self, capsys, monkeypatch):
-        monkeypatch.setenv("EXTREMAL_POLY_TOL", "-1e-8")
-        code, _, err = run_cli(capsys, "verify")
-        assert code == 2
+    def test_no_tolerance_environment_variable(self, capsys, monkeypatch):
+        # the suite's tolerances are fixed: no environment variable moves them
+        monkeypatch.setenv("EXTREMAL_POLY_TOL", "-1")
+        code, out, err = run_cli(capsys, "verify")
+        assert (code, err) == (0, "")
+        assert out == (DATA / "verify.txt").read_text()

@@ -16,8 +16,13 @@ real-rooted polynomial exists.
 import math
 
 import numpy as np
+import pytest
 
+from extremal_poly import binomial_family as bf
+from extremal_poly import energy
 from extremal_poly import jacobi_family as jf
+from extremal_poly import poly_core
+from extremal_poly import solvers
 from extremal_poly.energy import solve_equilibrium
 from extremal_poly.errors import DomainError
 from extremal_poly.poly_core import log_disc_from_roots, log_modulus_at_ai, rel_log_diff
@@ -206,3 +211,47 @@ def test_far_degree_modulus_solves():
         if d < 3000:
             sol = solve_max_disc(a, d, m)
             assert _check_solution(sol, a, math.log(m), "m") is None, (a, d, m)
+
+
+# every public function that takes a height, as a call at that height
+HEIGHT_CALLS = {
+    "BinomialFamilyParams": lambda a: bf.BinomialFamilyParams(a=a, d=4, log_p=-1.0),
+    "subleading": lambda a: bf.subleading(a, 4, -1.0),
+    "lattice_roots": lambda a: bf.lattice_roots(a, 4, -1.0),
+    "crossover_side": lambda a: bf.crossover_side(a, 4, -1.0),
+    "log_phase_ratio": lambda a: bf.log_phase_ratio(a, 4, 1.0),
+    "min_modulus_bound": lambda a: bf.min_modulus_bound(a, 4, 1.0),
+    "small_height_condition": lambda a: bf.small_height_condition(a, 4, 1.0),
+    "JacobiFamilyParams": lambda a: jf.JacobiFamilyParams(a=a, d=4, multiplier=7.0),
+    "solve_multiplier": lambda a: jf.solve_multiplier(a, 4, 3.0),
+    "solve_max_disc": lambda a: solvers.solve_max_disc(a, 4, 3.0),
+    "solve_min_abs": lambda a: solvers.solve_min_abs(a, 4, 3.0),
+    "stationarity_residual": lambda a: solvers.stationarity_residual([-1.0, 0.0, 1.0], a),
+    "numeric_oracle_max_discs": lambda a: solvers.numeric_oracle_max_discs(a, 2, [3.0]),
+    "log_modulus_at_ai": lambda a: poly_core.log_modulus_at_ai([-1.0, 1.0], a),
+    "config_from_points": lambda a: energy.config_from_points([-1.0, 1.0], a),
+    "energy_lower_bound": lambda a: energy.energy_lower_bound(a, 4, -1.0),
+    "solve_equilibrium": lambda a: energy.solve_equilibrium(a, 4, -1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEIGHT_CALLS))
+@pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+def test_every_height_check_refuses_the_same_heights(name, a):
+    # log_modulus_at_ai used to answer nan for a = nan and inf for a = inf
+    with pytest.raises(DomainError) as err:
+        HEIGHT_CALLS[name](a)
+    assert str(err.value) == "height a must be positive and finite"
+
+
+def test_large_poles_at_small_heights_answer():
+    # the pole root a d / p comes from log a: at a = 1, the pole of the
+    # first is e^710.8, past float range, although the answer's is e^708.5
+    for sol in (
+        solve_max_disc(0.1, 4, 1e305),
+        solve_min_abs(1e-300, 4, 10.0),
+    ):
+        roots = sol.polys[0].roots
+        assert sol.regime == REGIME_BINOMIAL
+        assert len(roots) == 4 and all(map(math.isfinite, roots))
+        assert list(roots) == sorted(roots)

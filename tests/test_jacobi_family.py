@@ -32,7 +32,7 @@ from extremal_poly.jacobi_family import (
     solve_multiplier,
 )
 from extremal_poly.poly_core import (
-    disc_resultant_oracle,
+    disc_resultant_oracles,
     log_modulus_at_ai,
     rel_log_diff,
 )
@@ -504,7 +504,7 @@ def test_closed_form_disc_vs_resultant():
         lam = float(rng.uniform(2 * d - 2, 6 * d))
         a = float(rng.choice([0.5, 1.0, 2.0]))
         params = JacobiFamilyParams(a=a, d=d, multiplier=lam)
-        want = disc_resultant_oracle(family_coeffs(params))
+        want = disc_resultant_oracles([family_coeffs(params)])[0]
         got = closed_form_disc(params)
         assert got.sign == want.sign
         assert rel_log_diff(got.log_abs, want.log_abs) < 1e-8
@@ -552,7 +552,7 @@ def test_jacobi_disc_vs_resultant():
             got = jacobi_disc(params)
         except DomainError:
             continue  # excluded parameter hit; resample
-        want = disc_resultant_oracle(jacobi_coeffs(params))
+        want = disc_resultant_oracles([jacobi_coeffs(params)])[0]
         if want.sign == 0:
             continue
         assert got.sign == want.sign

@@ -28,7 +28,6 @@ from extremal_poly.poly_core import (
     LogDiscriminant,
     RealRootedPoly,
     descartes_real_root_bound,
-    disc_resultant_oracle,
     disc_resultant_oracles,
     log_disc_from_roots,
     log_modulus_at_ai,
@@ -399,14 +398,14 @@ def test_resultant_oracle_agrees_with_root_product():
         roots = rng.uniform(-3, 3, size=int(rng.integers(2, 8)))
         p = poly_from_roots(roots)
         want = log_disc_from_roots(p)
-        got = disc_resultant_oracle(np.poly(p.roots)[::-1])
+        got = disc_resultant_oracles([np.poly(p.roots)[::-1]])[0]
         assert got.sign == want.sign
         assert rel_log_diff(got.log_abs, want.log_abs) < 1e-8
 
 
 def test_resultant_oracle_negative_disc():
     # x^3 + x has disc -4: complex root pair flips the sign
-    got = disc_resultant_oracle([0.0, 1.0, 0.0, 1.0])
+    got = disc_resultant_oracles([[0.0, 1.0, 0.0, 1.0]])[0]
     assert got.sign == -1
     assert got.value == pytest.approx(-4.0, rel=1e-12)
 
@@ -416,18 +415,18 @@ def test_resultant_derivative_row_overflow_is_rescaled():
     # row (no overflow) reads it
     want = math.log(4.0) + math.log(1e308)
     for coeffs in ([1.0, 0.0, 1e308], [1e308, 0.0, 1.0], [-1.0, 0.0, -1e308]):
-        got = disc_resultant_oracle(coeffs)
+        got = disc_resultant_oracles([coeffs])[0]
         assert got.sign == -1
         assert rel_log_diff(got.log_abs, want) <= 1e-15
 
 
 def test_resultant_oracle_rejects_bad_rows():
     with pytest.raises(DomainError):
-        disc_resultant_oracle([1.0, 1.0])
+        disc_resultant_oracles([[1.0, 1.0]])
     with pytest.raises(DomainError):
-        disc_resultant_oracle([1.0, 1.0, 0.0])
+        disc_resultant_oracles([[1.0, 1.0, 0.0]])
     with pytest.raises(InputError):
-        disc_resultant_oracle([math.nan, 0.0, 1.0])
+        disc_resultant_oracles([[math.nan, 0.0, 1.0]])
     with pytest.raises(InputError):
         disc_resultant_oracles([[1.0, 0.0, 1.0], [math.inf, 0.0, 1.0]])
 
@@ -445,7 +444,7 @@ def test_resultant_oracle_refuses_past_max_degree(monkeypatch, d):
         disc_resultant_oracles([[1.0, 0.0, -1.0], row])
     # with the bound lifted, the error it would report grows as tabled
     monkeypatch.setattr(poly_core, "RESULTANT_MAX_DEGREE", d)
-    got, want = disc_resultant_oracle(row), closed_form_disc(params)
+    got, want = disc_resultant_oracles([row])[0], closed_form_disc(params)
     assert got.sign == want.sign
     err = rel_log_diff(got.log_abs, want.log_abs)
     assert _PAST_MAX_DEGREE[d] / 10 <= err <= 10 * _PAST_MAX_DEGREE[d]
@@ -480,7 +479,7 @@ def test_resultant_batch_equals_single_bitwise():
     got = disc_resultant_oracles(batch)
     assert len(got) == len(batch)
     for row, disc in zip(batch, got):
-        single = disc_resultant_oracle(row)
+        single = disc_resultant_oracles([row])[0]
         assert (disc.sign, disc.log_abs) == (single.sign, single.log_abs)
         assert (disc.sign == 0) == (row in singular)
 
@@ -518,9 +517,9 @@ def test_resultant_oracle_matches_mpmath_determinant():
 
 def test_verify_resultant_lines_are_pinned():
     for check, detail in (
-        (_check_multiplier_vs_resultant(TOL_ORACLE, True), "420 cases, worst rel log err <1e-12"),
-        (_check_multiplier_vs_resultant(TOL_ORACLE, False), "300 cases, worst rel log err <1e-12"),
-        (_check_jacobi_vs_resultant(TOL_ORACLE), "50 cases, worst rel log err 1.111e-12"),
+        (_check_multiplier_vs_resultant(True), "420 cases, worst rel log err <1e-12"),
+        (_check_multiplier_vs_resultant(False), "300 cases, worst rel log err <1e-12"),
+        (_check_jacobi_vs_resultant(), "50 cases, worst rel log err 1.111e-12"),
     ):
         assert check.passed
         assert check.detail == detail
@@ -556,14 +555,14 @@ def test_rel_log_diff_floor():
 )
 def test_quartic_disc_vs_oracle(c2, c0, roots):
     got = quartic_disc(c2, c0)
-    ref = disc_resultant_oracle([c0, 0.0, c2, 0.0, 1.0])
+    ref = disc_resultant_oracles([[c0, 0.0, c2, 0.0, 1.0]])[0]
     assert got == pytest.approx(ref.sign * math.exp(ref.log_abs), rel=1e-10)
 
 
 def test_quintic_disc_vs_oracle():
     for c2, c0 in [(-3.0, 1.0), (-5.0, 2.0), (-2.5, 0.7)]:
         got = quintic_disc(c2, c0)
-        ref = disc_resultant_oracle([0.0, c0, 0.0, c2, 0.0, 1.0])
+        ref = disc_resultant_oracles([[0.0, c0, 0.0, c2, 0.0, 1.0]])[0]
         assert got == pytest.approx(ref.sign * math.exp(ref.log_abs), rel=1e-10)
 
 

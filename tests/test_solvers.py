@@ -18,7 +18,6 @@ from extremal_poly.solvers import (
     PROBLEM_MIN_ABS,
     REGIME_BINOMIAL,
     REGIME_MULTIPLIER,
-    numeric_oracle_max_disc,
     numeric_oracle_max_discs,
     solve_max_disc,
     solve_min_abs,
@@ -332,35 +331,35 @@ def test_verify_stationarity_lines_are_pinned():
 
 class TestNumericOracle:
     def test_matches_multiplier_regime(self):
-        res = numeric_oracle_max_disc(1.0, 2, 1.5, starts=6, seed=3)
+        res = numeric_oracle_max_discs(1.0, 2, [1.5], starts=6, seed=3)[0]
         sol = solve_max_disc(1.0, 2, 1.5)
         assert res.converged
         assert rel_log_diff(res.log_disc.log_abs, sol.achieved_disc.log_abs) < 1e-6
 
     def test_matches_binomial_regime(self):
-        res = numeric_oracle_max_disc(0.5, 3, 1.0, starts=6, seed=3)
+        res = numeric_oracle_max_discs(0.5, 3, [1.0], starts=6, seed=3)[0]
         sol = solve_max_disc(0.5, 3, 1.0)
         assert rel_log_diff(res.log_disc.log_abs, sol.achieved_disc.log_abs) < 1e-6
 
     def test_constraint_respected(self):
-        res = numeric_oracle_max_disc(1.0, 3, 2.0, starts=4, seed=5)
+        res = numeric_oracle_max_discs(1.0, 3, [2.0], starts=4, seed=5)[0]
         m = math.exp(sum(0.5 * math.log(1.0 + x * x) for x in res.roots))
         assert m == pytest.approx(2.0, rel=1e-10)
 
     def test_degree_cap(self):
         with pytest.raises(DomainError):
-            numeric_oracle_max_disc(1.0, 7, 2.0)
+            numeric_oracle_max_discs(1.0, 7, [2.0])
 
     def test_regime_floor(self):
         with pytest.raises(RegimeError):
-            numeric_oracle_max_disc(1.0, 2, 0.9)
+            numeric_oracle_max_discs(1.0, 2, [0.9])
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_boundary_converges_in_few_iterations(self, d):
         # the optimum is degenerate at the crossover: quartic along one
         # tangent direction, where Newton converges only linearly
         m = 2.0 ** (d - 1)
-        res = numeric_oracle_max_disc(1.0, d, m, starts=32, seed=0)
+        res = numeric_oracle_max_discs(1.0, d, [m], starts=32, seed=0)[0]
         assert res.starts_converged == 32
         assert res.iterations <= 60
         want = solve_max_disc(1.0, d, m).achieved_disc
@@ -370,7 +369,7 @@ class TestNumericOracle:
     def test_roots_are_stieltjes_stationary(self, a, m):
         # sum_{j != k} 2/(x_k - x_j) = mu x_k / (a^2 + x_k^2) for one mu:
         # the electrostatic equilibrium of the maximiser
-        res = numeric_oracle_max_disc(a, 3, m, starts=8, seed=0)
+        res = numeric_oracle_max_discs(a, 3, [m], starts=8, seed=0)[0]
         x = np.array(res.roots)
         assert stationarity_residual(x, a)[0] <= 1e-8
         sol = solve_max_disc(a, 3, m)
@@ -379,8 +378,8 @@ class TestNumericOracle:
         ) <= 1e-6
 
     def test_deterministic_given_seed(self):
-        r1 = numeric_oracle_max_disc(1.0, 2, 1.7, starts=4, seed=11)
-        r2 = numeric_oracle_max_disc(1.0, 2, 1.7, starts=4, seed=11)
+        r1 = numeric_oracle_max_discs(1.0, 2, [1.7], starts=4, seed=11)[0]
+        r2 = numeric_oracle_max_discs(1.0, 2, [1.7], starts=4, seed=11)[0]
         assert r1.roots == r2.roots
         assert r1.log_disc.log_abs == r2.log_disc.log_abs
 
@@ -391,7 +390,7 @@ class TestNumericOracle:
         ms = [a**d * 2.0 ** (f * (d - 1)) for f in (1.3, 0.4, 1.0, 0.9, 1.05, 0.2)]
         batch = numeric_oracle_max_discs(a, d, ms, starts=5, seed=3)
         assert batch == [
-            numeric_oracle_max_disc(a, d, m, starts=5, seed=3) for m in ms
+            numeric_oracle_max_discs(a, d, [m], starts=5, seed=3)[0] for m in ms
         ]
 
     def test_rejected_flat_step_stops_the_start(self, monkeypatch):
@@ -405,7 +404,7 @@ class TestNumericOracle:
             return rescale(x, target)
 
         monkeypatch.setattr(solvers, "_rescale_to_modulus", counted)
-        res = numeric_oracle_max_disc(1.0, 2, 1.7)
+        res = numeric_oracle_max_discs(1.0, 2, [1.7])[0]
         assert res.converged and res.starts_converged == 32
         assert len(calls) <= res.iterations + 2
 
@@ -414,7 +413,7 @@ class TestNumericOracle:
         m = a**d * 2.0 ** ((d - 1) / 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = numeric_oracle_max_disc(a, d, m, starts=8, seed=7)
+            res = numeric_oracle_max_discs(a, d, [m], starts=8, seed=7)[0]
         want = solve_max_disc(a, d, m).achieved_disc
         assert res.converged
         assert rel_log_diff(res.log_disc.log_abs, want.log_abs) <= 1e-12
@@ -424,7 +423,7 @@ class TestNumericOracle:
         # every start stops on small gains along the flat direction, well
         # below the maximum (log disc 213 against 275 at m = 1e30), with a
         # stationarity residual near 0.7
-        res = numeric_oracle_max_disc(1.0, 3, m)
+        res = numeric_oracle_max_discs(1.0, 3, [m])[0]
         want = solve_max_disc(1.0, 3, m).achieved_disc
         assert rel_log_diff(res.log_disc.log_abs, want.log_abs) > 0.1
         assert not res.converged and res.starts_converged == 0
@@ -436,7 +435,7 @@ class TestNumericOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="256 log 2"):
-                numeric_oracle_max_disc(a, d, m)
+                numeric_oracle_max_discs(a, d, [m])
 
     @pytest.mark.parametrize(
         "kwargs",
