@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, RegimeError, check_degree, check_height
+from .errors import DomainError, RegimeError, check_degree, check_disc, check_height
 from .poly_core import _exp_or_inf
 
 # Below this phase ratio asin(p) = p and cot(p/d) = d/p to double
@@ -26,11 +26,10 @@ _SMALL_P = 1e-8
 _BOUNDARY_SNAP = 1e-9
 
 
-def _check_args(a: float, d: int, disc: float = 1.0) -> None:
+def _check_args(a: float, d: int, disc: float) -> None:
     check_height(a)
     check_degree(d)
-    if disc <= 0 or not math.isfinite(disc):
-        raise DomainError("target discriminant must be positive and finite")
+    check_disc(disc)
 
 
 # One solve asks for the window of its (a, d) up to four times. A hit

@@ -12,7 +12,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .energy import solve_equilibrium
-from .errors import ExtremalPolyError, InputError
+from .errors import ExtremalPolyError, InputError, check_height
 from .lemniscate import (
     largest_disk,
     log_radius_upper_bound,
@@ -140,15 +140,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand's handler is its `run` default: args -> exit code
     p = sub.add_parser("solve-min", help="minimise |f(ai)| at fixed discriminant")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--disc", type=float, required=True)
+    p.set_defaults(run=lambda args: _emit(
+        solution_to_dict(solve_min_abs(args.a, args.d, args.disc))
+    ))
 
     p = sub.add_parser("solve-disc", help="maximise discriminant at fixed |f(ai)|")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=float, required=True)
+    p.set_defaults(run=lambda args: _emit(
+        solution_to_dict(solve_max_disc(args.a, args.d, args.m))
+    ))
 
     p = sub.add_parser("lemniscate", help="largest inscribed disk of |f| <= 1")
     p.add_argument("--roots", type=str, required=True)
@@ -157,21 +164,32 @@ def _build_parser() -> argparse.ArgumentParser:
         help="include the closed-form radius bounds for this degree and "
         "discriminant",
     )
+    p.set_defaults(run=_cmd_lemniscate)
 
     p = sub.add_parser("energy", help="minimum-energy charge configuration")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--v", type=float, required=True)
+    p.set_defaults(run=lambda args: _emit(
+        config_to_dict(solve_equilibrium(args.a, args.d, args.v))
+    ))
 
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--deep", action="store_true")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("emit-plot", help="plot-ready CSV on stdout")
     p.add_argument("--what", choices=("lemniscate", "cdf"), required=True)
     p.add_argument("--roots", type=str, required=True)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=None)
+    p.set_defaults(run=_cmd_emit_plot)
     return parser
+
+
+def _emit(obj) -> int:
+    print(canonical_json(obj))
+    return 0
 
 
 def _cmd_lemniscate(args) -> int:
@@ -189,8 +207,7 @@ def _cmd_lemniscate(args) -> int:
                 "upper": _exp_or_null(log_radius_upper_bound(d, ld.log_abs)),
                 "lower": radius_lower_bound_at_log(d, ld.log_abs),
             }
-    print(canonical_json(disk_to_dict(disk, bounds)))
-    return 0
+    return _emit(disk_to_dict(disk, bounds))
 
 
 def _cmd_emit_plot(args) -> int:
@@ -209,8 +226,7 @@ def _cmd_emit_plot(args) -> int:
         rows = ["%.17g,%.17g\n" % (x, w) for x, w in zip(xs, widths)]
         sys.stdout.write("x,halfwidth\n" + "".join(rows))
         return 0
-    if args.a <= 0 or not math.isfinite(args.a):
-        raise InputError("--a must be positive and finite")
+    check_height(args.a)
     pts = sorted(roots)
     d = len(pts)
     sys.stdout.write("x,f_emp,f_arctan\n")
@@ -249,28 +265,10 @@ def main(argv=None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(_glue_negative_roots(tokens))
     try:
-        if args.command == "solve-min":
-            sol = solve_min_abs(args.a, args.d, args.disc)
-            print(canonical_json(solution_to_dict(sol)))
-            return 0
-        if args.command == "solve-disc":
-            sol = solve_max_disc(args.a, args.d, args.m)
-            print(canonical_json(solution_to_dict(sol)))
-            return 0
-        if args.command == "lemniscate":
-            return _cmd_lemniscate(args)
-        if args.command == "energy":
-            config = solve_equilibrium(args.a, args.d, args.v)
-            print(canonical_json(config_to_dict(config)))
-            return 0
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "emit-plot":
-            return _cmd_emit_plot(args)
+        return args.run(args)
     except ExtremalPolyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    raise AssertionError("unhandled command %r" % args.command)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ problem, so the equilibrium solver is a thin wrapper over solve_max_disc.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError, check_degree, check_height
+from .errors import DomainError, check_degree, check_height
 from .poly_core import (
     LogDiscriminant,
     log_disc_from_roots,
@@ -40,13 +40,8 @@ def config_from_points(points, a: float) -> ChargeConfig:
     energy_I = +inf.
     """
     pts = tuple(float(x) for x in points)
-    d = len(pts)
-    if d < 2:
-        raise DomainError("need at least two charges")
     check_height(a)
-    if not all(math.isfinite(x) for x in pts):
-        raise InputError("points must be finite")
-
+    # poly_from_roots refuses fewer than two points and non-finite ones
     ld = log_disc_from_roots(poly_from_roots(pts))
     return _config(pts, a, ld, log_modulus_at_ai(pts, a))
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the two argument
-checks every module makes."""
+"""Exception types shared across the package, and the argument checks
+every module makes."""
 
 import math
 
@@ -34,3 +34,10 @@ def check_height(a) -> None:
     """DomainError unless the height a is positive and finite; nan fails."""
     if a <= 0 or not math.isfinite(a):
         raise DomainError("height a must be positive and finite")
+
+
+def check_disc(disc) -> None:
+    """DomainError unless the discriminant disc is positive and finite;
+    nan fails."""
+    if disc <= 0 or not math.isfinite(disc):
+        raise DomainError("discriminant must be positive and finite")

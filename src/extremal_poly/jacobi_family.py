@@ -397,8 +397,6 @@ def jacobi_coeffs(params: JacobiParams) -> list[float]:
         lo = [math.comb(k, i) * (-1.0) ** (k - i) for i in range(k + 1)]
         hi = [float(math.comb(d - k, i)) for i in range(d - k + 1)]
         for i, ci in enumerate(lo):
-            if ci == 0.0:
-                continue
             for j, cj in enumerate(hi):
                 total[i + j] += w * ci * cj
     return [t * 2.0 ** (-d) for t in total]

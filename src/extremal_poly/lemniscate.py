@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binomial_family as bf
-from .errors import DomainError, InputError, check_degree
+from .errors import InputError, check_degree, check_disc
 from .poly_core import (
     RealRootedPoly,
     log_disc_from_roots,
@@ -428,7 +428,8 @@ def largest_disk(
 def radius_upper_bound(d: int, disc: float) -> float:
     """Upper bound on the inscribed-disk radius over all degree-d unit
     lemniscates whose polynomial has discriminant >= disc."""
-    _check_bound_args(d, disc)
+    check_degree(d)
+    check_disc(disc)
     return math.exp(log_radius_upper_bound(d, math.log(disc)))
 
 
@@ -450,7 +451,8 @@ def radius_lower_bound(d: int, disc: float) -> float | None:
     The witness height grows with disc, so its value at disc = 1 bounds
     the whole window from below.
     """
-    _check_bound_args(d, disc)
+    check_degree(d)
+    check_disc(disc)
     return radius_lower_bound_at_log(d, math.log(disc))
 
 
@@ -470,12 +472,6 @@ def radius_lower_bound_at_log(d: int, log_disc: float) -> float | None:
     return math.exp(bf.log_threshold_height(d, 0.0))
 
 
-def _check_bound_args(d: int, disc: float) -> None:
-    check_degree(d)
-    if disc <= 0 or not math.isfinite(disc):
-        raise DomainError("discriminant must be positive and finite")
-
-
 def inscribed_disk_poly(d: int, disc: float) -> tuple[RealRootedPoly, float, float]:
     """(poly, height, value): the even binomial member of discriminant
     disc, centered at the origin, evaluated at its natural height.
@@ -487,7 +483,8 @@ def inscribed_disk_poly(d: int, disc: float) -> tuple[RealRootedPoly, float, flo
     to 1e-9 relative, discriminant to 1e-8 relative in log) and a failure
     raises RuntimeError.
     """
-    _check_bound_args(d, disc)
+    check_degree(d)
+    check_disc(disc)
     log_disc = math.log(disc)
     height = math.exp(bf.log_threshold_height(d, log_disc))
     poly = poly_from_roots(bf.lattice_roots(height, d, 0.0))

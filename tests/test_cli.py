@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from extremal_poly import lemniscate
 from extremal_poly.cli import canonical_json, main
 from extremal_poly.jacobi_family import JacobiFamilyParams, closed_form_disc
 from extremal_poly.poly_core import TOL_ORACLE, log_modulus_at_ai, rel_log_diff
@@ -34,6 +35,10 @@ class TestCanonicalJson:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             canonical_json(math.nan)
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError, match="cannot serialize <class 'object'>"):
+            canonical_json(object())
 
     def test_nested_containers(self):
         s = canonical_json({"a": [1, None, True], "b": {"c": 2.5}})
@@ -154,6 +159,22 @@ class TestSolveCommands:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    def test_multiplier_past_float_range_exits_two(self, capsys):
+        # the smallest positive discriminant needs a multiplier near e^746
+        code, out, err = run_cli(
+            capsys, "solve-min", "--a", "1", "--d", "2", "--disc", "5e-324"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: multiplier past float range (log lam = 745.82636628250111)\n"
+        )
+
+    @pytest.mark.parametrize("m", ["0", "nan"])
+    def test_modulus_must_be_positive_and_finite(self, capsys, m):
+        code, out, err = run_cli(capsys, "solve-disc", "--a", "1", "--d", "3", "--m", m)
+        assert (code, out) == (2, "")
+        assert err == "error: modulus m must be positive and finite\n"
 
     @pytest.mark.parametrize("d,frac", [(30, 0.999), (60, 0.5), (100, 0.5)])
     def test_multiplier_regime_at_large_degree(self, capsys, d, frac):
@@ -328,6 +349,15 @@ class TestLemniscateCommand:
             assert doc["bounds"]["upper"] == pytest.approx(upper, rel=1e-12)
             assert doc["radius"] <= doc["bounds"]["upper"]
 
+    def test_bounds_of_a_repeated_root(self, capsys):
+        # disc 0: no bound applies
+        code, out, err = run_cli(capsys, "lemniscate", "--bounds", "--roots=1,1")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"center_x":1,"radius":1,"boundary_point":{"re":1,"im":1},'
+            '"has_interior":true,"bounds":{"disc":0,"upper":null,"lower":null}}\n'
+        )
+
     def test_single_root_rejected(self, capsys):
         code, _, err = run_cli(capsys, "lemniscate", "--roots", "1")
         assert code == 2
@@ -435,6 +465,14 @@ class TestEmitPlot:
         assert out == ""
         assert err == "error: roots must be finite\n"
 
+    @pytest.mark.parametrize("a", ["0", "-1", "nan", "inf"])
+    def test_cdf_bad_height_exits_two(self, capsys, a):
+        code, out, err = run_cli(
+            capsys, "emit-plot", "--what", "cdf", "--roots=-1,1", "--a", a
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: height a must be positive and finite\n"
+
     @pytest.mark.parametrize("roots", ["-1e200,1e200", "-1e100,0,1e100"])
     def test_unrepresentable_halfwidth_rejected(self, capsys, roots):
         # squared center-root differences overflow, or the squared
@@ -487,6 +525,20 @@ class TestVerifyCommand:
         assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_failing_check_exits_one(self, capsys, monkeypatch):
+        # a witness whose edge value is off fails lemniscate-witness alone
+        witness = lemniscate.inscribed_disk_poly
+        monkeypatch.setattr(
+            lemniscate, "inscribed_disk_poly",
+            lambda d, disc: witness(d, disc)[:2] + (1.5,),
+        )
+        code, out, err = run_cli(capsys, "verify")
+        assert (code, err) == (1, "")
+        want = (DATA / "verify.txt").read_text().splitlines()
+        want[15] = "FAIL lemniscate-witness: edge value 1.5 != 1 at d=2"
+        want[-1] = "18/19 checks passed"
+        assert out.splitlines() == want
 
     def test_no_tolerance_environment_variable(self, capsys, monkeypatch):
         # the suite's tolerances are fixed: no environment variable moves them

@@ -21,6 +21,7 @@ import pytest
 from extremal_poly import binomial_family as bf
 from extremal_poly import energy
 from extremal_poly import jacobi_family as jf
+from extremal_poly import lemniscate as lem
 from extremal_poly import poly_core
 from extremal_poly import solvers
 from extremal_poly.energy import solve_equilibrium
@@ -242,6 +243,28 @@ def test_every_height_check_refuses_the_same_heights(name, a):
     with pytest.raises(DomainError) as err:
         HEIGHT_CALLS[name](a)
     assert str(err.value) == "height a must be positive and finite"
+
+
+# every public function that takes a discriminant, as a call at that
+# discriminant
+DISC_CALLS = {
+    "log_phase_ratio": lambda disc: bf.log_phase_ratio(1.0, 4, disc),
+    "min_modulus_bound": lambda disc: bf.min_modulus_bound(1.0, 4, disc),
+    "small_height_condition": lambda disc: bf.small_height_condition(1.0, 4, disc),
+    "solve_min_abs": lambda disc: solvers.solve_min_abs(1.0, 4, disc),
+    "radius_upper_bound": lambda disc: lem.radius_upper_bound(4, disc),
+    "radius_lower_bound": lambda disc: lem.radius_lower_bound(4, disc),
+    "inscribed_disk_poly": lambda disc: lem.inscribed_disk_poly(4, disc),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISC_CALLS))
+@pytest.mark.parametrize("disc", [math.nan, math.inf, 0.0, -1.0])
+def test_every_disc_check_refuses_the_same_discriminants(name, disc):
+    # the solvers' and the radius bounds' checks once had two messages
+    with pytest.raises(DomainError) as err:
+        DISC_CALLS[name](disc)
+    assert str(err.value) == "discriminant must be positive and finite"
 
 
 def test_large_poles_at_small_heights_answer():

@@ -10,7 +10,7 @@ from extremal_poly.energy import (
     energy_lower_bound,
     solve_equilibrium,
 )
-from extremal_poly.errors import DomainError
+from extremal_poly.errors import DomainError, InputError
 from extremal_poly.solvers import solve_max_disc
 
 LOG2 = math.log(2.0)
@@ -21,6 +21,21 @@ def test_config_from_points_pair():
     assert cfg.points == (1.0, -1.0)  # caller order preserved
     assert cfg.potential_v == pytest.approx(-LOG2 / 2.0, abs=1e-15)
     assert cfg.energy_I == pytest.approx(-LOG2, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "points, error, message",
+    [
+        ([], DomainError, "need degree >= 2, got 0 roots"),
+        ([1.0], DomainError, "need degree >= 2, got 1 roots"),
+        ([0.0, math.nan], InputError, "roots must be finite"),
+        ([-math.inf, 1.0], InputError, "roots must be finite"),
+    ],
+)
+def test_config_from_points_refuses_what_poly_from_roots_refuses(points, error, message):
+    with pytest.raises(error) as err:
+        config_from_points(points, 1.0)
+    assert str(err.value) == message
 
 
 def test_config_from_points_cubic_lattice():

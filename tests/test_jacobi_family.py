@@ -497,6 +497,14 @@ def test_closed_form_disc_values():
     assert ld.value == pytest.approx(108.0, rel=1e-13)
 
 
+def test_closed_form_disc_below_the_poles():
+    # lam = 2: x^4 + 2x^2 + 1 = (x^2 + 1)^2 has a double root, disc 0;
+    # lam = 2 at d = 3: x^3 + 3x, disc -4 * 3^3
+    assert closed_form_disc(JacobiFamilyParams(a=1.0, d=4, multiplier=2.0)).sign == 0
+    ld = closed_form_disc(JacobiFamilyParams(a=1.0, d=3, multiplier=2.0))
+    assert ld.sign == -1 and ld.value == pytest.approx(-108.0, rel=1e-13)
+
+
 def test_closed_form_disc_vs_resultant():
     rng = np.random.default_rng(22)
     for _ in range(40):
@@ -524,6 +532,60 @@ def test_jacobi_coeffs_symmetric_case_is_even():
     assert cs[3] == pytest.approx(0.0, abs=1e-12)
     # leading coefficient 2^-d C(2d+alpha+beta, d) by Vandermonde
     assert cs[4] == pytest.approx(330.0 / 16.0, rel=1e-13)
+
+
+def test_jacobi_coeffs_skip_vanishing_terms():
+    # alpha = -1 zeroes C(d + alpha, d - k) at k = 0:
+    # P_2^(-1,0) = (3x + 1)(x - 1) / 4
+    assert jacobi_coeffs(JacobiParams(d=2, alpha=-1.0, beta=0.0)) == [-0.25, -0.5, 0.75]
+
+
+def test_jacobi_disc_of_a_double_root():
+    # alpha = -2 leaves P_2^(-2,0) = (x - 1)^2 / 4
+    assert jacobi_disc(JacobiParams(d=2, alpha=-2.0, beta=0.0)).sign == 0
+
+
+# one call per argument refusal of the multiplier family and the Jacobi
+# machinery, with its message
+REFUSALS = {
+    "JacobiFamilyParams multiplier": (
+        lambda: JacobiFamilyParams(a=1.0, d=4, multiplier=math.nan),
+        "multiplier must be finite",
+    ),
+    "JacobiParams d": (
+        lambda: JacobiParams(d=0, alpha=0.0, beta=0.0), "d must be an integer >= 1"
+    ),
+    "JacobiParams exponents": (
+        lambda: JacobiParams(d=2, alpha=math.inf, beta=0.0),
+        "alpha and beta must be finite",
+    ),
+    "gegenbauer_coeffs d": (
+        lambda: gegenbauer_coeffs(-1, 1.0), "d must be a nonnegative integer"
+    ),
+    "jacobi_gegenbauer_residual order": (
+        lambda: jacobi_gegenbauer_residual(1, 0.0),
+        "(2 order)_d vanishes; scaling undefined",
+    ),
+    "jacobi_disc d": (
+        lambda: jacobi_disc(JacobiParams(d=1, alpha=0.0, beta=0.0)),
+        "discriminant formula needs d >= 2",
+    ),
+    "jacobi_disc degree": (
+        lambda: jacobi_disc(JacobiParams(d=2, alpha=-2.0, beta=-1.0)),
+        "alpha+beta = -d-1 is excluded (degenerate degree)",
+    ),
+    "degenerate_family_coeffs integers": (
+        lambda: degenerate_family_coeffs(4.0, 1, 1.0), "d and anchor must be integers"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_argument_refusals(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_jacobi_gegenbauer_agreement():

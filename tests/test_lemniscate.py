@@ -21,7 +21,7 @@ from extremal_poly.lemniscate import (
     radius_upper_bound,
     vertical_halfwidth,
 )
-from extremal_poly.poly_core import log_disc_from_roots, poly_from_roots
+from extremal_poly.poly_core import LogDiscriminant, log_disc_from_roots, poly_from_roots
 from extremal_poly.solvers import solve_max_disc
 
 HALF_SQRT2 = math.sqrt(0.5)
@@ -394,6 +394,49 @@ def test_largest_disk_takes_the_taller_of_two_close_peaks():
     assert disk.radius >= (1.0 - 4e-15) * max(tops)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_refine_probes_a_disk_narrower_than_an_ulp(sign):
+    # the best disk, around the root near 152.44, is 8.6e-159 wide, far
+    # below one ulp of its center: Newton takes no step there, and every
+    # midpoint probe lands outside the lemniscate (s = 0) and cuts the
+    # bracket from one side; the mirrored set cuts it from the other
+    rs = sign * np.random.default_rng(1).uniform(-7000.0, 7000.0, 49)
+    poly = poly_from_roots(rs)
+    disk = largest_disk(poly)
+    assert disk.center_x == sign * 152.444382531462
+    assert disk.center_x in poly.roots
+    assert disk.radius == 8.567823916868888e-159
+    assert disk.radius == vertical_halfwidth(poly, disk.center_x)
+
+
+def test_refine_probes_toward_a_peak_past_its_bracket():
+    # the peak of the roots c -+ 1/2 is at c, past the bracket's upper end:
+    # each Newton step leaves the bracket, so midpoint probes, each inside
+    # the lemniscate and each the new best, climb until the bracket is two
+    # adjacent floats, 2^-28 > 1e-10 apart at c = 2^24
+    c = 2.0**24
+    rs = np.array([c - 0.5, c + 0.5])
+    poly = poly_from_roots(rs)
+    lo, hi, x = c - 0.3, c - 0.2, c - 0.25
+    center, radius = lem._refine(rs, lo, hi, x, vertical_halfwidth(poly, x))
+    assert center == np.nextafter(hi, lo)
+    assert radius == vertical_halfwidth(poly, center)
+    assert radius > vertical_halfwidth(poly, x)
+
+
+def test_refine_side_halves_toward_its_minimum():
+    # roots -+0.71 put a minimum of the halfwidth at 0; halving from 5
+    # toward 0, the points 2.5 and 1.25 are outside the lemniscate and
+    # 0.625 is inside
+    rs = np.array([-0.71, 0.71])
+    center, radius = lem._refine_side(rs, 0.0, 5.0)
+    assert 0.0 < center < 0.71
+    assert radius == 0.7042253521126761
+    assert radius == largest_disk(poly_from_roots(rs)).radius
+    # an empty side has no midpoint, and no disk
+    assert lem._refine_side(rs, 0.0, 0.0) == (0.0, 0.0)
+
+
 def test_largest_disk_wide_interval_is_clipped():
     rng = np.random.default_rng(11)
     p = poly_from_roots(rng.uniform(-1.0, 1.0, 9))
@@ -537,6 +580,23 @@ def test_inscribed_disk_poly_window_edge(d):
     disk = largest_disk(poly)
     assert disk.radius >= height - 1e-8
     assert vertical_halfwidth(poly, 0.0) == pytest.approx(height, abs=1e-14)
+
+
+def test_inscribed_disk_poly_checks_its_member(monkeypatch):
+    # a moved root misses the modulus; a wrong log disc misses the
+    # discriminant
+    roots = lem.bf.lattice_roots
+    monkeypatch.setattr(
+        lem.bf, "lattice_roots", lambda a, d, log_p: [x + 0.1 for x in roots(a, d, log_p)]
+    )
+    with pytest.raises(RuntimeError, match="modulus consistency check failed"):
+        inscribed_disk_poly(4, 2.0)
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        lem, "log_disc_from_roots", lambda p: LogDiscriminant(1, 0.0)
+    )
+    with pytest.raises(RuntimeError, match="discriminant consistency check failed"):
+        inscribed_disk_poly(4, 2.0)
 
 
 def test_inscribed_disk_realises_lower_bound():

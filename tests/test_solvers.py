@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from extremal_poly.errors import DomainError, RegimeError
+from extremal_poly.errors import DomainError, InputError, RegimeError
 from extremal_poly.jacobi_family import JacobiFamilyParams, closed_form_disc
 from extremal_poly.poly_core import (
     TOL_ORACLE,
@@ -321,6 +321,11 @@ class TestLagrangeResiduals:
     def test_coincident_roots_rejected(self):
         with pytest.raises(DomainError):
             stationarity_residual([0.5, -1.0, 0.5], 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_roots_rejected(self, bad):
+        with pytest.raises(InputError, match="roots must be finite"):
+            stationarity_residual([0.5, bad, -1.0], 1.0)
 
 
 def test_verify_stationarity_lines_are_pinned():
