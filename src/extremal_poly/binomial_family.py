@@ -8,7 +8,6 @@ The crossover itself is decided here, once (crossover_side), for every
 public entry point.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,17 +31,13 @@ def _check_args(a: float, d: int, disc: float) -> None:
     check_disc(disc)
 
 
-# One solve asks for the window of its (a, d) up to four times. A hit
-# needs equal arguments of the same types, which pass log_phase_ratio's
-# checks again.
-@functools.lru_cache(maxsize=1, typed=True)
 def _snap_window(a: float, d: int) -> float:
     """The log p distance at which the boundary member misses its
     modulus, or (2d-2 times faster) its discriminant, by _BOUNDARY_SNAP;
     the smaller serves both problems, so a round trip through both solvers
-    keeps its regime. DomainError for a bad height or degree."""
+    keeps its regime. For a checked height and degree."""
     # log p at disc = 1 is the boundary member's log disc over 2d-2
-    log_disc_rate = max(1.0 / (2.0 * d - 2.0), abs(log_phase_ratio(a, d, 1.0)))
+    log_disc_rate = max(1.0 / (2.0 * d - 2.0), abs(_log_phase_of_disc(a, d, 0.0)))
     log_m = (d - 1) * math.log(2.0) + d * math.log(a)
     return _BOUNDARY_SNAP * min(max(1.0, abs(log_m)), log_disc_rate)
 
@@ -55,6 +50,8 @@ def crossover_side(a: float, d: int, log_p: float) -> int:
     above it, on the multiplier side. Snapping only within half of the
     window leaves room for the rounding of the target. DomainError for a
     bad height or degree, or a nan log_p."""
+    check_height(a)
+    check_degree(d)
     if abs(log_p) <= 0.5 * _snap_window(a, d):
         return 0
     if log_p < 0.0:
@@ -102,7 +99,13 @@ def subleading(a: float, d: int, log_p: float) -> float:
     """B = (-1)^d a d sqrt(1 - p^2)/p of the member lattice_roots(a, d,
     log_p), formed in log space, 0 at p = 1; past float range only with
     the largest root, about a d/p."""
-    log_p = _in_regime(a, d, log_p)
+    return _subleading(a, d, _in_regime(a, d, log_p))
+
+
+def _subleading(a: float, d: int, log_p: float) -> float:
+    """subleading for a checked height and degree and a log_p already
+    decided by crossover_side: below 0, or exactly 0.0 for the boundary
+    member."""
     if log_p == 0.0:
         return 0.0
     b = _exp_or_inf(
@@ -117,11 +120,17 @@ def log_phase_ratio(a: float, d: int, disc: float) -> float:
     """log p, p = a^(d/2) 2^(d/2-1) d^(d/(2d-2)) disc^(-1/(2d-2)), without
     forming p; negative or zero in regime, zero at the crossover."""
     _check_args(a, d, disc)
+    return _log_phase_of_disc(a, d, math.log(disc))
+
+
+def _log_phase_of_disc(a: float, d: int, log_disc: float) -> float:
+    """log_phase_ratio of the discriminant e^log_disc for a checked height
+    and degree."""
     return (
         0.5 * d * math.log(a)
         + (0.5 * d - 1.0) * math.log(2.0)
         + (d / (2.0 * d - 2.0)) * math.log(d)
-        - math.log(disc) / (2.0 * d - 2.0)
+        - log_disc / (2.0 * d - 2.0)
     )
 
 
@@ -172,7 +181,13 @@ def lattice_roots(a: float, d: int, log_p: float) -> list[float]:
     largest root is past float range, at log p below about
     log(a d) - 709.8.
     """
-    log_p = _in_regime(a, d, log_p)
+    return _lattice_roots(a, d, _in_regime(a, d, log_p))
+
+
+def _lattice_roots(a: float, d: int, log_p: float) -> list[float]:
+    """lattice_roots for a checked height and degree and a log_p already
+    decided by crossover_side: below 0, or exactly 0.0 for the boundary
+    member. The roots are finite and ascending."""
     p = math.exp(log_p)
     q = math.sqrt(0.0 - math.expm1(2.0 * log_p))  # no -0.0 at p = 1
     beta, gamma = math.atan2(p, q), math.atan2(q, p)  # d delta, pi/2 - d delta
@@ -220,7 +235,11 @@ def binomial_coeffs(params: BinomialFamilyParams) -> list[float]:
     an inf holds a true coefficient past float range. The mirror (roots
     negated) is the same list with the odd-n slots negated.
     """
-    a, d, b = params.a, params.d, params.subleading
+    return _binomial_row(params.a, params.d, params.subleading)
+
+
+def _binomial_row(a: float, d: int, b: float) -> list[float]:
+    """binomial_coeffs of the member with subleading coefficient b."""
     coeffs = [0.0] * (d + 1)
     coeffs[d], coeffs[d - 1] = 1.0, b
     t, u = a * d, b  # C(d,n) a^n and C(d,n) B a^(n-1) / d at n = 1

@@ -30,14 +30,18 @@ def canonical_json(obj) -> str:
     """Serialize to JSON with 17-significant-digit floats and insertion
     key order. json.loads followed by canonical_json is the identity on
     canonical text, which is what makes CLI output reproducible."""
-    # floats first: they are most of every answer
+    # exact types first: floats, dicts and lists are most of every answer
+    kind = type(obj)
+    if kind is float:
+        return _float_text(obj)
+    if kind is dict:
+        return _dict_text(obj)
+    if kind is list or kind is tuple:
+        return _list_text(obj)
+    # the rest, subclasses (numpy.float64 among them) too, by isinstance,
+    # in the order that decides an object of several of these types
     if isinstance(obj, float):
-        if math.isfinite(obj):
-            # adding +0.0 folds -0.0 into 0.0, whose text round-trips
-            return "%.17g" % (obj + 0.0)
-        if math.isnan(obj):
-            raise ValueError("refusing to serialize NaN")
-        return '"inf"' if obj > 0 else '"-inf"'
+        return _float_text(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -48,19 +52,33 @@ def canonical_json(obj) -> str:
         # the bytes json.dumps gives a str with its default arguments
         return _json_string(obj)
     if isinstance(obj, (list, tuple)):
-        # a list of finite floats, as roots and coefficient rows are, in
-        # one % with the bytes of the per-element path below
-        floats = [x + 0.0 for x in obj if type(x) is float]
-        if floats and len(floats) == len(obj) and math.isfinite(sum(floats)):
-            return ("[" + "%.17g," * (len(obj) - 1) + "%.17g]") % tuple(floats)
-        return "[" + ",".join(map(canonical_json, obj)) + "]"
+        return _list_text(obj)
     if isinstance(obj, dict):
-        parts = (
-            "%s:%s" % (_json_string(str(k)), canonical_json(v))
-            for k, v in obj.items()
-        )
-        return "{" + ",".join(parts) + "}"
+        return _dict_text(obj)
     raise TypeError("cannot serialize %r" % type(obj))
+
+
+def _float_text(x) -> str:
+    if math.isfinite(x):
+        # adding +0.0 folds -0.0 into 0.0, whose text round-trips
+        return "%.17g" % (x + 0.0)
+    if math.isnan(x):
+        raise ValueError("refusing to serialize NaN")
+    return '"inf"' if x > 0 else '"-inf"'
+
+
+def _list_text(items) -> str:
+    # a list of finite floats, as roots and coefficient rows are, in one
+    # % with the bytes of the per-element path
+    floats = [x + 0.0 for x in items if type(x) is float]
+    if floats and len(floats) == len(items) and math.isfinite(sum(floats)):
+        return ("[" + "%.17g," * (len(items) - 1) + "%.17g]") % tuple(floats)
+    return "[" + ",".join([canonical_json(x) for x in items]) + "]"
+
+
+def _dict_text(obj) -> str:
+    parts = [_json_string(str(k)) + ":" + canonical_json(v) for k, v in obj.items()]
+    return "{" + ",".join(parts) + "}"
 
 
 def _exp_or_null(log_x: float) -> float | None:

@@ -5,7 +5,8 @@ measure. Its logarithmic potential evaluated at the off-axis point ai is
 v = -(1/d) sum log |ai - x_k|, and its discrete energy is
 I = -log(prod (x_j - x_k)^2) / (d (d-1)). Fixing v and minimising I is
 the charge-configuration reading of the discriminant maximisation
-problem, so the equilibrium solver is a thin wrapper over solve_max_disc.
+problem, so the equilibrium solver is a thin wrapper over solve_max_disc's
+core.
 """
 
 import math
@@ -18,7 +19,8 @@ from .poly_core import (
     log_modulus_at_ai,
     poly_from_roots,
 )
-from .solvers import solve_max_disc
+from .binomial_family import _log_modulus
+from .solvers import _max_disc
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,8 @@ def solve_equilibrium(a: float, d: int, v: float) -> ChargeConfig:
         raise DomainError("modulus exp(-v*d) overflows a float") from None
     if m == 0.0:
         raise DomainError("modulus exp(-v*d) underflows a float")
-    solution = solve_max_disc(a, d, m)
+    check_degree(d)
+    solution = _max_disc(a, d, _log_modulus(a, d, m))
     # the solver has taken the log-discriminant and log-modulus of these
     # very roots
     return _config(

@@ -45,7 +45,9 @@ class JacobiFamilyParams:
     """Height a, degree d and Lagrange multiplier for the family.
 
     Multipliers within 1e-9 of a pole are rejected outright rather than
-    perturbed.
+    perturbed. The poles are the odd integers from d - 1 + d mod 2 to
+    2d - 3, so only the nearest one is tested: the nearest odd integer to
+    the multiplier clamped into that range.
     """
 
     a: float
@@ -55,14 +57,12 @@ class JacobiFamilyParams:
     def __post_init__(self):
         check_height(self.a)
         check_degree(self.d)
-        if not math.isfinite(self.multiplier):
+        lam, d = self.multiplier, self.d
+        if not math.isfinite(lam):
             raise DomainError("multiplier must be finite")
-        for pole in multiplier_poles(self.d):
-            if abs(self.multiplier - pole) <= _POLE_REJECT:
-                raise PoleError(
-                    "multiplier %.17g is within 1e-9 of the pole %d"
-                    % (self.multiplier, pole)
-                )
+        pole = 2 * round(0.5 * (min(max(lam, d - 1 + d % 2), 2 * d - 3) - 1.0)) + 1
+        if abs(lam - pole) <= _POLE_REJECT:
+            raise PoleError("multiplier %.17g is within 1e-9 of the pole %d" % (lam, pole))
 
 
 def family_coeffs(params: JacobiFamilyParams) -> list[float]:
@@ -103,11 +103,13 @@ def family_roots(params: JacobiFamilyParams) -> list[float]:
     floor(d/2) distinct positive roots."""
     a, d, lam = params.a, params.d, params.multiplier
     n = np.arange(1.0, d)
+    two_n = 2.0 * n
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = n * ((lam + 2.0 - n) / lam) / (
-            ((lam + 3.0 - 2.0 * n) / lam) * ((lam + 1.0 - 2.0 * n) / lam)
+            ((lam + 3.0 - two_n) / lam) * ((lam + 1.0 - two_n) / lam)
         )
-    if not (lam > 0.0 and np.all(np.isfinite(scaled) & (scaled > 0.0))):
+    # nan and -inf fail the first test, inf the last
+    if not (lam > 0.0 and scaled.min() > 0.0 and scaled.max() < math.inf):
         raise DomainError(
             "recurrence radicand is not positive at multiplier %.17g" % lam
         )
@@ -116,13 +118,13 @@ def family_roots(params: JacobiFamilyParams) -> list[float]:
         sigma = _newton_roots(d, lam, scaled)[::-1] * (a / math.sqrt(lam))
     else:
         e = a * np.sqrt(scaled) / math.sqrt(lam)
+        # the block, row-major: b[i, i] = e[2i] and b[i + 1, i] = e[2i + 1]
+        # sit cols + 1 apart, from 0 and from cols
         cols = d // 2
-        b = np.zeros(((d + 1) // 2, cols))
-        diag = np.arange(cols)
-        b[diag, diag] = e[0::2]
-        sub = np.arange((d - 1) // 2)
-        b[sub + 1, sub] = e[1::2]
-        sigma = np.linalg.svd(b, compute_uv=False)  # descending
+        b = np.zeros((d + 1) // 2 * cols)
+        b[:: cols + 1] = e[0::2]
+        b[cols :: cols + 1] = e[1::2]
+        sigma = np.linalg.svd(b.reshape(-1, cols), compute_uv=False)  # descending
     mid = [0.0] if d % 2 else []
     return (-sigma).tolist() + mid + sigma[::-1].tolist()
 
@@ -238,13 +240,14 @@ def log_modulus_ratio(d: int, lam: float) -> float:
     2F1 at 1, is by Chu-Vandermonde the product over k < floor(d/2) of
     (lam - d + 2 + 2k + (d mod 2)) / (lam - 2d + 3 + 2k), whose log sums
     positive log1p terms: no cancellation or overflow at any degree."""
+    check_degree(d)
     return _log_modulus_ratio_and_slope(d, lam)[0]
 
 
 def _log_modulus_ratio_and_slope(d: int, lam: float) -> tuple[float, float]:
     """(log_modulus_ratio, its derivative in log lam) over one list of the
-    product's denominators x; lam d/dlam log1p(c/x) = -(c/x) lam/(x+c)."""
-    check_degree(d)
+    product's denominators x, for a checked degree;
+    lam d/dlam log1p(c/x) = -(c/x) lam/(x+c)."""
     c = d - 1 + d % 2
     xs = [lam - 2.0 * d + 3.0 + 2.0 * k for k in range(d // 2)]
     slope = -math.fsum(c / x * (lam / (x + c)) for x in xs)
@@ -267,6 +270,12 @@ def solve_multiplier(a: float, d: int, modulus: float) -> float:
         raise RegimeError("modulus exceeds the boundary 2^(d-1) a^d")
     if side == 0:
         return 2.0 * d - 2.0
+    return _multiplier_from_modulus(a, d, log_m)
+
+
+def _multiplier_from_modulus(a: float, d: int, log_m: float) -> float:
+    """solve_multiplier for a checked height and degree and a log m on the
+    multiplier side of the crossover (crossover_side +1)."""
     log_t = log_m - d * math.log(a)
 
     def log_log_ratio(lam: float) -> tuple[float, float]:
@@ -337,6 +346,29 @@ def closed_form_disc(params: JacobiFamilyParams):
         if base < 0:
             sign = -sign
     return LogDiscriminant(sign, math.fsum(terms))
+
+
+def _log_disc_and_slope(a: float, d: int):
+    """The function lam -> (log closed_form_disc, closed_form_disc_slope)
+    of a checked height and degree, for lam >= 2d - 2, where every base is
+    positive: the same terms, summed by the same fsums, with the
+    lam-free ones (d(d-1) log a and each k log k) formed once."""
+    fixed = [d * (d - 1) * math.log(a)] + [k * math.log(k) for k in range(1, d + 1)]
+    low, top = range(1, d // 2), range((d + 1) // 2, d)
+
+    def at(lam: float) -> tuple[float, float]:
+        terms, slopes = fixed.copy(), []
+        for k in low:
+            base = lam - 2.0 * k
+            terms.append(2 * k * math.log(base))
+            slopes.append(2 * k * (lam / base))
+        for k in top:
+            base = lam - 2.0 * k + 1.0
+            terms.append(-(2 * k - 1) * math.log(base))
+            slopes.append((1 - 2 * k) * (lam / base))
+        return math.fsum(terms), math.fsum(slopes)
+
+    return at
 
 
 def closed_form_disc_slope(params: JacobiFamilyParams) -> float:

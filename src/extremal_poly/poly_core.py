@@ -15,6 +15,7 @@ suite leans on.
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -102,7 +103,7 @@ def poly_from_roots(roots) -> RealRootedPoly:
 def log_modulus_at_ai(roots, a: float) -> float:
     """log |f(ai)| from roots, safe for any degree."""
     check_height(a)
-    return math.fsum(math.log(math.hypot(a, r)) for r in roots)
+    return math.fsum(map(math.log, map(math.hypot, repeat(a), roots)))
 
 
 # Root pairs per block of log_disc_from_roots, the most _split_sums sums

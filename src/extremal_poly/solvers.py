@@ -27,14 +27,13 @@ import numpy as np
 
 from . import binomial_family as bf
 from . import jacobi_family as jf
-from .errors import DomainError, InputError, check_degree, check_height
+from .errors import DomainError, InputError, check_degree, check_disc, check_height
 from .poly_core import (
     LogDiscriminant,
     RealRootedPoly,
     _exp_or_inf,
     log_disc_from_roots,
     log_modulus_at_ai,
-    poly_from_roots,
 )
 
 PROBLEM_MIN_ABS = "min_abs"
@@ -104,32 +103,33 @@ def _dispatch(
     """The one regime decision, binomial_family.crossover_side: the
     boundary member within the snap window of the crossover log p = 0,
     the binomial mirror pair below it, and above it the multiplier member
-    at the multiplier that solve_lambda() returns."""
+    at the multiplier that solve_lambda() returns. The families' roots
+    come sorted and finite, so they are the polynomials as they stand."""
     side = bf.crossover_side(a, d, log_p)
+    if side > 0:
+        lam = solve_lambda()
+        params = jf.JacobiFamilyParams(a=a, d=d, multiplier=lam)
+        poly = RealRootedPoly(tuple(jf.family_roots(params)))
+        return _finish(
+            problem, REGIME_MULTIPLIER, [poly], [jf.family_coeffs(params)], a, lam
+        )
     if side == 0:
-        poly = poly_from_roots(bf.lattice_roots(a, d, 0.0))
-        row = bf.binomial_coeffs(bf.BinomialFamilyParams(a=a, d=d, log_p=0.0))
+        poly = RealRootedPoly(tuple(bf._lattice_roots(a, d, 0.0)))
+        row = bf._binomial_row(a, d, 0.0)
         return _finish(problem, REGIME_BINOMIAL, [poly], [row], a, 0.0)
-    if side < 0:
-        lead = poly_from_roots(bf.lattice_roots(a, d, log_p))
-        row = bf.binomial_coeffs(bf.BinomialFamilyParams(a=a, d=d, log_p=log_p))
-        # negating the roots negates every x^j with d - j odd, B among them
-        pair = [
-            (lead, row),
-            (
-                poly_from_roots([-r for r in lead.roots]),
-                [-c if (d - j) % 2 else c for j, c in enumerate(row)],
-            ),
-        ]
-        pair.sort(key=lambda member: member[0].roots[0])
-        polys, rows = zip(*pair)
-        return _finish(problem, REGIME_BINOMIAL, polys, rows, a, rows[0][d - 1])
-    lam = solve_lambda()
-    params = jf.JacobiFamilyParams(a=a, d=d, multiplier=lam)
-    poly = poly_from_roots(jf.family_roots(params))
-    return _finish(
-        problem, REGIME_MULTIPLIER, [poly], [jf.family_coeffs(params)], a, lam
-    )
+    lead = RealRootedPoly(tuple(bf._lattice_roots(a, d, log_p)))
+    row = bf._binomial_row(a, d, bf._subleading(a, d, log_p))
+    # negating the roots negates every x^j with d - j odd, B among them
+    pair = [
+        (lead, row),
+        (
+            RealRootedPoly(tuple(-r for r in reversed(lead.roots))),
+            [-c if (d - j) % 2 else c for j, c in enumerate(row)],
+        ),
+    ]
+    pair.sort(key=lambda member: member[0].roots[0])
+    polys, rows = zip(*pair)
+    return _finish(problem, REGIME_BINOMIAL, polys, rows, a, rows[0][d - 1])
 
 
 def solve_max_disc(a: float, d: int, m: float) -> ExtremalSolution:
@@ -138,10 +138,14 @@ def solve_max_disc(a: float, d: int, m: float) -> ExtremalSolution:
     modulus); RegimeError otherwise."""
     check_degree(d)
     check_height(a)
-    log_m = bf._log_modulus(a, d, m)
+    return _max_disc(a, d, bf._log_modulus(a, d, m))
+
+
+def _max_disc(a: float, d: int, log_m: float) -> ExtremalSolution:
+    """solve_max_disc for a checked height and degree and log m > d log a."""
     return _dispatch(
         PROBLEM_MAX_DISC, a, d, bf._log_phase_of_modulus(a, d, log_m),
-        lambda: jf.solve_multiplier(a, d, m),
+        lambda: jf._multiplier_from_modulus(a, d, log_m),
     )
 
 
@@ -150,21 +154,19 @@ def solve_min_abs(a: float, d: int, disc: float) -> ExtremalSolution:
     discriminant disc > 0."""
     check_degree(d)
     check_height(a)
+    check_disc(disc)
+    log_disc = math.log(disc)
     return _dispatch(
-        PROBLEM_MIN_ABS, a, d, bf.log_phase_ratio(a, d, disc),
-        lambda: _multiplier_from_disc(a, d, math.log(disc)),
+        PROBLEM_MIN_ABS, a, d, bf._log_phase_of_disc(a, d, log_disc),
+        lambda: _multiplier_from_disc(a, d, log_disc),
     )
 
 
 def _multiplier_from_disc(a: float, d: int, log_disc: float) -> float:
     """Invert the closed-form discriminant for the multiplier on
-    [2d-2, inf), where it decreases, by jacobi_family._newton_multiplier."""
-
-    def log_disc_and_slope(lam: float) -> tuple[float, float]:
-        params = jf.JacobiFamilyParams(a=a, d=d, multiplier=lam)
-        return jf.closed_form_disc(params).log_abs, jf.closed_form_disc_slope(params)
-
-    return jf._newton_multiplier(log_disc_and_slope, log_disc, d)
+    [2d-2, inf), where it decreases, by jacobi_family._newton_multiplier;
+    for a checked height and degree."""
+    return jf._newton_multiplier(jf._log_disc_and_slope(a, d), log_disc, d)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
+import collections
 import json
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from extremal_poly import lemniscate
@@ -12,6 +14,13 @@ from extremal_poly.poly_core import TOL_ORACLE, log_modulus_at_ai, rel_log_diff
 from extremal_poly.verification import format_report, run_suite
 
 DATA = Path(__file__).parent / "data"
+
+
+class _Float(float):
+    pass
+
+
+_Pair = collections.namedtuple("_Pair", "x y")
 
 
 def run_cli(capsys, *argv):
@@ -53,22 +62,57 @@ class TestCanonicalJson:
         assert canonical_json(obj) == json.dumps(obj, separators=(",", ":"))
 
     @pytest.mark.parametrize(
-        "items",
+        "items, text",
         [
-            [-0.0, 0.0, -0.0],
-            [5e-324, -2.2250738585072014e-308, 1e-310],
-            [1.7976931348623157e308, 1.7976931348623157e308, -1.0],  # sum overflows
-            [1.5, math.inf, -2.0],
-            [-math.inf],
-            [True, 1.5, False, 2, 10**20, -3],
-            [1.0, 2, 3.5],
-            [0.1, 1.0 / 3.0, -2.5e-7, 6.02e23],
-            [],
+            pytest.param([-0.0, 0.0, -0.0], "[0,0,0]", id="items0"),
+            pytest.param(
+                [5e-324, -2.2250738585072014e-308, 1e-310],
+                "[4.9406564584124654e-324,-2.2250738585072014e-308,9.9999999999999694e-311]",
+                id="items1",
+            ),
+            pytest.param(  # sum overflows
+                [1.7976931348623157e308, 1.7976931348623157e308, -1.0],
+                "[1.7976931348623157e+308,1.7976931348623157e+308,-1]",
+                id="items2",
+            ),
+            pytest.param([1.5, math.inf, -2.0], '[1.5,"inf",-2]', id="items3"),
+            pytest.param([-math.inf], '["-inf"]', id="items4"),
+            pytest.param(
+                [True, 1.5, False, 2, 10**20, -3],
+                "[true,1.5,false,2,100000000000000000000,-3]",
+                id="items5",
+            ),
+            pytest.param([1.0, 2, 3.5], "[1,2,3.5]", id="items6"),
+            pytest.param(
+                [0.1, 1.0 / 3.0, -2.5e-7, 6.02e23],
+                "[0.10000000000000001,0.33333333333333331,-2.4999999999999999e-07,6.02e+23]",
+                id="items7",
+            ),
+            pytest.param([], "[]", id="items8"),
+            # subclasses of float print as floats, each on its own too
+            pytest.param(
+                [np.float64(0.1), np.float64(-0.0), np.float64(-np.inf)],
+                '[0.10000000000000001,0,"-inf"]',
+                id="numpy-float64",
+            ),
+            pytest.param([_Float(-0.0), _Float(2.5), 1.0], "[0,2.5,1]", id="float-subclass"),
+            pytest.param([1.5, None, 2], "[1.5,null,2]", id="none-and-int"),
+            # keys print as str(key); tuples as lists
+            pytest.param(
+                [{2: 0.5, True: (1.0, -0.0), "k": (None, -1e300)}],
+                '[{"2":0.5,"True":[1,0],"k":[null,-1.0000000000000001e+300]}]',
+                id="dict-keys-and-tuples",
+            ),
+            pytest.param(
+                [collections.OrderedDict(x=_Pair(1.0, -2.5))],
+                '[{"x":[1,-2.5]}]',
+                id="dict-and-tuple-subclasses",
+            ),
         ],
     )
-    def test_float_lists_print_like_each_float(self, items):
+    def test_float_lists_print_like_each_float(self, items, text):
         each = "[" + ",".join(canonical_json(x) for x in items) + "]"
-        assert canonical_json(items) == canonical_json(tuple(items)) == each
+        assert canonical_json(items) == canonical_json(tuple(items)) == each == text
 
     def test_nan_in_a_float_list_rejected(self):
         with pytest.raises(ValueError):

@@ -64,13 +64,17 @@ def test_family_coeffs_height_scaling():
         assert hi == pytest.approx(lo * 2.0 ** (4 - k), rel=1e-14)
 
 
-def test_pole_rejection_on_construction():
-    with pytest.raises(PoleError):
-        JacobiFamilyParams(a=1.0, d=4, multiplier=5.0)
-    with pytest.raises(PoleError):
-        JacobiFamilyParams(a=1.0, d=4, multiplier=3.0 + 5e-10)
-    # just outside the rejection band is fine
-    family_coeffs(JacobiFamilyParams(a=1.0, d=4, multiplier=3.0 + 1e-6))
+@pytest.mark.parametrize(
+    "d, pole", [(d, pole) for d in range(2, 42) for pole in multiplier_poles(d)]
+)
+def test_pole_rejection_on_construction(d, pole):
+    # the nearest-pole test refuses what a scan of every pole refuses
+    for lam in (pole, pole - 0.9e-9, pole + 0.9e-9):
+        with pytest.raises(PoleError, match="within 1e-9 of the pole %d$" % pole):
+            JacobiFamilyParams(a=1.0, d=d, multiplier=lam)
+    # just outside the rejection band is fine, as are 2d - 2 and far out
+    for lam in (pole - 1.1e-9, pole + 1.1e-9, 2.0 * d - 2.0, 1e300):
+        family_coeffs(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))
 
 
 def _series_tail(d, lam):
@@ -170,6 +174,8 @@ def test_closed_form_disc_slope_is_the_derivative():
             got = closed_form_disc_slope(JacobiFamilyParams(a=0.7, d=d, multiplier=lam))
             assert got < 0.0
             assert got == pytest.approx(want, rel=1e-6, abs=1e-6), (d, lam)
+            # the disc solve's Newton evaluation has the bits of both
+            assert jf._log_disc_and_slope(0.7, d)(lam) == (at(0.0), got)
 
 
 def test_newton_multiplier_names_a_solve_that_does_not_settle():

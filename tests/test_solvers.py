@@ -1,3 +1,4 @@
+import collections
 import math
 import sys
 import warnings
@@ -5,6 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from extremal_poly import binomial_family as bf
+from extremal_poly import errors
+from extremal_poly import jacobi_family as jf
+from extremal_poly.energy import solve_equilibrium
 from extremal_poly.errors import DomainError, InputError, RegimeError
 from extremal_poly.jacobi_family import JacobiFamilyParams, closed_form_disc
 from extremal_poly.poly_core import (
@@ -142,6 +147,77 @@ def test_duality_roundtrip_both_regimes():
         back = solve_max_disc(a, d, fwd.achieved_m)
         assert back.regime == fwd.regime
         assert rel_log_diff(back.achieved_disc.log_abs, math.log(disc)) < 1e-8
+
+
+def _count_cases():
+    """(solver, side, args): each public solve on the binomial side (-1),
+    at the crossover (0) and on the multiplier side (+1)."""
+    for d in (2, 5, 8, 400):
+        # the height whose boundary member has discriminant 1, so that
+        # every target is a float at d = 400 as well
+        a = math.exp(bf.log_threshold_height(d, 0.0))
+        log_m = (d - 1) * math.log(2.0) + d * math.log(a)  # the crossover
+        log_ms = {-1: log_m + 2.0, 0: log_m, 1: d * math.log(a) + 0.5 * (d - 1) * math.log(2.0)}
+        for side in (-1, 0, 1):
+            yield solve_max_disc, side, (a, d, math.exp(log_ms[side]))
+            yield solve_equilibrium, side, (a, d, -log_ms[side] / d)
+            yield solve_min_abs, side, (a, d, math.exp(-side * d))
+
+
+def test_each_solve_decides_once_and_checks_outside_newton(monkeypatch):
+    # one crossover decision, at most one JacobiFamilyParams, and as many
+    # height and degree checks at every degree, however many Newton steps
+    # the multiplier took
+    counts = collections.Counter()
+    sides = []
+    for name in ("check_degree", "check_height"):
+        check = getattr(errors, name)
+
+        def counted_check(*args, _name=name, _check=check):
+            counts[_name] += 1
+            return _check(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("extremal_poly") and getattr(module, name, None) is check:
+                monkeypatch.setattr(module, name, counted_check)
+    side_of = bf.crossover_side
+
+    def counted_side(a, d, log_p):
+        sides.append(side_of(a, d, log_p))
+        return sides[-1]
+
+    post_init = jf.JacobiFamilyParams.__post_init__
+
+    def counted_post_init(params):
+        counts["JacobiFamilyParams"] += 1
+        post_init(params)
+
+    newton = jf._newton_multiplier
+
+    def counted_newton(value_and_slope, target, d):
+        def step(lam):
+            counts["newton"] += 1
+            return value_and_slope(lam)
+
+        return newton(step, target, d)
+
+    monkeypatch.setattr(bf, "crossover_side", counted_side)
+    monkeypatch.setattr(jf.JacobiFamilyParams, "__post_init__", counted_post_init)
+    monkeypatch.setattr(jf, "_newton_multiplier", counted_newton)
+    checks, steps = collections.defaultdict(set), set()
+    for solve, side, args in _count_cases():
+        counts.clear()
+        sides.clear()
+        solve(*args)
+        assert sides == [side], (solve.__name__, args)
+        assert counts["JacobiFamilyParams"] <= 1
+        checks[solve.__name__, side].add((counts["check_degree"], counts["check_height"]))
+        steps.add(counts["newton"])
+    assert len(steps) > 2  # the multiplier solves took different step counts
+    for key, seen in checks.items():
+        assert len(seen) == 1, (key, seen)
+        (degree, height), = seen
+        assert degree <= 3 and height <= 4, key
 
 
 # (a, d) grid around the crossover p = 1; targets are built from log p
