@@ -11,6 +11,8 @@ public entry point.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, RegimeError, check_degree, check_disc, check_height
 from .poly_core import _exp_or_inf
 
@@ -23,6 +25,14 @@ _SMALL_P = 1e-8
 # accuracy. Root positions vary like the square root of the distance to the
 # boundary, so resolving anything finer is illusory anyway.
 _BOUNDARY_SNAP = 1e-9
+
+# Degree from which the per-term loops of the closed forms run as numpy
+# arrays, with the same floats as the loops: this module's _binomial_row,
+# and jacobi_family's family_coeffs and _log_modulus_ratio_and_slope.
+# Below it numpy's per-call cost outweighs the loop. Measured on a 2-vCPU
+# VM, the modulus ties near d = 36 and the two coefficient rows near
+# d = 64, so from 64 on each array body is no slower than its loop.
+_ARRAY_DEGREE = 64
 
 
 def _check_args(a: float, d: int, disc: float) -> None:
@@ -239,7 +249,25 @@ def binomial_coeffs(params: BinomialFamilyParams) -> list[float]:
 
 
 def _binomial_row(a: float, d: int, b: float) -> list[float]:
-    """binomial_coeffs of the member with subleading coefficient b."""
+    """binomial_coeffs of the member with subleading coefficient b. From
+    _ARRAY_DEGREE on, the rho_n and both running products are numpy
+    arrays formed by the same operations in the same order as the loop
+    below it, so both give the same floats."""
+    if d >= _ARRAY_DEGREE:
+        # row n of buf is t (top) and u (bottom) at the x^(d-n) slot, from
+        # 1.0 at n = 0; the row takes u at the odd n, then the slot signs
+        n = np.arange(2.0, d + 1.0)
+        buf = np.empty((2, d + 1))
+        buf[0, 0] = buf[1, 0] = 1.0
+        buf[0, 1], buf[1, 1] = a * d, b
+        with np.errstate(over="ignore", invalid="ignore"):
+            buf[:, 2:] = a * (d + 1.0 - n) / n
+            np.multiply.accumulate(buf, axis=1, out=buf)
+        row = buf[0]
+        row[1::2] = buf[1, 1::2]
+        np.negative(row[2::4], out=row[2::4])
+        np.negative(row[3::4], out=row[3::4])
+        return row[::-1].tolist()
     coeffs = [0.0] * (d + 1)
     coeffs[d], coeffs[d - 1] = 1.0, b
     t, u = a * d, b  # C(d,n) a^n and C(d,n) B a^(n-1) / d at n = 1

@@ -23,10 +23,13 @@ from .poly_core import LogDiscriminant
 
 _POLE_REJECT = 1e-9
 # Degree from which family_roots takes Newton on the recurrence instead of
-# the dense SVD: the measured crossover at one BLAS thread, where a Newton
-# sweep costs two numpy calls per recurrence step. The two tie near
-# d = 320; Newton (O(d^2)) is faster from d = 336 on, 2.5x at d = 511,
-# and the SVD (O(d^3)) below, 3-4x at d <= 8.
+# the dense SVD, at one BLAS thread; a Newton sweep costs two numpy calls
+# per recurrence step. Set where the two tied near d = 320 (Newton, O(d^2),
+# 2.5x faster at d = 511; the SVD, O(d^3), 3-4x faster at d <= 8).
+# Measured again on a faster 2-vCPU VM, with the sweep's calls at their
+# per-call floor, they tie between d = 256 and 260, where the SVD's cost
+# jumps by about 40%, and Newton is 10-20% faster from 260 on. Moving the
+# crossover would change the root bytes between the two ties.
 _NEWTON_DEGREE = 336
 # Newton sweeps before a root solve is refused as not settling; a multiplier
 # from solve_multiplier takes two or three.
@@ -74,6 +77,17 @@ def family_coeffs(params: JacobiFamilyParams) -> list[float]:
     a, d, lam = params.a, params.d, params.multiplier
     coeffs = [0.0] * (d + 1)
     coeffs[d] = 1.0
+    if d >= bf._ARRAY_DEGREE:
+        # the loop's ratios and running product, op for op, in arrays
+        two_k = np.arange(2.0, d + 1.0, 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = -a * a * (d + 2.0 - two_k)
+            terms *= d + 1.0 - two_k
+            terms /= two_k
+            terms /= lam - 2.0 * d + two_k + 1.0
+            np.multiply.accumulate(terms, out=terms)
+        coeffs[d - 2 :: -2] = terms.tolist()
+        return coeffs
     term = 1.0
     for k in range(1, d // 2 + 1):
         denom = lam - 2.0 * d + 2.0 * k + 1.0
@@ -96,11 +110,11 @@ def family_roots(params: JacobiFamilyParams) -> list[float]:
     exact zero. Below d = _NEWTON_DEGREE (336) the sigma are the singular
     values of the half-size lower-bidiagonal block that couples odd and
     even indices (one dense SVD, O(d^3)); from there on they come from
-    _newton_roots, O(d^2): about 5 ms at d = 1000, 19-27 ms at d = 3000
-    and 0.12-0.13 s at d = 10^4 on one core. DomainError when a radicand
-    is not positive (never for lam >= 2d-2; its factors are taken over
-    lam, so none overflows), or when the Newton solve does not settle on
-    floor(d/2) distinct positive roots."""
+    _newton_roots, O(d^2): about 2.6 ms at d = 1000, 12-15 ms at d = 3000
+    and 0.10-0.12 s at d = 10^4 on one core of a 2-vCPU VM. DomainError
+    when a radicand is not positive (never for lam >= 2d-2; its factors
+    are taken over lam, so none overflows), or when the Newton solve does
+    not settle on floor(d/2) distinct positive roots."""
     a, d, lam = params.a, params.d, params.multiplier
     n = np.arange(1.0, d)
     two_n = 2.0 * n
@@ -183,10 +197,13 @@ def _newton_step(x: np.ndarray, e2: np.ndarray, lam: float) -> np.ndarray:
     d = e2.size + 1
     beta = d + 2.0 * (float(np.sum(e2)) / lam)  # beta / lam
     r, t = x.copy(), np.empty_like(x)
+    # local names and positional out arguments: the loop is numpy's
+    # per-call cost, 2(d - 1) calls per sweep
+    divide, subtract = np.divide, np.subtract
     with np.errstate(divide="ignore", over="ignore"):
         for e in e2.tolist():
-            np.divide(e, r, out=t)
-            np.subtract(x, t, out=r)
+            divide(e, r, t)
+            subtract(x, t, r)
         return (x * x / lam + 1.0) / (beta / r + (d / lam - 0.5) * x)
 
 
@@ -239,16 +256,27 @@ def log_modulus_ratio(d: int, lam: float) -> float:
     1 + sum_k C(d,2k)(2k-1)!! / prod_{j<=k}(lam-2d+2j+1), a terminating
     2F1 at 1, is by Chu-Vandermonde the product over k < floor(d/2) of
     (lam - d + 2 + 2k + (d mod 2)) / (lam - 2d + 3 + 2k), whose log sums
-    positive log1p terms: no cancellation or overflow at any degree."""
+    positive log1p terms: no cancellation or overflow at any degree.
+    DomainError for lam <= 2d-3 or nan."""
     check_degree(d)
+    if not lam > 2.0 * d - 3.0:
+        raise DomainError("multiplier must exceed 2d-3 = %d" % (2 * d - 3))
     return _log_modulus_ratio_and_slope(d, lam)[0]
 
 
 def _log_modulus_ratio_and_slope(d: int, lam: float) -> tuple[float, float]:
-    """(log_modulus_ratio, its derivative in log lam) over one list of the
-    product's denominators x, for a checked degree;
-    lam d/dlam log1p(c/x) = -(c/x) lam/(x+c)."""
+    """(log_modulus_ratio, its derivative in log lam) over the product's
+    denominators x, for a checked degree and lam > 2d-3;
+    lam d/dlam log1p(c/x) = -(c/x) lam/(x+c). From bf._ARRAY_DEGREE on
+    the x, c/x and slope terms are numpy arrays, formed by the same
+    operations in the same order as the lists below it, so both give the
+    same floats (math.log1p stays: np.log1p differs in the last bit)."""
     c = d - 1 + d % 2
+    if d >= bf._ARRAY_DEGREE:
+        xs = lam - 2.0 * d + 3.0 + np.arange(0.0, d - 1.0, 2.0)  # + 2k, k < d/2
+        ratios = c / xs
+        slope = -math.fsum((ratios * (lam / (xs + c))).tolist())
+        return math.fsum(map(math.log1p, ratios.tolist())), slope
     xs = [lam - 2.0 * d + 3.0 + 2.0 * k for k in range(d // 2)]
     slope = -math.fsum(c / x * (lam / (x + c)) for x in xs)
     return math.fsum(math.log1p(c / x) for x in xs), slope

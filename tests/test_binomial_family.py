@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import extremal_poly.binomial_family as bf
 from extremal_poly.binomial_family import (
     BinomialFamilyParams,
     binomial_coeffs,
@@ -191,6 +193,43 @@ def test_coefficient_and_root_routes_agree():
         q = np.poly(lattice_roots(a, d, params.log_p))[::-1]
         scale = max(abs(c) for c in cs)
         assert max(abs(x - y) for x, y in zip(cs, q)) < 1e-8 * scale
+
+
+@pytest.mark.parametrize("d", (bf._ARRAY_DEGREE - 1, bf._ARRAY_DEGREE, 200, 1000, 3000))
+def test_binomial_coeffs_array_body_has_the_loops_bits(monkeypatch, d):
+    # the loop body and the numpy array body, each forced by moving the
+    # crossover, give the same bits: boundary and far members, rows that
+    # underflow to zero and rows that leave float range
+    for a in (0.3, 1.0, 3.0):
+        for log_p in (0.0, -1e-3, -1.0, -30.0):
+            params = BinomialFamilyParams(a=a, d=d, log_p=log_p)
+            rows = []
+            for crossover in (d + 1, d):
+                monkeypatch.setattr(bf, "_ARRAY_DEGREE", crossover)
+                rows.append(np.array(binomial_coeffs(params)).tobytes())
+            assert rows[0] == rows[1], (a, log_p)
+
+
+@pytest.mark.parametrize("crossover", (1000, 1001))
+def test_binomial_row_past_float_range_holds_inf_quietly(monkeypatch, crossover):
+    # C(1000, 500) 3^500 is about 1e538: the row holds inf, with no
+    # overflow warning from either body
+    monkeypatch.setattr(bf, "_ARRAY_DEGREE", crossover)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = binomial_coeffs(BinomialFamilyParams(a=3.0, d=1000, log_p=-1.0))
+    assert row[500] == math.inf and row[0] == math.inf
+    assert row[1000] == 1.0
+
+
+@pytest.mark.parametrize("crossover", (600, 601))
+def test_binomial_odd_slots_outlast_the_even_product(monkeypatch, crossover):
+    # at a = 0.3, d = 600 the even product falls to a subnormal x^0 slot,
+    # but the odd slots keep a product of their own from B: none is zero
+    monkeypatch.setattr(bf, "_ARRAY_DEGREE", crossover)
+    row = binomial_coeffs(BinomialFamilyParams(a=0.3, d=600, log_p=-1.0))
+    assert 0.0 < row[0] < 2.2250738585072014e-308
+    assert all(c != 0.0 and math.isfinite(c) for c in row[1::2])
 
 
 def test_modulus_attains_bound_under_small_height():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from extremal_poly.binomial_family import lattice_roots
+import extremal_poly.binomial_family as bf
 import extremal_poly.jacobi_family as jf
 from extremal_poly.errors import DomainError, PoleError, RegimeError
 from extremal_poly.jacobi_family import (
@@ -77,6 +78,48 @@ def test_pole_rejection_on_construction(d, pole):
         family_coeffs(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))
 
 
+# the degrees on both sides of the array bodies' crossover, and far past it
+ARRAY_DEGREES = (bf._ARRAY_DEGREE - 1, bf._ARRAY_DEGREE, 200, 1000, 3000)
+
+
+def _loop_and_array(monkeypatch, d, call):
+    """call() at degree d with the per-term loop body, then with the
+    numpy array body, each forced by moving the crossover, as raw bits."""
+    monkeypatch.setattr(bf, "_ARRAY_DEGREE", d + 1)
+    loop = np.asarray(call(), dtype=float).tobytes()
+    monkeypatch.setattr(bf, "_ARRAY_DEGREE", d)
+    return loop, np.asarray(call(), dtype=float).tobytes()
+
+
+def _multipliers(d):
+    """Multipliers from 2d - 2 to 1e300."""
+    near = (2.0 * d - 2.0, 2.0 * d - 1.0, 2.0 * d + 0.37, 3.0 * d, 30.0 * d)
+    return near + (1e6, 1e12, 1e100, 1e300)
+
+
+@pytest.mark.parametrize("d", ARRAY_DEGREES)
+def test_modulus_array_body_has_the_loops_bits(monkeypatch, d):
+    # a last-bit change in one log1p term moves the sum at a few percent
+    # of multipliers, so a hundred of them catch it
+    dense = np.geomspace(2.0 * d - 2.0, 1e6 * d, 100).tolist()
+    for lam in _multipliers(d) + tuple(dense):
+        loop, array = _loop_and_array(
+            monkeypatch, d, lambda: jf._log_modulus_ratio_and_slope(d, lam)
+        )
+        assert array == loop, lam
+
+
+@pytest.mark.parametrize("d", ARRAY_DEGREES)
+def test_family_coeffs_array_body_has_the_loops_bits(monkeypatch, d):
+    # below the poles every denominator is negative, and between them
+    # the signs are mixed
+    for lam in _multipliers(d) + (0.5 * d + 0.25, 1.5 * d + 0.25):
+        for a in (0.3, 1.0, 7.0):
+            params = JacobiFamilyParams(a=a, d=d, multiplier=lam)
+            loop, array = _loop_and_array(monkeypatch, d, lambda: family_coeffs(params))
+            assert array == loop, (lam, a)
+
+
 def _series_tail(d, lam):
     """The terms after the leading 1 of the modulus series
     m / a^d = 1 + sum_k C(d,2k)(2k-1)!! / prod_{j<=k}(lam-2d+2j+1), summed
@@ -98,6 +141,11 @@ def test_log_modulus_ratio_boundary_is_power_of_two():
     for d in (100, 1000, 3000):
         got = log_modulus_ratio(d, 2.0 * d - 2.0)
         assert got == pytest.approx((d - 1) * math.log(2.0), rel=1e-15, abs=0.0)
+
+
+def test_log_modulus_ratio_answers_just_above_2d_minus_3():
+    got = log_modulus_ratio(4, math.nextafter(5.0, math.inf))
+    assert math.isfinite(got) and got > 0.0
 
 
 def test_log_modulus_ratio_decreasing():
@@ -582,6 +630,20 @@ REFUSALS = {
     ),
     "degenerate_family_coeffs integers": (
         lambda: degenerate_family_coeffs(4.0, 1, 1.0), "d and anchor must be integers"
+    ),
+    # at 2d - 3 a denominator of the product is zero, below it one is
+    # negative, and far below it the product has a wrong but finite log
+    "log_modulus_ratio at 2d-3": (
+        lambda: log_modulus_ratio(4, 5.0), "multiplier must exceed 2d-3 = 5"
+    ),
+    "log_modulus_ratio below 2d-3": (
+        lambda: log_modulus_ratio(4, 4.0), "multiplier must exceed 2d-3 = 5"
+    ),
+    "log_modulus_ratio negative": (
+        lambda: log_modulus_ratio(4, -1.0), "multiplier must exceed 2d-3 = 5"
+    ),
+    "log_modulus_ratio nan": (
+        lambda: log_modulus_ratio(6, math.nan), "multiplier must exceed 2d-3 = 9"
     ),
 }
 
