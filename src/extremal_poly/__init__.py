@@ -19,7 +19,6 @@ from .poly_core import (
     rel_log_diff,
 )
 from .binomial_family import (
-    BinomialFamilyParams,
     binomial_coeffs,
     lattice_roots,
     min_modulus_bound,
@@ -65,7 +64,6 @@ from .verification import CheckResult, format_report, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomialFamilyParams",
     "ChargeConfig",
     "CheckResult",
     "DiskResult",

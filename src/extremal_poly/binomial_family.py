@@ -3,13 +3,13 @@
 For small evaluation heights a the minimisers of |f(ai)| at fixed
 discriminant are real combinations of (x + ai)^d and (x - ai)^d. A member
 is fixed by its log phase ratio log p <= 0 (p = 1 at the crossover), from
-which both its lattice roots and its subleading coefficient B are formed.
+which its lattice roots, its subleading coefficient B and its coefficients
+are formed, each called as (a, d, log_p).
 The crossover itself is decided here, once (crossover_side), for every
 public entry point.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,24 +87,6 @@ def _past_float_range(log_p: float) -> DomainError:
     )
 
 
-@dataclass(frozen=True)
-class BinomialFamilyParams:
-    """Height a, degree d and log phase ratio log_p of one family member,
-    on the binomial side of the crossover or within its snap window (the
-    boundary member); B is derived from log_p."""
-
-    a: float
-    d: int
-    log_p: float
-
-    def __post_init__(self):
-        _in_regime(self.a, self.d, self.log_p)
-
-    @property
-    def subleading(self) -> float:
-        return subleading(self.a, self.d, self.log_p)
-
-
 def subleading(a: float, d: int, log_p: float) -> float:
     """B = (-1)^d a d sqrt(1 - p^2)/p of the member lattice_roots(a, d,
     log_p), formed in log space, 0 at p = 1; past float range only with
@@ -156,7 +138,11 @@ def _log_modulus(a: float, d: int, m: float) -> float:
     exceeds a^d, the least |f(ai)| of any monic real-rooted f."""
     if m <= 0 or not math.isfinite(m):
         raise DomainError("modulus m must be positive and finite")
-    log_m = math.log(m)
+    return _above_floor(a, d, math.log(m))
+
+
+def _above_floor(a: float, d: int, log_m: float) -> float:
+    """log_m, for a checked height and degree, if it exceeds d log a."""
     if log_m <= d * math.log(a):
         raise RegimeError("m must exceed a^d for a real-rooted solution")
     return log_m
@@ -233,8 +219,10 @@ def _lattice_roots(a: float, d: int, log_p: float) -> list[float]:
     return roots
 
 
-def binomial_coeffs(params: BinomialFamilyParams) -> list[float]:
-    """Ascending coefficients of ((ad - Bi)(x + ai)^d + (ad + Bi)(x - ai)^d) / (2ad).
+def binomial_coeffs(a: float, d: int, log_p: float) -> list[float]:
+    """Ascending coefficients of the member lattice_roots(a, d, log_p),
+    ((ad - Bi)(x + ai)^d + (ad + Bi)(x - ai)^d) / (2ad) with
+    B = subleading(a, d, log_p), which decides the regime.
 
     With n = d - j, x^j carries (-1)^(n/2) C(d,n) a^n for even n and
     (-1)^((n-1)/2) C(d,n) B a^(n-1) / d for odd n. Neither cancels, so
@@ -245,7 +233,7 @@ def binomial_coeffs(params: BinomialFamilyParams) -> list[float]:
     an inf holds a true coefficient past float range. The mirror (roots
     negated) is the same list with the odd-n slots negated.
     """
-    return _binomial_row(params.a, params.d, params.subleading)
+    return _binomial_row(a, d, subleading(a, d, log_p))
 
 
 def _binomial_row(a: float, d: int, b: float) -> list[float]:

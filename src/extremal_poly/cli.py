@@ -11,7 +11,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 
-from .energy import solve_equilibrium
+from .energy import _arctan_cdf, solve_equilibrium
 from .errors import ExtremalPolyError, InputError, check_height
 from .lemniscate import (
     largest_disk,
@@ -249,8 +249,7 @@ def _cmd_emit_plot(args) -> int:
     d = len(pts)
     sys.stdout.write("x,f_emp,f_arctan\n")
     for k, x in enumerate(pts, start=1):
-        target = 0.5 + math.atan(x / args.a) / math.pi
-        sys.stdout.write("%.17g,%.17g,%.17g\n" % (x, k / d, target))
+        sys.stdout.write("%.17g,%.17g,%.17g\n" % (x, k / d, _arctan_cdf(x, args.a)))
     return 0
 
 

@@ -19,7 +19,7 @@ from .poly_core import (
     log_modulus_at_ai,
     poly_from_roots,
 )
-from .binomial_family import _log_modulus
+from .binomial_family import _above_floor
 from .solvers import _max_disc
 
 
@@ -59,42 +59,47 @@ def _config(
     return ChargeConfig(points=pts, a=a, potential_v=v, energy_I=energy)
 
 
+def _check_potential(a: float, v: float) -> None:
+    """DomainError unless v is finite and below -log a, for a checked a."""
+    if not math.isfinite(v) or v >= -math.log(a):
+        raise DomainError("potential must satisfy v < -log a")
+
+
 def energy_lower_bound(a: float, d: int, v: float) -> float:
     """Sharp lower bound on the energy of d charges whose potential at
     ai equals v. Requires v < -log a, which every configuration with
     finite energy satisfies strictly."""
     check_degree(d)
     check_height(a)
-    if not math.isfinite(v) or v >= -math.log(a):
-        raise DomainError("potential must satisfy v < -log a")
+    _check_potential(a, v)
     return 2.0 * v + math.log(2.0 * a) - math.log(d) / (d - 1.0)
 
 
 def solve_equilibrium(a: float, d: int, v: float) -> ChargeConfig:
     """Minimum-energy configuration of d charges with potential v at ai.
 
-    The potential constraint is |f(ai)| = exp(-v d) for the monic
+    The potential constraint is log |f(ai)| = -v d for the monic
     polynomial with the charges as roots, so minimising energy is
     maximising the discriminant; the two solver regimes correspond to the
     two shapes of equilibria. When the extremal pair is a mirror pair,
     the member with the smaller least root is returned.
     """
     check_height(a)
-    if not math.isfinite(v) or v >= -math.log(a):
-        raise DomainError("potential must satisfy v < -log a")
-    try:
-        m = math.exp(-v * d)
-    except OverflowError:
-        raise DomainError("modulus exp(-v*d) overflows a float") from None
-    if m == 0.0:
-        raise DomainError("modulus exp(-v*d) underflows a float")
+    _check_potential(a, v)
     check_degree(d)
-    solution = _max_disc(a, d, _log_modulus(a, d, m))
+    # v < -log a puts -v d above d log a, except where the two round to
+    # one float; past float range, -v d is inf and the roots refuse it
+    solution = _max_disc(a, d, _above_floor(a, d, -v * d))
     # the solver has taken the log-discriminant and log-modulus of these
     # very roots
     return _config(
         solution.polys[0].roots, a, solution.achieved_disc, solution.log_m
     )
+
+
+def _arctan_cdf(x: float, a: float) -> float:
+    """The arctan law F(x) = 1/2 + arctan(x/a)/pi."""
+    return 0.5 + math.atan(x / a) / math.pi
 
 
 def arctan_cdf_distance(config: ChargeConfig) -> float:
@@ -105,6 +110,6 @@ def arctan_cdf_distance(config: ChargeConfig) -> float:
     d = len(pts)
     worst = 0.0
     for k, x in enumerate(pts, start=1):
-        target = 0.5 + math.atan(x / config.a) / math.pi
+        target = _arctan_cdf(x, config.a)
         worst = max(worst, abs(k / d - target), abs((k - 1) / d - target))
     return worst

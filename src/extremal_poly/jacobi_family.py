@@ -22,14 +22,9 @@ from .errors import DomainError, PoleError, RegimeError, check_degree, check_hei
 from .poly_core import LogDiscriminant
 
 _POLE_REJECT = 1e-9
-# Degree from which family_roots takes Newton on the recurrence instead of
-# the dense SVD, at one BLAS thread; a Newton sweep costs two numpy calls
-# per recurrence step. Set where the two tied near d = 320 (Newton, O(d^2),
-# 2.5x faster at d = 511; the SVD, O(d^3), 3-4x faster at d <= 8).
-# Measured again on a faster 2-vCPU VM, with the sweep's calls at their
-# per-call floor, they tie between d = 256 and 260, where the SVD's cost
-# jumps by about 40%, and Newton is 10-20% faster from 260 on. Moving the
-# crossover would change the root bytes between the two ties.
+# Degree from which family_roots takes Newton on the recurrence, O(d^2),
+# instead of the dense SVD, O(d^3): where the two tie at one BLAS thread
+# (measured between d = 256 and 320); moving it moves root bytes.
 _NEWTON_DEGREE = 336
 # Newton sweeps before a root solve is refused as not settling; a multiplier
 # from solve_multiplier takes two or three.
@@ -354,33 +349,28 @@ def closed_form_disc(params: JacobiFamilyParams):
                * prod_{k=1}^{floor(d/2)-1} (lam - 2k)^(2k)
                / prod_{k=ceil(d/2)}^{d-1} (lam - 2k + 1)^(2k-1)
 
-    returned in log space with sign tracking (denominator factors carry
-    odd powers and may be negative below the poles).
+    returned in log space with sign tracking: the denominator's bases carry
+    odd powers and may be negative below the poles.
     """
     a, d, lam = params.a, params.d, params.multiplier
-    sign = 1
-    # one correctly rounded sum: at d = 1000, terms of size 1e4 cancel
-    # down to log discs of order 1, so running sums would lose digits
-    terms = [d * (d - 1) * math.log(a)]
-    terms += [k * math.log(k) for k in range(1, d + 1)]
-    for k in range(1, d // 2):
-        base = lam - 2.0 * k
-        if base == 0.0:
-            return LogDiscriminant.zero()
-        terms.append(2 * k * math.log(abs(base)))
-    for k in range((d + 1) // 2, d):
-        base = lam - 2.0 * k + 1.0
-        terms.append(-(2 * k - 1) * math.log(abs(base)))
-        if base < 0:
-            sign = -sign
-    return LogDiscriminant(sign, math.fsum(terms))
+    if _on_zero_base(d, lam):
+        return LogDiscriminant.zero()
+    negative = sum(lam - 2.0 * k + 1.0 < 0.0 for k in range((d + 1) // 2, d))
+    return LogDiscriminant(-1 if negative % 2 else 1, _log_disc_and_slope(a, d)(lam)[0])
+
+
+def _on_zero_base(d: int, lam: float) -> bool:
+    # lam = 2k, k = 1..floor(d/2)-1, zeroes the numerator base lam - 2k
+    return (0.5 * lam).is_integer() and 2.0 <= lam < 2 * (d // 2)
 
 
 def _log_disc_and_slope(a: float, d: int):
-    """The function lam -> (log closed_form_disc, closed_form_disc_slope)
-    of a checked height and degree, for lam >= 2d - 2, where every base is
-    positive: the same terms, summed by the same fsums, with the
-    lam-free ones (d(d-1) log a and each k log k) formed once."""
+    """The function lam -> (log |closed_form_disc|, closed_form_disc_slope)
+    of a checked height and degree, for a lam with no zero base: the only
+    place the lam terms are formed, with the lam-free ones (d(d-1) log a
+    and each k log k) formed once. One correctly rounded fsum each: at
+    d = 1000, terms of size 1e4 cancel down to log discs of order 1, so
+    running sums would lose digits."""
     fixed = [d * (d - 1) * math.log(a)] + [k * math.log(k) for k in range(1, d + 1)]
     low, top = range(1, d // 2), range((d + 1) // 2, d)
 
@@ -388,11 +378,11 @@ def _log_disc_and_slope(a: float, d: int):
         terms, slopes = fixed.copy(), []
         for k in low:
             base = lam - 2.0 * k
-            terms.append(2 * k * math.log(base))
+            terms.append(2 * k * math.log(abs(base)))
             slopes.append(2 * k * (lam / base))
         for k in top:
             base = lam - 2.0 * k + 1.0
-            terms.append(-(2 * k - 1) * math.log(base))
+            terms.append(-(2 * k - 1) * math.log(abs(base)))
             slopes.append((1 - 2 * k) * (lam / base))
         return math.fsum(terms), math.fsum(slopes)
 
@@ -401,12 +391,12 @@ def _log_disc_and_slope(a: float, d: int):
 
 def closed_form_disc_slope(params: JacobiFamilyParams) -> float:
     """d log|closed_form_disc| / d log lam = sum_k 2k lam/(lam - 2k)
-    - sum_k (2k-1) lam/(lam - 2k + 1) over closed_form_disc's ranges."""
+    - sum_k (2k-1) lam/(lam - 2k + 1) over closed_form_disc's ranges.
+    DomainError where a numerator base vanishes, as the disc does."""
     d, lam = params.d, params.multiplier
-    terms = [2 * k * (lam / (lam - 2.0 * k)) for k in range(1, d // 2)]
-    top = range((d + 1) // 2, d)
-    terms += [(1 - 2 * k) * (lam / (lam - 2.0 * k + 1.0)) for k in top]
-    return math.fsum(terms)
+    if _on_zero_base(d, lam):
+        raise DomainError("log disc has no slope at its zero, lam = %.17g" % lam)
+    return _log_disc_and_slope(params.a, d)(lam)[1]
 
 
 # ---------------------------------------------------------------------------

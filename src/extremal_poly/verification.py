@@ -161,43 +161,35 @@ def _jacobi_cases() -> list:
     return cases
 
 
-def _check_multiplier_vs_resultant(deep: bool) -> CheckResult:
-    cases = _multiplier_cases(deep)
-    oracles = disc_resultant_oracles([jf.family_coeffs(p) for p in cases])
+def _resultant_check(name: str, cases, row, closed, describe) -> CheckResult:
+    # the closed-form discriminant of each case against the resultant of
+    # its coefficient row, in sign and relative log
+    oracles = disc_resultant_oracles([row(p) for p in cases])
     worst = 0.0
     for params, oracle in zip(cases, oracles):
-        closed = jf.closed_form_disc(params)
-        if closed.sign != oracle.sign:
-            return CheckResult(
-                "multiplier-vs-resultant", False,
-                "sign mismatch at d=%d lam=%.6f a=%s"
-                % (params.d, params.multiplier, params.a),
-            )
-        worst = max(worst, rel_log_diff(closed.log_abs, oracle.log_abs))
+        got = closed(params)
+        if got.sign != oracle.sign:
+            return CheckResult(name, False, "sign mismatch at " + describe(params))
+        worst = max(worst, rel_log_diff(got.log_abs, oracle.log_abs))
     return CheckResult(
-        "multiplier-vs-resultant",
+        name,
         worst <= TOL_ORACLE,
         "%d cases, worst rel log err %s" % (len(cases), _err(worst)),
     )
 
 
+def _check_multiplier_vs_resultant(deep: bool) -> CheckResult:
+    return _resultant_check(
+        "multiplier-vs-resultant", _multiplier_cases(deep), jf.family_coeffs,
+        jf.closed_form_disc,
+        lambda p: "d=%d lam=%.6f a=%s" % (p.d, p.multiplier, p.a),
+    )
+
+
 def _check_jacobi_vs_resultant() -> CheckResult:
-    cases = _jacobi_cases()
-    oracles = disc_resultant_oracles([jf.jacobi_coeffs(p) for p in cases])
-    worst = 0.0
-    for params, oracle in zip(cases, oracles):
-        closed = jf.jacobi_disc(params)
-        if closed.sign != oracle.sign:
-            return CheckResult(
-                "jacobi-vs-resultant", False,
-                "sign mismatch at d=%d alpha=%.6f beta=%.6f"
-                % (params.d, params.alpha, params.beta),
-            )
-        worst = max(worst, rel_log_diff(closed.log_abs, oracle.log_abs))
-    return CheckResult(
-        "jacobi-vs-resultant",
-        worst <= TOL_ORACLE,
-        "%d cases, worst rel log err %s" % (len(cases), _err(worst)),
+    return _resultant_check(
+        "jacobi-vs-resultant", _jacobi_cases(), jf.jacobi_coeffs, jf.jacobi_disc,
+        lambda p: "d=%d alpha=%.6f beta=%.6f" % (p.d, p.alpha, p.beta),
     )
 
 
@@ -276,7 +268,7 @@ def _check_boundary_glue() -> CheckResult:
             gc = jf.family_coeffs(
                 jf.JacobiFamilyParams(a=a, d=d, multiplier=2 * d - 2)
             )
-            fc = bf.binomial_coeffs(bf.BinomialFamilyParams(a=a, d=d, log_p=0.0))
+            fc = bf.binomial_coeffs(a, d, 0.0)
             scale = max(abs(c) for c in gc)
             diff = max(abs(x - y) for x, y in zip(gc, fc))
             worst = max(worst, diff / scale)

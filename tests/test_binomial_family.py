@@ -6,12 +6,12 @@ import pytest
 
 import extremal_poly.binomial_family as bf
 from extremal_poly.binomial_family import (
-    BinomialFamilyParams,
     binomial_coeffs,
     lattice_roots,
     log_phase_ratio,
     min_modulus_bound,
     small_height_condition,
+    subleading,
 )
 from extremal_poly.errors import DomainError, RegimeError
 from extremal_poly.poly_core import (
@@ -25,12 +25,13 @@ SQ3 = math.sqrt(3.0)
 
 
 def _member(a, d, disc):
-    # the member that attains the minimal modulus at this discriminant
-    return BinomialFamilyParams(a=a, d=d, log_p=log_phase_ratio(a, d, disc))
+    # (a, d, log_p) of the member that attains the minimal modulus at this
+    # discriminant, the call shape of every binomial member function
+    return a, d, log_phase_ratio(a, d, disc)
 
 
-def _member_poly(params):
-    return poly_from_roots(lattice_roots(params.a, params.d, params.log_p))
+def _member_poly(member):
+    return poly_from_roots(lattice_roots(*member))
 
 
 def _cot_lattice(a, d, log_p):
@@ -69,7 +70,9 @@ class TestTangentLattice:
         with pytest.raises(DomainError, match="largest root .* past float range"):
             lattice_roots(1.0, 3, -709.0)
         with pytest.raises(DomainError, match="past float range"):
-            BinomialFamilyParams(a=1.0, d=3, log_p=-709.0).subleading
+            subleading(1.0, 3, -709.0)
+        with pytest.raises(DomainError, match="past float range"):
+            binomial_coeffs(1.0, 3, -709.0)
 
     def test_bad_height(self):
         with pytest.raises(DomainError):
@@ -112,13 +115,16 @@ class TestPhaseRatio:
         # boundary disc for a=1, d=2 is 4; p = 1 gives the boundary member,
         # B = 0, also for log p a roundoff above 0
         for disc in (4.0, 4.0 * math.exp(-2e-13)):
-            params = _member(1.0, 2, disc)
-            assert _member_poly(params).roots == tuple(lattice_roots(1.0, 2, 0.0))
-            assert params.subleading == 0.0
+            member = _member(1.0, 2, disc)
+            assert _member_poly(member).roots == tuple(lattice_roots(1.0, 2, 0.0))
+            assert subleading(*member) == 0.0
+            assert binomial_coeffs(*member) == binomial_coeffs(1.0, 2, 0.0)
 
     def test_rejects_heights_beyond_regime(self):
-        with pytest.raises(RegimeError):
-            _member(2.0, 2, 4.0)
+        member = _member(2.0, 2, 4.0)
+        for call in (subleading, lattice_roots, binomial_coeffs):
+            with pytest.raises(RegimeError):
+                call(*member)
 
     def test_log_form_consistency(self):
         rng = np.random.default_rng(4)
@@ -129,14 +135,12 @@ class TestPhaseRatio:
             lp = log_phase_ratio(a, d, disc)
             if lp > 0:
                 continue
-            params = _member(a, d, disc)
-            assert params.log_p == lp
             # the roots sit at a cot(psi + pi j/d), psi = +-asin(p)/d
-            assert lattice_roots(a, d, params.log_p) == pytest.approx(
+            assert lattice_roots(a, d, lp) == pytest.approx(
                 _cot_lattice(a, d, lp)
             )
             sign = -1.0 if d % 2 else 1.0
-            assert params.subleading == pytest.approx(
+            assert subleading(a, d, lp) == pytest.approx(
                 sign * a * d * math.sqrt(math.exp(-2.0 * lp) - 1.0)
             )
 
@@ -157,22 +161,21 @@ def test_lattice_phase_range():
 
 def test_subleading_sign_parity():
     # B carries sign (-1)^d away from the boundary
-    assert _member(0.5, 2, 4.0).subleading > 0
-    assert _member(0.5, 3, 4.0).subleading < 0
-    assert _member(1.0, 2, 4.0).subleading == 0.0  # boundary
+    assert subleading(*_member(0.5, 2, 4.0)) > 0
+    assert subleading(*_member(0.5, 3, 4.0)) < 0
+    assert subleading(*_member(1.0, 2, 4.0)) == 0.0  # boundary
 
 
 def test_known_expansion_degree_two():
     # a=0.5, B=sqrt(3): x^2 + sqrt(3) x - 1/4
-    params = _member(0.5, 2, 4.0)
-    assert params.subleading == pytest.approx(SQ3, rel=1e-12)
-    assert binomial_coeffs(params) == pytest.approx([-0.25, SQ3, 1.0], rel=1e-12)
+    member = _member(0.5, 2, 4.0)
+    assert subleading(*member) == pytest.approx(SQ3, rel=1e-12)
+    assert binomial_coeffs(*member) == pytest.approx([-0.25, SQ3, 1.0], rel=1e-12)
 
 
 def test_known_expansion_boundary_quartic():
     # B=0, a=1, d=4: x^4 - 6x^2 + 1
-    params = BinomialFamilyParams(a=1.0, d=4, log_p=0.0)
-    assert binomial_coeffs(params) == pytest.approx(
+    assert binomial_coeffs(1.0, 4, 0.0) == pytest.approx(
         [1.0, 0.0, -6.0, 0.0, 1.0], abs=1e-12
     )
 
@@ -188,11 +191,33 @@ def test_coefficient_and_root_routes_agree():
             + math.log(disc) / (d * (d - 1))
         )
         a = math.exp(thr) * float(rng.uniform(0.3, 0.999))
-        params = _member(a, d, disc)
-        cs = binomial_coeffs(params)
-        q = np.poly(lattice_roots(a, d, params.log_p))[::-1]
+        member = _member(a, d, disc)
+        cs = binomial_coeffs(*member)
+        q = np.poly(lattice_roots(*member))[::-1]
         scale = max(abs(c) for c in cs)
         assert max(abs(x - y) for x, y in zip(cs, q)) < 1e-8 * scale
+
+
+def test_binomial_coeffs_decides_the_regime_once(monkeypatch):
+    # one crossover decision per call on each side, as for the solves in
+    # test_each_solve_decides_once_and_checks_outside_newton
+    sides = []
+    side_of = bf.crossover_side
+
+    def counted_side(a, d, log_p):
+        sides.append(side_of(a, d, log_p))
+        return sides[-1]
+
+    monkeypatch.setattr(bf, "crossover_side", counted_side)
+    for log_p, side in ((-1.0, -1), (0.0, 0), (1.0, 1)):
+        sides.clear()
+        try:
+            binomial_coeffs(0.5, 5, log_p)
+        except RegimeError:
+            assert side == 1
+        else:
+            assert side <= 0
+        assert sides == [side]
 
 
 @pytest.mark.parametrize("d", (bf._ARRAY_DEGREE - 1, bf._ARRAY_DEGREE, 200, 1000, 3000))
@@ -202,11 +227,10 @@ def test_binomial_coeffs_array_body_has_the_loops_bits(monkeypatch, d):
     # underflow to zero and rows that leave float range
     for a in (0.3, 1.0, 3.0):
         for log_p in (0.0, -1e-3, -1.0, -30.0):
-            params = BinomialFamilyParams(a=a, d=d, log_p=log_p)
             rows = []
             for crossover in (d + 1, d):
                 monkeypatch.setattr(bf, "_ARRAY_DEGREE", crossover)
-                rows.append(np.array(binomial_coeffs(params)).tobytes())
+                rows.append(np.array(binomial_coeffs(a, d, log_p)).tobytes())
             assert rows[0] == rows[1], (a, log_p)
 
 
@@ -217,7 +241,7 @@ def test_binomial_row_past_float_range_holds_inf_quietly(monkeypatch, crossover)
     monkeypatch.setattr(bf, "_ARRAY_DEGREE", crossover)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        row = binomial_coeffs(BinomialFamilyParams(a=3.0, d=1000, log_p=-1.0))
+        row = binomial_coeffs(3.0, 1000, -1.0)
     assert row[500] == math.inf and row[0] == math.inf
     assert row[1000] == 1.0
 
@@ -227,7 +251,7 @@ def test_binomial_odd_slots_outlast_the_even_product(monkeypatch, crossover):
     # at a = 0.3, d = 600 the even product falls to a subnormal x^0 slot,
     # but the odd slots keep a product of their own from B: none is zero
     monkeypatch.setattr(bf, "_ARRAY_DEGREE", crossover)
-    row = binomial_coeffs(BinomialFamilyParams(a=0.3, d=600, log_p=-1.0))
+    row = binomial_coeffs(0.3, 600, -1.0)
     assert 0.0 < row[0] < 2.2250738585072014e-308
     assert all(c != 0.0 and math.isfinite(c) for c in row[1::2])
 

@@ -466,7 +466,7 @@ class TestEnergyCommand:
             capsys, "energy", "--a", "1", "--d", "3", "--v", "-300"
         )
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "overflows" in err
+        assert err.startswith("error: largest root a*d/p is past float range")
 
 
 class TestEmitPlot:

@@ -14,7 +14,7 @@ import pytest
 
 from extremal_poly import binomial_family as bf
 from extremal_poly.binomial_family import (
-    BinomialFamilyParams,
+    binomial_coeffs,
     crossover_side,
     lattice_roots,
     log_phase_ratio,
@@ -62,12 +62,13 @@ def _accepts(call) -> bool:
 def _binomial_checks(a, d, log_p, side):
     # the binomial members' regime checks accept exactly on the binomial
     # side and on the boundary, where they clamp to the boundary member
-    assert _accepts(lambda: BinomialFamilyParams(a=a, d=d, log_p=log_p)) == (side <= 0)
+    assert _accepts(lambda: binomial_coeffs(a, d, log_p)) == (side <= 0)
     assert _accepts(lambda: subleading(a, d, log_p)) == (side <= 0)
     assert _accepts(lambda: lattice_roots(a, d, log_p)) == (side <= 0)
     if side == 0:
         assert subleading(a, d, log_p) == 0.0
         assert lattice_roots(a, d, log_p) == lattice_roots(a, d, 0.0)
+        assert binomial_coeffs(a, d, log_p) == binomial_coeffs(a, d, 0.0)
 
 
 @pytest.mark.parametrize("a, d", CASES)

@@ -5,8 +5,8 @@ multiplier side of the crossover (log p > 0) down to the far binomial
 side (log p = -700), plus the points where the binomial lattice once
 lost its pole root. The far multiplier side (log p = 50, 230) sends the
 multiplier up to about 1e200. Every call must either meet its target to 1e-9
-relative in log, recomputed here from the returned roots, or raise one of
-the named float-range errors. A target that is not itself a float (m or
+relative in log, recomputed here from the returned roots, or raise the
+named float-range error. A target that is not itself a float (m or
 disc outside float range) is not a call the API can receive, so it is
 not made; solve_equilibrium takes its potential v, which always is. Nor
 are moduli at or below a^d (log p >= (d - 1) log 2), for which no
@@ -52,7 +52,9 @@ MISSES = [
     (2.0, 5, 1e100),
     (0.3, 20, 1e300),
 ]
-FLOAT_RANGE = ("overflows a float", "underflows a float", "past float range")
+# the one float-range refusal; solve_equilibrium takes log m = -v d as it
+# is, with no exp(-v d) to overflow or underflow
+FLOAT_RANGE = ("past float range",)
 
 
 def _log_m(a, d, log_p):
@@ -216,7 +218,7 @@ def test_far_degree_modulus_solves():
 
 # every public function that takes a height, as a call at that height
 HEIGHT_CALLS = {
-    "BinomialFamilyParams": lambda a: bf.BinomialFamilyParams(a=a, d=4, log_p=-1.0),
+    "binomial_coeffs": lambda a: bf.binomial_coeffs(a, 4, -1.0),
     "subleading": lambda a: bf.subleading(a, 4, -1.0),
     "lattice_roots": lambda a: bf.lattice_roots(a, 4, -1.0),
     "crossover_side": lambda a: bf.crossover_side(a, 4, -1.0),

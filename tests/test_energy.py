@@ -10,8 +10,13 @@ from extremal_poly.energy import (
     energy_lower_bound,
     solve_equilibrium,
 )
-from extremal_poly.errors import DomainError, InputError
-from extremal_poly.solvers import solve_max_disc
+from extremal_poly.errors import DomainError, InputError, RegimeError
+from extremal_poly.solvers import (
+    REGIME_BINOMIAL,
+    REGIME_MULTIPLIER,
+    _max_disc,
+    solve_max_disc,
+)
 
 LOG2 = math.log(2.0)
 
@@ -151,6 +156,36 @@ def test_equilibrium_energy_is_minimal():
             t *= math.exp(-val / max(slope, 1e-9))
         moved = config_from_points(t * trial, a)
         assert moved.energy_I > cfg.energy_I
+
+
+@pytest.mark.parametrize(
+    "d, v, regime", [(1000, -0.9, REGIME_BINOMIAL), (3000, -0.5, REGIME_MULTIPLIER)]
+)
+def test_equilibrium_past_a_float_modulus(d, v, regime):
+    # |f(ai)| = e^(-v d) = e^900 and e^1500 are past float range; the
+    # solve takes log m = -v d as it is and never forms them
+    cfg = solve_equilibrium(1.0, d, v)
+    x = cfg.points
+    assert len(x) == d and all(map(math.isfinite, x))
+    assert all(p < q for p, q in zip(x, x[1:]))
+    assert cfg.potential_v == pytest.approx(v, rel=1e-12)
+    assert _max_disc(1.0, d, -v * d).regime == regime
+
+
+def test_equilibrium_past_float_range_is_named():
+    # -v d = 1e309 rounds to inf, and so does the largest root a d / p
+    with pytest.raises(DomainError, match="largest root .* past float range"):
+        solve_equilibrium(1.0, 10, -1e308)
+
+
+def test_equilibrium_potential_that_rounds_onto_the_floor():
+    # v is one float below -log a, but -v d and d log a round to one
+    # float: no modulus above a^d is left to solve for
+    a, d = 15.774212707890788, 49
+    v = math.nextafter(-math.log(a), -math.inf)
+    assert -v * d == d * math.log(a)
+    with pytest.raises(RegimeError, match="m must exceed a"):
+        solve_equilibrium(a, d, v)
 
 
 def test_arctan_cdf_distance_pair():

@@ -226,6 +226,95 @@ def test_closed_form_disc_slope_is_the_derivative():
             assert jf._log_disc_and_slope(0.7, d)(lam) == (at(0.0), got)
 
 
+def _reference_disc(a, d, lam):
+    # the three term loops that the one term list replaced: the signed
+    # log disc, its slope and the Newton evaluation (positive bases only)
+    terms = [d * (d - 1) * math.log(a)] + [k * math.log(k) for k in range(1, d + 1)]
+    sign, zero = 1, False
+    for k in range(1, d // 2):
+        base = lam - 2.0 * k
+        if base == 0.0:
+            zero = True
+            break
+        terms.append(2 * k * math.log(abs(base)))
+    for k in range((d + 1) // 2, d):
+        base = lam - 2.0 * k + 1.0
+        terms.append(-(2 * k - 1) * math.log(abs(base)))
+        if base < 0:
+            sign = -sign
+    disc = (0, -math.inf) if zero else (sign, math.fsum(terms))
+    if zero:
+        return disc, None, None
+    slopes = [2 * k * (lam / (lam - 2.0 * k)) for k in range(1, d // 2)]
+    top = range((d + 1) // 2, d)
+    slopes += [(1 - 2 * k) * (lam / (lam - 2.0 * k + 1.0)) for k in top]
+    newton = None
+    if lam >= 2.0 * d - 2.0:
+        fixed = [d * (d - 1) * math.log(a)] + [k * math.log(k) for k in range(1, d + 1)]
+        values, rates = fixed.copy(), []
+        for k in range(1, d // 2):
+            base = lam - 2.0 * k
+            values.append(2 * k * math.log(base))
+            rates.append(2 * k * (lam / base))
+        for k in top:
+            base = lam - 2.0 * k + 1.0
+            values.append(-(2 * k - 1) * math.log(base))
+            rates.append((1 - 2 * k) * (lam / base))
+        newton = (math.fsum(values), math.fsum(rates))
+    return disc, math.fsum(slopes), newton
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _disc_grid():
+    # random heights; multipliers below the poles, on the zero bases
+    # lam = 2k, and from 2d - 2 up to 1e300
+    rng = np.random.default_rng(2029)
+    for d in (*range(2, 41), 60, 100, 300, 1000):
+        count = 6 if d <= 40 else 2
+        for _ in range(count):
+            a = float(np.exp(rng.uniform(-7.0, 7.0)))
+            yield a, d, float(rng.uniform(-2.0 * d, 2.0 * d - 2.0))
+            yield a, d, 2.0 * float(rng.integers(1, max(2, d // 2)))
+            yield a, d, 2.0 * d - 2.0
+            yield a, d, float((2.0 * d - 2.0) * np.exp(rng.uniform(0.0, 8.0)))
+            yield a, d, float(np.exp(rng.uniform(8.0, 690.0)))
+        yield 1.0, d, 1e300
+
+
+def test_one_term_list_has_the_bits_of_the_three_loops():
+    checked = zero = 0
+    for a, d, lam in _disc_grid():
+        try:
+            params = JacobiFamilyParams(a=a, d=d, multiplier=lam)
+        except PoleError:
+            continue
+        (sign, log_abs), slope, newton = _reference_disc(a, d, lam)
+        got = closed_form_disc(params)
+        assert (got.sign, _bits(got.log_abs)) == (sign, _bits(log_abs)), (a, d, lam)
+        checked += 1
+        if sign == 0:
+            zero += 1
+            with pytest.raises(DomainError):
+                closed_form_disc_slope(params)
+            continue
+        assert _bits(closed_form_disc_slope(params)) == _bits(slope), (a, d, lam)
+        if newton is not None:
+            value, rate = jf._log_disc_and_slope(a, d)(lam)
+            assert (_bits(value), _bits(rate)) == tuple(map(_bits, newton)), (a, d, lam)
+    assert checked > 1000 and zero > 50
+
+
+def test_closed_form_disc_slope_refuses_a_zero_base():
+    # lam = 2 zeroes the base lam - 2k at k = 1, where the disc is 0
+    params = JacobiFamilyParams(a=1.0, d=6, multiplier=2.0)
+    assert closed_form_disc(params).sign == 0
+    with pytest.raises(DomainError, match="lam = 2$"):
+        closed_form_disc_slope(params)
+
+
 def test_newton_multiplier_names_a_solve_that_does_not_settle():
     # steps that always lower the residual but never reach the target
     def crawl(lam):
