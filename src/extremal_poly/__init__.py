@@ -33,8 +33,6 @@ from .jacobi_family import (
     family_roots,
     jacobi_coeffs,
     jacobi_disc,
-    multiplier_poles,
-    solve_multiplier,
 )
 from .solvers import (
     ExtremalSolution,
@@ -96,7 +94,6 @@ __all__ = [
     "lattice_roots",
     "log_disc_from_roots",
     "min_modulus_bound",
-    "multiplier_poles",
     "numeric_oracle_max_discs",
     "poly_from_roots",
     "radius_lower_bound",
@@ -107,7 +104,6 @@ __all__ = [
     "solve_equilibrium",
     "solve_max_disc",
     "solve_min_abs",
-    "solve_multiplier",
     "stationarity_residual",
     "vertical_halfwidth",
     "__version__",

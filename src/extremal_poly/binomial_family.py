@@ -3,8 +3,9 @@
 For small evaluation heights a the minimisers of |f(ai)| at fixed
 discriminant are real combinations of (x + ai)^d and (x - ai)^d. A member
 is fixed by its log phase ratio log p <= 0 (p = 1 at the crossover), from
-which its lattice roots, its subleading coefficient B and its coefficients
-are formed, each called as (a, d, log_p).
+which its lattice roots (lattice_roots) and its coefficients
+(binomial_coeffs, whose x^(d-1) slot is its subleading coefficient B) are
+formed, each called as (a, d, log_p).
 The crossover itself is decided here, once (crossover_side), for every
 public entry point.
 """
@@ -54,12 +55,11 @@ def _snap_window(a: float, d: int) -> float:
 
 def crossover_side(a: float, d: int, log_p: float) -> int:
     """The one crossover test, shared by both solvers, the members'
-    regime checks, small_height_condition and
-    jacobi_family.solve_multiplier: 0 for the boundary member, within half
-    the snap window of log p = 0; -1 below it, on the binomial side; +1
-    above it, on the multiplier side. Snapping only within half of the
-    window leaves room for the rounding of the target. DomainError for a
-    bad height or degree, or a nan log_p."""
+    regime checks and small_height_condition: 0 for the boundary member,
+    within half the snap window of log p = 0; -1 below it, on the
+    binomial side; +1 above it, on the multiplier side. Snapping only
+    within half of the window leaves room for the rounding of the target.
+    DomainError for a bad height or degree, or a nan log_p."""
     check_height(a)
     check_degree(d)
     if abs(log_p) <= 0.5 * _snap_window(a, d):
@@ -87,17 +87,12 @@ def _past_float_range(log_p: float) -> DomainError:
     )
 
 
-def subleading(a: float, d: int, log_p: float) -> float:
-    """B = (-1)^d a d sqrt(1 - p^2)/p of the member lattice_roots(a, d,
-    log_p), formed in log space, 0 at p = 1; past float range only with
-    the largest root, about a d/p."""
-    return _subleading(a, d, _in_regime(a, d, log_p))
-
-
 def _subleading(a: float, d: int, log_p: float) -> float:
-    """subleading for a checked height and degree and a log_p already
-    decided by crossover_side: below 0, or exactly 0.0 for the boundary
-    member."""
+    """The subleading coefficient B = (-1)^d a d sqrt(1 - p^2)/p of the
+    member lattice_roots(a, d, log_p), formed in log space, for a checked
+    height and degree and a log_p already decided by crossover_side:
+    below 0, or exactly 0.0 for the boundary member, whose B is 0. Past
+    float range only with the largest root, about a d/p."""
     if log_p == 0.0:
         return 0.0
     b = _exp_or_inf(
@@ -108,16 +103,11 @@ def _subleading(a: float, d: int, log_p: float) -> float:
     return -b if d % 2 else b
 
 
-def log_phase_ratio(a: float, d: int, disc: float) -> float:
-    """log p, p = a^(d/2) 2^(d/2-1) d^(d/(2d-2)) disc^(-1/(2d-2)), without
-    forming p; negative or zero in regime, zero at the crossover."""
-    _check_args(a, d, disc)
-    return _log_phase_of_disc(a, d, math.log(disc))
-
-
 def _log_phase_of_disc(a: float, d: int, log_disc: float) -> float:
-    """log_phase_ratio of the discriminant e^log_disc for a checked height
-    and degree."""
+    """log p, p = a^(d/2) 2^(d/2-1) d^(d/(2d-2)) disc^(-1/(2d-2)), of the
+    discriminant e^log_disc for a checked height and degree, without
+    forming p: the phase ratio of the binomial member of that
+    discriminant, negative or zero in regime, zero at the crossover."""
     return (
         0.5 * d * math.log(a)
         + (0.5 * d - 1.0) * math.log(2.0)
@@ -222,7 +212,8 @@ def _lattice_roots(a: float, d: int, log_p: float) -> list[float]:
 def binomial_coeffs(a: float, d: int, log_p: float) -> list[float]:
     """Ascending coefficients of the member lattice_roots(a, d, log_p),
     ((ad - Bi)(x + ai)^d + (ad + Bi)(x - ai)^d) / (2ad) with
-    B = subleading(a, d, log_p), which decides the regime.
+    B its subleading coefficient; the log_p decides the regime, as in
+    lattice_roots.
 
     With n = d - j, x^j carries (-1)^(n/2) C(d,n) a^n for even n and
     (-1)^((n-1)/2) C(d,n) B a^(n-1) / d for odd n. Neither cancels, so
@@ -233,7 +224,7 @@ def binomial_coeffs(a: float, d: int, log_p: float) -> list[float]:
     an inf holds a true coefficient past float range. The mirror (roots
     negated) is the same list with the odd-n slots negated.
     """
-    return _binomial_row(a, d, subleading(a, d, log_p))
+    return _binomial_row(a, d, _subleading(a, d, _in_regime(a, d, log_p)))
 
 
 def _binomial_row(a: float, d: int, b: float) -> list[float]:
@@ -289,4 +280,5 @@ def small_height_condition(a: float, d: int, disc: float) -> bool:
     the log phase ratio of disc is on the binomial side of the crossover or
     within its snap window (crossover_side), exactly when solve_min_abs
     answers in the binomial regime."""
-    return crossover_side(a, d, log_phase_ratio(a, d, disc)) <= 0
+    _check_args(a, d, disc)
+    return crossover_side(a, d, _log_phase_of_disc(a, d, math.log(disc))) <= 0

@@ -8,6 +8,7 @@ codes: 0 success, 1 verification failure, 2 input error.
 
 import argparse
 import math
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -24,6 +25,8 @@ from .solvers import solve_max_disc, solve_min_abs
 from .verification import format_report, run_suite
 
 _VALUE_CUTOFF = math.log(1e300)
+# a value that starts like a negative number
+_NEGATIVE_NUMBER = re.compile(r"-[0-9.]")
 
 
 def canonical_json(obj) -> str:
@@ -123,7 +126,7 @@ def disk_to_dict(disk, bounds: dict | None) -> dict:
             "re": disk.boundary_point.real,
             "im": disk.boundary_point.imag,
         },
-        "has_interior": disk.has_interior,
+        "has_interior": True,
         "bounds": bounds,
     }
 
@@ -149,7 +152,9 @@ def _parse_roots(text: str) -> list[float]:
     return roots
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, set[str]]:
+    """The parser, and the option strings of its subcommands that take a
+    value."""
     parser = argparse.ArgumentParser(
         prog="extremal-poly",
         description="Extremal real-rooted polynomials: discriminant vs "
@@ -202,7 +207,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=None)
     p.set_defaults(run=_cmd_emit_plot)
-    return parser
+    valued = {
+        name
+        for command in sub.choices.values()
+        for action in command._actions
+        if action.nargs != 0
+        for name in action.option_strings
+    }
+    return parser, valued
 
 
 def _emit(obj) -> int:
@@ -259,28 +271,31 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _glue_negative_roots(tokens: list[str]) -> list[str]:
-    # argparse reads a value with a leading "-" as an option name, which
-    # breaks `--roots -1,1`; rewrite that pair into `--roots=-1,1`.
+def _glue_negative_values(tokens: list[str], valued: set[str]) -> list[str]:
+    # argparse reads a value with a leading "-" as an option name unless
+    # it is a plain negative integer or decimal, which breaks `--roots -1,1`
+    # and `--v -1e-3`; rewrite such a pair into `--v=-1e-3`. No option here
+    # starts with "-" and then a digit or ".", so after an option that
+    # takes a value (one in valued) a token that does is its value; after
+    # --roots every token with a leading "-" is.
     glued = []
-    i = 0
-    while i < len(tokens):
+    for token in tokens:
+        name = glued[-1] if glued else ""
         if (
-            tokens[i] == "--roots"
-            and i + 1 < len(tokens)
-            and tokens[i + 1][:1] == "-"
+            token[:1] == "-"
+            and name in valued
+            and (name == "--roots" or _NEGATIVE_NUMBER.match(token))
         ):
-            glued.append("--roots=" + tokens[i + 1])
-            i += 2
+            glued[-1] = name + "=" + token
         else:
-            glued.append(tokens[i])
-            i += 1
+            glued.append(token)
     return glued
 
 
 def main(argv=None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser().parse_args(_glue_negative_roots(tokens))
+    parser, valued = _build_parser()
+    args = parser.parse_args(_glue_negative_values(tokens, valued))
     try:
         return args.run(args)
     except ExtremalPolyError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binomial_family as bf
-from .errors import DomainError, PoleError, RegimeError, check_degree, check_height
+from .errors import DomainError, PoleError, check_degree, check_height
 from .poly_core import LogDiscriminant
 
 _POLE_REJECT = 1e-9
@@ -27,15 +27,8 @@ _POLE_REJECT = 1e-9
 # (measured between d = 256 and 320); moving it moves root bytes.
 _NEWTON_DEGREE = 336
 # Newton sweeps before a root solve is refused as not settling; a multiplier
-# from solve_multiplier takes two or three.
+# from solve_max_disc takes two or three.
 _NEWTON_SWEEPS = 16
-
-
-def multiplier_poles(d: int) -> tuple[int, ...]:
-    """Multiplier values where the family coefficients blow up:
-    2d - 2j - 1 for j = 1..floor(d/2), ascending."""
-    check_degree(d)
-    return tuple(sorted(2 * d - 2 * j - 1 for j in range(1, d // 2 + 1)))
 
 
 @dataclass(frozen=True)
@@ -277,28 +270,11 @@ def _log_modulus_ratio_and_slope(d: int, lam: float) -> tuple[float, float]:
     return math.fsum(math.log1p(c / x) for x in xs), slope
 
 
-def solve_multiplier(a: float, d: int, modulus: float) -> float:
-    """Unique multiplier >= 2d-2 with d log a + log_modulus_ratio = log
-    modulus, for a^d < modulus < 2^(d-1) a^d; _newton_multiplier on
-    log log(modulus / a^d). A modulus within the crossover's snap window
-    of the boundary 2^(d-1) a^d (binomial_family.crossover_side) maps to
-    exactly 2d-2, and one beyond it is refused with RegimeError, as
-    solve_max_disc decides.
-    """
-    check_height(a)
-    check_degree(d)
-    log_m = bf._log_modulus(a, d, modulus)
-    side = bf.crossover_side(a, d, bf._log_phase_of_modulus(a, d, log_m))
-    if side < 0:
-        raise RegimeError("modulus exceeds the boundary 2^(d-1) a^d")
-    if side == 0:
-        return 2.0 * d - 2.0
-    return _multiplier_from_modulus(a, d, log_m)
-
-
 def _multiplier_from_modulus(a: float, d: int, log_m: float) -> float:
-    """solve_multiplier for a checked height and degree and a log m on the
-    multiplier side of the crossover (crossover_side +1)."""
+    """Unique multiplier >= 2d-2 with d log a + log_modulus_ratio = log_m,
+    for a checked height and degree and a log_m on the multiplier side of
+    the crossover (binomial_family.crossover_side +1): _newton_multiplier
+    on log log(m / a^d). solve_max_disc's multiplier."""
     log_t = log_m - d * math.log(a)
 
     def log_log_ratio(lam: float) -> tuple[float, float]:
@@ -353,24 +329,21 @@ def closed_form_disc(params: JacobiFamilyParams):
     odd powers and may be negative below the poles.
     """
     a, d, lam = params.a, params.d, params.multiplier
-    if _on_zero_base(d, lam):
+    if (0.5 * lam).is_integer() and 2.0 <= lam < 2 * (d // 2):
+        # lam = 2k, k = 1..floor(d/2)-1, zeroes the numerator base lam - 2k
         return LogDiscriminant.zero()
     negative = sum(lam - 2.0 * k + 1.0 < 0.0 for k in range((d + 1) // 2, d))
     return LogDiscriminant(-1 if negative % 2 else 1, _log_disc_and_slope(a, d)(lam)[0])
 
 
-def _on_zero_base(d: int, lam: float) -> bool:
-    # lam = 2k, k = 1..floor(d/2)-1, zeroes the numerator base lam - 2k
-    return (0.5 * lam).is_integer() and 2.0 <= lam < 2 * (d // 2)
-
-
 def _log_disc_and_slope(a: float, d: int):
-    """The function lam -> (log |closed_form_disc|, closed_form_disc_slope)
-    of a checked height and degree, for a lam with no zero base: the only
-    place the lam terms are formed, with the lam-free ones (d(d-1) log a
-    and each k log k) formed once. One correctly rounded fsum each: at
-    d = 1000, terms of size 1e4 cancel down to log discs of order 1, so
-    running sums would lose digits."""
+    """The function lam -> (log |closed_form_disc|, its derivative in
+    log lam: sum_k 2k lam/(lam - 2k) - sum_k (2k-1) lam/(lam - 2k + 1)
+    over closed_form_disc's ranges) of a checked height and degree, for a
+    lam with no zero base: the only place the lam terms are formed, with
+    the lam-free ones (d(d-1) log a and each k log k) formed once. One
+    correctly rounded fsum each: at d = 1000, terms of size 1e4 cancel
+    down to log discs of order 1, so running sums would lose digits."""
     fixed = [d * (d - 1) * math.log(a)] + [k * math.log(k) for k in range(1, d + 1)]
     low, top = range(1, d // 2), range((d + 1) // 2, d)
 
@@ -387,16 +360,6 @@ def _log_disc_and_slope(a: float, d: int):
         return math.fsum(terms), math.fsum(slopes)
 
     return at
-
-
-def closed_form_disc_slope(params: JacobiFamilyParams) -> float:
-    """d log|closed_form_disc| / d log lam = sum_k 2k lam/(lam - 2k)
-    - sum_k (2k-1) lam/(lam - 2k + 1) over closed_form_disc's ranges.
-    DomainError where a numerator base vanishes, as the disc does."""
-    d, lam = params.d, params.multiplier
-    if _on_zero_base(d, lam):
-        raise DomainError("log disc has no slope at its zero, lam = %.17g" % lam)
-    return _log_disc_and_slope(params.a, d)(lam)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,14 @@ _MAX_PROBES = 100
 @dataclass(frozen=True)
 class DiskResult:
     """Largest inscribed disk centered at center_x on the real axis.
-    boundary_point is the top of the disk, where |f| = 1; has_interior is
-    False when every scanned center gave halfwidth 0 (radius 0)."""
+    boundary_point is the top of the disk, where |f| = 1. The radius is
+    always positive (largest_disk refuses a set whose disks all
+    underflow), so has_interior is a constant True, not a field."""
 
     center_x: float
     radius: float
     boundary_point: complex
-    has_interior: bool
+    has_interior = True
 
 
 def vertical_halfwidth(p: RealRootedPoly, x):
@@ -343,22 +344,19 @@ def _refine_side(rs: np.ndarray, x: float, end: float) -> tuple[float, float]:
     return x, 0.0
 
 
-def largest_disk(
-    p: RealRootedPoly, interval: tuple[float, float] | None = None
-) -> DiskResult:
+def largest_disk(p: RealRootedPoly) -> DiskResult:
     """Largest disk centered on the real axis inside |f| <= 1.
 
     The radius equals the maximal vertical halfwidth (disk-union
     structure of real-rooted lemniscates). Every component of |f| <= 1
     holds a root, and |f| > 1 outside the root span padded by 1, so the
     candidate centers are seeded from the roots. The knots are the roots
-    in the interval (default: the padded span) and the interval's ends,
-    clipped to the padded span; the candidates are _GAP_SAMPLES equally
-    spaced points in each gap between consecutive knots, the gap's left
-    knot included, and the last knot. So about 8 (d + 1) centers are
-    scanned, the roots among them, whose halfwidths are positive however
-    wide their gaps. Their halfwidths come from _halfwidth_grid, in
-    chunks of bounded size.
+    and the ends of the padded span; the candidates are _GAP_SAMPLES
+    equally spaced points in each gap between consecutive knots, the
+    gap's left knot included, and the last knot. So about 8 (d + 1)
+    centers are scanned, the roots among them, whose halfwidths are
+    positive however wide their gaps. Their halfwidths come from
+    _halfwidth_grid, in chunks of bounded size.
 
     Each candidate that _peaks selects (the best one, and any local peak
     whose parabolic top reaches the best sample) is refined by _refine
@@ -366,45 +364,26 @@ def largest_disk(
     conditions in the center and log halfwidth^2 at once, which solves no
     halfwidth until one certifies the center it reaches. The disk is the
     best of those refinements, the leftmost on ties, and its radius is
-    the bits of vertical_halfwidth at its center. An interval that misses
-    the padded span, or holds no center of positive halfwidth, gives the
-    empty disk at its lower end.
+    the bits of vertical_halfwidth at its center.
 
-    Raises InputError when the roots and the interval span more than
-    about 1.3e154, where the squared center-root differences overflow,
-    and when a root lies in the interval but every halfwidth is 0: the
-    disk around a root has positive radius, so there its square
-    underflowed.
+    Raises InputError when the padded span is more than about 1.3e154,
+    where the squared center-root differences overflow, and when every
+    halfwidth is 0: the disk around a root has positive radius, so there
+    its square underflowed.
     """
     rs = np.asarray(p.roots, dtype=float)
-    if interval is None:
-        interval = (float(rs[0]) - 1.0, float(rs[-1]) + 1.0)
-    lo_b, hi_b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(lo_b) and math.isfinite(hi_b)) or hi_b <= lo_b:
-        raise InputError("interval must be finite with positive width")
-    _check_span(rs, lo_b, hi_b)
-
     # every halfwidth outside the padded root span is 0
-    lo = max(lo_b, float(rs[0]) - 1.0)
-    hi = min(hi_b, float(rs[-1]) + 1.0)
-    inside = rs[(rs >= lo_b) & (rs <= hi_b)]
-    if lo <= hi:
-        knots = np.unique(np.concatenate([[lo], inside, [hi]]))
-        fractions = np.arange(_GAP_SAMPLES) / _GAP_SAMPLES
-        gaps = knots[:-1, None] + np.diff(knots)[:, None] * fractions
-        candidates = np.append(gaps.ravel(), knots[-1])
-        widths = _scan(rs, candidates)
-    if lo > hi or widths.max() <= 0.0:
-        if inside.size:
-            # the disk around a root has positive radius, so its square
-            # fell below the smallest float
-            raise InputError(
-                "the disks around the roots are too small for their "
-                "squared radii to be floats"
-            )
-        return DiskResult(
-            center_x=lo_b, radius=0.0,
-            boundary_point=complex(lo_b, 0.0), has_interior=False,
+    lo, hi = float(rs[0]) - 1.0, float(rs[-1]) + 1.0
+    _check_span(rs, lo, hi)
+    knots = np.unique(np.concatenate([[lo], rs, [hi]]))
+    fractions = np.arange(_GAP_SAMPLES) / _GAP_SAMPLES
+    gaps = knots[:-1, None] + np.diff(knots)[:, None] * fractions
+    candidates = np.append(gaps.ravel(), knots[-1])
+    widths = _scan(rs, candidates)
+    if widths.max() <= 0.0:
+        raise InputError(
+            "the disks around the roots are too small for their "
+            "squared radii to be floats"
         )
 
     last = candidates.size - 1
@@ -420,8 +399,7 @@ def largest_disk(
         key=lambda disk: disk[1],
     )
     return DiskResult(
-        center_x=best_c, radius=best_r,
-        boundary_point=complex(best_c, best_r), has_interior=True,
+        center_x=best_c, radius=best_r, boundary_point=complex(best_c, best_r)
     )
 
 

@@ -14,8 +14,8 @@ import time
 import numpy as np
 
 from extremal_poly.binomial_family import (
+    _log_phase_of_disc,
     lattice_roots,
-    log_phase_ratio,
     min_modulus_bound,
     small_height_condition,
 )
@@ -175,7 +175,7 @@ def test_criterion_04_small_height_equality():
         )
         a = float(np.exp(log_thr) * rng.uniform(0.3, 1.0))
         assert small_height_condition(a, d, disc)
-        p = poly_from_roots(lattice_roots(a, d, log_phase_ratio(a, d, disc)))
+        p = poly_from_roots(lattice_roots(a, d, _log_phase_of_disc(a, d, math.log(disc))))
         worst_m = max(
             worst_m,
             abs(log_modulus_at_ai(p.roots, a) - math.log(min_modulus_bound(a, d, disc))),

@@ -8,10 +8,8 @@ import extremal_poly.binomial_family as bf
 from extremal_poly.binomial_family import (
     binomial_coeffs,
     lattice_roots,
-    log_phase_ratio,
     min_modulus_bound,
     small_height_condition,
-    subleading,
 )
 from extremal_poly.errors import DomainError, RegimeError
 from extremal_poly.poly_core import (
@@ -27,7 +25,12 @@ SQ3 = math.sqrt(3.0)
 def _member(a, d, disc):
     # (a, d, log_p) of the member that attains the minimal modulus at this
     # discriminant, the call shape of every binomial member function
-    return a, d, log_phase_ratio(a, d, disc)
+    return a, d, bf._log_phase_of_disc(a, d, math.log(disc))
+
+
+def _b(a, d, log_p):
+    # B, the x^(d-1) coefficient of the member
+    return binomial_coeffs(a, d, log_p)[d - 1]
 
 
 def _member_poly(member):
@@ -69,8 +72,6 @@ class TestTangentLattice:
         )
         with pytest.raises(DomainError, match="largest root .* past float range"):
             lattice_roots(1.0, 3, -709.0)
-        with pytest.raises(DomainError, match="past float range"):
-            subleading(1.0, 3, -709.0)
         with pytest.raises(DomainError, match="past float range"):
             binomial_coeffs(1.0, 3, -709.0)
 
@@ -117,12 +118,12 @@ class TestPhaseRatio:
         for disc in (4.0, 4.0 * math.exp(-2e-13)):
             member = _member(1.0, 2, disc)
             assert _member_poly(member).roots == tuple(lattice_roots(1.0, 2, 0.0))
-            assert subleading(*member) == 0.0
+            assert _b(*member) == 0.0
             assert binomial_coeffs(*member) == binomial_coeffs(1.0, 2, 0.0)
 
     def test_rejects_heights_beyond_regime(self):
         member = _member(2.0, 2, 4.0)
-        for call in (subleading, lattice_roots, binomial_coeffs):
+        for call in (lattice_roots, binomial_coeffs):
             with pytest.raises(RegimeError):
                 call(*member)
 
@@ -132,7 +133,7 @@ class TestPhaseRatio:
             d = int(rng.integers(2, 8))
             disc = float(np.exp(rng.uniform(-2, 5)))
             a = 0.25 * float(rng.uniform(0.2, 1.0))
-            lp = log_phase_ratio(a, d, disc)
+            lp = bf._log_phase_of_disc(a, d, math.log(disc))
             if lp > 0:
                 continue
             # the roots sit at a cot(psi + pi j/d), psi = +-asin(p)/d
@@ -140,7 +141,7 @@ class TestPhaseRatio:
                 _cot_lattice(a, d, lp)
             )
             sign = -1.0 if d % 2 else 1.0
-            assert subleading(a, d, lp) == pytest.approx(
+            assert _b(a, d, lp) == pytest.approx(
                 sign * a * d * math.sqrt(math.exp(-2.0 * lp) - 1.0)
             )
 
@@ -151,7 +152,7 @@ def test_lattice_phase_range():
         d = int(rng.integers(2, 8))
         disc = float(np.exp(rng.uniform(-2, 5)))
         a = 0.2
-        if log_phase_ratio(a, d, disc) > 0:
+        if bf._log_phase_of_disc(a, d, math.log(disc)) > 0:
             continue
         roots = _member_poly(_member(a, d, disc)).roots
         # the pole root a cot(delta) fixes delta, which lies in [0, pi/(2d)]
@@ -161,15 +162,25 @@ def test_lattice_phase_range():
 
 def test_subleading_sign_parity():
     # B carries sign (-1)^d away from the boundary
-    assert subleading(*_member(0.5, 2, 4.0)) > 0
-    assert subleading(*_member(0.5, 3, 4.0)) < 0
-    assert subleading(*_member(1.0, 2, 4.0)) == 0.0  # boundary
+    assert _b(*_member(0.5, 2, 4.0)) > 0
+    assert _b(*_member(0.5, 3, 4.0)) < 0
+    assert _b(*_member(1.0, 2, 4.0)) == 0.0  # boundary
+
+
+@pytest.mark.parametrize("d", [2, 3, 63, 64, 65, 1000])
+def test_subleading_slot_has_the_bits_of_b(d):
+    # the row stores B in its x^(d-1) slot unchanged, on the loop and on
+    # the array path
+    for a in (1.0, 0.37):
+        for log_p in (0.0, -1e-6, -0.5, -30.0):
+            b = bf._subleading(a, d, log_p)
+            assert np.float64(_b(a, d, log_p)).tobytes() == np.float64(b).tobytes()
 
 
 def test_known_expansion_degree_two():
     # a=0.5, B=sqrt(3): x^2 + sqrt(3) x - 1/4
     member = _member(0.5, 2, 4.0)
-    assert subleading(*member) == pytest.approx(SQ3, rel=1e-12)
+    assert _b(*member) == pytest.approx(SQ3, rel=1e-12)
     assert binomial_coeffs(*member) == pytest.approx([-0.25, SQ3, 1.0], rel=1e-12)
 
 

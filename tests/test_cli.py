@@ -214,7 +214,7 @@ class TestSolveCommands:
             "error: multiplier past float range (log lam = 745.82636628250111)\n"
         )
 
-    @pytest.mark.parametrize("m", ["0", "nan"])
+    @pytest.mark.parametrize("m", ["0", "nan", "-2", "-2e-3"])
     def test_modulus_must_be_positive_and_finite(self, capsys, m):
         code, out, err = run_cli(capsys, "solve-disc", "--a", "1", "--d", "3", "--m", m)
         assert (code, out) == (2, "")
@@ -467,6 +467,22 @@ class TestEnergyCommand:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: largest root a*d/p is past float range")
+
+    @pytest.mark.parametrize("v", ["-1e-3", "-.5e-1", "-1E+2", "-0.5"])
+    def test_negative_value_as_its_own_token(self, capsys, v):
+        # argparse alone reads "-1e-3" as an option name; the glued and the
+        # "=" form must give the same bytes
+        code, out, err = run_cli(capsys, "energy", "--a", "1", "--d", "2", "--v", v)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, "energy", "--a", "1", "--d", "2", "--v=" + v)
+        assert json.loads(out)["potential_v"] == pytest.approx(float(v), rel=1e-12)
+
+    def test_a_flag_takes_no_negative_value(self, capsys):
+        # only an option that takes a value has a negative value glued on
+        with pytest.raises(SystemExit) as exc:
+            main(["lemniscate", "--roots=-1,1", "--bounds", "-2e-1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -2e-1" in capsys.readouterr().err
 
 
 class TestEmitPlot:

@@ -1,10 +1,10 @@
 """The one crossover test, binomial_family.crossover_side, and everything
 that decides by it.
 
-Near p = 1 (m = 2^(d-1) a^d) the solvers, small_height_condition, the
-binomial members' regime checks and solve_multiplier must all agree:
-the boundary member within half the snap window of log p = 0, the
-binomial side below it and the multiplier side above it.
+Near p = 1 (m = 2^(d-1) a^d) the solvers, small_height_condition and the
+binomial members' regime checks must all agree: the boundary member
+within half the snap window of log p = 0, the binomial side below it and
+the multiplier side above it.
 """
 
 import math
@@ -17,12 +17,9 @@ from extremal_poly.binomial_family import (
     binomial_coeffs,
     crossover_side,
     lattice_roots,
-    log_phase_ratio,
     small_height_condition,
-    subleading,
 )
 from extremal_poly.errors import DomainError, RegimeError
-from extremal_poly.jacobi_family import solve_multiplier
 from extremal_poly.solvers import REGIME_BINOMIAL, solve_max_disc, solve_min_abs
 
 LOG2 = math.log(2.0)
@@ -63,10 +60,9 @@ def _binomial_checks(a, d, log_p, side):
     # the binomial members' regime checks accept exactly on the binomial
     # side and on the boundary, where they clamp to the boundary member
     assert _accepts(lambda: binomial_coeffs(a, d, log_p)) == (side <= 0)
-    assert _accepts(lambda: subleading(a, d, log_p)) == (side <= 0)
     assert _accepts(lambda: lattice_roots(a, d, log_p)) == (side <= 0)
     if side == 0:
-        assert subleading(a, d, log_p) == 0.0
+        assert binomial_coeffs(a, d, log_p)[d - 1] == 0.0  # B
         assert lattice_roots(a, d, log_p) == lattice_roots(a, d, 0.0)
         assert binomial_coeffs(a, d, log_p) == binomial_coeffs(a, d, 0.0)
 
@@ -78,9 +74,9 @@ def test_min_abs_side_agrees_everywhere(a, d):
     for target in _grid(a, d, points):
         # disc with log phase ratio near target; the test reads back the
         # log p that the float disc really has
-        log_disc = (2.0 * d - 2.0) * (log_phase_ratio(a, d, 1.0) - target)
+        log_disc = (2.0 * d - 2.0) * (bf._log_phase_of_disc(a, d, 0.0) - target)
         disc = math.exp(log_disc)
-        log_p = log_phase_ratio(a, d, disc)
+        log_p = bf._log_phase_of_disc(a, d, math.log(disc))
         side = crossover_side(a, d, log_p)
         sides.add(side)
         assert small_height_condition(a, d, disc) == (side <= 0)
@@ -98,12 +94,14 @@ def test_max_disc_side_agrees_everywhere(a, d):
         log_p = bf._log_phase_of_modulus(a, d, math.log(m))
         side = crossover_side(a, d, log_p)
         sides.add(side)
-        assert (solve_max_disc(a, d, m).regime == REGIME_BINOMIAL) == (side <= 0)
-        # the multiplier solve answers on the multiplier side and on the
-        # boundary, where it gives 2d - 2
-        assert _accepts(lambda: solve_multiplier(a, d, m)) == (side >= 0)
+        sol = solve_max_disc(a, d, m)
+        assert (sol.regime == REGIME_BINOMIAL) == (side <= 0)
+        # the multiplier solve answers on the multiplier side, from 2d - 2
+        # on; the boundary member has B = 0
+        if side > 0:
+            assert sol.lambda_or_b >= 2.0 * d - 2.0
         if side == 0:
-            assert solve_multiplier(a, d, m) == 2.0 * d - 2.0
+            assert sol.lambda_or_b == 0.0
         _binomial_checks(a, d, log_p, side)
     assert sides == {-1, 0, 1}
 
@@ -139,13 +137,10 @@ def test_targets_inside_the_window_answer_with_the_boundary():
     # both were refused by slacks of their own, while solve_max_disc
     # answered these targets with the boundary member
     assert lattice_roots(1.0, 4, 1e-11) == lattice_roots(1.0, 4, 0.0)
-    assert solve_multiplier(1.0, 4, 8.0 * (1.0 + 5e-12)) == 6.0
     assert solve_max_disc(1.0, 4, 8.0 * (1.0 + 5e-12)).lambda_or_b == 0.0
-    with pytest.raises(RegimeError, match="exceeds the boundary"):
-        solve_multiplier(1.0, 3, 4.0001)
 
 
 def test_nan_log_phase_ratio_is_refused():
-    for call in (crossover_side, lattice_roots, subleading):
+    for call in (crossover_side, lattice_roots, binomial_coeffs):
         with pytest.raises(DomainError, match="nan"):
             call(1.0, 4, math.nan)

@@ -17,7 +17,6 @@ from extremal_poly.jacobi_family import (
     JacobiParams,
     _newton_multiplier,
     closed_form_disc,
-    closed_form_disc_slope,
     degenerate_family_coeffs,
     family_coeffs,
     family_roots,
@@ -28,9 +27,7 @@ from extremal_poly.jacobi_family import (
     jacobi_disc,
     jacobi_gegenbauer_residual,
     log_modulus_ratio,
-    multiplier_poles,
     pochhammer,
-    solve_multiplier,
 )
 from extremal_poly.poly_core import (
     disc_resultant_oracles,
@@ -38,14 +35,6 @@ from extremal_poly.poly_core import (
     rel_log_diff,
 )
 from extremal_poly.solvers import solve_max_disc
-
-
-def test_multiplier_poles():
-    assert multiplier_poles(2) == (1,)
-    assert multiplier_poles(3) == (3,)
-    assert multiplier_poles(4) == (3, 5)
-    assert multiplier_poles(5) == (5, 7)
-    assert multiplier_poles(6) == (5, 7, 9)
 
 
 def test_family_coeffs_cubic():
@@ -66,7 +55,10 @@ def test_family_coeffs_height_scaling():
 
 
 @pytest.mark.parametrize(
-    "d, pole", [(d, pole) for d in range(2, 42) for pole in multiplier_poles(d)]
+    # the poles 2d - 2j - 1, j = 1..floor(d/2): the odd integers from
+    # d - 1 + d mod 2 to 2d - 3
+    "d, pole",
+    [(d, pole) for d in range(2, 42) for pole in range(d - 1 + d % 2, 2 * d - 2, 2)],
 )
 def test_pole_rejection_on_construction(d, pole):
     # the nearest-pole test refuses what a scan of every pole refuses
@@ -219,11 +211,11 @@ def test_closed_form_disc_slope_is_the_derivative():
                 return closed_form_disc(params).log_abs
 
             want = (at(h) - at(-h)) / (2.0 * h)
-            got = closed_form_disc_slope(JacobiFamilyParams(a=0.7, d=d, multiplier=lam))
+            value, got = jf._log_disc_and_slope(0.7, d)(lam)
             assert got < 0.0
             assert got == pytest.approx(want, rel=1e-6, abs=1e-6), (d, lam)
-            # the disc solve's Newton evaluation has the bits of both
-            assert jf._log_disc_and_slope(0.7, d)(lam) == (at(0.0), got)
+            # the disc solve's Newton evaluation has the bits of the disc
+            assert value == at(0.0)
 
 
 def _reference_disc(a, d, lam):
@@ -297,22 +289,12 @@ def test_one_term_list_has_the_bits_of_the_three_loops():
         checked += 1
         if sign == 0:
             zero += 1
-            with pytest.raises(DomainError):
-                closed_form_disc_slope(params)
             continue
-        assert _bits(closed_form_disc_slope(params)) == _bits(slope), (a, d, lam)
+        value, rate = jf._log_disc_and_slope(a, d)(lam)
+        assert _bits(rate) == _bits(slope), (a, d, lam)
         if newton is not None:
-            value, rate = jf._log_disc_and_slope(a, d)(lam)
             assert (_bits(value), _bits(rate)) == tuple(map(_bits, newton)), (a, d, lam)
     assert checked > 1000 and zero > 50
-
-
-def test_closed_form_disc_slope_refuses_a_zero_base():
-    # lam = 2 zeroes the base lam - 2k at k = 1, where the disc is 0
-    params = JacobiFamilyParams(a=1.0, d=6, multiplier=2.0)
-    assert closed_form_disc(params).sign == 0
-    with pytest.raises(DomainError, match="lam = 2$"):
-        closed_form_disc_slope(params)
 
 
 def test_newton_multiplier_names_a_solve_that_does_not_settle():
@@ -324,32 +306,43 @@ def test_newton_multiplier_names_a_solve_that_does_not_settle():
         _newton_multiplier(crawl, 0.0, 2)
 
 
+def _multiplier(a, d, m):
+    # the multiplier solve_max_disc answers with at a modulus m on the
+    # multiplier side of the crossover
+    sol = solve_max_disc(a, d, m)
+    assert sol.regime == "g_family", (a, d, m)
+    return sol.lambda_or_b
+
+
 def test_solve_multiplier_cubic_value():
-    assert solve_multiplier(1.0, 3, 4.0) == pytest.approx(4.0, rel=1e-12)
+    # at the boundary modulus 2^(d-1) a^d the Newton solve stays at 2d - 2
+    assert jf._multiplier_from_modulus(1.0, 3, math.log(4.0)) == pytest.approx(
+        4.0, rel=1e-12
+    )
 
 
 @pytest.mark.parametrize("m", [1.5, 2.0, 4.0, 7.9])
 def test_solve_multiplier_quartic_closed_form(m):
     s = math.sqrt(m * m + 7 * m + 1)
     want = (4 * m - 1 + s) / (m - 1)
-    assert solve_multiplier(1.0, 4, m) == pytest.approx(want, rel=1e-12)
+    assert _multiplier(1.0, 4, m) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [1.2, 3.0, 9.0, 15.9])
 def test_solve_multiplier_quintic_closed_form(m):
     s = math.sqrt(m * m + 23 * m + 1)
     want = (6 * m - 1 + s) / (m - 1)
-    assert solve_multiplier(1.0, 5, m) == pytest.approx(want, rel=1e-12)
+    assert _multiplier(1.0, 5, m) == pytest.approx(want, rel=1e-12)
 
 
 def test_solve_multiplier_regime_errors():
     with pytest.raises(RegimeError):
-        solve_multiplier(1.0, 3, 1.0)  # modulus = a^d
-    with pytest.raises(RegimeError):
-        solve_multiplier(1.0, 3, 4.0001)  # above the boundary 2^(d-1)
+        solve_max_disc(1.0, 3, 1.0)  # modulus = a^d
+    # above the boundary 2^(d-1) the answer is the binomial pair
+    assert solve_max_disc(1.0, 3, 4.0001).regime == "f_family"
     for a in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(DomainError, match="height a must be positive and finite"):
-            solve_multiplier(a, 3, 2.0)
+            solve_max_disc(a, 3, 2.0)
 
 
 def test_solve_multiplier_roundtrip():
@@ -359,7 +352,7 @@ def test_solve_multiplier_roundtrip():
         a = float(rng.uniform(0.3, 2.5))
         u = float(rng.uniform(0.05, 1.0))
         m = a**d * math.exp(u * (d - 1) * math.log(2.0))
-        lam = solve_multiplier(a, d, m)
+        lam = _multiplier(a, d, m)
         assert lam >= 2 * d - 2 - 1e-12
         got = d * math.log(a) + log_modulus_ratio(d, lam)
         assert got == pytest.approx(math.log(m), abs=1e-10)
@@ -369,8 +362,8 @@ def test_solve_multiplier_far_from_the_crossover():
     # m just above a^d sends lam off to about d^2 / (2 log(m/a^d))
     for d in (2, 3, 10, 1000):
         for log_t in (1e-3, 1e-9, 1e-15):
-            lam = solve_multiplier(1.0, d, math.exp(log_t))
             want = math.log(math.exp(log_t))  # the target as the solver sees it
+            lam = jf._multiplier_from_modulus(1.0, d, want)
             assert log_modulus_ratio(d, lam) == pytest.approx(want, rel=1e-13)
 
 
@@ -384,7 +377,8 @@ def _pairwise_log_disc(roots) -> float:
 @pytest.mark.parametrize("d", [8, 30, 60, 100, 400, 1000])
 def test_family_roots_sweep_against_closed_form(d, frac):
     log_m = frac * (d - 1) * math.log(2.0)
-    lam = solve_multiplier(1.0, d, math.exp(log_m))
+    # frac = 1.0 is the boundary member, at the multiplier 2d - 2
+    lam = 2.0 * d - 2.0 if frac == 1.0 else _multiplier(1.0, d, math.exp(log_m))
     params = JacobiFamilyParams(a=1.0, d=d, multiplier=lam)
     roots = family_roots(params)
     assert len(roots) == d and all(x < y for x, y in zip(roots, roots[1:]))
@@ -428,7 +422,7 @@ def _mpmath_family_roots(mp, a, d, lam):
 @pytest.mark.parametrize("a,d,frac", [(1.0, 30, 0.999), (1.0, 60, 0.5), (0.5, 31, 0.05)])
 def test_family_roots_match_mpmath(a, d, frac):
     mp = pytest.importorskip("mpmath")
-    lam = solve_multiplier(a, d, a**d * 2.0 ** (frac * (d - 1)))
+    lam = _multiplier(a, d, a**d * 2.0 ** (frac * (d - 1)))
     got = family_roots(JacobiFamilyParams(a=a, d=d, multiplier=lam))
     want = _mpmath_family_roots(mp, a, d, lam)
     for g, w in zip(got, want):
@@ -553,7 +547,7 @@ def test_newton_roots_scale_with_height(a):
 def test_newton_roots_raise_no_warning(d, lam):
     # inputs where an earlier seeding met an exact zero pivot r_n = 0
     if lam is None:
-        lam = solve_multiplier(1.0, d, 2.0 ** (0.5 * (d - 1)))
+        lam = _multiplier(1.0, d, 2.0 ** (0.5 * (d - 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         roots = family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))

@@ -222,7 +222,6 @@ def test_largest_disk_centered_family():
     # x^2 - 1/2 has its fattest disk at the origin with radius 2^(-1/2)
     p = poly_from_roots([-HALF_SQRT2, HALF_SQRT2])
     disk = largest_disk(p)
-    assert disk.has_interior
     assert disk.radius == pytest.approx(HALF_SQRT2, abs=1e-9)
     # the halfwidth peak is quartically flat here, so the center is only
     # pinned to the flat plateau
@@ -437,22 +436,6 @@ def test_refine_side_halves_toward_its_minimum():
     assert lem._refine_side(rs, 0.0, 0.0) == (0.0, 0.0)
 
 
-def test_largest_disk_wide_interval_is_clipped():
-    rng = np.random.default_rng(11)
-    p = poly_from_roots(rng.uniform(-1.0, 1.0, 9))
-    assert largest_disk(p, interval=(-1e6, 1e6)) == largest_disk(p)
-
-
-def test_largest_disk_interval_inside_one_gap():
-    roots = np.array([-1.0, -0.3, 0.4, 1.1])
-    lo, hi = -0.25, -0.05
-    disk = largest_disk(poly_from_roots(roots), interval=(lo, hi))
-    assert disk.has_interior
-    assert lo <= disk.center_x <= hi
-    xs = np.linspace(lo, hi, 20001)
-    assert disk.radius >= float(np.max(_halfwidth_grid(roots, xs)))
-
-
 def test_largest_disk_far_from_origin():
     # centers near 1e6 have an ulp above 1e-10; the search must still
     # stop, and x^2 - 1/4 shifted there has radius sqrt(3)/2 at its middle
@@ -461,17 +444,11 @@ def test_largest_disk_far_from_origin():
     assert disk.center_x == pytest.approx(1e6 + 0.5, abs=1e-6)
 
 
-@pytest.mark.parametrize(
-    "roots,interval",
-    [
-        ([-1e200, 1e200], None),
-        ([-1.0, 1.0], (-1e155, 1e155)),
-        ([1e155, 1e155 + 1.0], (-1.0, 1.0)),
-    ],
-)
-def test_largest_disk_rejects_overflowing_span(roots, interval):
-    with pytest.raises(InputError):
-        largest_disk(poly_from_roots(roots), interval)
+@pytest.mark.parametrize("roots", [[-1e200, 1e200], [0.0, 1.4e154]])
+def test_largest_disk_rejects_overflowing_span(roots):
+    # the padded span's square leaves float range past about 1.3e154
+    with pytest.raises(InputError, match="span more than about 1.3e154"):
+        largest_disk(poly_from_roots(roots))
 
 
 def test_largest_disk_rejects_underflowing_radius():
@@ -480,9 +457,20 @@ def test_largest_disk_rejects_underflowing_radius():
         largest_disk(poly_from_roots([-6e153, 0.0, 6e153]))
 
 
+def test_largest_disk_answers_when_only_some_disks_underflow():
+    # the disk around 0 has a squared radius below the smallest float, the
+    # disk near 1e82 does not: only a set whose disks all underflow is
+    # refused
+    p = poly_from_roots([0.0, 1e82, 1e82 + 1e67])
+    disk = largest_disk(p)
+    assert (disk.center_x, disk.radius) == (1e82, 9.891216401832884e-150)
+    assert disk.radius == vertical_halfwidth(p, 1e82)
+    with pytest.raises(InputError, match="too small for its square"):
+        vertical_halfwidth(p, 0.0)
+
+
 def test_largest_disk_tiny_radius_far_out():
     disk = largest_disk(poly_from_roots([-1e100, 1e100]))
-    assert disk.has_interior
     assert disk.radius == pytest.approx(5e-101, rel=1e-12)
     assert abs(disk.center_x) == 1e100
 
@@ -503,19 +491,6 @@ def test_largest_disk_bounded_memory_at_degree_300():
         [np.linspace(roots[0] - 1.0, roots[-1] + 1.0, 64 * roots.size), roots]
     )
     assert _scan(roots, xs).tobytes() == _halfwidth_grid(roots, xs).tobytes()
-
-
-def test_largest_disk_respects_interval():
-    p = poly_from_roots([-1.0, 1.0])
-    disk = largest_disk(p, interval=(5.0, 6.0))
-    assert not disk.has_interior
-    assert disk.radius == 0.0
-
-
-def test_largest_disk_interval_validation():
-    p = poly_from_roots([-1.0, 1.0])
-    with pytest.raises(InputError):
-        largest_disk(p, interval=(2.0, 1.0))
 
 
 def test_radius_bounds_spec_values():
@@ -608,7 +583,7 @@ def test_inscribed_disk_realises_lower_bound():
 
 
 def test_disk_result_is_plain_data():
-    disk = DiskResult(
-        center_x=0.0, radius=0.25, boundary_point=0.25j, has_interior=True
-    )
+    disk = DiskResult(center_x=0.0, radius=0.25, boundary_point=0.25j)
     assert disk.radius == 0.25
+    # every disk largest_disk returns has positive radius
+    assert disk.has_interior is True
