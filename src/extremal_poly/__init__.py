@@ -12,8 +12,6 @@ from .errors import (
 from .poly_core import (
     LogDiscriminant,
     RealRootedPoly,
-    TOL_ORACLE,
-    disc_resultant_oracles,
     log_disc_from_roots,
     poly_from_roots,
     rel_log_diff,
@@ -26,27 +24,15 @@ from .binomial_family import (
 )
 from .jacobi_family import (
     JacobiFamilyParams,
-    JacobiParams,
     closed_form_disc,
-    degenerate_family_coeffs,
     family_coeffs,
     family_roots,
-    jacobi_coeffs,
-    jacobi_disc,
 )
-from .solvers import (
-    ExtremalSolution,
-    OracleResult,
-    numeric_oracle_max_discs,
-    solve_max_disc,
-    solve_min_abs,
-    stationarity_residual,
-)
+from .solvers import ExtremalSolution, solve_max_disc, solve_min_abs
 from .lemniscate import (
     DiskResult,
     inscribed_disk_poly,
     largest_disk,
-    radius_lower_bound,
     radius_upper_bound,
     vertical_halfwidth,
 )
@@ -56,6 +42,17 @@ from .energy import (
     config_from_points,
     energy_lower_bound,
     solve_equilibrium,
+)
+from .oracles import (
+    JacobiParams,
+    OracleResult,
+    TOL_ORACLE,
+    degenerate_family_coeffs,
+    disc_resultant_oracles,
+    jacobi_coeffs,
+    jacobi_disc,
+    numeric_oracle_max_discs,
+    stationarity_residual,
 )
 from .verification import CheckResult, format_report, run_suite
 
@@ -96,7 +93,6 @@ __all__ = [
     "min_modulus_bound",
     "numeric_oracle_max_discs",
     "poly_from_roots",
-    "radius_lower_bound",
     "radius_upper_bound",
     "rel_log_diff",
     "run_suite",

@@ -87,9 +87,12 @@ def solve_equilibrium(a: float, d: int, v: float) -> ChargeConfig:
     check_height(a)
     _check_potential(a, v)
     check_degree(d)
+    log_m = -v * d
+    if log_m == math.inf:
+        raise DomainError("potential v = %r puts -v d past float range" % float(v))
     # v < -log a puts -v d above d log a, except where the two round to
-    # one float; past float range, -v d is inf and the roots refuse it
-    solution = _max_disc(a, d, _above_floor(a, d, -v * d))
+    # one float
+    solution = _max_disc(a, d, _above_floor(a, d, log_m))
     # the solver has taken the log-discriminant and log-modulus of these
     # very roots
     return _config(

@@ -4,9 +4,9 @@ Maximisers of the discriminant at fixed modulus |f(ai)| (below the
 boundary modulus 2^(d-1) a^d) form a one-parameter family indexed by a
 Lagrange multiplier lam. The family's coefficients, its modulus (a
 Chu-Vandermonde product) and discriminant in closed log forms, and the one
-Newton solve that pins lam to either live here, together with general
-Jacobi/Gegenbauer expansions and the discriminant formula for Jacobi
-polynomials that the closed form is checked against. So do its roots: a
+Newton solve that pins lam to either live here (the general
+Jacobi/Gegenbauer expansions and the Jacobi discriminant formula that the
+closed form is checked against are in oracles). So do its roots: a
 dense SVD of the recurrence's bidiagonal block below d = 336, and from
 there on Newton on the normal form of the family's ODE from WKB seeds,
 O(d^2).
@@ -239,22 +239,14 @@ def _wkb_seeds(d: int, lam: float) -> np.ndarray:
     return math.sqrt(2.0 * mu) * np.tan(beta * np.cos(at))[::-1]
 
 
-def log_modulus_ratio(d: int, lam: float) -> float:
-    """log(m / a^d) along the family for lam > 2d-3. The series
-    1 + sum_k C(d,2k)(2k-1)!! / prod_{j<=k}(lam-2d+2j+1), a terminating
-    2F1 at 1, is by Chu-Vandermonde the product over k < floor(d/2) of
-    (lam - d + 2 + 2k + (d mod 2)) / (lam - 2d + 3 + 2k), whose log sums
-    positive log1p terms: no cancellation or overflow at any degree.
-    DomainError for lam <= 2d-3 or nan."""
-    check_degree(d)
-    if not lam > 2.0 * d - 3.0:
-        raise DomainError("multiplier must exceed 2d-3 = %d" % (2 * d - 3))
-    return _log_modulus_ratio_and_slope(d, lam)[0]
-
-
 def _log_modulus_ratio_and_slope(d: int, lam: float) -> tuple[float, float]:
-    """(log_modulus_ratio, its derivative in log lam) over the product's
-    denominators x, for a checked degree and lam > 2d-3;
+    """(log(m / a^d) along the family, its derivative in log lam) for a
+    checked degree and lam > 2d-3. The series 1 + sum_k C(d,2k)(2k-1)!! /
+    prod_{j<=k}(lam-2d+2j+1), a terminating 2F1 at 1, is by
+    Chu-Vandermonde the product over k < floor(d/2) of
+    (lam - d + 2 + 2k + (d mod 2)) / (lam - 2d + 3 + 2k) = 1 + c/x, whose
+    log sums positive log1p terms: no cancellation or overflow at any
+    degree. The slope is taken over the product's denominators x,
     lam d/dlam log1p(c/x) = -(c/x) lam/(x+c). From bf._ARRAY_DEGREE on
     the x, c/x and slope terms are numpy arrays, formed by the same
     operations in the same order as the lists below it, so both give the
@@ -271,8 +263,9 @@ def _log_modulus_ratio_and_slope(d: int, lam: float) -> tuple[float, float]:
 
 
 def _multiplier_from_modulus(a: float, d: int, log_m: float) -> float:
-    """Unique multiplier >= 2d-2 with d log a + log_modulus_ratio = log_m,
-    for a checked height and degree and a log_m on the multiplier side of
+    """Unique multiplier >= 2d-2 at which the member's log modulus, d log a
+    plus _log_modulus_ratio_and_slope's log(m / a^d), is log_m, for a
+    checked height and degree and a log_m on the multiplier side of
     the crossover (binomial_family.crossover_side +1): _newton_multiplier
     on log log(m / a^d). solve_max_disc's multiplier."""
     log_t = log_m - d * math.log(a)
@@ -360,169 +353,3 @@ def _log_disc_and_slope(a: float, d: int):
         return math.fsum(terms), math.fsum(slopes)
 
     return at
-
-
-# ---------------------------------------------------------------------------
-# general Jacobi / Gegenbauer machinery
-
-
-@dataclass(frozen=True)
-class JacobiParams:
-    """Degree and exponents (alpha, beta) of a Jacobi polynomial; the
-    exponents may be arbitrary reals, classical or not."""
-
-    d: int
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise DomainError("d must be an integer >= 1")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise DomainError("alpha and beta must be finite")
-
-
-def pochhammer(t: float, n: int) -> float:
-    """Rising factorial t (t+1) ... (t+n-1)."""
-    prod = 1.0
-    for i in range(n):
-        prod *= t + i
-    return prod
-
-
-def gen_binom(t: float, k: int) -> float:
-    """Generalized binomial coefficient C(t, k) for real t, integer k >= 0."""
-    prod = 1.0
-    for i in range(k):
-        prod *= (t - i) / (i + 1)
-    return prod
-
-
-def jacobi_coeffs(params: JacobiParams) -> list[float]:
-    """Ascending coefficients of P_d^(alpha,beta) from the finite sum
-    2^-d sum_k C(d+alpha, d-k) C(d+beta, k) (x-1)^k (x+1)^(d-k)."""
-    d, al, be = params.d, params.alpha, params.beta
-    total = [0.0] * (d + 1)
-    for k in range(d + 1):
-        w = gen_binom(d + al, d - k) * gen_binom(d + be, k)
-        if w == 0.0:
-            continue
-        lo = [math.comb(k, i) * (-1.0) ** (k - i) for i in range(k + 1)]
-        hi = [float(math.comb(d - k, i)) for i in range(d - k + 1)]
-        for i, ci in enumerate(lo):
-            for j, cj in enumerate(hi):
-                total[i + j] += w * ci * cj
-    return [t * 2.0 ** (-d) for t in total]
-
-
-def gegenbauer_coeffs(d: int, order: float) -> list[float]:
-    """Ascending coefficients of the Gegenbauer polynomial C_d^order from
-    its alternating closed sum."""
-    if not isinstance(d, int) or d < 0:
-        raise DomainError("d must be a nonnegative integer")
-    coeffs = [0.0] * (d + 1)
-    for k in range(d // 2 + 1):
-        num = pochhammer(order, d - k)
-        coeffs[d - 2 * k] = (
-            (-1.0) ** k
-            * num
-            / (math.factorial(k) * math.factorial(d - 2 * k))
-            * 2.0 ** (d - 2 * k)
-        )
-    return coeffs
-
-
-def jacobi_gegenbauer_residual(d: int, order: float) -> float:
-    """Max absolute coefficient gap between P_d^(order-1/2, order-1/2) and
-    ((order+1/2)_d / (2 order)_d) * C_d^order; zero in exact arithmetic."""
-    denom = pochhammer(2.0 * order, d)
-    if abs(denom) <= 1e-12:
-        raise DomainError("(2 order)_d vanishes; scaling undefined")
-    scale = pochhammer(order + 0.5, d) / denom
-    jac = jacobi_coeffs(JacobiParams(d=d, alpha=order - 0.5, beta=order - 0.5))
-    geg = gegenbauer_coeffs(d, order)
-    return max(abs(j - scale * g) for j, g in zip(jac, geg))
-
-
-def jacobi_connection_residual(params: JacobiFamilyParams) -> float:
-    """Coefficient residual of the identity linking the family to Jacobi
-    polynomials with exponents -lam/2 - 1 at rotated argument -ix/a.
-
-    Relative to the largest family coefficient. DomainError when the
-    normalizing Pochhammer (lam - 2d + 2)_d vanishes (the identity
-    degenerates there, e.g. at the boundary multiplier itself).
-    """
-    a, d, lam = params.a, params.d, params.multiplier
-    poch = pochhammer(lam - 2.0 * d + 2.0, d)
-    if abs(poch) <= 1e-9:
-        raise DomainError("(lam-2d+2)_d vanishes; connection undefined")
-    fam = family_coeffs(params)
-    jac = jacobi_coeffs(JacobiParams(d=d, alpha=-lam / 2.0 - 1.0, beta=-lam / 2.0 - 1.0))
-    const = complex(0.0, 2.0 * a) ** d * math.factorial(d) / ((-1.0) ** d * poch)
-    rot = complex(0.0, -1.0 / a)
-    scale = max(1.0, max(abs(c) for c in fam))
-    worst = 0.0
-    for k in range(d + 1):
-        predicted = const * jac[k] * rot**k
-        worst = max(worst, abs(complex(fam[k], 0.0) - predicted) / scale)
-    return worst
-
-
-def jacobi_disc(params: JacobiParams):
-    """Discriminant of P_d^(alpha,beta) in closed form:
-
-    2^(-d(d-1)) prod_{k=1}^{d} k^(k-2d+2) (k+alpha)^(k-1) (k+beta)^(k-1)
-                               (d+k+alpha+beta)^(d-k)
-
-    log space with sign tracking. DomainError when alpha+beta = -d-k for
-    some k = 1..d (degenerate leading coefficient; formula invalid).
-    """
-    d, al, be = params.d, params.alpha, params.beta
-    if d < 2:
-        raise DomainError("discriminant formula needs d >= 2")
-    for k in range(1, d + 1):
-        if abs(al + be + d + k) <= _POLE_REJECT:
-            raise DomainError(
-                "alpha+beta = -d-%d is excluded (degenerate degree)" % k
-            )
-    sign = 1
-    terms = [-d * (d - 1) * math.log(2.0)]
-    for k in range(1, d + 1):
-        terms.append((k - 2 * d + 2) * math.log(k))
-        for base, expo in ((k + al, k - 1), (k + be, k - 1), (d + k + al + be, d - k)):
-            if expo == 0:
-                continue
-            if base == 0.0:
-                return LogDiscriminant.zero()
-            terms.append(expo * math.log(abs(base)))
-            if base < 0 and expo % 2 == 1:
-                sign = -sign
-    return LogDiscriminant(sign, math.fsum(terms))
-
-
-def degenerate_family_coeffs(d: int, anchor: int, anchor_coeff: float) -> list[float]:
-    """Coefficients of the multiplier-degenerate family member at
-    lam = d + anchor - 1, where the recurrence splits into two chains.
-
-    Requires 0 <= anchor <= d-3 with d - anchor odd; the second chain is
-    scaled by the free coefficient anchor_coeff of x^anchor. Members never
-    have d real roots, which is why the extremal solvers ignore them.
-    """
-    if not isinstance(d, int) or not isinstance(anchor, int):
-        raise DomainError("d and anchor must be integers")
-    if d < 3 or anchor < 0 or anchor > d - 3 or (d - anchor) % 2 == 0:
-        raise DomainError("need 0 <= anchor <= d-3 with d - anchor odd")
-    coeffs = [0.0] * (d + 1)
-    coeffs[d] = 1.0
-    prod = 1.0
-    for k in range(1, d // 2 + 1):
-        prod *= (2.0 * k - 1.0) / (d - anchor - 2.0 * k)
-        coeffs[d - 2 * k] = math.comb(d, 2 * k) * prod
-    coeffs[anchor] = float(anchor_coeff)
-    prod = 1.0
-    for k in range(1, anchor // 2 + 1):
-        prod *= (2.0 * k - 1.0) / (d - anchor + 2.0 * k)
-        coeffs[anchor - 2 * k] = (
-            anchor_coeff * (-1.0) ** k * math.comb(anchor, 2 * k) * prod
-        )
-    return coeffs

@@ -422,25 +422,17 @@ def log_radius_upper_bound(d: int, log_disc: float) -> float:
     )
 
 
-def radius_lower_bound(d: int, disc: float) -> float | None:
-    """Guaranteed inscribed-disk radius 2^(2/d-1) d^(-1/(d-1)), valid for
-    1 <= disc <= 2^(1-d) d^d; None outside that window.
-
-    The witness height grows with disc, so its value at disc = 1 bounds
-    the whole window from below.
-    """
-    check_degree(d)
-    check_disc(disc)
-    return radius_lower_bound_at_log(d, math.log(disc))
-
-
 def radius_lower_bound_at_log(d: int, log_disc: float) -> float | None:
-    """radius_lower_bound(d, e^log_disc), also where e^log_disc is past
-    float range.
+    """Guaranteed inscribed-disk radius 2^(2/d-1) d^(-1/(d-1)) of a
+    degree-d unit lemniscate whose polynomial has discriminant
+    e^log_disc, valid for 1 <= e^log_disc <= 2^(1-d) d^d, also where
+    e^log_disc is past float range; None outside that window.
 
-    The window is closed up to rounding: a log_disc within 4 ulps (of
-    max(1, |edge|)) past an edge counts as on it, as a log disc from
-    rounded roots lands there (roots +-sqrt(1/2) give 2 + 4e-16).
+    The witness height grows with the discriminant, so its value at 1
+    bounds the whole window from below. The window is closed up to
+    rounding: a log_disc within 4 ulps (of max(1, |edge|)) past an edge
+    counts as on it, as a log disc from rounded roots lands there (roots
+    +-sqrt(1/2) give 2 + 4e-16).
     """
     check_degree(d)
     top = (1.0 - d) * math.log(2.0) + d * math.log(d)
@@ -457,9 +449,9 @@ def inscribed_disk_poly(d: int, disc: float) -> tuple[RealRootedPoly, float, flo
     value = |f(i height)| = 2 d^(-d/(d-1)) disc^(1/(d-1)); whenever
     value <= 1 (equivalently disc <= 2^(1-d) d^d) the unit lemniscate of
     f contains the disk of radius height around 0, which realises
-    radius_lower_bound. The member is cross-checked at runtime (modulus
-    to 1e-9 relative, discriminant to 1e-8 relative in log) and a failure
-    raises RuntimeError.
+    radius_lower_bound_at_log. The member is cross-checked at runtime
+    (modulus to 1e-9 relative, discriminant to 1e-8 relative in log) and a
+    failure raises RuntimeError.
     """
     check_degree(d)
     check_disc(disc)

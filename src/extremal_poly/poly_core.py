@@ -1,16 +1,12 @@
 """Monic real-rooted polynomials with overflow-safe discriminants.
 
-A polynomial is its sorted roots. Coefficient lists (the resultant
-oracle's input, and the family closed forms' output) are ascending:
-coeffs[k] multiplies x**k. Discriminants are kept as (sign, log|value|)
-pairs because the values themselves overflow float64 well before degree
-20 for root sets of any realistic spread.
-
-Two independent discriminant routes are provided on purpose: the pairwise
-root-difference product, its logs summed exactly in row blocks, and a
-Sylvester resultant determinant that only ever sees coefficients, up to
-RESULTANT_MAX_DEGREE. Agreement between them is what the verification
-suite leans on.
+A polynomial is its sorted roots. Coefficient lists (the family closed
+forms' output, and the resultant oracle's input in oracles) are
+ascending: coeffs[k] multiplies x**k. Discriminants are kept as
+(sign, log|value|) pairs because the values themselves overflow float64
+well before degree 20 for root sets of any realistic spread. The
+discriminant of a root set is the pairwise root-difference product, its
+logs summed exactly in row blocks.
 """
 
 import math
@@ -20,14 +16,6 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DomainError, InputError, check_height
-
-# Oracle tolerance, relative in log magnitude: verify's two resultant
-# checks hold their worst error to it.
-TOL_ORACLE = 1e-8
-
-# Largest degree of disc_resultant_oracles: the last at which family_coeffs
-# rows (a in [0.01, 100], multiplier in [2d - 2 + 1e-3, 20d]) stay in TOL_ORACLE.
-RESULTANT_MAX_DEGREE = 12
 
 
 @dataclass(frozen=True)
@@ -234,144 +222,3 @@ def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
     if total != math.fsum(terms + [err]):
         total = math.fsum(block_sums(_SPLIT_CONSTANTS))
     return LogDiscriminant(1, 2.0 * total)
-
-
-def _log_dets(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants of a stack of square matrices as (signs, log|dets|).
-
-    Gaussian elimination with partial pivoting, one numpy operation per
-    column for the whole stack. Rows are pre-scaled to a largest entry of 1
-    and every magnitude is kept as a log, so nothing overflows. A matrix
-    with a zero row or a zero pivot reads sign 0 and log -inf; a zero pivot
-    is taken as 1, so that matrix runs on beside the others with no
-    division by zero. Each matrix gets the float operations of an
-    elimination of its own, in their order, and its logs are summed left to
-    right, so its answer has the same bits in any stack. The logs are
-    math.log's, since numpy's SIMD log differs from it in the last bit.
-    The float stack is eliminated in place, with no copy of its size.
-    """
-    count, n, _ = a.shape
-    at = np.arange(count)
-    # max |x| of each row, without an |a| temporary the size of the stack
-    scales = np.maximum(a.max(axis=2), -a.min(axis=2))
-    singular = (scales == 0.0).any(axis=1)
-    scales[scales == 0.0] = 1.0
-    a /= scales[:, :, None]
-    pivots = np.empty((count, n))
-    signs = np.ones(count, dtype=int)
-    for col in range(n):
-        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
-        top = a[at, col].copy()
-        a[at, col] = a[at, piv]
-        a[at, piv] = top
-        v = a[:, col, col].copy()
-        zero = v == 0.0
-        singular |= zero
-        v[zero] = 1.0
-        signs[(piv != col) != (v < 0.0)] *= -1
-        pivots[:, col] = np.abs(v)
-        mult = a[:, col + 1 :, col] / v[:, None]
-        a[:, col + 1 :, col + 1 :] -= mult[:, :, None] * a[:, None, col, col + 1 :]
-    mags = np.concatenate([scales, pivots], axis=1)
-    logs = np.array(list(map(math.log, mags.ravel().tolist()))).reshape(mags.shape)
-    log_abs = np.cumsum(logs, axis=1)[:, -1]
-    signs[singular] = 0
-    log_abs[singular] = -np.inf
-    return signs, log_abs
-
-
-def _resultant_rows(d: int, rows: list[list[float]]) -> list[LogDiscriminant]:
-    # discriminants of same-degree rows from one stack of Sylvester matrices
-    f = np.array(rows)
-    k = np.arange(1, d + 1)
-    with np.errstate(over="ignore"):
-        g = f[:, 1:] * k
-    # disc(t·f) = t^(2d-2)·disc(f): a row whose k·c_k overflows is scaled by
-    # t = 2^-e, 2^e >= d, which is exact and keeps every k·c_k finite
-    big = ~np.isfinite(g).all(axis=1)
-    e = (d - 1).bit_length()
-    f[big] = np.ldexp(f[big], -e)
-    g[big] = f[big, 1:] * k
-    n = 2 * d - 1
-    syl = np.zeros((len(rows), n, n))
-    f_desc = f[:, ::-1]
-    g_desc = g[:, ::-1]
-    for i in range(d - 1):
-        syl[:, i, i : i + d + 1] = f_desc
-    for i in range(d):
-        syl[:, d - 1 + i, i : i + d] = g_desc
-    signs, log_res = _log_dets(syl)
-    parity = 1 if (d * (d - 1) // 2) % 2 == 0 else -1
-    out = []
-    for s_res, log_r, lead, scaled in zip(
-        signs.tolist(), log_res.tolist(), f[:, -1].tolist(), big.tolist()
-    ):
-        if s_res == 0:
-            out.append(LogDiscriminant.zero())
-            continue
-        log_abs = log_r - math.log(abs(lead))
-        if scaled:
-            log_abs += (2 * d - 2) * e * math.log(2.0)
-        out.append(LogDiscriminant(s_res * parity * (1 if lead > 0 else -1), log_abs))
-    return out
-
-
-def disc_resultant_oracles(coeff_rows) -> list[LogDiscriminant]:
-    """Discriminants via the Sylvester resultant of f and f', one per row.
-
-    Coefficient-only route, independent of any root knowledge:
-    disc = (-1)^(d(d-1)/2) * Res(f, f') / c_d. Leading coefficients may be
-    any nonzero reals. The rows are grouped by degree and each degree's
-    Sylvester matrices are eliminated as one stack; every answer has the
-    bits of its own single call. Past RESULTANT_MAX_DEGREE it raises
-    DomainError: the worst family row's error then grows about twentyfold
-    per degree, and rows with nearly repeated roots lose more at any degree.
-    """
-    rows = []
-    by_degree: dict[int, list[int]] = {}
-    for i, coeffs in enumerate(coeff_rows):
-        cs = [float(c) for c in coeffs]
-        d = len(cs) - 1
-        if not 2 <= d <= RESULTANT_MAX_DEGREE:
-            raise DomainError("degree %d is outside 2..%d" % (d, RESULTANT_MAX_DEGREE))
-        if cs[-1] == 0.0:
-            raise DomainError("leading coefficient must be nonzero")
-        if not all(math.isfinite(c) for c in cs):
-            raise InputError("coefficients must be finite")
-        rows.append(cs)
-        by_degree.setdefault(d, []).append(i)
-    out: list[LogDiscriminant] = [LogDiscriminant.zero()] * len(rows)
-    for d, where in by_degree.items():
-        for i, disc in zip(where, _resultant_rows(d, [rows[i] for i in where])):
-            out[i] = disc
-    return out
-
-
-def quartic_disc(c2: float, c0: float) -> float:
-    """Discriminant of x^4 + c2 x^2 + c0."""
-    return 256.0 * c0**3 - 128.0 * c2**2 * c0**2 + 16.0 * c2**4 * c0
-
-
-def quintic_disc(c2: float, c0: float) -> float:
-    """Discriminant of x^5 + c2 x^3 + c0 x."""
-    return quartic_disc(c2, c0) * c0**2
-
-
-def descartes_real_root_bound(coeffs) -> int:
-    """Upper bound on the number of real roots (with multiplicity) from
-    sign changes: V(f) + V(f(-x)) + multiplicity of the root at 0."""
-    cs = [float(c) for c in coeffs]
-    while cs and cs[-1] == 0.0:
-        cs.pop()
-    if not cs:
-        raise DomainError("zero polynomial")
-
-    def changes(seq):
-        nz = [c for c in seq if c != 0.0]
-        return sum(1 for x, y in zip(nz, nz[1:]) if (x > 0) != (y > 0))
-
-    mult0 = 0
-    while mult0 < len(cs) and cs[mult0] == 0.0:
-        mult0 += 1
-    flipped = [(-1) ** k * c for k, c in enumerate(cs)]
-    return changes(cs) + changes(flipped) + mult0

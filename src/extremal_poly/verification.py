@@ -2,10 +2,10 @@
 
 Every check is deterministic (fixed seeds, fixed grids) so that two runs
 produce byte-identical reports. The suite cross-checks the closed forms
-against independent routes: the resultant-based discriminant oracle, the
-low-degree reference formulas, the roots-only stationarity residual of
-each answer with its multiplier matched against the family's, and (in
-deep mode) the brute-force ascent oracle.
+against the independent routes of oracles: the resultant-based
+discriminant oracle, the low-degree reference formulas, the roots-only
+stationarity residual of each answer with its multiplier matched against
+the family's, and (in deep mode) the brute-force ascent oracle.
 """
 
 import math
@@ -23,24 +23,23 @@ from .energy import (
     energy_lower_bound,
     solve_equilibrium,
 )
-from .poly_core import (
+from .oracles import (
+    JacobiParams,
     TOL_ORACLE,
-    disc_resultant_oracles,
-    descartes_real_root_bound,
-    log_disc_from_roots,
-    poly_from_roots,
-    quartic_disc,
-    quintic_disc,
-    rel_log_diff,
-)
-from .solvers import (
-    REGIME_BINOMIAL,
     _rescale_to_modulus,
+    degenerate_family_coeffs,
+    descartes_real_root_bound,
+    disc_resultant_oracles,
+    jacobi_coeffs,
+    jacobi_connection_residual,
+    jacobi_disc,
+    jacobi_gegenbauer_residual,
     numeric_oracle_max_discs,
-    solve_max_disc,
-    solve_min_abs,
+    reference_max_disc,
     stationarity_residual,
 )
+from .poly_core import log_disc_from_roots, poly_from_roots, rel_log_diff
+from .solvers import REGIME_BINOMIAL, solve_max_disc, solve_min_abs
 
 
 @dataclass(frozen=True)
@@ -55,28 +54,6 @@ def _err(x: float) -> str:
     roundoff (|x| < 1e-12) prints as <1e-12, so the report's bytes do not
     follow the last digits of the roots."""
     return "<1e-12" if abs(x) < 1e-12 else "%.3e" % x
-
-
-def reference_max_disc(d: int, m: float) -> float:
-    """Maximal discriminant at height 1 and modulus m, for d <= 5 and
-    1 < m <= 2^(d-1), via the published low-degree extremal coefficients
-    and the elementary quartic/quintic discriminant formulas. Serves as
-    an independent reference for the general solver."""
-    if d == 2:
-        return 4.0 * (m - 1.0)
-    if d == 3:
-        return 4.0 * (m - 1.0) ** 3
-    if d == 4:
-        s = math.sqrt(m * m + 7.0 * m + 1.0)
-        c2 = -0.4 * (m - 4.0 + s)
-        c0 = (3.0 * m + 3.0 - 2.0 * s) / 5.0
-        return quartic_disc(c2, c0)
-    if d == 5:
-        s = math.sqrt(m * m + 23.0 * m + 1.0)
-        c2 = -(2.0 / 7.0) * (m - 6.0 + s)
-        c0 = (5.0 * m + 5.0 - 2.0 * s) / 7.0
-        return quintic_disc(c2, c0)
-    raise ValueError("reference values cover d in 2..5 only")
 
 
 def _check_reference_max_disc() -> CheckResult:
@@ -157,7 +134,7 @@ def _jacobi_cases() -> list:
         else:
             alpha = float(rng.uniform(-4.0, 4.0))
             beta = float(rng.uniform(-4.0, 4.0))
-        cases.append(jf.JacobiParams(d=d, alpha=alpha, beta=beta))
+        cases.append(JacobiParams(d=d, alpha=alpha, beta=beta))
     return cases
 
 
@@ -188,14 +165,14 @@ def _check_multiplier_vs_resultant(deep: bool) -> CheckResult:
 
 def _check_jacobi_vs_resultant() -> CheckResult:
     return _resultant_check(
-        "jacobi-vs-resultant", _jacobi_cases(), jf.jacobi_coeffs, jf.jacobi_disc,
+        "jacobi-vs-resultant", _jacobi_cases(), jacobi_coeffs, jacobi_disc,
         lambda p: "d=%d alpha=%.6f beta=%.6f" % (p.d, p.alpha, p.beta),
     )
 
 
 def _check_jacobi_gegenbauer() -> CheckResult:
     cases = [(d, mu) for d in range(1, 7) for mu in (0.5, 1.0, 2.0, 0.25, -3.2)]
-    worst = max(jf.jacobi_gegenbauer_residual(d, mu) for d, mu in cases)
+    worst = max(jacobi_gegenbauer_residual(d, mu) for d, mu in cases)
     return CheckResult(
         "jacobi-gegenbauer",
         worst <= 1e-10,
@@ -214,7 +191,7 @@ def _check_multiplier_jacobi_connection() -> CheckResult:
     worst = 0.0
     for a, d, lam in cases:
         params = jf.JacobiFamilyParams(a=a, d=d, multiplier=lam)
-        worst = max(worst, jf.jacobi_connection_residual(params))
+        worst = max(worst, jacobi_connection_residual(params))
     return CheckResult(
         "multiplier-jacobi-connection",
         worst <= 1e-9,
@@ -316,7 +293,7 @@ def _check_degenerate_family() -> CheckResult:
     ]
     # Descartes' rule of signs certifies fewer than d real roots
     certified = sum(
-        descartes_real_root_bound(jf.degenerate_family_coeffs(*case)) < case[0]
+        descartes_real_root_bound(degenerate_family_coeffs(*case)) < case[0]
         for case in cases
     )
     return CheckResult(

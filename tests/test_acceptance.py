@@ -28,40 +28,38 @@ from extremal_poly.energy import (
 from extremal_poly.errors import DomainError
 from extremal_poly.jacobi_family import (
     JacobiFamilyParams,
-    JacobiParams,
     closed_form_disc,
-    degenerate_family_coeffs,
     family_coeffs,
-    jacobi_coeffs,
-    jacobi_disc,
 )
 from extremal_poly.lemniscate import (
     inscribed_disk_poly,
     largest_disk,
     radius_upper_bound,
 )
-from extremal_poly.poly_core import (
+from extremal_poly.oracles import (
+    JacobiParams,
+    degenerate_family_coeffs,
     descartes_real_root_bound,
     disc_resultant_oracles,
+    jacobi_coeffs,
+    jacobi_disc,
+    numeric_oracle_max_discs,
+    reference_max_disc,
+    stationarity_residual,
+)
+from extremal_poly.poly_core import (
     log_disc_from_roots,
     log_modulus_at_ai,
     poly_from_roots,
     rel_log_diff,
 )
-from extremal_poly.solvers import (
-    REGIME_MULTIPLIER,
-    numeric_oracle_max_discs,
-    solve_max_disc,
-    solve_min_abs,
-    stationarity_residual,
-)
+from extremal_poly.solvers import REGIME_MULTIPLIER, solve_max_disc, solve_min_abs
 from extremal_poly.trig_products import (
     cos_sq_product,
     cos_sq_product_closed_form,
     log_hadamard_bound,
     pairwise_sin_sq_product,
 )
-from extremal_poly.verification import reference_max_disc
 
 
 def _verdict(ok: bool, label: str, detail: str) -> None:

@@ -10,7 +10,8 @@ import pytest
 from extremal_poly import lemniscate
 from extremal_poly.cli import canonical_json, main
 from extremal_poly.jacobi_family import JacobiFamilyParams, closed_form_disc
-from extremal_poly.poly_core import TOL_ORACLE, log_modulus_at_ai, rel_log_diff
+from extremal_poly.oracles import TOL_ORACLE
+from extremal_poly.poly_core import log_modulus_at_ai, rel_log_diff
 from extremal_poly.verification import format_report, run_suite
 
 DATA = Path(__file__).parent / "data"

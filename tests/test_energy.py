@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from extremal_poly.binomial_family import lattice_roots
+from extremal_poly.cli import main
 from extremal_poly.energy import (
     arctan_cdf_distance,
     config_from_points,
@@ -173,9 +174,19 @@ def test_equilibrium_past_a_float_modulus(d, v, regime):
 
 
 def test_equilibrium_past_float_range_is_named():
-    # -v d = 1e309 rounds to inf, and so does the largest root a d / p
-    with pytest.raises(DomainError, match="largest root .* past float range"):
+    # -v d = 1e309 rounds to inf: the refusal quotes the potential
+    with pytest.raises(DomainError) as err:
         solve_equilibrium(1.0, 10, -1e308)
+    assert str(err.value) == "potential v = -1e+308 puts -v d past float range"
+    # -v d = 2e307 is a float, but the largest root a d / p is not
+    with pytest.raises(DomainError, match="largest root .* past float range"):
+        solve_equilibrium(1.0, 2, -1e307)
+
+
+def test_cli_names_the_potential_past_float_range(capsys):
+    assert main(["energy", "--a", "1", "--d", "2", "--v", "-1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: potential v = -1e+308 puts -v d past float range\n"
 
 
 def test_equilibrium_potential_that_rounds_onto_the_floor():

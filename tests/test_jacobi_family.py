@@ -14,26 +14,26 @@ import extremal_poly.jacobi_family as jf
 from extremal_poly.errors import DomainError, PoleError, RegimeError
 from extremal_poly.jacobi_family import (
     JacobiFamilyParams,
-    JacobiParams,
+    _log_modulus_ratio_and_slope,
     _newton_multiplier,
     closed_form_disc,
-    degenerate_family_coeffs,
     family_coeffs,
     family_roots,
+)
+from extremal_poly.oracles import (
+    JacobiParams,
+    degenerate_family_coeffs,
+    descartes_real_root_bound,
+    disc_resultant_oracles,
     gegenbauer_coeffs,
     gen_binom,
     jacobi_coeffs,
     jacobi_connection_residual,
     jacobi_disc,
     jacobi_gegenbauer_residual,
-    log_modulus_ratio,
     pochhammer,
 )
-from extremal_poly.poly_core import (
-    disc_resultant_oracles,
-    log_modulus_at_ai,
-    rel_log_diff,
-)
+from extremal_poly.poly_core import log_modulus_at_ai, rel_log_diff
 from extremal_poly.solvers import solve_max_disc
 
 
@@ -127,22 +127,22 @@ def _series_tail(d, lam):
 def test_log_modulus_ratio_boundary_is_power_of_two():
     # m / a^d = 2^(d-1) at lam = 2d-2 to 1e-13 relative, as for the series
     for d in range(2, 11):
-        got = log_modulus_ratio(d, 2.0 * d - 2.0)
+        got = _log_modulus_ratio_and_slope(d, 2.0 * d - 2.0)[0]
         assert abs(got - (d - 1) * math.log(2.0)) <= 1e-13
     # a few ulps of the log at large degree
     for d in (100, 1000, 3000):
-        got = log_modulus_ratio(d, 2.0 * d - 2.0)
+        got = _log_modulus_ratio_and_slope(d, 2.0 * d - 2.0)[0]
         assert got == pytest.approx((d - 1) * math.log(2.0), rel=1e-15, abs=0.0)
 
 
 def test_log_modulus_ratio_answers_just_above_2d_minus_3():
-    got = log_modulus_ratio(4, math.nextafter(5.0, math.inf))
+    got = _log_modulus_ratio_and_slope(4, math.nextafter(5.0, math.inf))[0]
     assert math.isfinite(got) and got > 0.0
 
 
 def test_log_modulus_ratio_decreasing():
     lams = np.linspace(2 * 5 - 2.9, 40.0, 200)
-    vals = [log_modulus_ratio(5, float(l)) for l in lams]
+    vals = [_log_modulus_ratio_and_slope(5, float(l))[0] for l in lams]
     assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
@@ -152,7 +152,7 @@ def test_log_modulus_ratio_is_the_series(d):
     # is compared with expm1 of the log, so far-out lam keep all digits
     for lam in (2.0 * d - 2.0, 2.0 * d - 2.5, 2.5 * d, 5.0 * d, 1e3 * d, 1e12, 1e200):
         want = _series_tail(d, lam)
-        got = math.expm1(log_modulus_ratio(d, lam))
+        got = math.expm1(_log_modulus_ratio_and_slope(d, lam)[0])
         assert got == pytest.approx(want, rel=1e-13), lam
 
 
@@ -169,12 +169,13 @@ def test_log_modulus_ratio_matches_mpmath(d):
                 term /= mp.mpf(lam) - 2 * d + 2 * k + 1
                 total += term
             want = float(mp.log(total))
-        assert log_modulus_ratio(d, lam) == pytest.approx(want, rel=1e-14), lam
+        got = _log_modulus_ratio_and_slope(d, lam)[0]
+        assert got == pytest.approx(want, rel=1e-14), lam
 
 
 def test_log_modulus_ratio_past_float_range():
     # m / a^d is about e^784 here, which the linear-space series overflows
-    got = log_modulus_ratio(3000, 9000.0)
+    got = _log_modulus_ratio_and_slope(3000, 9000.0)[0]
     assert math.isfinite(got)
     assert got == pytest.approx(784.38194449717, rel=1e-12)
 
@@ -354,7 +355,7 @@ def test_solve_multiplier_roundtrip():
         m = a**d * math.exp(u * (d - 1) * math.log(2.0))
         lam = _multiplier(a, d, m)
         assert lam >= 2 * d - 2 - 1e-12
-        got = d * math.log(a) + log_modulus_ratio(d, lam)
+        got = d * math.log(a) + _log_modulus_ratio_and_slope(d, lam)[0]
         assert got == pytest.approx(math.log(m), abs=1e-10)
 
 
@@ -364,7 +365,8 @@ def test_solve_multiplier_far_from_the_crossover():
         for log_t in (1e-3, 1e-9, 1e-15):
             want = math.log(math.exp(log_t))  # the target as the solver sees it
             lam = jf._multiplier_from_modulus(1.0, d, want)
-            assert log_modulus_ratio(d, lam) == pytest.approx(want, rel=1e-13)
+            got = _log_modulus_ratio_and_slope(d, lam)[0]
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 def _pairwise_log_disc(roots) -> float:
@@ -714,20 +716,6 @@ REFUSALS = {
     "degenerate_family_coeffs integers": (
         lambda: degenerate_family_coeffs(4.0, 1, 1.0), "d and anchor must be integers"
     ),
-    # at 2d - 3 a denominator of the product is zero, below it one is
-    # negative, and far below it the product has a wrong but finite log
-    "log_modulus_ratio at 2d-3": (
-        lambda: log_modulus_ratio(4, 5.0), "multiplier must exceed 2d-3 = 5"
-    ),
-    "log_modulus_ratio below 2d-3": (
-        lambda: log_modulus_ratio(4, 4.0), "multiplier must exceed 2d-3 = 5"
-    ),
-    "log_modulus_ratio negative": (
-        lambda: log_modulus_ratio(4, -1.0), "multiplier must exceed 2d-3 = 5"
-    ),
-    "log_modulus_ratio nan": (
-        lambda: log_modulus_ratio(6, math.nan), "multiplier must exceed 2d-3 = 9"
-    ),
 }
 
 
@@ -806,8 +794,6 @@ class TestDegenerateFamily:
             degenerate_family_coeffs(4, -1, 1.0)
 
     def test_never_real_rooted(self):
-        from extremal_poly.poly_core import descartes_real_root_bound
-
         for d in range(3, 10):
             for anchor in range(0, d - 2):
                 if (d - anchor) % 2 == 0:

@@ -16,7 +16,6 @@ from extremal_poly.lemniscate import (
     _scan,
     largest_disk,
     log_radius_upper_bound,
-    radius_lower_bound,
     radius_lower_bound_at_log,
     radius_upper_bound,
     vertical_halfwidth,
@@ -496,19 +495,22 @@ def test_largest_disk_bounded_memory_at_degree_300():
 def test_radius_bounds_spec_values():
     assert radius_upper_bound(2, 2.0) == pytest.approx(HALF_SQRT2, rel=1e-14)
     assert radius_upper_bound(2, 4.0) == pytest.approx(0.5, rel=1e-14)
-    assert radius_lower_bound(2, 2.0) == pytest.approx(0.5, rel=1e-14)
-    assert radius_lower_bound(2, 4.0) is None  # above the window
-    assert radius_lower_bound(2, 0.5) is None  # below the window
-    assert radius_lower_bound(3, 1.0) == pytest.approx(
+    assert radius_lower_bound_at_log(2, math.log(2.0)) == pytest.approx(0.5, rel=1e-14)
+    assert radius_lower_bound_at_log(2, math.log(4.0)) is None  # above the window
+    assert radius_lower_bound_at_log(2, math.log(0.5)) is None  # below the window
+    assert radius_lower_bound_at_log(3, 0.0) == pytest.approx(
         2.0 ** (2.0 / 3.0 - 1.0) * 3.0 ** (-0.5), rel=1e-14
     )
 
 
 def test_radius_bounds_in_log_form():
     # at d = 200 the window reaches disc = e^921.7, past float range
-    inside = radius_lower_bound(200, 1.0)
+    inside = radius_lower_bound_at_log(200, 0.0)
     assert radius_lower_bound_at_log(200, 800.0) == inside
     assert radius_lower_bound_at_log(200, 930.0) is None
+    # the logs of discriminants 0 and inf, and nan, are outside the window
+    for log_disc in (-math.inf, math.inf, math.nan):
+        assert radius_lower_bound_at_log(4, log_disc) is None
     # an ulp past either edge, as from rounded roots, is on it
     assert radius_lower_bound_at_log(2, math.log(2.0) + 2.0**-52) == 0.5
     assert radius_lower_bound_at_log(2, -(2.0**-52)) == 0.5
@@ -522,15 +524,13 @@ def test_radius_bounds_in_log_form():
 
 
 def test_radius_lower_bound_constant_across_window():
-    vals = {radius_lower_bound(4, D) for D in (1.0, 2.0, 8.0, 15.0)}
+    vals = {radius_lower_bound_at_log(4, math.log(D)) for D in (1.0, 2.0, 8.0, 15.0)}
     assert len(vals) == 1
 
 
 def test_radius_bounds_validation():
     with pytest.raises(DomainError):
         radius_upper_bound(1, 2.0)
-    with pytest.raises(DomainError):
-        radius_lower_bound(2, -1.0)
 
 
 def test_inscribed_disk_poly_above_window():
@@ -579,7 +579,7 @@ def test_inscribed_disk_realises_lower_bound():
     for D in (1.0, 1.7, 2.0):
         poly, height, value = inscribed_disk_poly(2, D)
         assert value <= 1.0 + 1e-12
-        assert height >= radius_lower_bound(2, D) - 1e-12
+        assert height >= radius_lower_bound_at_log(2, math.log(D)) - 1e-12
 
 
 def test_disk_result_is_plain_data():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from extremal_poly import oracles
 from extremal_poly import poly_core
 from extremal_poly.binomial_family import lattice_roots
 from extremal_poly.errors import DomainError, InputError
@@ -17,23 +18,25 @@ from extremal_poly.jacobi_family import (
     closed_form_disc,
     family_coeffs,
     family_roots,
-    jacobi_coeffs,
 )
-from extremal_poly.poly_core import (
+from extremal_poly.oracles import (
     RESULTANT_MAX_DEGREE,
     TOL_ORACLE,
+    descartes_real_root_bound,
+    disc_resultant_oracles,
+    jacobi_coeffs,
+    quartic_disc,
+    quintic_disc,
+)
+from extremal_poly.poly_core import (
     _PAIR_BLOCK,
     _SPLIT_MIN_PAIRS,
     _split_sums,
     LogDiscriminant,
     RealRootedPoly,
-    descartes_real_root_bound,
-    disc_resultant_oracles,
     log_disc_from_roots,
     log_modulus_at_ai,
     poly_from_roots,
-    quartic_disc,
-    quintic_disc,
     rel_log_diff,
 )
 from extremal_poly.verification import (
@@ -443,7 +446,7 @@ def test_resultant_oracle_refuses_past_max_degree(monkeypatch, d):
     with pytest.raises(DomainError, match="outside 2..%d" % RESULTANT_MAX_DEGREE):
         disc_resultant_oracles([[1.0, 0.0, -1.0], row])
     # with the bound lifted, the error it would report grows as tabled
-    monkeypatch.setattr(poly_core, "RESULTANT_MAX_DEGREE", d)
+    monkeypatch.setattr(oracles, "RESULTANT_MAX_DEGREE", d)
     got, want = disc_resultant_oracles([row])[0], closed_form_disc(params)
     assert got.sign == want.sign
     err = rel_log_diff(got.log_abs, want.log_abs)

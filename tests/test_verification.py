@@ -11,9 +11,10 @@ import pytest
 from extremal_poly import jacobi_family as jf
 from extremal_poly import lemniscate as lem
 from extremal_poly import verification
+from extremal_poly.oracles import reference_max_disc
 from extremal_poly.poly_core import LogDiscriminant
 from extremal_poly.solvers import REGIME_MULTIPLIER
-from extremal_poly.verification import CheckResult, reference_max_disc
+from extremal_poly.verification import CheckResult
 
 
 def _flipped(fn):
@@ -43,7 +44,7 @@ def test_multiplier_vs_resultant_fails_on_a_flipped_sign(monkeypatch, deep):
 
 
 def test_jacobi_vs_resultant_fails_on_a_flipped_sign(monkeypatch):
-    monkeypatch.setattr(jf, "jacobi_disc", _flipped(jf.jacobi_disc))
+    monkeypatch.setattr(verification, "jacobi_disc", _flipped(verification.jacobi_disc))
     assert verification._check_jacobi_vs_resultant() == CheckResult(
         "jacobi-vs-resultant", False,
         "sign mismatch at d=6 alpha=-13.896182 beta=-13.896182",
