@@ -525,6 +525,8 @@ class TestNumericOracle:
             {"starts": 0},
             {"seed": -1},
             {"seed": 1.0},
+            {"d": 7},
+            {"a": 0.0},
             {"ms": []},
         ],
     )
