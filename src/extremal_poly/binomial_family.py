@@ -29,10 +29,12 @@ _BOUNDARY_SNAP = 1e-9
 
 # Degree from which the per-term loops of the closed forms run as numpy
 # arrays, with the same floats as the loops: this module's _binomial_row,
-# and jacobi_family's family_coeffs and _log_modulus_ratio_and_slope.
-# Below it numpy's per-call cost outweighs the loop. Measured on a 2-vCPU
-# VM, the modulus ties near d = 36 and the two coefficient rows near
-# d = 64, so from 64 on each array body is no slower than its loop.
+# and jacobi_family's family_coeffs, _log_modulus_ratio_and_slope and the
+# radicands and off-diagonals of family_roots. Below it numpy's per-call
+# cost outweighs the loop. Measured on a 2-vCPU VM, the modulus and the
+# roots tie near d = 36 (the roots' loop is 15% slower at d = 63) and the
+# two coefficient rows near d = 64, so from 64 on each array body is no
+# slower than its loop.
 _ARRAY_DEGREE = 64
 
 

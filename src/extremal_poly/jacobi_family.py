@@ -99,19 +99,41 @@ def family_roots(params: JacobiFamilyParams) -> list[float]:
     values of the half-size lower-bidiagonal block that couples odd and
     even indices (one dense SVD, O(d^3)); from there on they come from
     _newton_roots, O(d^2): about 2.6 ms at d = 1000, 12-15 ms at d = 3000
-    and 0.10-0.12 s at d = 10^4 on one core of a 2-vCPU VM. DomainError
-    when a radicand is not positive (never for lam >= 2d-2; its factors
-    are taken over lam, so none overflows), or when the Newton solve does
-    not settle on floor(d/2) distinct positive roots."""
-    a, d, lam = params.a, params.d, params.multiplier
-    n = np.arange(1.0, d)
-    two_n = 2.0 * n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = n * ((lam + 2.0 - n) / lam) / (
-            ((lam + 3.0 - two_n) / lam) * ((lam + 1.0 - two_n) / lam)
-        )
+    and 0.10-0.12 s at d = 10^4 on one core of a 2-vCPU VM. Below
+    bf._ARRAY_DEGREE the radicands and off-diagonals are Python floats,
+    formed by the same operations in the same order as the arrays from
+    there on, so both give the same floats: at d <= 8 the block costs
+    less than numpy's set-up of it. DomainError when a radicand is not
+    positive (never for lam >= 2d-2; its factors are taken over lam, so
+    none overflows), or when the Newton solve does not settle on
+    floor(d/2) distinct positive roots."""
+    # a numpy multiplier would warn where the floats raise
+    a, d, lam = params.a, params.d, float(params.multiplier)
+    if d >= bf._ARRAY_DEGREE:
+        n = np.arange(1.0, d)
+        two_n = 2.0 * n
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scaled = n * ((lam + 2.0 - n) / lam) / (
+                ((lam + 3.0 - two_n) / lam) * ((lam + 1.0 - two_n) / lam)
+            )
+        low, high = scaled.min(), scaled.max()
+    else:
+        # the array body's operations in its order, on floats; min cannot
+        # see a nan after the first radicand, but a nan needs quotients
+        # of a lam < 1 that overflow, and 0 < lam < 1 makes the first
+        # radicand negative, -0.0 or nan
+        try:
+            scaled = [
+                n * ((lam + 2.0 - n) / lam)
+                / (((lam + 3.0 - 2.0 * n) / lam) * ((lam + 1.0 - 2.0 * n) / lam))
+                for n in map(float, range(1, d))
+            ]
+            low, high = min(scaled), max(scaled)
+        except ZeroDivisionError:
+            # where the arrays take inf or nan
+            low = high = math.nan
     # nan and -inf fail the first test, inf the last
-    if not (lam > 0.0 and scaled.min() > 0.0 and scaled.max() < math.inf):
+    if not (lam > 0.0 and low > 0.0 and high < math.inf):
         raise DomainError(
             "recurrence radicand is not positive at multiplier %.17g" % lam
         )
@@ -119,7 +141,11 @@ def family_roots(params: JacobiFamilyParams) -> list[float]:
         # scaled are the e_n^2 at a = 1 in xi = sqrt(lam) x
         sigma = _newton_roots(d, lam, scaled)[::-1] * (a / math.sqrt(lam))
     else:
-        e = a * np.sqrt(scaled) / math.sqrt(lam)
+        root_lam = math.sqrt(lam)
+        if d >= bf._ARRAY_DEGREE:
+            e = a * np.sqrt(scaled) / root_lam
+        else:
+            e = [a * math.sqrt(r) / root_lam for r in scaled]
         # the block, row-major: b[i, i] = e[2i] and b[i + 1, i] = e[2i + 1]
         # sit cols + 1 apart, from 0 and from cols
         cols = d // 2

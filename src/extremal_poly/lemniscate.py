@@ -25,10 +25,12 @@ from .poly_core import (
 )
 
 # Center-root pairs per _halfwidth_grid call of a scan: the at most
-# 8 (d + 1) d pairs of a candidate scan with d <= 180 go in one call, and
-# at any degree a call's temporaries stay near 15 MB (at most 14.8 MB under
-# tracemalloc, with every center inside the lemniscate, d = 50 to 3000).
-_CHUNK_ELEMENTS = 1 << 18
+# 8 (d + 1) d pairs of a candidate scan with d <= 63 go in one call, and
+# each of a call's d-wide float buffers (256 KB) fits in one core's 2 MB
+# L2. Under tracemalloc a scan's temporaries peak at 1.8 to 2.4 MB with
+# every center inside the lemniscate, d = 50 to 3000 (10.6 to 14.7 MB at
+# 2^18 pairs, which took 20 to 30% more process time at d = 180 and 300).
+_CHUNK_ELEMENTS = 1 << 15
 # Candidate centers per gap between consecutive knots of largest_disk.
 _GAP_SAMPLES = 8
 # Newton steps and midpoint probes of one _refine, after which the center

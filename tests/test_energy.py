@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import extremal_poly.binomial_family as bf
 from extremal_poly.binomial_family import lattice_roots
 from extremal_poly.cli import main
 from extremal_poly.energy import (
@@ -178,15 +179,63 @@ def test_equilibrium_past_float_range_is_named():
     with pytest.raises(DomainError) as err:
         solve_equilibrium(1.0, 10, -1e308)
     assert str(err.value) == "potential v = -1e+308 puts -v d past float range"
-    # -v d = 2e307 is a float, but the largest root a d / p is not
-    with pytest.raises(DomainError, match="largest root .* past float range"):
-        solve_equilibrium(1.0, 2, -1e307)
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_equilibrium_largest_root_past_float_range_is_named(d):
+    # -v d = 1e307 d is a float, but the largest root a d / p is not
+    with pytest.raises(DomainError) as err:
+        solve_equilibrium(1.0, d, -1e307)
+    want = "potential v = -1e+307 puts the largest root a d/p past float range"
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 7.0])
+@pytest.mark.parametrize("d", [2, 5, 50])
+def test_equilibrium_largest_root_refusal_is_the_roots_own(a, d):
+    # log(a d) - log p, log p = v d + (d - 1) log 2 + d log a, reaches the
+    # exp overflow threshold log(max float) at v0; the refusal must start
+    # where lattice_roots' own would, to the last float of v
+    log_max = math.log(np.finfo(float).max)
+    v0 = (math.log(d) - log_max - (d - 1) * LOG2 - (d - 1) * math.log(a)) / d
+    answered = refused = 0
+    v = v0
+    for _ in range(16):
+        v = math.nextafter(v, math.inf)
+    for _ in range(32):
+        log_p = bf._log_phase_of_modulus(a, d, -v * d)
+        try:
+            bf.lattice_roots(a, d, log_p)
+        except DomainError:
+            with pytest.raises(DomainError, match="largest root a d/p"):
+                solve_equilibrium(a, d, v)
+            refused += 1
+        else:
+            assert len(solve_equilibrium(a, d, v).points) == d
+            answered += 1
+        v = math.nextafter(v, -math.inf)
+    assert answered and refused
+
+
+def test_equilibrium_numpy_potential_past_float_range_is_named():
+    # -v d overflows in numpy float64 with a RuntimeWarning (an error
+    # under this suite's warning filter); a numpy v is refused as a float is
+    with pytest.raises(DomainError) as err:
+        solve_equilibrium(1.0, 200, np.float64(-1e307))
+    assert str(err.value) == "potential v = -1e+307 puts -v d past float range"
 
 
 def test_cli_names_the_potential_past_float_range(capsys):
     assert main(["energy", "--a", "1", "--d", "2", "--v", "-1e308"]) == 2
     err = capsys.readouterr().err
     assert err == "error: potential v = -1e+308 puts -v d past float range\n"
+
+
+def test_cli_names_the_potential_of_a_largest_root_past_float_range(capsys):
+    assert main(["energy", "--a", "1", "--d", "2", "--v", "-1e307"]) == 2
+    err = capsys.readouterr().err
+    want = "potential v = -1e+307 puts the largest root a d/p past float range"
+    assert err == "error: %s\n" % want
 
 
 def test_equilibrium_potential_that_rounds_onto_the_floor():

@@ -112,6 +112,30 @@ def test_family_coeffs_array_body_has_the_loops_bits(monkeypatch, d):
             assert array == loop, (lam, a)
 
 
+@pytest.mark.parametrize("d", (2, 3, 8, 31, 63))
+def test_family_roots_list_body_has_the_arrays_bits(monkeypatch, d):
+    for lam in _multipliers(d):
+        for a in (0.3, 1.0, 7.0):
+            params = JacobiFamilyParams(a=a, d=d, multiplier=lam)
+            loop, array = _loop_and_array(monkeypatch, d, lambda: family_roots(params))
+            assert array == loop, (lam, a)
+
+
+# zero denominators (lam = 0, and at n = 1 lam = -1 and 1), below the
+# extremal range, and so small that lam's quotients overflow
+@pytest.mark.parametrize("lam", [0.0, -1.0, 1.0, -3.0, 2.5, 1e-310, 5e-324])
+@pytest.mark.parametrize("d", (3, 6, 63))
+def test_family_roots_bodies_refuse_alike(monkeypatch, d, lam):
+    params = JacobiFamilyParams(a=1.0, d=d, multiplier=lam)
+    texts = []
+    for crossover in (d + 1, d):
+        monkeypatch.setattr(bf, "_ARRAY_DEGREE", crossover)
+        with pytest.raises(DomainError) as err:
+            family_roots(params)
+        texts.append(str(err.value))
+    assert texts == ["recurrence radicand is not positive at multiplier %.17g" % lam] * 2
+
+
 def _series_tail(d, lam):
     """The terms after the leading 1 of the modulus series
     m / a^d = 1 + sum_k C(d,2k)(2k-1)!! / prod_{j<=k}(lam-2d+2j+1), summed
