@@ -7,9 +7,9 @@ Chu-Vandermonde product) and discriminant in closed log forms, and the one
 Newton solve that pins lam to either live here (the general
 Jacobi/Gegenbauer expansions and the Jacobi discriminant formula that the
 closed form is checked against are in oracles). So do its roots: a
-dense SVD of the recurrence's bidiagonal block below d = 336, and from
-there on Newton on the normal form of the family's ODE from WKB seeds,
-O(d^2).
+dense SVD of the recurrence's bidiagonal block below d = 258, and from
+there on one sweep of the recurrence at WKB seeds and a Taylor step of
+the normal form of the family's ODE, O(d^2).
 """
 
 import math
@@ -22,13 +22,33 @@ from .errors import DomainError, PoleError, check_degree, check_height
 from .poly_core import LogDiscriminant
 
 _POLE_REJECT = 1e-9
-# Degree from which family_roots takes Newton on the recurrence, O(d^2),
-# instead of the dense SVD, O(d^3): where the two tie at one BLAS thread
-# (measured between d = 256 and 320); moving it moves root bytes.
-_NEWTON_DEGREE = 336
-# Newton sweeps before a root solve is refused as not settling; a multiplier
-# from solve_max_disc takes two or three.
+# Degree from which family_roots takes _newton_roots, O(d^2), instead of
+# the dense SVD, O(d^3): where the two tie at one BLAS thread, as the SVD's
+# cost jumps by half from 128 to 129 block columns. Moving it moves root
+# bytes. ms per call, SVD/Newton, best of 5, a = 1, on a 2-vCPU VM:
+#     d    frac 0.05    frac 0.5     frac 0.999
+#   128   0.29/0.83    0.27/0.87    0.27/0.82
+#   192   0.52/1.05    0.51/1.07    0.50/1.04
+#   256   0.89/1.32    0.82/1.20    0.72/1.23
+#   257   0.83/1.28    0.83/1.35    0.82/1.33
+#   258   1.37/1.37    1.41/1.33    1.31/1.32
+#   288   1.89/1.43    1.82/1.42    1.73/1.34
+#   336   3.05/1.42    2.82/1.10    2.54/1.62
+# Newton is also the more accurate path there: against 40-digit roots its
+# worst is 3-15 ulps at d = 260 and 300, the SVD's 15-433.
+_NEWTON_DEGREE = 258
+# Sweeps of the ratio recurrence before a root solve is refused as not
+# settling. The first covers every root, and each later one only the roots
+# that their Taylor step did not certify. Measured: none in the cells
+# d = 258, 336, 1000, 3000, 10^4 x frac = 0.05, 0.5, 0.999 but one (the
+# largest root, at d = 3000, frac 0.999); at most the largest root for
+# most lam between 2d - 3 and 2d; and up to 9 later sweeps of it within
+# 1e-8 of the pole 2d - 3, where it runs off to infinity.
 _NEWTON_SWEEPS = 16
+# Terms w_0 .. w_K of each root's Taylor series (_taylor_step). Over the
+# cells above, K = 6 leaves a root to the later sweeps in every cell,
+# K = 8 in three and K = 10 or 12 in one.
+_TAYLOR_TERMS = 10
 
 
 @dataclass(frozen=True)
@@ -95,11 +115,13 @@ def family_roots(params: JacobiFamilyParams) -> list[float]:
     (Golub-Welsch): zero diagonal, off-diagonals
     e_n = a sqrt(n (lam+2-n) / ((lam+3-2n) (lam+1-2n))), n = 1..d-1.
     A zero diagonal pairs the eigenvalues as +-sigma, and odd d adds one
-    exact zero. Below d = _NEWTON_DEGREE (336) the sigma are the singular
+    exact zero. Below d = _NEWTON_DEGREE (258) the sigma are the singular
     values of the half-size lower-bidiagonal block that couples odd and
     even indices (one dense SVD, O(d^3)); from there on they come from
-    _newton_roots, O(d^2): about 2.6 ms at d = 1000, 12-15 ms at d = 3000
-    and 0.10-0.12 s at d = 10^4 on one core of a 2-vCPU VM. Below
+    _newton_roots, O(d^2): in one run on one core of a 2-vCPU VM,
+    2.2-3.9 ms at d = 1000, 12 ms at d = 3000 (20 ms at a = 1, modulus
+    2^(0.999 (d - 1)), whose largest root takes a second sweep) and
+    0.11-0.12 s at d = 10^4. Below
     bf._ARRAY_DEGREE the radicands and off-diagonals are Python floats,
     formed by the same operations in the same order as the arrays from
     there on, so both give the same floats: at d <= 8 the block costs
@@ -165,23 +187,28 @@ def _newton_roots(d: int, lam: float, e2: np.ndarray) -> np.ndarray:
 
     The family's ODE (x^2 + 1) y'' - lam x y' + d (lam + 1 - d) y = 0 has
     the normal form w = y (x^2 + 1)^(-lam/4), w'' = -I w, so w'' = 0 at
-    every root and Newton on w, xi <- xi - 1/(p'/p - xi / (2 (xi^2/lam + 1))),
-    converges cubically (plain Newton on p only linearly near the largest
-    root); _newton_step takes p'/p from the structure relation. A step s
-    at local root gap g leaves an error of about s^3/g^2, so a root is
-    done once that is below 1e-16 xi, and later sweeps carry only the
-    roots not yet done; from _wkb_seeds a solve takes two or three sweeps.
-    DomainError after _NEWTON_SWEEPS sweeps, or unless the result is
-    positive, finite and strictly ascending: floor(d/2) distinct roots are
-    all of them."""
+    every root and Newton on w converges cubically (plain Newton on p only
+    linearly near the largest root; Taylor series of p need dozens of
+    terms there, where p grows like xi^d and w stays a sine of the root
+    gap). One sweep of the ratio recurrence gives the first Newton step
+    w/w' at every seed from _wkb_seeds (_newton_step); the ODE gives
+    every further Taylor coefficient of w there, and _taylor_step takes
+    the second step on that series instead of on a second sweep. A step
+    s at local root gap g leaves an error of about s^3/g^2, so a root is
+    done once that and the series' last term are below 1e-16 xi. The
+    roots not done (_NEWTON_SWEEPS says which) take further sweeps, by
+    themselves, from where their series left them. DomainError after
+    _NEWTON_SWEEPS sweeps, or unless the result is positive, finite and
+    strictly ascending: floor(d/2) distinct roots are all of them."""
     xi = _wkb_seeds(d, lam)
     todo = np.arange(xi.size)
     for _ in range(_NEWTON_SWEEPS):
         x = xi[todo]
-        step = _newton_step(x, e2, lam)
-        xi[todo] = x - step
+        h, step, tail = _taylor_step(x, _newton_step(x, e2, lam), d, lam)
+        xi[todo] = x + h
         gap = np.diff(xi, prepend=0.0 if d % 2 else -xi[0])[todo]
-        todo = todo[~(np.abs(step) ** 3 <= 1e-16 * x * gap * gap)]
+        done = (np.abs(step) ** 3 <= 1e-16 * x * gap * gap) & (tail <= 1e-16 * x)
+        todo = todo[~done]
         if not todo.size:
             break
     else:
@@ -197,8 +224,61 @@ def _newton_roots(d: int, lam: float, e2: np.ndarray) -> np.ndarray:
     return xi
 
 
+def _taylor_step(
+    x: np.ndarray, w0: np.ndarray, d: int, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, s, tail) for the root of the normal form w near each x, from
+    w0 = w/w' at x (_newton_step): the root is x + h, s is the Newton
+    step taken on the series and tail its last term over w'.
+
+    With A = xi^2/lam + 1, w = y A^(-lam/4) solves A^2 w'' + Q w = 0,
+    Q = q xi^2 + d (lam + 1 - d)/lam + 1/2 and
+    q = -(lam - 2d)(lam - 2d + 2) / (4 lam^2) (written without the
+    cancellation of its two terms near lam = 2d). About x, with
+    w(x + h) = w'(x) sum_k w_k h^k, w_0 = w0 and w_1 = 1, the h^k
+    coefficient of that equation over A(x)^2 gives w_(k+2) from the four
+    before it, with A(x + h)^2 / A(x)^2 = 1 + a1 h + a2 h^2 + a3 h^3 +
+    a4 h^4 and Q(x + h) / A(x)^2 = q0 + q1 h + q2 h^2:
+    -(k+2)(k+1) w_(k+2) = sum_j (a_j n (n - 1) + q_(j-2)) w_n, n = k+2-j,
+    j = 1..4, q_(-1) = 0. The first Newton step, -w0, is the sweep's own;
+    the second, s, is taken on the series at x - w0, and as w'' = 0 at
+    the root, it leaves an error of about s^3/g^2 at root gap g."""
+    # with g = 1/A(x) and t = g/lam: a1 = 4 x t, a2 = 4 x^2 t^2 + 2 t,
+    # a3 = 4 x t^2, a4 = t^2, q0 = (q x^2 + c) g^2, q1 = 2 q x g^2 and
+    # q2 = q g^2, c = d (lam + 1 - d)/lam + 1/2; rows j = 4, 3, 2, 1, to
+    # meet the w_n of n = k-2 .. k+1
+    g = 1.0 / (x * x / lam + 1.0)
+    t = g / lam
+    xt = x * t
+    a1 = 4.0 * xt
+    a = np.stack([t * t, a1 * t, xt * a1 + 2.0 * t, a1])
+    q = -0.25 * ((lam - 2.0 * d) / lam) * ((lam - 2.0 * d + 2.0) / lam)
+    g2 = g * g
+    q0 = (q * x * x + (d * ((lam + 1.0 - d) / lam) + 0.5)) * g2
+    c = np.stack([q * g2, (2.0 * q) * x * g2, q0])
+    k = np.arange(_TAYLOR_TERMS - 1.0)[:, None]
+    n = k + np.arange(-2.0, 2.0)
+    scale = -1.0 / ((k + 2.0) * (k + 1.0))
+    # coef[k, i] multiplies w_(k-2+i) in w_(k+2); the j = 1 row has no q
+    coef = (n * (n - 1.0) * scale)[:, :, None] * a
+    coef[:, :3] += scale[:, :, None] * c
+    # w[i] = w_(i-2), below two rows of zeros for the w_n of n < 0
+    w = np.zeros((_TAYLOR_TERMS + 3, x.size))
+    w[2], w[3] = w0, 1.0
+    for i in range(_TAYLOR_TERMS - 1):
+        np.sum(coef[i] * w[i : i + 4], axis=0, out=w[i + 4])
+    h = -w0
+    powers = np.empty((_TAYLOR_TERMS, x.size))  # h^1 .. h^K
+    powers[0] = h
+    for i in range(1, _TAYLOR_TERMS):
+        np.multiply(powers[i - 1], h, out=powers[i])
+    slope = 1.0 + (w[4:] * np.arange(2.0, _TAYLOR_TERMS + 1.0)[:, None] * powers[:-1]).sum(axis=0)
+    step = (w0 + (w[3:] * powers).sum(axis=0)) / slope
+    return h - step, step, np.abs(w[-1] * powers[-1] / slope)
+
+
 def _newton_step(x: np.ndarray, e2: np.ndarray, lam: float) -> np.ndarray:
-    """The normal-form Newton step of _newton_roots at each x, for
+    """The normal-form Newton step w/w' of _newton_roots at each x, for
     d = e2.size + 1.
 
     The family's ODE in xi gives the structure relation

@@ -513,7 +513,7 @@ def _mpmath_newton_correction(mp, x, d, lam):
 
 
 @pytest.mark.parametrize("frac, offset", NEWTON_LAMS)
-@pytest.mark.parametrize("d", [NEWTON_D, 512, 1000, 1001])
+@pytest.mark.parametrize("d", [NEWTON_D, 336, 512, 1000, 1001])
 def test_newton_roots_match_mpmath(d, frac, offset):
     mp = pytest.importorskip("mpmath")
     lam = _newton_lam(d, frac, offset)
@@ -535,10 +535,11 @@ def _assert_newton_matches_svd(params, monkeypatch):
     assert np.max(np.abs(newton - svd)) <= 32.0 * np.finfo(float).eps * svd[-1]
 
 
-# and at 511 and 512, well past the crossover, where the SVD is still
-# cheap enough to compare against
+# and at 335 and 336, where the crossover stood before the Taylor step,
+# and 511 and 512, well past it, where the SVD is still cheap enough to
+# compare against
 @pytest.mark.parametrize("frac, offset", NEWTON_LAMS[:5])
-@pytest.mark.parametrize("d", [NEWTON_D - 1, NEWTON_D, 511, 512])
+@pytest.mark.parametrize("d", [NEWTON_D - 1, NEWTON_D, 335, 336, 511, 512])
 def test_newton_roots_match_the_svd_at_the_crossover(d, frac, offset, monkeypatch):
     lam = _newton_lam(d, frac, offset)
     _assert_newton_matches_svd(JacobiFamilyParams(a=1.0, d=d, multiplier=lam), monkeypatch)
@@ -635,8 +636,59 @@ def test_newton_step_passes_through_a_zero_pivot():
     assert step[1] == pytest.approx(1.0 / (-1.6 - 1.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("frac", [0.05, 0.5, 0.999])
+@pytest.mark.parametrize("d", [336, 1000, 3000])
+def test_newton_roots_take_one_sweep(d, frac, monkeypatch):
+    # every root's second Newton step is taken on its Taylor series, so
+    # one sweep of the recurrence covers all the roots; of these cells only
+    # d = 3000, frac 0.999 leaves a root uncertified (the largest), whose
+    # later sweep carries it alone
+    lam = jf._multiplier_from_modulus(1.0, d, frac * (d - 1) * math.log(2.0))
+    sizes = []
+    step = jf._newton_step
+
+    def counted_step(x, e2, lam):
+        sizes.append(x.size)
+        return step(x, e2, lam)
+
+    monkeypatch.setattr(jf, "_newton_step", counted_step)
+    family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))
+    assert sizes[0] == d // 2
+    assert all(n <= 2 for n in sizes[1:])
+
+
+def _mpmath_worst_ulps(mp, x, d, lam):
+    # the largest |p/p'| over the spacing of one of the x, as
+    # _mpmath_newton_correction, with the e2 formed once for all of them
+    with mp.workdps(40):
+        lam = mp.mpf(lam)
+        e2 = [n * (lam + 2 - n) / ((lam + 3 - 2 * n) * (lam + 1 - 2 * n)) for n in range(1, d)]
+        ulps = []
+        for v in x:
+            v = mp.mpf(v)
+            p0, p1, q0, q1 = 1, v, 0, 1
+            for e in e2:
+                p0, p1, q0, q1 = p1, v * p1 - e * p0, q1, p1 + v * q1 - e * q0
+            ulps.append(float(abs(p1 / q1)) / np.spacing(float(v)))
+    return max(ulps)
+
+
+@pytest.mark.parametrize("d, frac, bound", [(384, 0.5, 14), (448, 0.05, 28), (1000, 0.5, 23)])
+def test_newton_roots_worst_ulps(d, frac, bound):
+    # the 4 smallest, the 4 largest and every 16th positive root; the
+    # worst is the smallest, whose error the ratio recurrence carries
+    mp = pytest.importorskip("mpmath")
+    lam = jf._multiplier_from_modulus(1.0, d, frac * (d - 1) * math.log(2.0))
+    pos = family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))[(d + 1) // 2 :]
+    half = len(pos)
+    picked = set(range(4)) | set(range(half - 4, half)) | set(range(0, half, 16))
+    assert _mpmath_worst_ulps(mp, [pos[k] for k in picked], d, lam) <= bound
+
+
 def test_newton_roots_that_do_not_settle_are_refused(monkeypatch):
-    params = JacobiFamilyParams(a=1.0, d=NEWTON_D, multiplier=_newton_lam(NEWTON_D, 1.28, 0.0))
+    # below 2d - 2 the largest root's seed is too far off for its Taylor
+    # step to certify, so that root needs a second sweep
+    params = JacobiFamilyParams(a=1.0, d=NEWTON_D, multiplier=_newton_lam(NEWTON_D, 1.0, -0.5))
     monkeypatch.setattr(jf, "_NEWTON_SWEEPS", 1)
     with pytest.raises(DomainError, match="did not settle"):
         family_roots(params)
