@@ -1,6 +1,17 @@
 """Extremal real-rooted polynomials: discriminant against modulus at a
 point off the real line, and the lemniscate / charge-configuration
-consequences."""
+consequences.
+
+The solve path, `lemniscate` and `energy` among it, loads with the
+package. The independent checks load on first use (PEP 562): the modules
+`oracles`, `verification` and `trig_products`, and the names below taken
+from the first two, are imported when first read. They are about a third
+of the package's source, and a process that only solves, as every CLI
+subcommand but `verify` does, never runs them, so it should not pay to
+compile and execute them.
+"""
+
+import importlib
 
 from .errors import (
     DomainError,
@@ -43,18 +54,39 @@ from .energy import (
     energy_lower_bound,
     solve_equilibrium,
 )
-from .oracles import (
-    JacobiParams,
-    OracleResult,
-    TOL_ORACLE,
-    degenerate_family_coeffs,
-    disc_resultant_oracles,
-    jacobi_coeffs,
-    jacobi_disc,
-    numeric_oracle_max_discs,
-    stationarity_residual,
-)
-from .verification import CheckResult, format_report, run_suite
+# name -> the module that defines it, imported on first access
+_ON_FIRST_USE = {
+    "oracles": "oracles",
+    "trig_products": "trig_products",
+    "verification": "verification",
+    "JacobiParams": "oracles",
+    "OracleResult": "oracles",
+    "TOL_ORACLE": "oracles",
+    "degenerate_family_coeffs": "oracles",
+    "disc_resultant_oracles": "oracles",
+    "jacobi_coeffs": "oracles",
+    "jacobi_disc": "oracles",
+    "numeric_oracle_max_discs": "oracles",
+    "stationarity_residual": "oracles",
+    "CheckResult": "verification",
+    "format_report": "verification",
+    "run_suite": "verification",
+}
+
+
+def __getattr__(name):
+    if name not in _ON_FIRST_USE:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    owner = _ON_FIRST_USE[name]
+    module = importlib.import_module("." + owner, __name__)
+    value = module if owner == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ON_FIRST_USE))
+
 
 __version__ = "0.1.0"
 

@@ -22,7 +22,6 @@ from .lemniscate import (
 )
 from .poly_core import log_disc_from_roots, poly_from_roots
 from .solvers import solve_max_disc, solve_min_abs
-from .verification import format_report, run_suite
 
 _VALUE_CUTOFF = math.log(1e300)
 # a value that starts like a negative number
@@ -266,6 +265,9 @@ def _cmd_emit_plot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here so that the solve subcommands never load the checks
+    from .verification import format_report, run_suite
+
     results = run_suite(deep=args.deep)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1
