@@ -34,7 +34,6 @@ from .binomial_family import (
     small_height_condition,
 )
 from .jacobi_family import (
-    JacobiFamilyParams,
     closed_form_disc,
     family_coeffs,
     family_roots,
@@ -59,7 +58,6 @@ _ON_FIRST_USE = {
     "oracles": "oracles",
     "trig_products": "trig_products",
     "verification": "verification",
-    "JacobiParams": "oracles",
     "OracleResult": "oracles",
     "TOL_ORACLE": "oracles",
     "degenerate_family_coeffs": "oracles",
@@ -98,8 +96,6 @@ __all__ = [
     "ExtremalPolyError",
     "ExtremalSolution",
     "InputError",
-    "JacobiFamilyParams",
-    "JacobiParams",
     "LogDiscriminant",
     "OracleResult",
     "PoleError",

@@ -13,7 +13,6 @@ the normal form of the family's ODE, O(d^2).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,38 +50,30 @@ _NEWTON_SWEEPS = 16
 _TAYLOR_TERMS = 10
 
 
-@dataclass(frozen=True)
-class JacobiFamilyParams:
-    """Height a, degree d and Lagrange multiplier for the family.
-
-    Multipliers within 1e-9 of a pole are rejected outright rather than
-    perturbed. The poles are the odd integers from d - 1 + d mod 2 to
-    2d - 3, so only the nearest one is tested: the nearest odd integer to
-    the multiplier clamped into that range.
+def _check_member(a: float, d: int, lam: float) -> None:
+    """DomainError unless the height a, degree d and Lagrange multiplier
+    lam name a family member; PoleError for a multiplier within 1e-9 of a
+    pole, refused outright rather than perturbed. The poles are the odd
+    integers from d - 1 + d mod 2 to 2d - 3, so only the nearest one is
+    tested: the nearest odd integer to the multiplier clamped into that
+    range.
     """
-
-    a: float
-    d: int
-    multiplier: float
-
-    def __post_init__(self):
-        check_height(self.a)
-        check_degree(self.d)
-        lam, d = self.multiplier, self.d
-        if not math.isfinite(lam):
-            raise DomainError("multiplier must be finite")
-        pole = 2 * round(0.5 * (min(max(lam, d - 1 + d % 2), 2 * d - 3) - 1.0)) + 1
-        if abs(lam - pole) <= _POLE_REJECT:
-            raise PoleError("multiplier %.17g is within 1e-9 of the pole %d" % (lam, pole))
+    check_height(a)
+    check_degree(d)
+    if not math.isfinite(lam):
+        raise DomainError("multiplier must be finite")
+    pole = 2 * round(0.5 * (min(max(lam, d - 1 + d % 2), 2 * d - 3) - 1.0)) + 1
+    if abs(lam - pole) <= _POLE_REJECT:
+        raise PoleError("multiplier %.17g is within 1e-9 of the pole %d" % (lam, pole))
 
 
-def family_coeffs(params: JacobiFamilyParams) -> list[float]:
+def family_coeffs(a: float, d: int, lam: float) -> list[float]:
     """Ascending coefficients of the degree-d family member.
 
     x^(d-2k) carries (-1)^k a^(2k) C(d,2k) (2k-1)!! / prod_{j=1}^{k}
     (lam - 2d + 2j + 1); every other slot is exactly zero.
     """
-    a, d, lam = params.a, params.d, params.multiplier
+    _check_member(a, d, lam)
     coeffs = [0.0] * (d + 1)
     coeffs[d] = 1.0
     if d >= bf._ARRAY_DEGREE:
@@ -106,7 +97,7 @@ def family_coeffs(params: JacobiFamilyParams) -> list[float]:
     return coeffs
 
 
-def family_roots(params: JacobiFamilyParams) -> list[float]:
+def family_roots(a: float, d: int, lam: float) -> list[float]:
     """Roots of the degree-d family member, sorted ascending.
 
     The member is a Jacobi polynomial P_d^(alpha,alpha), alpha = -lam/2 - 1,
@@ -129,8 +120,9 @@ def family_roots(params: JacobiFamilyParams) -> list[float]:
     positive (never for lam >= 2d-2; its factors are taken over lam, so
     none overflows), or when the Newton solve does not settle on
     floor(d/2) distinct positive roots."""
+    _check_member(a, d, lam)
     # a numpy multiplier would warn where the floats raise
-    a, d, lam = params.a, params.d, float(params.multiplier)
+    lam = float(lam)
     if d >= bf._ARRAY_DEGREE:
         n = np.arange(1.0, d)
         two_n = 2.0 * n
@@ -417,7 +409,7 @@ def _newton_multiplier(value_and_slope, target: float, d: int) -> float:
     raise DomainError("multiplier solve did not settle in 100 steps (d = %d)" % d)
 
 
-def closed_form_disc(params: JacobiFamilyParams):
+def closed_form_disc(a: float, d: int, lam: float):
     """Discriminant of the family member, fully closed form:
 
     a^(d(d-1)) * prod_{k=1}^{d} k^k
@@ -427,7 +419,7 @@ def closed_form_disc(params: JacobiFamilyParams):
     returned in log space with sign tracking: the denominator's bases carry
     odd powers and may be negative below the poles.
     """
-    a, d, lam = params.a, params.d, params.multiplier
+    _check_member(a, d, lam)
     if (0.5 * lam).is_integer() and 2.0 <= lam < 2 * (d // 2):
         # lam = 2k, k = 1..floor(d/2)-1, zeroes the numerator base lam - 2k
         return LogDiscriminant.zero()

@@ -52,20 +52,13 @@ _ORACLE_STATIONARY = 1e-4
 _ORACLE_MAX_ITERS = 100_000
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Degree and exponents (alpha, beta) of a Jacobi polynomial; the
-    exponents may be arbitrary reals, classical or not."""
-
-    d: int
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise DomainError("d must be an integer >= 1")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise DomainError("alpha and beta must be finite")
+def _check_jacobi(d: int, alpha: float, beta: float) -> None:
+    """DomainError unless d and the exponents (alpha, beta) name a Jacobi
+    polynomial; the exponents may be arbitrary reals, classical or not."""
+    if not isinstance(d, int) or d < 1:
+        raise DomainError("d must be an integer >= 1")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise DomainError("alpha and beta must be finite")
 
 
 def pochhammer(t: float, n: int) -> float:
@@ -84,13 +77,13 @@ def gen_binom(t: float, k: int) -> float:
     return prod
 
 
-def jacobi_coeffs(params: JacobiParams) -> list[float]:
+def jacobi_coeffs(d: int, alpha: float, beta: float) -> list[float]:
     """Ascending coefficients of P_d^(alpha,beta) from the finite sum
     2^-d sum_k C(d+alpha, d-k) C(d+beta, k) (x-1)^k (x+1)^(d-k)."""
-    d, al, be = params.d, params.alpha, params.beta
+    _check_jacobi(d, alpha, beta)
     total = [0.0] * (d + 1)
     for k in range(d + 1):
-        w = gen_binom(d + al, d - k) * gen_binom(d + be, k)
+        w = gen_binom(d + alpha, d - k) * gen_binom(d + beta, k)
         if w == 0.0:
             continue
         lo = [math.comb(k, i) * (-1.0) ** (k - i) for i in range(k + 1)]
@@ -125,12 +118,12 @@ def jacobi_gegenbauer_residual(d: int, order: float) -> float:
     if abs(denom) <= 1e-12:
         raise DomainError("(2 order)_d vanishes; scaling undefined")
     scale = pochhammer(order + 0.5, d) / denom
-    jac = jacobi_coeffs(JacobiParams(d=d, alpha=order - 0.5, beta=order - 0.5))
+    jac = jacobi_coeffs(d, order - 0.5, order - 0.5)
     geg = gegenbauer_coeffs(d, order)
     return max(abs(j - scale * g) for j, g in zip(jac, geg))
 
 
-def jacobi_connection_residual(params: jf.JacobiFamilyParams) -> float:
+def jacobi_connection_residual(a: float, d: int, lam: float) -> float:
     """Coefficient residual of the identity linking the family to Jacobi
     polynomials with exponents -lam/2 - 1 at rotated argument -ix/a.
 
@@ -138,12 +131,11 @@ def jacobi_connection_residual(params: jf.JacobiFamilyParams) -> float:
     normalizing Pochhammer (lam - 2d + 2)_d vanishes (the identity
     degenerates there, e.g. at the boundary multiplier itself).
     """
-    a, d, lam = params.a, params.d, params.multiplier
+    fam = jf.family_coeffs(a, d, lam)  # first: its check refuses a pole
     poch = pochhammer(lam - 2.0 * d + 2.0, d)
     if abs(poch) <= 1e-9:
         raise DomainError("(lam-2d+2)_d vanishes; connection undefined")
-    fam = jf.family_coeffs(params)
-    jac = jacobi_coeffs(JacobiParams(d=d, alpha=-lam / 2.0 - 1.0, beta=-lam / 2.0 - 1.0))
+    jac = jacobi_coeffs(d, -lam / 2.0 - 1.0, -lam / 2.0 - 1.0)
     const = complex(0.0, 2.0 * a) ** d * math.factorial(d) / ((-1.0) ** d * poch)
     rot = complex(0.0, -1.0 / a)
     scale = max(1.0, max(abs(c) for c in fam))
@@ -154,7 +146,7 @@ def jacobi_connection_residual(params: jf.JacobiFamilyParams) -> float:
     return worst
 
 
-def jacobi_disc(params: JacobiParams):
+def jacobi_disc(d: int, alpha: float, beta: float):
     """Discriminant of P_d^(alpha,beta) in closed form:
 
     2^(-d(d-1)) prod_{k=1}^{d} k^(k-2d+2) (k+alpha)^(k-1) (k+beta)^(k-1)
@@ -163,11 +155,11 @@ def jacobi_disc(params: JacobiParams):
     log space with sign tracking. DomainError when alpha+beta = -d-k for
     some k = 1..d (degenerate leading coefficient; formula invalid).
     """
-    d, al, be = params.d, params.alpha, params.beta
+    _check_jacobi(d, alpha, beta)
     if d < 2:
         raise DomainError("discriminant formula needs d >= 2")
     for k in range(1, d + 1):
-        if abs(al + be + d + k) <= jf._POLE_REJECT:
+        if abs(alpha + beta + d + k) <= jf._POLE_REJECT:
             raise DomainError(
                 "alpha+beta = -d-%d is excluded (degenerate degree)" % k
             )
@@ -175,7 +167,7 @@ def jacobi_disc(params: JacobiParams):
     terms = [-d * (d - 1) * math.log(2.0)]
     for k in range(1, d + 1):
         terms.append((k - 2 * d + 2) * math.log(k))
-        for base, expo in ((k + al, k - 1), (k + be, k - 1), (d + k + al + be, d - k)):
+        for base, expo in ((k + alpha, k - 1), (k + beta, k - 1), (d + k + alpha + beta, d - k)):
             if expo == 0:
                 continue
             if base == 0.0:

@@ -32,7 +32,10 @@ class LogDiscriminant:
 
     @property
     def value(self) -> float:
-        """Plain float value; overflows to inf for large log_abs."""
+        """Plain float value sign * exp(log_abs): inf above log_abs of
+        about 709.78, subnormal with few significant bits below about
+        -708.4, and 0.0 below about -745.1. Round trips should use
+        log_abs."""
         if self.sign == 0:
             return 0.0
         return self.sign * _exp_or_inf(self.log_abs)

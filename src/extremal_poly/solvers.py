@@ -85,10 +85,9 @@ def _dispatch(
     side = bf.crossover_side(a, d, log_p)
     if side > 0:
         lam = solve_lambda()
-        params = jf.JacobiFamilyParams(a=a, d=d, multiplier=lam)
-        poly = RealRootedPoly(tuple(jf.family_roots(params)))
+        poly = RealRootedPoly(tuple(jf.family_roots(a, d, lam)))
         return _finish(
-            problem, REGIME_MULTIPLIER, [poly], [jf.family_coeffs(params)], a, lam
+            problem, REGIME_MULTIPLIER, [poly], [jf.family_coeffs(a, d, lam)], a, lam
         )
     if side == 0:
         poly = RealRootedPoly(tuple(bf._lattice_roots(a, d, 0.0)))

@@ -24,7 +24,6 @@ from .energy import (
     solve_equilibrium,
 )
 from .oracles import (
-    JacobiParams,
     TOL_ORACLE,
     _rescale_to_modulus,
     degenerate_family_coeffs,
@@ -110,7 +109,8 @@ def _check_duality_roundtrip() -> CheckResult:
 
 
 def _multiplier_cases(deep: bool) -> list:
-    # the multiplier-family members checked against the resultant, in order
+    # the (a, d, lam) of the multiplier-family members checked against the
+    # resultant, in order
     rng = np.random.default_rng(20240915)
     cases = []
     degrees = range(2, 9) if deep else range(2, 7)
@@ -118,13 +118,13 @@ def _multiplier_cases(deep: bool) -> list:
         for _ in range(20):
             lam = float(rng.uniform(2 * d - 2 + 1e-3, 6 * d))
             for a in (0.5, 1.0, 2.0):
-                cases.append(jf.JacobiFamilyParams(a=a, d=d, multiplier=lam))
+                cases.append((a, d, lam))
     return cases
 
 
 def _jacobi_cases() -> list:
-    # the 50 Jacobi polynomials checked against the resultant, in order;
-    # every third symmetric, with exponents below -d
+    # the (d, alpha, beta) of the 50 Jacobi polynomials checked against the
+    # resultant, in order; every third symmetric, with exponents below -d
     rng = np.random.default_rng(77001)
     cases = []
     for i in range(50):
@@ -134,19 +134,20 @@ def _jacobi_cases() -> list:
         else:
             alpha = float(rng.uniform(-4.0, 4.0))
             beta = float(rng.uniform(-4.0, 4.0))
-        cases.append(JacobiParams(d=d, alpha=alpha, beta=beta))
+        cases.append((d, alpha, beta))
     return cases
 
 
 def _resultant_check(name: str, cases, row, closed, describe) -> CheckResult:
     # the closed-form discriminant of each case against the resultant of
-    # its coefficient row, in sign and relative log
-    oracles = disc_resultant_oracles([row(p) for p in cases])
+    # its coefficient row, in sign and relative log; each case is the
+    # argument tuple of row, closed and describe
+    oracles = disc_resultant_oracles([row(*case) for case in cases])
     worst = 0.0
-    for params, oracle in zip(cases, oracles):
-        got = closed(params)
+    for case, oracle in zip(cases, oracles):
+        got = closed(*case)
         if got.sign != oracle.sign:
-            return CheckResult(name, False, "sign mismatch at " + describe(params))
+            return CheckResult(name, False, "sign mismatch at " + describe(*case))
         worst = max(worst, rel_log_diff(got.log_abs, oracle.log_abs))
     return CheckResult(
         name,
@@ -159,14 +160,14 @@ def _check_multiplier_vs_resultant(deep: bool) -> CheckResult:
     return _resultant_check(
         "multiplier-vs-resultant", _multiplier_cases(deep), jf.family_coeffs,
         jf.closed_form_disc,
-        lambda p: "d=%d lam=%.6f a=%s" % (p.d, p.multiplier, p.a),
+        lambda a, d, lam: "d=%d lam=%.6f a=%s" % (d, lam, a),
     )
 
 
 def _check_jacobi_vs_resultant() -> CheckResult:
     return _resultant_check(
         "jacobi-vs-resultant", _jacobi_cases(), jacobi_coeffs, jacobi_disc,
-        lambda p: "d=%d alpha=%.6f beta=%.6f" % (p.d, p.alpha, p.beta),
+        lambda d, alpha, beta: "d=%d alpha=%.6f beta=%.6f" % (d, alpha, beta),
     )
 
 
@@ -190,8 +191,7 @@ def _check_multiplier_jacobi_connection() -> CheckResult:
     ]
     worst = 0.0
     for a, d, lam in cases:
-        params = jf.JacobiFamilyParams(a=a, d=d, multiplier=lam)
-        worst = max(worst, jacobi_connection_residual(params))
+        worst = max(worst, jacobi_connection_residual(a, d, lam))
     return CheckResult(
         "multiplier-jacobi-connection",
         worst <= 1e-9,
@@ -242,9 +242,7 @@ def _check_boundary_glue() -> CheckResult:
     worst = 0.0
     for d in range(2, 9):
         for a in (0.5, 1.0, 2.0):
-            gc = jf.family_coeffs(
-                jf.JacobiFamilyParams(a=a, d=d, multiplier=2 * d - 2)
-            )
+            gc = jf.family_coeffs(a, d, 2 * d - 2)
             fc = bf.binomial_coeffs(a, d, 0.0)
             scale = max(abs(c) for c in gc)
             diff = max(abs(x - y) for x, y in zip(gc, fc))

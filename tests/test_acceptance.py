@@ -27,7 +27,6 @@ from extremal_poly.energy import (
 )
 from extremal_poly.errors import DomainError
 from extremal_poly.jacobi_family import (
-    JacobiFamilyParams,
     closed_form_disc,
     family_coeffs,
 )
@@ -37,7 +36,6 @@ from extremal_poly.lemniscate import (
     radius_upper_bound,
 )
 from extremal_poly.oracles import (
-    JacobiParams,
     degenerate_family_coeffs,
     descartes_real_root_bound,
     disc_resultant_oracles,
@@ -103,9 +101,8 @@ def test_criterion_02_multiplier_disc_vs_resultant():
         for _ in range(20):
             lam = float(rng.uniform(2.0 * d - 2.0, 6.0 * d))
             for a in (0.5, 1.0, 2.0):
-                params = JacobiFamilyParams(a=a, d=d, multiplier=lam)
-                got = closed_form_disc(params)
-                want = disc_resultant_oracles([family_coeffs(params)])[0]
+                got = closed_form_disc(a, d, lam)
+                want = disc_resultant_oracles([family_coeffs(a, d, lam)])[0]
                 ok = got.sign == want.sign
                 worst = max(
                     worst,
@@ -138,12 +135,11 @@ def test_criterion_03_jacobi_disc_vs_resultant():
             continue
         if min(abs(beta + k) for k in range(1, d)) < 1e-6:
             continue
-        params = JacobiParams(d=d, alpha=alpha, beta=beta)
         try:
-            got = jacobi_disc(params)
+            got = jacobi_disc(d, alpha, beta)
         except DomainError:
             continue
-        want = disc_resultant_oracles([jacobi_coeffs(params)])[0]
+        want = disc_resultant_oracles([jacobi_coeffs(d, alpha, beta)])[0]
         if want.sign == 0:
             continue
         if got.sign != want.sign:

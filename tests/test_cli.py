@@ -9,7 +9,7 @@ import pytest
 
 from extremal_poly import lemniscate
 from extremal_poly.cli import canonical_json, main
-from extremal_poly.jacobi_family import JacobiFamilyParams, closed_form_disc
+from extremal_poly.jacobi_family import closed_form_disc
 from extremal_poly.oracles import TOL_ORACLE
 from extremal_poly.poly_core import log_modulus_at_ai, rel_log_diff
 from extremal_poly.verification import format_report, run_suite
@@ -232,9 +232,7 @@ class TestSolveCommands:
         assert code == 0, err
         doc = json.loads(out)
         assert doc["regime"] == "g_family"
-        want = closed_form_disc(
-            JacobiFamilyParams(a=1.0, d=d, multiplier=doc["lambda_or_B"])
-        )
+        want = closed_form_disc(1.0, d, doc["lambda_or_B"])
         assert rel_log_diff(doc["log_disc"]["log_abs"], want.log_abs) <= 1e-12
 
     @pytest.mark.parametrize("m", ["1e13", "1e160", repr(sys.float_info.max)])

@@ -220,7 +220,9 @@ def test_far_degree_modulus_solves():
 
 # every public function that takes a height, as a call at that height;
 # "subleading", "log_phase_ratio" and "solve_multiplier" name quantities
-# with no function of their own, read from the public call that forms them
+# with no function of their own, read from the public call that forms them,
+# and "JacobiFamilyParams" the member check that family_coeffs,
+# family_roots and closed_form_disc share
 HEIGHT_CALLS = {
     "binomial_coeffs": lambda a: bf.binomial_coeffs(a, 4, -1.0),
     "subleading": lambda a: bf.binomial_coeffs(a, 4, -1.0)[3],
@@ -229,7 +231,7 @@ HEIGHT_CALLS = {
     "log_phase_ratio": lambda a: bf.small_height_condition(a, 4, 1.0),
     "min_modulus_bound": lambda a: bf.min_modulus_bound(a, 4, 1.0),
     "small_height_condition": lambda a: bf.small_height_condition(a, 4, 1.0),
-    "JacobiFamilyParams": lambda a: jf.JacobiFamilyParams(a=a, d=4, multiplier=7.0),
+    "JacobiFamilyParams": lambda a: jf.family_coeffs(a, 4, 7.0),
     "solve_multiplier": lambda a: solvers.solve_max_disc(a, 4, 3.0).lambda_or_b,
     "solve_max_disc": lambda a: solvers.solve_max_disc(a, 4, 3.0),
     "solve_min_abs": lambda a: solvers.solve_min_abs(a, 4, 3.0),

@@ -13,7 +13,6 @@ import extremal_poly.binomial_family as bf
 import extremal_poly.jacobi_family as jf
 from extremal_poly.errors import DomainError, PoleError, RegimeError
 from extremal_poly.jacobi_family import (
-    JacobiFamilyParams,
     _log_modulus_ratio_and_slope,
     _newton_multiplier,
     closed_form_disc,
@@ -21,7 +20,6 @@ from extremal_poly.jacobi_family import (
     family_roots,
 )
 from extremal_poly.oracles import (
-    JacobiParams,
     degenerate_family_coeffs,
     descartes_real_root_bound,
     disc_resultant_oracles,
@@ -38,18 +36,18 @@ from extremal_poly.solvers import solve_max_disc
 
 
 def test_family_coeffs_cubic():
-    got = family_coeffs(JacobiFamilyParams(a=1.0, d=3, multiplier=4.0))
+    got = family_coeffs(1.0, 3, 4.0)
     assert got == pytest.approx([0.0, -3.0, 0.0, 1.0])
 
 
 def test_family_coeffs_quadratic():
-    got = family_coeffs(JacobiFamilyParams(a=1.0, d=2, multiplier=3.0))
+    got = family_coeffs(1.0, 2, 3.0)
     assert got == pytest.approx([-0.5, 0.0, 1.0])
 
 
 def test_family_coeffs_height_scaling():
-    base = family_coeffs(JacobiFamilyParams(a=1.0, d=4, multiplier=9.0))
-    scaled = family_coeffs(JacobiFamilyParams(a=2.0, d=4, multiplier=9.0))
+    base = family_coeffs(1.0, 4, 9.0)
+    scaled = family_coeffs(2.0, 4, 9.0)
     for k, (lo, hi) in enumerate(zip(base, scaled)):
         assert hi == pytest.approx(lo * 2.0 ** (4 - k), rel=1e-14)
 
@@ -61,13 +59,15 @@ def test_family_coeffs_height_scaling():
     [(d, pole) for d in range(2, 42) for pole in range(d - 1 + d % 2, 2 * d - 2, 2)],
 )
 def test_pole_rejection_on_construction(d, pole):
-    # the nearest-pole test refuses what a scan of every pole refuses
+    # the nearest-pole test refuses what a scan of every pole refuses, in
+    # each public function of the family
     for lam in (pole, pole - 0.9e-9, pole + 0.9e-9):
-        with pytest.raises(PoleError, match="within 1e-9 of the pole %d$" % pole):
-            JacobiFamilyParams(a=1.0, d=d, multiplier=lam)
+        for call in (family_coeffs, family_roots, closed_form_disc):
+            with pytest.raises(PoleError, match="within 1e-9 of the pole %d$" % pole):
+                call(1.0, d, lam)
     # just outside the rejection band is fine, as are 2d - 2 and far out
     for lam in (pole - 1.1e-9, pole + 1.1e-9, 2.0 * d - 2.0, 1e300):
-        family_coeffs(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))
+        family_coeffs(1.0, d, lam)
 
 
 # the degrees on both sides of the array bodies' crossover, and far past it
@@ -107,8 +107,7 @@ def test_family_coeffs_array_body_has_the_loops_bits(monkeypatch, d):
     # the signs are mixed
     for lam in _multipliers(d) + (0.5 * d + 0.25, 1.5 * d + 0.25):
         for a in (0.3, 1.0, 7.0):
-            params = JacobiFamilyParams(a=a, d=d, multiplier=lam)
-            loop, array = _loop_and_array(monkeypatch, d, lambda: family_coeffs(params))
+            loop, array = _loop_and_array(monkeypatch, d, lambda: family_coeffs(a, d, lam))
             assert array == loop, (lam, a)
 
 
@@ -116,8 +115,7 @@ def test_family_coeffs_array_body_has_the_loops_bits(monkeypatch, d):
 def test_family_roots_list_body_has_the_arrays_bits(monkeypatch, d):
     for lam in _multipliers(d):
         for a in (0.3, 1.0, 7.0):
-            params = JacobiFamilyParams(a=a, d=d, multiplier=lam)
-            loop, array = _loop_and_array(monkeypatch, d, lambda: family_roots(params))
+            loop, array = _loop_and_array(monkeypatch, d, lambda: family_roots(a, d, lam))
             assert array == loop, (lam, a)
 
 
@@ -126,12 +124,11 @@ def test_family_roots_list_body_has_the_arrays_bits(monkeypatch, d):
 @pytest.mark.parametrize("lam", [0.0, -1.0, 1.0, -3.0, 2.5, 1e-310, 5e-324])
 @pytest.mark.parametrize("d", (3, 6, 63))
 def test_family_roots_bodies_refuse_alike(monkeypatch, d, lam):
-    params = JacobiFamilyParams(a=1.0, d=d, multiplier=lam)
     texts = []
     for crossover in (d + 1, d):
         monkeypatch.setattr(bf, "_ARRAY_DEGREE", crossover)
         with pytest.raises(DomainError) as err:
-            family_roots(params)
+            family_roots(1.0, d, lam)
         texts.append(str(err.value))
     assert texts == ["recurrence radicand is not positive at multiplier %.17g" % lam] * 2
 
@@ -220,7 +217,7 @@ def test_closed_form_disc_matches_mpmath(d):
             terms += [-(2 * k - 1) * mp.log(int(lam) - 2 * k + 1) for k in top]
             want = float(mp.fsum(fixed + terms))
             size = float(mp.fsum(abs(t) for t in fixed + terms))
-            got = closed_form_disc(JacobiFamilyParams(a=a, d=d, multiplier=lam))
+            got = closed_form_disc(a, d, lam)
             assert got.sign == 1
             assert abs(got.log_abs - want) <= 4.0 * sys.float_info.epsilon * size, lam
 
@@ -232,8 +229,7 @@ def test_closed_form_disc_slope_is_the_derivative():
             h = 1e-6
 
             def at(t):
-                params = JacobiFamilyParams(a=0.7, d=d, multiplier=lam * math.exp(t))
-                return closed_form_disc(params).log_abs
+                return closed_form_disc(0.7, d, lam * math.exp(t)).log_abs
 
             want = (at(h) - at(-h)) / (2.0 * h)
             value, got = jf._log_disc_and_slope(0.7, d)(lam)
@@ -241,6 +237,26 @@ def test_closed_form_disc_slope_is_the_derivative():
             assert got == pytest.approx(want, rel=1e-6, abs=1e-6), (d, lam)
             # the disc solve's Newton evaluation has the bits of the disc
             assert value == at(0.0)
+
+
+
+# the value function V(log m) = max log disc has slope lam on the
+# multiplier side (the envelope theorem on the KKT system), so the
+# discriminant's slope in log lam over the modulus's is lam; the two
+# closed forms, Jacobi's discriminant and the Chu-Vandermonde product, are
+# derived apart
+ENVELOPE_CASES = [
+    (1.0, d, lam)
+    for d in (3, 10, 100, 1000, 3000, 10_000)
+    for lam in (2.0 * d - 2.0 + 1e-6, 2.0 * d, 3.0 * d, 10.0 * d, 1e6 * d)
+] + [(0.01, 50, 150.0), (7.0, 50, 150.0)]
+
+
+@pytest.mark.parametrize("a, d, lam", ENVELOPE_CASES)
+def test_envelope_identity_ties_the_two_closed_forms(a, d, lam):
+    disc_slope = jf._log_disc_and_slope(a, d)(lam)[1]
+    modulus_slope = _log_modulus_ratio_and_slope(d, lam)[1]
+    assert abs(disc_slope / (lam * modulus_slope) - 1.0) <= 4.0 * sys.float_info.epsilon
 
 
 def _reference_disc(a, d, lam):
@@ -305,11 +321,10 @@ def test_one_term_list_has_the_bits_of_the_three_loops():
     checked = zero = 0
     for a, d, lam in _disc_grid():
         try:
-            params = JacobiFamilyParams(a=a, d=d, multiplier=lam)
+            got = closed_form_disc(a, d, lam)
         except PoleError:
             continue
         (sign, log_abs), slope, newton = _reference_disc(a, d, lam)
-        got = closed_form_disc(params)
         assert (got.sign, _bits(got.log_abs)) == (sign, _bits(log_abs)), (a, d, lam)
         checked += 1
         if sign == 0:
@@ -405,10 +420,9 @@ def test_family_roots_sweep_against_closed_form(d, frac):
     log_m = frac * (d - 1) * math.log(2.0)
     # frac = 1.0 is the boundary member, at the multiplier 2d - 2
     lam = 2.0 * d - 2.0 if frac == 1.0 else _multiplier(1.0, d, math.exp(log_m))
-    params = JacobiFamilyParams(a=1.0, d=d, multiplier=lam)
-    roots = family_roots(params)
+    roots = family_roots(1.0, d, lam)
     assert len(roots) == d and all(x < y for x, y in zip(roots, roots[1:]))
-    want = closed_form_disc(params)
+    want = closed_form_disc(1.0, d, lam)
     assert want.sign == 1
     assert rel_log_diff(_pairwise_log_disc(roots), want.log_abs) <= 1e-12
     assert rel_log_diff(log_modulus_at_ai(roots, 1.0), log_m) <= 1e-12
@@ -423,7 +437,7 @@ def test_solve_max_disc_past_float_degree_range(frac):
     sol = solve_max_disc(1.0, d, math.exp(log_m))
     assert sol.regime == "g_family"
     roots = sol.polys[0].roots
-    want = closed_form_disc(JacobiFamilyParams(a=1.0, d=d, multiplier=sol.lambda_or_b))
+    want = closed_form_disc(1.0, d, sol.lambda_or_b)
     assert rel_log_diff(_pairwise_log_disc(roots), want.log_abs) <= 1e-12
     assert rel_log_diff(log_modulus_at_ai(roots, 1.0), log_m) <= 1e-12
 
@@ -449,7 +463,7 @@ def _mpmath_family_roots(mp, a, d, lam):
 def test_family_roots_match_mpmath(a, d, frac):
     mp = pytest.importorskip("mpmath")
     lam = _multiplier(a, d, a**d * 2.0 ** (frac * (d - 1)))
-    got = family_roots(JacobiFamilyParams(a=a, d=d, multiplier=lam))
+    got = family_roots(a, d, lam)
     want = _mpmath_family_roots(mp, a, d, lam)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-13 * max(abs(w), a)
@@ -460,7 +474,7 @@ def test_family_roots_match_mpmath(a, d, frac):
 def test_family_roots_at_boundary_are_tangent_lattice(d, a):
     # both families meet at lam = 2d - 2; at d = 4, a = 1 the shared
     # member is x^4 - 6x^2 + 1
-    got = family_roots(JacobiFamilyParams(a=a, d=d, multiplier=2.0 * d - 2.0))
+    got = family_roots(a, d, 2.0 * d - 2.0)
     want = lattice_roots(a, d, 0.0)
     assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * a)
     if (d, a) == (4, 1.0):
@@ -473,9 +487,9 @@ def test_family_roots_far_out(lam):
     # at d = 2 and 3 the roots are +-a sqrt(1/(lam-1)) and 0,
     # +-a sqrt(3/(lam-3)); the recurrence forms them with no overflow
     for a in (0.5, 3.0):
-        got = family_roots(JacobiFamilyParams(a=a, d=2, multiplier=lam))
+        got = family_roots(a, 2, lam)
         assert got == pytest.approx([-a / math.sqrt(lam), a / math.sqrt(lam)], rel=1e-15)
-        got = family_roots(JacobiFamilyParams(a=a, d=3, multiplier=lam))
+        got = family_roots(a, 3, lam)
         r = a * math.sqrt(3.0) / math.sqrt(lam)
         assert got == pytest.approx([-r, 0.0, r], rel=1e-15)
 
@@ -485,7 +499,7 @@ def test_family_roots_reject_nonpositive_radicand(lam):
     # below the extremal range the recurrence would need imaginary
     # off-diagonals; the roots are refused rather than returned as NaN
     with pytest.raises(DomainError):
-        family_roots(JacobiFamilyParams(a=1.0, d=6, multiplier=lam))
+        family_roots(1.0, 6, lam)
 
 
 NEWTON_D = jf._NEWTON_DEGREE
@@ -517,7 +531,7 @@ def _mpmath_newton_correction(mp, x, d, lam):
 def test_newton_roots_match_mpmath(d, frac, offset):
     mp = pytest.importorskip("mpmath")
     lam = _newton_lam(d, frac, offset)
-    pos = family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))[(d + 1) // 2 :]
+    pos = family_roots(1.0, d, lam)[(d + 1) // 2 :]
     half = len(pos)
     for k in (0, 1, half // 4, half // 2, half - 2, half - 1):
         assert _mpmath_newton_correction(mp, pos[k], d, lam) <= 1e-14
@@ -529,9 +543,9 @@ def _assert_newton_matches_svd(params, monkeypatch):
     monkeypatch.setattr(jf, "_NEWTON_DEGREE", 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        newton = np.array(family_roots(params))
+        newton = np.array(family_roots(*params))
     monkeypatch.setattr(jf, "_NEWTON_DEGREE", 10**9)
-    svd = np.array(family_roots(params))
+    svd = np.array(family_roots(*params))
     assert np.max(np.abs(newton - svd)) <= 32.0 * np.finfo(float).eps * svd[-1]
 
 
@@ -542,20 +556,20 @@ def _assert_newton_matches_svd(params, monkeypatch):
 @pytest.mark.parametrize("d", [NEWTON_D - 1, NEWTON_D, 335, 336, 511, 512])
 def test_newton_roots_match_the_svd_at_the_crossover(d, frac, offset, monkeypatch):
     lam = _newton_lam(d, frac, offset)
-    _assert_newton_matches_svd(JacobiFamilyParams(a=1.0, d=d, multiplier=lam), monkeypatch)
+    _assert_newton_matches_svd((1.0, d, lam), monkeypatch)
 
 
 @pytest.mark.parametrize("lam", [1e300, sys.float_info.max])
 def test_newton_roots_far_out(lam, monkeypatch):
     # the seeds take lam as at most 1e300, past which d lam overflows
-    _assert_newton_matches_svd(JacobiFamilyParams(a=1.0, d=NEWTON_D, multiplier=lam), monkeypatch)
+    _assert_newton_matches_svd((1.0, NEWTON_D, lam), monkeypatch)
 
 
 def test_newton_roots_at_ten_thousand():
     # sum x^2 = -2 c_{d-2} = a^2 d (d - 1) / (lam - 2d + 3) by family_coeffs
     d = 10_000
     lam = _newton_lam(d, 1.28, 0.0)
-    roots = family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))
+    roots = family_roots(1.0, d, lam)
     assert len(roots) == d and all(x < y for x, y in zip(roots, roots[1:]))
     want = d * (d - 1) / (lam - 2.0 * d + 3.0)
     assert math.fsum(x * x for x in roots) == pytest.approx(want, rel=1e-13)
@@ -565,8 +579,8 @@ def test_newton_roots_at_ten_thousand():
 def test_newton_roots_scale_with_height(a):
     d = NEWTON_D + 1
     lam = _newton_lam(d, 1.28, 0.0)
-    unit = family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))
-    got = family_roots(JacobiFamilyParams(a=a, d=d, multiplier=lam))
+    unit = family_roots(1.0, d, lam)
+    got = family_roots(a, d, lam)
     assert got == pytest.approx([a * x for x in unit], rel=4e-16)
 
 
@@ -577,7 +591,7 @@ def test_newton_roots_raise_no_warning(d, lam):
         lam = _multiplier(1.0, d, 2.0 ** (0.5 * (d - 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roots = family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))
+        roots = family_roots(1.0, d, lam)
     assert all(x < y for x, y in zip(roots, roots[1:]))
 
 
@@ -652,7 +666,7 @@ def test_newton_roots_take_one_sweep(d, frac, monkeypatch):
         return step(x, e2, lam)
 
     monkeypatch.setattr(jf, "_newton_step", counted_step)
-    family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))
+    family_roots(1.0, d, lam)
     assert sizes[0] == d // 2
     assert all(n <= 2 for n in sizes[1:])
 
@@ -679,7 +693,7 @@ def test_newton_roots_worst_ulps(d, frac, bound):
     # worst is the smallest, whose error the ratio recurrence carries
     mp = pytest.importorskip("mpmath")
     lam = jf._multiplier_from_modulus(1.0, d, frac * (d - 1) * math.log(2.0))
-    pos = family_roots(JacobiFamilyParams(a=1.0, d=d, multiplier=lam))[(d + 1) // 2 :]
+    pos = family_roots(1.0, d, lam)[(d + 1) // 2 :]
     half = len(pos)
     picked = set(range(4)) | set(range(half - 4, half)) | set(range(0, half, 16))
     assert _mpmath_worst_ulps(mp, [pos[k] for k in picked], d, lam) <= bound
@@ -688,10 +702,10 @@ def test_newton_roots_worst_ulps(d, frac, bound):
 def test_newton_roots_that_do_not_settle_are_refused(monkeypatch):
     # below 2d - 2 the largest root's seed is too far off for its Taylor
     # step to certify, so that root needs a second sweep
-    params = JacobiFamilyParams(a=1.0, d=NEWTON_D, multiplier=_newton_lam(NEWTON_D, 1.0, -0.5))
+    lam = _newton_lam(NEWTON_D, 1.0, -0.5)
     monkeypatch.setattr(jf, "_NEWTON_SWEEPS", 1)
     with pytest.raises(DomainError, match="did not settle"):
-        family_roots(params)
+        family_roots(1.0, NEWTON_D, lam)
 
 
 def test_newton_roots_out_of_order_are_refused(monkeypatch):
@@ -699,24 +713,23 @@ def test_newton_roots_out_of_order_are_refused(monkeypatch):
     d = NEWTON_D
     seeds = jf._wkb_seeds
     monkeypatch.setattr(jf, "_wkb_seeds", lambda d, lam: seeds(d, lam)[::-1].copy())
-    params = JacobiFamilyParams(a=1.0, d=d, multiplier=_newton_lam(d, 1.28, 0.0))
     with pytest.raises(DomainError, match="strictly ascending"):
-        family_roots(params)
+        family_roots(1.0, d, _newton_lam(d, 1.28, 0.0))
 
 
 def test_closed_form_disc_values():
     # 4/(lam-1) at d=2 and 108/(lam-3)^3 at d=3
-    ld = closed_form_disc(JacobiFamilyParams(a=1.0, d=2, multiplier=3.0))
+    ld = closed_form_disc(1.0, 2, 3.0)
     assert ld.sign == 1 and ld.value == pytest.approx(2.0, rel=1e-13)
-    ld = closed_form_disc(JacobiFamilyParams(a=1.0, d=3, multiplier=4.0))
+    ld = closed_form_disc(1.0, 3, 4.0)
     assert ld.value == pytest.approx(108.0, rel=1e-13)
 
 
 def test_closed_form_disc_below_the_poles():
     # lam = 2: x^4 + 2x^2 + 1 = (x^2 + 1)^2 has a double root, disc 0;
     # lam = 2 at d = 3: x^3 + 3x, disc -4 * 3^3
-    assert closed_form_disc(JacobiFamilyParams(a=1.0, d=4, multiplier=2.0)).sign == 0
-    ld = closed_form_disc(JacobiFamilyParams(a=1.0, d=3, multiplier=2.0))
+    assert closed_form_disc(1.0, 4, 2.0).sign == 0
+    ld = closed_form_disc(1.0, 3, 2.0)
     assert ld.sign == -1 and ld.value == pytest.approx(-108.0, rel=1e-13)
 
 
@@ -726,9 +739,8 @@ def test_closed_form_disc_vs_resultant():
         d = int(rng.integers(2, 8))
         lam = float(rng.uniform(2 * d - 2, 6 * d))
         a = float(rng.choice([0.5, 1.0, 2.0]))
-        params = JacobiFamilyParams(a=a, d=d, multiplier=lam)
-        want = disc_resultant_oracles([family_coeffs(params)])[0]
-        got = closed_form_disc(params)
+        want = disc_resultant_oracles([family_coeffs(a, d, lam)])[0]
+        got = closed_form_disc(a, d, lam)
         assert got.sign == want.sign
         assert rel_log_diff(got.log_abs, want.log_abs) < 1e-8
 
@@ -742,7 +754,7 @@ def test_pochhammer_and_binom():
 
 
 def test_jacobi_coeffs_symmetric_case_is_even():
-    cs = jacobi_coeffs(JacobiParams(d=4, alpha=1.5, beta=1.5))
+    cs = jacobi_coeffs(4, 1.5, 1.5)
     assert cs[1] == pytest.approx(0.0, abs=1e-12)
     assert cs[3] == pytest.approx(0.0, abs=1e-12)
     # leading coefficient 2^-d C(2d+alpha+beta, d) by Vandermonde
@@ -752,26 +764,27 @@ def test_jacobi_coeffs_symmetric_case_is_even():
 def test_jacobi_coeffs_skip_vanishing_terms():
     # alpha = -1 zeroes C(d + alpha, d - k) at k = 0:
     # P_2^(-1,0) = (3x + 1)(x - 1) / 4
-    assert jacobi_coeffs(JacobiParams(d=2, alpha=-1.0, beta=0.0)) == [-0.25, -0.5, 0.75]
+    assert jacobi_coeffs(2, -1.0, 0.0) == [-0.25, -0.5, 0.75]
 
 
 def test_jacobi_disc_of_a_double_root():
     # alpha = -2 leaves P_2^(-2,0) = (x - 1)^2 / 4
-    assert jacobi_disc(JacobiParams(d=2, alpha=-2.0, beta=0.0)).sign == 0
+    assert jacobi_disc(2, -2.0, 0.0).sign == 0
 
 
 # one call per argument refusal of the multiplier family and the Jacobi
-# machinery, with its message
+# machinery, with its message; the first three keys name the argument
+# bundles that made these checks before the functions took plain arguments
 REFUSALS = {
     "JacobiFamilyParams multiplier": (
-        lambda: JacobiFamilyParams(a=1.0, d=4, multiplier=math.nan),
+        lambda: family_coeffs(1.0, 4, math.nan),
         "multiplier must be finite",
     ),
     "JacobiParams d": (
-        lambda: JacobiParams(d=0, alpha=0.0, beta=0.0), "d must be an integer >= 1"
+        lambda: jacobi_coeffs(0, 0.0, 0.0), "d must be an integer >= 1"
     ),
     "JacobiParams exponents": (
-        lambda: JacobiParams(d=2, alpha=math.inf, beta=0.0),
+        lambda: jacobi_disc(2, math.inf, 0.0),
         "alpha and beta must be finite",
     ),
     "gegenbauer_coeffs d": (
@@ -782,11 +795,11 @@ REFUSALS = {
         "(2 order)_d vanishes; scaling undefined",
     ),
     "jacobi_disc d": (
-        lambda: jacobi_disc(JacobiParams(d=1, alpha=0.0, beta=0.0)),
+        lambda: jacobi_disc(1, 0.0, 0.0),
         "discriminant formula needs d >= 2",
     ),
     "jacobi_disc degree": (
-        lambda: jacobi_disc(JacobiParams(d=2, alpha=-2.0, beta=-1.0)),
+        lambda: jacobi_disc(2, -2.0, -1.0),
         "alpha+beta = -d-1 is excluded (degenerate degree)",
     ),
     "degenerate_family_coeffs integers": (
@@ -800,6 +813,42 @@ def test_argument_refusals(name):
     call, message = REFUSALS[name]
     with pytest.raises(DomainError) as err:
         call()
+    assert str(err.value) == message
+
+
+# each refusal of the member check, as (a, d, lam), exception and message
+MEMBER_REFUSALS = [
+    ((math.nan, 4, 7.0), DomainError, "height a must be positive and finite"),
+    ((1.0, 1, 7.0), DomainError, "d must be an integer >= 2"),
+    ((1.0, 4.0, 7.0), DomainError, "d must be an integer >= 2"),
+    ((1.0, 4, math.inf), DomainError, "multiplier must be finite"),
+    ((1.0, 4, 5.0 + 5e-10), PoleError, "multiplier 5.0000000005 is within 1e-9 of the pole 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [family_coeffs, family_roots, closed_form_disc, jacobi_connection_residual]
+)
+@pytest.mark.parametrize("args, error, message", MEMBER_REFUSALS)
+def test_member_functions_refuse_alike(call, args, error, message):
+    with pytest.raises(error) as err:
+        call(*args)
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("call", [jacobi_coeffs, jacobi_disc])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 0.0, 0.0), "d must be an integer >= 1"),
+        ((2.0, 0.0, 0.0), "d must be an integer >= 1"),
+        ((2, math.nan, 0.0), "alpha and beta must be finite"),
+        ((2, 0.0, -math.inf), "alpha and beta must be finite"),
+    ],
+)
+def test_jacobi_functions_refuse_alike(call, args, message):
+    with pytest.raises(DomainError) as err:
+        call(*args)
     assert str(err.value) == message
 
 
@@ -824,12 +873,11 @@ def test_jacobi_disc_vs_resultant():
         d = int(rng.integers(2, 8))
         alpha = float(rng.uniform(-2 * d - 3, 3.0))
         beta = float(rng.uniform(-2 * d - 3, 3.0))
-        params = JacobiParams(d=d, alpha=alpha, beta=beta)
         try:
-            got = jacobi_disc(params)
+            got = jacobi_disc(d, alpha, beta)
         except DomainError:
             continue  # excluded parameter hit; resample
-        want = disc_resultant_oracles([jacobi_coeffs(params)])[0]
+        want = disc_resultant_oracles([jacobi_coeffs(d, alpha, beta)])[0]
         if want.sign == 0:
             continue
         assert got.sign == want.sign
@@ -839,14 +887,14 @@ def test_jacobi_disc_vs_resultant():
 
 def test_connection_residual_small_cases():
     for a, d, lam in [(1.0, 2, 3.0), (1.0, 4, 6.5), (2.0, 5, 9.7)]:
-        r = jacobi_connection_residual(JacobiFamilyParams(a=a, d=d, multiplier=lam))
+        r = jacobi_connection_residual(a, d, lam)
         assert r < 1e-9
 
 
 def test_connection_excluded_multiplier():
     # lam = 2d - 2 makes the defining Pochhammer factor vanish
     with pytest.raises(DomainError):
-        jacobi_connection_residual(JacobiFamilyParams(a=1.0, d=4, multiplier=6.0))
+        jacobi_connection_residual(1.0, 4, 6.0)
 
 
 class TestDegenerateFamily:

@@ -126,3 +126,15 @@ def test_public_names_resolve_to_their_defining_objects():
 def test_unknown_attribute_names_itself():
     with pytest.raises(AttributeError, match="no_such_name"):
         extremal_poly.no_such_name
+
+
+def test_every_lazy_name_is_exported_and_resolves():
+    # a name dropped from __all__ but left in the first-use table would
+    # still import on access, and none of the tests above would notice
+    table = extremal_poly._ON_FIRST_USE
+    for name, owner in table.items():
+        assert name in CHECK_ROUTES or name in extremal_poly.__all__, name
+        assert owner in CHECK_ROUTES, name
+        value = getattr(extremal_poly, name)
+        expected = sys.modules["extremal_poly." + owner]
+        assert value is (expected if name == owner else getattr(expected, name)), name

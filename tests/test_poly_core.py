@@ -14,7 +14,6 @@ from extremal_poly import poly_core
 from extremal_poly.binomial_family import lattice_roots
 from extremal_poly.errors import DomainError, InputError
 from extremal_poly.jacobi_family import (
-    JacobiFamilyParams,
     closed_form_disc,
     family_coeffs,
     family_roots,
@@ -39,6 +38,7 @@ from extremal_poly.poly_core import (
     poly_from_roots,
     rel_log_diff,
 )
+from extremal_poly.solvers import solve_max_disc
 from extremal_poly.verification import (
     _check_jacobi_vs_resultant,
     _check_multiplier_vs_resultant,
@@ -111,6 +111,23 @@ def test_log_disc_known_values():
     assert ld.value == pytest.approx(4.0, rel=1e-14)
     ld3 = log_disc_from_roots(poly_from_roots([-math.sqrt(3), 0.0, math.sqrt(3)]))
     assert ld3.value == pytest.approx(108.0, rel=1e-13)
+
+
+
+def test_value_below_float_range_loses_bits_then_is_zero():
+    # the g_family answer at a = 0.381..., d = 58 has log disc -739.0039:
+    # its value is a subnormal with about ten significant bits, which the
+    # log of the value misses by 1.9e-3, while log_abs keeps every bit
+    sol = solve_max_disc(0.3813584904693017, 58, 7.517036165918943e-08)
+    ld = sol.achieved_disc
+    assert sol.regime == "g_family" and ld.sign == 1
+    assert ld.log_abs == pytest.approx(-739.0039, abs=1e-4)
+    assert 0.0 < ld.value < sys.float_info.min
+    assert abs(math.log(ld.value) - ld.log_abs) > 1e-3
+    assert LogDiscriminant(1, -708.0).value >= sys.float_info.min
+    for sign in (1, -1):
+        assert LogDiscriminant(sign, -745.0).value == sign * 5e-324
+        assert LogDiscriminant(sign, -745.2).value == 0.0
 
 
 def test_log_disc_coincident_roots():
@@ -327,7 +344,7 @@ def test_log_disc_of_mirror_sets_matches_fsum(monkeypatch, d):
     # distinct gap once; binomial members and random sets every gap
     rng = np.random.default_rng(d)
     mirrors = [
-        family_roots(JacobiFamilyParams(1.0, d, lam))
+        family_roots(1.0, d, lam)
         for lam in (2.0 * d - 2.0 + 1e-3, 2.5 * d, 20.0 * d)
     ] + [_mirror(rng, d), 1e-3 * _mirror(rng, d)]
     others = [lattice_roots(1.0, d, log_p) for log_p in (-1e-3, -1.0, -30.0)]
@@ -346,7 +363,7 @@ def test_log_disc_of_mirror_sets_matches_fsum(monkeypatch, d):
 @pytest.mark.parametrize("d", [_ROW_D, 1000])
 def test_log_disc_near_mirror_set_takes_every_gap(monkeypatch, d):
     calls = _row_block_calls(monkeypatch)
-    roots = family_roots(JacobiFamilyParams(1.0, d, 2.5 * d))
+    roots = family_roots(1.0, d, 2.5 * d)
     roots[-1] = math.nextafter(roots[-1], math.inf)
     p = poly_from_roots(roots)
     assert log_disc_from_roots(p) == _fsum_of_every_log(p.roots)
@@ -441,13 +458,12 @@ _PAST_MAX_DEGREE = {16: 5.1e-13, 20: 3.4e-11, 24: 1.1e-9, 30: 4.9e-8, 40: 2.5e-3
 
 @pytest.mark.parametrize("d", sorted(_PAST_MAX_DEGREE))
 def test_resultant_oracle_refuses_past_max_degree(monkeypatch, d):
-    params = JacobiFamilyParams(a=1.0, d=d, multiplier=2.5 * d)
-    row = family_coeffs(params)
+    row = family_coeffs(1.0, d, 2.5 * d)
     with pytest.raises(DomainError, match="outside 2..%d" % RESULTANT_MAX_DEGREE):
         disc_resultant_oracles([[1.0, 0.0, -1.0], row])
     # with the bound lifted, the error it would report grows as tabled
     monkeypatch.setattr(oracles, "RESULTANT_MAX_DEGREE", d)
-    got, want = disc_resultant_oracles([row])[0], closed_form_disc(params)
+    got, want = disc_resultant_oracles([row])[0], closed_form_disc(1.0, d, 2.5 * d)
     assert got.sign == want.sign
     err = rel_log_diff(got.log_abs, want.log_abs)
     assert _PAST_MAX_DEGREE[d] / 10 <= err <= 10 * _PAST_MAX_DEGREE[d]
@@ -458,14 +474,14 @@ def test_resultant_oracle_within_tolerance_to_max_degree():
     # from 2d - 2 + 1e-3 to 20d; the worst is 4.5e-10 at d = 12, and a = 0.1,
     # d = 13 is already 1.4e-8
     cases = [
-        JacobiFamilyParams(a=a, d=d, multiplier=lam)
+        (a, d, lam)
         for d in range(2, RESULTANT_MAX_DEGREE + 1)
         for a in np.geomspace(0.01, 100.0, 9).tolist()
         for lam in [2 * d - 2 + 1e-3, 2 * d - 1.9, 2 * d - 1.0, 2.5 * d, 20.0 * d]
     ]
-    got = disc_resultant_oracles([family_coeffs(p) for p in cases])
-    for params, oracle in zip(cases, got):
-        want = closed_form_disc(params)
+    got = disc_resultant_oracles([family_coeffs(*case) for case in cases])
+    for case, oracle in zip(cases, got):
+        want = closed_form_disc(*case)
         assert oracle.sign == want.sign
         assert rel_log_diff(oracle.log_abs, want.log_abs) <= TOL_ORACLE
 
@@ -507,8 +523,8 @@ def test_resultant_oracle_matches_mpmath_determinant():
     # every tenth of the 470 rows verify --deep checks, against a 60-digit
     # determinant; the worst measured is 3.8e-15 here and 4.6e-13 over all 470
     mp = pytest.importorskip("mpmath")
-    rows = [family_coeffs(p) for p in _multiplier_cases(True)]
-    rows += [jacobi_coeffs(p) for p in _jacobi_cases()]
+    rows = [family_coeffs(*case) for case in _multiplier_cases(True)]
+    rows += [jacobi_coeffs(*case) for case in _jacobi_cases()]
     assert len(rows) == 470
     rows = rows[::10]
     with mp.workdps(60):

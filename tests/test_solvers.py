@@ -11,7 +11,7 @@ from extremal_poly import errors
 from extremal_poly import jacobi_family as jf
 from extremal_poly.energy import solve_equilibrium
 from extremal_poly.errors import DomainError, InputError, RegimeError
-from extremal_poly.jacobi_family import JacobiFamilyParams, closed_form_disc
+from extremal_poly.jacobi_family import closed_form_disc
 from extremal_poly import oracles
 from extremal_poly.oracles import (
     TOL_ORACLE,
@@ -121,9 +121,7 @@ class TestSolveMinAbs:
         # two iterates
         sol = solve_min_abs(0.5, 1000, disc)
         assert sol.regime == REGIME_MULTIPLIER
-        closed = closed_form_disc(
-            JacobiFamilyParams(a=0.5, d=1000, multiplier=sol.lambda_or_b)
-        )
+        closed = closed_form_disc(0.5, 1000, sol.lambda_or_b)
         for got in (closed.log_abs, sol.achieved_disc.log_abs):
             assert abs(got - math.log(disc)) <= 1e-9 * math.log(disc)
 
@@ -164,9 +162,8 @@ def _count_cases():
 
 
 def test_each_solve_decides_once_and_checks_outside_newton(monkeypatch):
-    # one crossover decision, at most one JacobiFamilyParams, and as many
-    # height and degree checks at every degree, however many Newton steps
-    # the multiplier took
+    # one crossover decision, and as many member, height and degree checks
+    # at every degree, however many Newton steps the multiplier took
     counts = collections.Counter()
     sides = []
     for name in ("check_degree", "check_height"):
@@ -185,11 +182,11 @@ def test_each_solve_decides_once_and_checks_outside_newton(monkeypatch):
         sides.append(side_of(a, d, log_p))
         return sides[-1]
 
-    post_init = jf.JacobiFamilyParams.__post_init__
+    check_member = jf._check_member
 
-    def counted_post_init(params):
-        counts["JacobiFamilyParams"] += 1
-        post_init(params)
+    def counted_check_member(a, d, lam):
+        counts["_check_member"] += 1
+        check_member(a, d, lam)
 
     newton = jf._newton_multiplier
 
@@ -201,7 +198,7 @@ def test_each_solve_decides_once_and_checks_outside_newton(monkeypatch):
         return newton(step, target, d)
 
     monkeypatch.setattr(bf, "crossover_side", counted_side)
-    monkeypatch.setattr(jf.JacobiFamilyParams, "__post_init__", counted_post_init)
+    monkeypatch.setattr(jf, "_check_member", counted_check_member)
     monkeypatch.setattr(jf, "_newton_multiplier", counted_newton)
     checks, steps = collections.defaultdict(set), set()
     for solve, side, args in _count_cases():
@@ -209,14 +206,17 @@ def test_each_solve_decides_once_and_checks_outside_newton(monkeypatch):
         sides.clear()
         solve(*args)
         assert sides == [side], (solve.__name__, args)
-        assert counts["JacobiFamilyParams"] <= 1
-        checks[solve.__name__, side].add((counts["check_degree"], counts["check_height"]))
+        checks[solve.__name__, side].add(
+            (counts["check_degree"], counts["check_height"], counts["_check_member"])
+        )
         steps.add(counts["newton"])
     assert len(steps) > 2  # the multiplier solves took different step counts
     for key, seen in checks.items():
         assert len(seen) == 1, (key, seen)
-        (degree, height), = seen
-        assert degree <= 3 and height <= 4, key
+        # one member check per public member function the solve calls
+        # (family_roots and family_coeffs), each a height and a degree check
+        (degree, height, member), = seen
+        assert member <= 2 and degree - member <= 2 and height - member <= 3, key
 
 
 # (a, d) grid around the crossover p = 1; targets are built from log p

@@ -19,8 +19,8 @@ from extremal_poly.verification import CheckResult
 
 def _flipped(fn):
     # fn with the sign of its LogDiscriminant negated
-    def flipped(params):
-        ld = fn(params)
+    def flipped(*args):
+        ld = fn(*args)
         return LogDiscriminant(-ld.sign, ld.log_abs)
 
     return flipped
