@@ -463,10 +463,11 @@ def inscribed_disk_poly(d: int, disc: float) -> tuple[RealRootedPoly, float, flo
     log_value = (
         math.log(2.0) - d * math.log(d) / (d - 1.0) + log_disc / (d - 1.0)
     )
+    # each test written so that a NaN fails it
     got = log_modulus_at_ai(poly.roots, height)
-    if abs(got - log_value) > 1e-9:
+    if not abs(got - log_value) <= 1e-9:
         raise RuntimeError("modulus consistency check failed")
     got_disc = log_disc_from_roots(poly)
-    if got_disc.sign != 1 or rel_log_diff(got_disc.log_abs, log_disc) > 1e-8:
+    if got_disc.sign != 1 or not rel_log_diff(got_disc.log_abs, log_disc) <= 1e-8:
         raise RuntimeError("discriminant consistency check failed")
     return poly, height, math.exp(log_value)

@@ -113,23 +113,25 @@ def gegenbauer_coeffs(d: int, order: float) -> list[float]:
 
 def jacobi_gegenbauer_residual(d: int, order: float) -> float:
     """Max absolute coefficient gap between P_d^(order-1/2, order-1/2) and
-    ((order+1/2)_d / (2 order)_d) * C_d^order; zero in exact arithmetic."""
+    ((order+1/2)_d / (2 order)_d) * C_d^order; zero in exact arithmetic,
+    NaN if any coefficient is NaN."""
     denom = pochhammer(2.0 * order, d)
     if abs(denom) <= 1e-12:
         raise DomainError("(2 order)_d vanishes; scaling undefined")
     scale = pochhammer(order + 0.5, d) / denom
     jac = jacobi_coeffs(d, order - 0.5, order - 0.5)
     geg = gegenbauer_coeffs(d, order)
-    return max(abs(j - scale * g) for j, g in zip(jac, geg))
+    return float(np.max(np.abs(np.subtract(jac, np.multiply(scale, geg)))))
 
 
 def jacobi_connection_residual(a: float, d: int, lam: float) -> float:
     """Coefficient residual of the identity linking the family to Jacobi
     polynomials with exponents -lam/2 - 1 at rotated argument -ix/a.
 
-    Relative to the largest family coefficient. DomainError when the
-    normalizing Pochhammer (lam - 2d + 2)_d vanishes (the identity
-    degenerates there, e.g. at the boundary multiplier itself).
+    Relative to the largest family coefficient; NaN if any coefficient is
+    NaN. DomainError when the normalizing Pochhammer (lam - 2d + 2)_d
+    vanishes (the identity degenerates there, e.g. at the boundary
+    multiplier itself).
     """
     fam = jf.family_coeffs(a, d, lam)  # first: its check refuses a pole
     poch = pochhammer(lam - 2.0 * d + 2.0, d)
@@ -138,12 +140,12 @@ def jacobi_connection_residual(a: float, d: int, lam: float) -> float:
     jac = jacobi_coeffs(d, -lam / 2.0 - 1.0, -lam / 2.0 - 1.0)
     const = complex(0.0, 2.0 * a) ** d * math.factorial(d) / ((-1.0) ** d * poch)
     rot = complex(0.0, -1.0 / a)
-    scale = max(1.0, max(abs(c) for c in fam))
-    worst = 0.0
-    for k in range(d + 1):
-        predicted = const * jac[k] * rot**k
-        worst = max(worst, abs(complex(fam[k], 0.0) - predicted) / scale)
-    return worst
+    scale = max(1.0, float(np.max(np.abs(fam))))
+    residuals = [
+        abs(complex(fam[k], 0.0) - const * jac[k] * rot**k) / scale
+        for k in range(d + 1)
+    ]
+    return float(np.max(residuals))
 
 
 def jacobi_disc(d: int, alpha: float, beta: float):

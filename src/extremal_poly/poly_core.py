@@ -57,7 +57,8 @@ def rel_log_diff(lhs: float, rhs: float) -> float:
     """Relative disagreement of two log magnitudes.
 
     Floored at scale 1 so that values near log = 0 do not blow the ratio up.
-    Signs are compared separately by callers.
+    Signs are compared separately by callers. NaN when either log is NaN
+    or infinite, so a caller must test it in a form that NaN fails.
     """
     scale = max(1.0, abs(lhs), abs(rhs))
     return abs(lhs - rhs) / scale

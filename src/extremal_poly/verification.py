@@ -9,7 +9,7 @@ the family's, and (in deep mode) the brute-force ascent oracle.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,36 +51,48 @@ class CheckResult:
 def _err(x: float) -> str:
     """A worst error, residual or excess for the report: %.3e, except that
     roundoff (|x| < 1e-12) prints as <1e-12, so the report's bytes do not
-    follow the last digits of the roots."""
+    follow the last digits of the roots. A NaN error prints as nan and +inf
+    as inf; neither is within a finite bound, so _report fails both."""
     return "<1e-12" if abs(x) < 1e-12 else "%.3e" % x
 
 
+def _worst(errors) -> float:
+    """The largest of errors (numbers, or arrays of one shape), -inf for
+    none, NaN if any is NaN: the builtin max drops a NaN second argument."""
+    return float(np.max(errors, initial=-math.inf))
+
+
+def _report(name: str, detail: str, *bounded) -> CheckResult:
+    """Pass when the worst of each (errors, bound) pair is within its bound,
+    so never on a NaN; detail has a %s for each worst, printed by _err."""
+    worsts = [_worst(errors) for errors, _ in bounded]
+    passed = all(worst <= bound for worst, (_, bound) in zip(worsts, bounded))
+    return CheckResult(name, passed, detail % tuple(map(_err, worsts)))
+
+
 def _check_reference_max_disc() -> CheckResult:
-    worst = 0.0
-    count = 0
+    errors = []
     for d in (2, 3, 4, 5):
         top = 2.0 ** (d - 1)
         for i in range(1, 11):
             m = 1.0 + (top - 1.0) * i / 10.0
             want = math.log(reference_max_disc(d, m))
             got = solve_max_disc(1.0, d, m).achieved_disc
-            worst = max(worst, rel_log_diff(got.log_abs, want))
-            count += 1
-    return CheckResult(
+            errors.append(rel_log_diff(got.log_abs, want))
+    return _report(
         "reference-max-disc",
-        worst <= 1e-9,
-        "%d grid points, worst rel log err %s" % (count, _err(worst)),
+        "%d grid points, worst rel log err %%s" % len(errors),
+        (errors, 1e-9),
     )
 
 
 def _check_pinned_values() -> CheckResult:
     d4 = solve_max_disc(1.0, 4, 8.0).achieved_disc.value
     d5 = solve_max_disc(1.0, 5, 16.0).achieved_disc.value
-    err = max(abs(d4 / 16384.0 - 1.0), abs(d5 / 12800000.0 - 1.0))
-    return CheckResult(
+    return _report(
         "pinned-values",
-        err <= 1e-9,
-        "boundary discs 2^14 and 2^12*5^5, worst rel err %s" % _err(err),
+        "boundary discs 2^14 and 2^12*5^5, worst rel err %s",
+        ([abs(d4 / 16384.0 - 1.0), abs(d5 / 12800000.0 - 1.0)], 1e-9),
     )
 
 
@@ -94,17 +106,15 @@ def _check_duality_roundtrip() -> CheckResult:
         (0.8, 5, 1.0),
         (1.5, 6, 1e6),
     ]
-    worst = 0.0
+    errors = []
     for a, d, disc in cases:
         sol = solve_min_abs(a, d, disc)
         back = solve_max_disc(a, d, sol.achieved_m)
-        worst = max(
-            worst, rel_log_diff(back.achieved_disc.log_abs, math.log(disc))
-        )
-    return CheckResult(
+        errors.append(rel_log_diff(back.achieved_disc.log_abs, math.log(disc)))
+    return _report(
         "duality-roundtrip",
-        worst <= 1e-8,
-        "%d cases, worst rel log err %s" % (len(cases), _err(worst)),
+        "%d cases, worst rel log err %%s" % len(cases),
+        (errors, 1e-8),
     )
 
 
@@ -143,16 +153,14 @@ def _resultant_check(name: str, cases, row, closed, describe) -> CheckResult:
     # its coefficient row, in sign and relative log; each case is the
     # argument tuple of row, closed and describe
     oracles = disc_resultant_oracles([row(*case) for case in cases])
-    worst = 0.0
+    errors = []
     for case, oracle in zip(cases, oracles):
         got = closed(*case)
         if got.sign != oracle.sign:
             return CheckResult(name, False, "sign mismatch at " + describe(*case))
-        worst = max(worst, rel_log_diff(got.log_abs, oracle.log_abs))
-    return CheckResult(
-        name,
-        worst <= TOL_ORACLE,
-        "%d cases, worst rel log err %s" % (len(cases), _err(worst)),
+        errors.append(rel_log_diff(got.log_abs, oracle.log_abs))
+    return _report(
+        name, "%d cases, worst rel log err %%s" % len(cases), (errors, TOL_ORACLE)
     )
 
 
@@ -173,11 +181,10 @@ def _check_jacobi_vs_resultant() -> CheckResult:
 
 def _check_jacobi_gegenbauer() -> CheckResult:
     cases = [(d, mu) for d in range(1, 7) for mu in (0.5, 1.0, 2.0, 0.25, -3.2)]
-    worst = max(jacobi_gegenbauer_residual(d, mu) for d, mu in cases)
-    return CheckResult(
+    return _report(
         "jacobi-gegenbauer",
-        worst <= 1e-10,
-        "%d cases, worst coeff residual %s" % (len(cases), _err(worst)),
+        "%d cases, worst coeff residual %%s" % len(cases),
+        ([jacobi_gegenbauer_residual(d, mu) for d, mu in cases], 1e-10),
     )
 
 
@@ -189,13 +196,10 @@ def _check_multiplier_jacobi_connection() -> CheckResult:
         (0.5, 3, 7.2),
         (1.0, 6, 11.3),
     ]
-    worst = 0.0
-    for a, d, lam in cases:
-        worst = max(worst, jacobi_connection_residual(a, d, lam))
-    return CheckResult(
+    return _report(
         "multiplier-jacobi-connection",
-        worst <= 1e-9,
-        "%d cases, worst rel residual %s" % (len(cases), _err(worst)),
+        "%d cases, worst rel residual %%s" % len(cases),
+        ([jacobi_connection_residual(*case) for case in cases], 1e-9),
     )
 
 
@@ -211,8 +215,8 @@ def _check_binomial_sum() -> CheckResult:
 
 def _check_binomial_equality() -> CheckResult:
     rng = np.random.default_rng(5150)
-    worst_m = 0.0
-    worst_disc = 0.0
+    m_errors = []
+    disc_errors = []
     for _ in range(100):
         d = int(rng.integers(2, 9))
         disc = float(np.exp(rng.uniform(-3.0, 6.0)))
@@ -220,37 +224,32 @@ def _check_binomial_equality() -> CheckResult:
         a = float(np.exp(log_thr + math.log(rng.uniform(0.3, 1.0))))
         sol = solve_min_abs(a, d, disc)
         bound = bf.min_modulus_bound(a, d, disc)
-        worst_m = max(worst_m, abs(sol.achieved_m / bound - 1.0))
-        worst_disc = max(
-            worst_disc,
-            rel_log_diff(sol.achieved_disc.log_abs, math.log(disc)),
-        )
+        m_errors.append(abs(sol.achieved_m / bound - 1.0))
+        disc_errors.append(rel_log_diff(sol.achieved_disc.log_abs, math.log(disc)))
         if sol.regime != REGIME_BINOMIAL:
             return CheckResult(
                 "binomial-equality", False,
                 "unexpected regime %s at a=%.6f d=%d" % (sol.regime, a, d),
             )
-    return CheckResult(
+    return _report(
         "binomial-equality",
-        worst_m <= 1e-9 and worst_disc <= 1e-8,
-        "100 cases, worst modulus err %s, worst disc log err %s"
-        % (_err(worst_m), _err(worst_disc)),
+        "100 cases, worst modulus err %s, worst disc log err %s",
+        (m_errors, 1e-9),
+        (disc_errors, 1e-8),
     )
 
 
 def _check_boundary_glue() -> CheckResult:
-    worst = 0.0
+    errors = []
     for d in range(2, 9):
         for a in (0.5, 1.0, 2.0):
-            gc = jf.family_coeffs(a, d, 2 * d - 2)
+            gc = np.asarray(jf.family_coeffs(a, d, 2 * d - 2))
             fc = bf.binomial_coeffs(a, d, 0.0)
-            scale = max(abs(c) for c in gc)
-            diff = max(abs(x - y) for x, y in zip(gc, fc))
-            worst = max(worst, diff / scale)
-    return CheckResult(
+            errors.append(_worst(np.abs(gc - fc)) / _worst(np.abs(gc)))
+    return _report(
         "boundary-glue",
-        worst <= 1e-10,
-        "d in 2..8, a in {0.5,1,2}, worst scaled coeff diff %s" % _err(worst),
+        "d in 2..8, a in {0.5,1,2}, worst scaled coeff diff %s",
+        (errors, 1e-10),
     )
 
 
@@ -264,7 +263,7 @@ def _check_lagrange_stationarity() -> CheckResult:
         (1.0, 4, 30.0),
         (0.7, 3, 3.0 * 0.7 ** 3),
     ]
-    worst = 0.0
+    errors = []
     for a, d, m in cases:
         sol = solve_max_disc(a, d, m)
         lam = (
@@ -274,11 +273,11 @@ def _check_lagrange_stationarity() -> CheckResult:
         )
         for poly in sol.polys:
             residual, mu = stationarity_residual(poly.roots, a)
-            worst = max(worst, residual, abs(mu / lam - 1.0))
-    return CheckResult(
+            errors += [residual, abs(mu / lam - 1.0)]
+    return _report(
         "lagrange-stationarity",
-        worst <= 1e-9,
-        "%d cases, worst residual %s" % (len(cases), _err(worst)),
+        "%d cases, worst residual %%s" % len(cases),
+        (errors, 1e-9),
     )
 
 
@@ -303,81 +302,78 @@ def _check_degenerate_family() -> CheckResult:
 
 def _check_cos_product() -> CheckResult:
     rng = np.random.default_rng(31415)
-    worst = 0.0
+    errors = []
     for d in range(2, 11):
         xs = rng.uniform(-math.pi, math.pi, 1000)
         got = tp.cos_sq_product(xs, d)
         want = tp.cos_sq_product_closed_form(xs, d)
-        worst = max(worst, float(np.max(np.abs(got - want))))
-    return CheckResult(
+        errors.append(np.abs(got - want))
+    return _report(
         "cos-product",
-        worst <= 1e-12,
-        "d in 2..10, 1000 points each, worst abs residual %s" % _err(worst),
+        "d in 2..10, 1000 points each, worst abs residual %s",
+        (errors, 1e-12),
     )
 
 
 def _check_sine_product() -> CheckResult:
     rng = np.random.default_rng(27182)
-    worst = 0.0
+    errors = []
     for d in range(2, 11):
         xs = rng.uniform(-math.pi, math.pi, 200)
-        worst = max(
-            worst, float(np.max(np.abs(tp.sine_product_identity_residual(xs, d))))
-        )
-    return CheckResult(
+        errors.append(np.abs(tp.sine_product_identity_residual(xs, d)))
+    return _report(
         "sine-product",
-        worst <= 2e-12,
-        "d in 2..10, 200 points each, worst abs residual %s" % _err(worst),
+        "d in 2..10, 200 points each, worst abs residual %s",
+        (errors, 2e-12),
     )
 
 
 def _check_pairwise_bound() -> CheckResult:
     rng = np.random.default_rng(16180)
-    worst_excess = -math.inf
-    worst_eq = 0.0
+    excesses = []
+    eq_errors = []
     for d in range(2, 8):
         log_bound = tp.log_hadamard_bound(d)
         # one row per draw of d angles; log is monotone, so the largest
         # product has the largest log excess
         vals = tp.pairwise_sin_sq_product(rng.uniform(0.0, math.pi, (10_000, d)))
-        top = float(vals.max())
-        if top > 0.0:
-            worst_excess = max(worst_excess, math.log(top) - log_bound)
+        top = _worst(vals)
+        if top != 0.0:  # a zero product has no log; a NaN one fails
+            excesses.append(math.log(top) - log_bound)
         ap = [math.pi * k / d for k in range(d)]
         eq = tp.pairwise_sin_sq_product(ap)
-        worst_eq = max(worst_eq, abs(math.log(eq) - log_bound))
-    return CheckResult(
+        eq_errors.append(abs(math.log(eq) - log_bound))
+    return _report(
         "pairwise-bound",
-        worst_excess <= 1e-9 and worst_eq <= 1e-9,
-        "worst log excess %s, AP equality log err %s"
-        % (_err(worst_excess), _err(worst_eq)),
+        "worst log excess %s, AP equality log err %s",
+        (excesses, 1e-9),
+        (eq_errors, 1e-9),
     )
 
 
 def _check_lemniscate_witness(deep: bool) -> CheckResult:
-    worst_gap = -math.inf
+    gaps = []
     top = 9 if deep else 7
     for d in range(2, top):
         disc = 2.0 ** (1 - d) * float(d) ** d
         poly, height, value = lem.inscribed_disk_poly(d, disc)
         disk = lem.largest_disk(poly)
-        worst_gap = max(worst_gap, height - disk.radius)
-        if abs(value - 1.0) > 1e-9:
+        gaps.append(height - disk.radius)
+        if not abs(value - 1.0) <= 1e-9:  # written so that NaN fails
             return CheckResult(
                 "lemniscate-witness", False,
                 "edge value %.17g != 1 at d=%d" % (value, d),
             )
-    return CheckResult(
+    return _report(
         "lemniscate-witness",
-        worst_gap <= 1e-8,
-        "d in 2..%d, worst radius shortfall %s" % (top - 1, _err(worst_gap)),
+        "d in 2..%d, worst radius shortfall %%s" % (top - 1),
+        (gaps, 1e-8),
     )
 
 
 def _check_lemniscate_upper_bound() -> CheckResult:
     rng = np.random.default_rng(60221)
-    worst = -math.inf
-    count = 0
+    excesses = []
     for d in range(2, 6):
         for _ in range(10):
             roots = sorted(float(r) for r in rng.uniform(-2.0, 2.0, d))
@@ -385,37 +381,37 @@ def _check_lemniscate_upper_bound() -> CheckResult:
             ld = log_disc_from_roots(poly)
             disk = lem.largest_disk(poly)
             bound = lem.radius_upper_bound(d, math.exp(ld.log_abs))
-            worst = max(worst, disk.radius - bound)
-            count += 1
-    return CheckResult(
+            excesses.append(disk.radius - bound)
+    return _report(
         "lemniscate-upper-bound",
-        worst <= 1e-8,
-        "%d random polynomials, worst bound excess %s" % (count, _err(worst)),
+        "%d random polynomials, worst bound excess %%s" % len(excesses),
+        (excesses, 1e-8),
     )
 
 
 def _check_energy_equilibrium() -> CheckResult:
     rng = np.random.default_rng(66260)
-    worst_eq = 0.0
-    min_margin = math.inf
+    gaps = []
+    margins = []
     for d in range(2, 7):
         v_edge = (1.0 / d - 1.0) * math.log(2.0)
         for _ in range(4):
             v = v_edge - float(rng.uniform(0.05, 1.5))
             config = solve_equilibrium(1.0, d, v)
             bound = energy_lower_bound(1.0, d, config.potential_v)
-            worst_eq = max(worst_eq, abs(config.energy_I - bound))
+            gaps.append(abs(config.energy_I - bound))
             perts = np.asarray(config.points) + 1e-2 * rng.standard_normal((5, d))
             scales = _rescale_to_modulus(perts, -d * config.potential_v)
             for t, pert in zip(scales, perts):
                 other = config_from_points([float(t * x) for x in pert], 1.0)
-                min_margin = min(min_margin, other.energy_I - config.energy_I)
-    return CheckResult(
+                margins.append(other.energy_I - config.energy_I)
+    margin = -_worst([-x for x in margins])  # the least; NaN if any is
+    result = _report(
         "energy-equilibrium",
-        worst_eq <= 1e-9 and min_margin > 0.0,
-        "20 potentials, worst bound gap %s, min perturbation margin %.3e"
-        % (_err(worst_eq), min_margin),
+        "20 potentials, worst bound gap %%s, min perturbation margin %.3e" % margin,
+        (gaps, 1e-9),
     )
+    return replace(result, passed=result.passed and margin > 0.0)
 
 
 def _check_arctan_cdf() -> CheckResult:
@@ -434,20 +430,18 @@ def _check_arctan_cdf() -> CheckResult:
 
 
 def _check_oracle_agreement() -> CheckResult:
-    worst = 0.0
-    count = 0
+    errors = []
     for d in (2, 3):
         boundary = 2.0 ** (d - 1)
         ms = (0.3 + 0.7 * boundary, boundary, 2.0 * boundary)
         got = numeric_oracle_max_discs(1.0, d, ms, starts=8, seed=7)
         for m, res in zip(ms, got):
             want = solve_max_disc(1.0, d, m).achieved_disc
-            worst = max(worst, rel_log_diff(res.log_disc.log_abs, want.log_abs))
-            count += 1
-    return CheckResult(
+            errors.append(rel_log_diff(res.log_disc.log_abs, want.log_abs))
+    return _report(
         "oracle-agreement",
-        worst <= 1e-9,
-        "%d cases, worst rel log err %s" % (count, _err(worst)),
+        "%d cases, worst rel log err %%s" % len(errors),
+        (errors, 1e-9),
     )
 
 

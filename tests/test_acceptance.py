@@ -70,20 +70,27 @@ def _verdict(ok: bool, label: str, detail: str) -> None:
     assert ok, "%s: %s" % (label, detail)
 
 
+def _worst(errors) -> float:
+    # the largest error, NaN if any is: the builtin max keeps its first
+    # argument when a later one is NaN, so a running max passes on a NaN
+    return float(np.max(errors, initial=0.0))
+
+
 def test_criterion_01_low_degree_closed_forms():
     t0 = time.perf_counter()
-    worst = 0.0
+    errors = []
     for d in range(2, 6):
         top = 2.0 ** (d - 1)
         for k in range(1, 11):
             m = 1.0 + (top - 1.0) * k / 10.0
             got = solve_max_disc(1.0, d, m).achieved_disc
             want = reference_max_disc(d, m)
-            worst = max(worst, rel_log_diff(got.log_abs, math.log(want)))
+            errors.append(rel_log_diff(got.log_abs, math.log(want)))
     pin4 = solve_max_disc(1.0, 4, 8.0).achieved_disc
     pin5 = solve_max_disc(1.0, 5, 16.0).achieved_disc
-    worst = max(worst, rel_log_diff(pin4.log_abs, math.log(16384.0)))
-    worst = max(worst, rel_log_diff(pin5.log_abs, math.log(12_800_000.0)))
+    errors.append(rel_log_diff(pin4.log_abs, math.log(16384.0)))
+    errors.append(rel_log_diff(pin5.log_abs, math.log(12_800_000.0)))
+    worst = _worst(errors)
     elapsed = time.perf_counter() - t0
     _verdict(
         worst <= 1e-9 and elapsed < 1.0,
@@ -96,7 +103,7 @@ def test_criterion_01_low_degree_closed_forms():
 def test_criterion_02_multiplier_disc_vs_resultant():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260818)
-    worst = 0.0
+    errors = []
     for d in range(2, 9):
         for _ in range(20):
             lam = float(rng.uniform(2.0 * d - 2.0, 6.0 * d))
@@ -104,10 +111,8 @@ def test_criterion_02_multiplier_disc_vs_resultant():
                 got = closed_form_disc(a, d, lam)
                 want = disc_resultant_oracles([family_coeffs(a, d, lam)])[0]
                 ok = got.sign == want.sign
-                worst = max(
-                    worst,
-                    rel_log_diff(got.log_abs, want.log_abs) if ok else math.inf,
-                )
+                errors.append(rel_log_diff(got.log_abs, want.log_abs) if ok else math.inf)
+    worst = _worst(errors)
     elapsed = time.perf_counter() - t0
     _verdict(
         worst <= 1e-8 and elapsed < 10.0,
@@ -118,7 +123,7 @@ def test_criterion_02_multiplier_disc_vs_resultant():
 
 def test_criterion_03_jacobi_disc_vs_resultant():
     rng = np.random.default_rng(30303)
-    worst = 0.0
+    errors = []
     done = symmetric = 0
     while done < 50:
         d = int(rng.integers(2, 8))
@@ -143,11 +148,12 @@ def test_criterion_03_jacobi_disc_vs_resultant():
         if want.sign == 0:
             continue
         if got.sign != want.sign:
-            worst = math.inf
+            errors.append(math.inf)
         else:
-            worst = max(worst, rel_log_diff(got.log_abs, want.log_abs))
+            errors.append(rel_log_diff(got.log_abs, want.log_abs))
         symmetric += int(alpha == beta and alpha < -d)
         done += 1
+    worst = _worst(errors)
     _verdict(
         worst <= 1e-8 and symmetric >= 10,
         "criterion 3 (Jacobi discriminant vs resultant)",
@@ -158,7 +164,8 @@ def test_criterion_03_jacobi_disc_vs_resultant():
 
 def test_criterion_04_small_height_equality():
     rng = np.random.default_rng(40404)
-    worst_m = worst_disc = 0.0
+    m_errors = []
+    disc_errors = []
     for _ in range(100):
         d = int(rng.integers(2, 9))
         disc = float(np.exp(rng.uniform(-3.0, 6.0)))
@@ -170,17 +177,16 @@ def test_criterion_04_small_height_equality():
         a = float(np.exp(log_thr) * rng.uniform(0.3, 1.0))
         assert small_height_condition(a, d, disc)
         p = poly_from_roots(lattice_roots(a, d, _log_phase_of_disc(a, d, math.log(disc))))
-        worst_m = max(
-            worst_m,
-            abs(log_modulus_at_ai(p.roots, a) - math.log(min_modulus_bound(a, d, disc))),
+        m_errors.append(
+            abs(log_modulus_at_ai(p.roots, a) - math.log(min_modulus_bound(a, d, disc)))
         )
         got = log_disc_from_roots(p)
-        worst_disc = max(
-            worst_disc,
+        disc_errors.append(
             rel_log_diff(got.log_abs, math.log(disc))
             if got.sign == 1
-            else math.inf,
+            else math.inf
         )
+    worst_m, worst_disc = _worst(m_errors), _worst(disc_errors)
     _verdict(
         worst_m <= math.log1p(1e-9) and worst_disc <= 1e-8,
         "criterion 4 (sharp modulus bound attained under small height)",
@@ -191,15 +197,14 @@ def test_criterion_04_small_height_equality():
 
 def test_criterion_05_numeric_oracle_certification():
     t0 = time.perf_counter()
-    worst = 0.0
-    cases = 0
+    errors = []
     for d in range(2, 6):
         boundary = 2.0 ** (d - 1)
         for m in (1.0 + 0.3 * (boundary - 1.0), boundary, 3.0 * boundary):
             res = numeric_oracle_max_discs(1.0, d, [m], starts=32, seed=0)[0]
             want = solve_max_disc(1.0, d, m).achieved_disc
-            worst = max(worst, rel_log_diff(res.log_disc.log_abs, want.log_abs))
-            cases += 1
+            errors.append(rel_log_diff(res.log_disc.log_abs, want.log_abs))
+    worst, cases = _worst(errors), len(errors)
     elapsed = time.perf_counter() - t0
     _verdict(
         worst <= 1e-5 and elapsed < 60.0,
@@ -211,13 +216,14 @@ def test_criterion_05_numeric_oracle_certification():
 
 def test_criterion_06_trig_identities():
     rng = np.random.default_rng(60606)
-    worst_identity = 0.0
+    identity_errors = []
     for d in range(2, 11):
         xs = rng.uniform(-10.0, 10.0, size=1000)
         gap = cos_sq_product(xs, d) - cos_sq_product_closed_form(xs, d)
-        worst_identity = max(worst_identity, float(np.max(np.abs(gap))))
+        identity_errors.append(np.abs(gap))
+    worst_identity = _worst(identity_errors)
     exceeded = 0
-    worst_eq = 0.0
+    eq_errors = []
     for d in range(2, 8):
         log_bound = log_hadamard_bound(d)
         # one (10000, d) draw gives the values of 10,000 draws of d angles
@@ -225,7 +231,8 @@ def test_criterion_06_trig_identities():
         with np.errstate(divide="ignore"):
             exceeded += int(np.sum(np.log(vals) > log_bound + math.log1p(1e-12)))
         ap = [k * math.pi / d for k in range(d)]
-        worst_eq = max(worst_eq, abs(math.log(pairwise_sin_sq_product(ap)) - log_bound))
+        eq_errors.append(abs(math.log(pairwise_sin_sq_product(ap)) - log_bound))
+    worst_eq = _worst(eq_errors)
     _verdict(
         worst_identity <= 1e-12 and exceeded == 0 and worst_eq <= 1e-9,
         "criterion 6 (cosine product identity and pairwise sine bound)",
@@ -235,17 +242,18 @@ def test_criterion_06_trig_identities():
 
 
 def test_criterion_07_lagrange_structure():
-    worst = 0.0
+    errors = []
     for d in range(2, 7):
         # multiplier regime at height 1
         sol = solve_max_disc(1.0, d, 1.0 + 0.4 * (2.0 ** (d - 1) - 1.0))
         assert sol.regime == REGIME_MULTIPLIER
         res, mu = stationarity_residual(sol.polys[0].roots, 1.0)
-        worst = max(worst, res, abs(mu / sol.lambda_or_b - 1.0))
+        errors += [res, abs(mu / sol.lambda_or_b - 1.0)]
         # binomial regime at height 0.4, multiplier 2d - 2
         small = solve_min_abs(0.4, d, 2.0)
         res, mu = stationarity_residual(small.polys[0].roots, 0.4)
-        worst = max(worst, res, abs(mu / (2.0 * d - 2.0) - 1.0))
+        errors += [res, abs(mu / (2.0 * d - 2.0) - 1.0)]
+    worst = _worst(errors)
     bad = 0
     total = 0
     for d in range(3, 10):
@@ -268,16 +276,14 @@ def test_criterion_07_lagrange_structure():
 
 
 def test_criterion_08_lemniscate_radii():
-    shortfall = 0.0
+    shortfalls = []
     for d in range(2, 9):
         disc = 2.0 ** (1 - d) * float(d) ** d
         poly, height, value = inscribed_disk_poly(d, disc)
         disk = largest_disk(poly)
-        shortfall = max(
-            shortfall, 2.0 ** (-1.0 + 1.0 / d) - disk.radius
-        )
+        shortfalls.append(2.0 ** (-1.0 + 1.0 / d) - disk.radius)
     rng = np.random.default_rng(80808)
-    excess = 0.0
+    excesses = []
     for d in range(2, 6):
         for _ in range(10):
             p = poly_from_roots(rng.uniform(-2.0, 2.0, size=d))
@@ -285,7 +291,8 @@ def test_criterion_08_lemniscate_radii():
             if ld.sign != 1:
                 continue
             bound = radius_upper_bound(d, math.exp(ld.log_abs))
-            excess = max(excess, largest_disk(p).radius - bound)
+            excesses.append(largest_disk(p).radius - bound)
+    shortfall, excess = _worst(shortfalls), _worst(excesses)
     _verdict(
         shortfall <= 1e-8 and excess <= 1e-8,
         "criterion 8 (inscribed disks meet the radius bounds)",
@@ -295,14 +302,15 @@ def test_criterion_08_lemniscate_radii():
 
 
 def test_criterion_09_energy_configurations():
-    worst = 0.0
+    gaps = []
     for a in (0.5, 1.0, 2.0):
         for dv in (0.75, 1.0, 1.5):
             # dv > log 2 keeps every d in the equality regime
             for d in range(2, 7):
                 v = -math.log(a) - dv
                 cfg = solve_equilibrium(a, d, v)
-                worst = max(worst, abs(cfg.energy_I - energy_lower_bound(a, d, v)))
+                gaps.append(abs(cfg.energy_I - energy_lower_bound(a, d, v)))
+    worst = _worst(gaps)
     dists = []
     for d in (10, 100, 1000):
         pts = lattice_roots(1.0, d, 0.0)

@@ -11,6 +11,7 @@ import pytest
 from extremal_poly.binomial_family import lattice_roots
 import extremal_poly.binomial_family as bf
 import extremal_poly.jacobi_family as jf
+import extremal_poly.oracles as oracles
 from extremal_poly.errors import DomainError, PoleError, RegimeError
 from extremal_poly.jacobi_family import (
     _log_modulus_ratio_and_slope,
@@ -889,6 +890,22 @@ def test_connection_residual_small_cases():
     for a, d, lam in [(1.0, 2, 3.0), (1.0, 4, 6.5), (2.0, 5, 9.7)]:
         r = jacobi_connection_residual(a, d, lam)
         assert r < 1e-9
+
+
+def _with_nan_at(fn, index):
+    # fn with the coefficient at index of its row made NaN
+    return lambda *args: [math.nan if k == index else c for k, c in enumerate(fn(*args))]
+
+
+def test_gegenbauer_residual_keeps_a_nan_coefficient(monkeypatch):
+    # a builtin max over the gaps would drop a NaN that is not the first
+    monkeypatch.setattr(oracles, "gegenbauer_coeffs", _with_nan_at(gegenbauer_coeffs, 2))
+    assert math.isnan(jacobi_gegenbauer_residual(4, 1.0))
+
+
+def test_connection_residual_keeps_a_nan_coefficient(monkeypatch):
+    monkeypatch.setattr(jf, "family_coeffs", _with_nan_at(family_coeffs, 2))
+    assert math.isnan(jacobi_connection_residual(1.0, 4, 6.5))
 
 
 def test_connection_excluded_multiplier():

@@ -558,8 +558,8 @@ def test_inscribed_disk_poly_window_edge(d):
 
 
 def test_inscribed_disk_poly_checks_its_member(monkeypatch):
-    # a moved root misses the modulus; a wrong log disc misses the
-    # discriminant
+    # a moved root or a NaN modulus misses the modulus; a wrong or NaN
+    # log disc misses the discriminant
     roots = lem.bf.lattice_roots
     monkeypatch.setattr(
         lem.bf, "lattice_roots", lambda a, d, log_p: [x + 0.1 for x in roots(a, d, log_p)]
@@ -571,6 +571,12 @@ def test_inscribed_disk_poly_checks_its_member(monkeypatch):
         lem, "log_disc_from_roots", lambda p: LogDiscriminant(1, 0.0)
     )
     with pytest.raises(RuntimeError, match="discriminant consistency check failed"):
+        inscribed_disk_poly(4, 2.0)
+    monkeypatch.setattr(lem, "log_disc_from_roots", lambda p: LogDiscriminant(1, math.nan))
+    with pytest.raises(RuntimeError, match="discriminant consistency check failed"):
+        inscribed_disk_poly(4, 2.0)
+    monkeypatch.setattr(lem, "log_modulus_at_ai", lambda roots, a: math.nan)
+    with pytest.raises(RuntimeError, match="modulus consistency check failed"):
         inscribed_disk_poly(4, 2.0)
 
 
