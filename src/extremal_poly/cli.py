@@ -32,31 +32,13 @@ def canonical_json(obj) -> str:
     """Serialize to JSON with 17-significant-digit floats and insertion
     key order. json.loads followed by canonical_json is the identity on
     canonical text, which is what makes CLI output reproducible."""
-    # exact types first: floats, dicts and lists are most of every answer
-    kind = type(obj)
-    if kind is float:
-        return _float_text(obj)
-    if kind is dict:
-        return _dict_text(obj)
-    if kind is list or kind is tuple:
-        return _list_text(obj)
-    # the rest, subclasses (numpy.float64 among them) too, by isinstance,
-    # in the order that decides an object of several of these types
-    if isinstance(obj, float):
-        return _float_text(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        # the bytes json.dumps gives a str with its default arguments
-        return _json_string(obj)
-    if isinstance(obj, (list, tuple)):
-        return _list_text(obj)
-    if isinstance(obj, dict):
-        return _dict_text(obj)
+    write = _WRITERS.get(type(obj))
+    if write is not None:
+        return write(obj)
+    # a subclass (numpy.float64 among them): its first type in _ORDER
+    for kind, write in _ORDER:
+        if isinstance(obj, kind):
+            return write(obj)
     raise TypeError("cannot serialize %r" % type(obj))
 
 
@@ -78,9 +60,22 @@ def _list_text(items) -> str:
     return "[" + ",".join([canonical_json(x) for x in items]) + "]"
 
 
-def _dict_text(obj) -> str:
-    parts = [_json_string(str(k)) + ":" + canonical_json(v) for k, v in obj.items()]
-    return "{" + ",".join(parts) + "}"
+# Each type and its writer, in the order that decides an object of several
+# (a bool is an int); _WRITERS holds the writer of each exact type.
+_ORDER = (
+    (float, _float_text),
+    (type(None), lambda obj: "null"),
+    (bool, lambda obj: "true" if obj else "false"),
+    (int, str),
+    # the bytes json.dumps gives a str with its default arguments
+    (str, _json_string),
+    (list, _list_text),
+    (tuple, _list_text),
+    (dict, lambda obj: "{" + ",".join(
+        [_json_string(str(k)) + ":" + canonical_json(v) for k, v in obj.items()]
+    ) + "}"),
+)
+_WRITERS = dict(_ORDER)
 
 
 def _exp_or_null(log_x: float) -> float | None:

@@ -12,6 +12,8 @@ core.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, check_degree, check_height
 from .poly_core import (
     LogDiscriminant,
@@ -121,8 +123,9 @@ def arctan_cdf_distance(config: ChargeConfig) -> float:
     the jump points (where the supremum of the deviation lives)."""
     pts = sorted(config.points)
     d = len(pts)
-    worst = 0.0
+    deviations = []
     for k, x in enumerate(pts, start=1):
         target = _arctan_cdf(x, config.a)
-        worst = max(worst, abs(k / d - target), abs((k - 1) / d - target))
-    return worst
+        deviations += abs(k / d - target), abs((k - 1) / d - target)
+    # np.max, unlike the builtin max, keeps a NaN deviation
+    return float(np.max(deviations))

@@ -6,7 +6,7 @@ ascending: coeffs[k] multiplies x**k. Discriminants are kept as
 (sign, log|value|) pairs because the values themselves overflow float64
 well before degree 20 for root sets of any realistic spread. The
 discriminant of a root set is the pairwise root-difference product, its
-logs summed exactly in row blocks.
+logs summed in blocks to the correctly rounded total.
 """
 
 import math
@@ -116,9 +116,7 @@ _SPLIT_CONSTANTS = (1.5 * 2.0**24, 1.5 * 2.0**-14)
 _REMAINDER_ERROR = 2.0**-68
 
 
-def _split_sums(
-    g: np.ndarray, h: np.ndarray, constants: tuple[float, ...] = _SPLIT_CONSTANTS
-) -> list[float]:
+def _split_sums(g: np.ndarray, h: np.ndarray, constants) -> list[float]:
     """Floats summing to sum(g), exactly with both _SPLIT_CONSTANTS; g
     and h are overwritten.
 
@@ -169,6 +167,32 @@ def _row_block_sums(xs: np.ndarray, op, weight: float, constants) -> list[float]
     return [weight * t for t in terms]
 
 
+def _block_sums(xs: np.ndarray, constants) -> list[float]:
+    """The _split_sums, at constants, of the np.log of every gap of the
+    sorted distinct roots xs, in blocks of at most _PAIR_BLOCK gaps."""
+    d = xs.size
+    if d * (d - 1) // 2 <= _PAIR_BLOCK:
+        logs = _square_logs(xs)
+        return _split_sums(logs, np.empty_like(logs), constants)
+    if not np.array_equal(xs, -xs[::-1]):
+        return _row_block_sums(xs, np.subtract, 1.0, constants)
+    # a mirror set: xs[half:] is sigma, after the middle 0 for odd d
+    half = d // 2
+    sigma = xs[d - half :]
+    terms = _row_block_sums(xs[half:], np.subtract, 2.0, constants)
+    terms += _row_block_sums(sigma, np.add, 2.0, constants)
+    for k in range(0, half, _PAIR_BLOCK):
+        logs = np.log(2.0 * sigma[k : k + _PAIR_BLOCK])
+        terms += _split_sums(logs, np.empty_like(logs), constants)
+    return terms
+
+
+def _square_logs(xs: np.ndarray) -> np.ndarray:
+    """np.log of the positive gaps x_k - x_i of the (d - 1) x (d - 1) square."""
+    gaps = xs[1:] - xs[:-1, None]
+    return np.log(gaps[gaps > 0])
+
+
 def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
     """Discriminant from the pairwise root-difference product.
 
@@ -178,17 +202,17 @@ def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
     every gap rounded once, doubled (which is exact), so it has the bits
     of 2·fsum over every log.
 
-    Up to _PAIR_BLOCK gaps are one block: its logs or, from
-    _SPLIT_MIN_PAIRS on, their three exact _split_sums go to one fsum.
-    More gaps are taken in row blocks (_row_block_sums). A mirror root
-    set, x_i = -x_(d-1-i) with 0 in the middle for odd d, as the
-    multiplier family's are, takes each distinct gap once: every
-    sigma_c - sigma_i and sigma_c + sigma_i (i < c) over its positive
-    roots sigma, and every sigma_c - 0, is two gaps, and 2·sigma_i is one.
-    Each block is split at one level, whose remainders are summed in
-    float within _REMAINDER_ERROR per gap, E in all. When the fsums of
-    the terms with -E and with +E agree, that is the rounded sum; else
-    every block is taken again with the exact two-level split.
+    Below _SPLIT_MIN_PAIRS gaps the logs go to one fsum as a list. From
+    there every block (_block_sums) is split at one level, whose
+    remainders are summed in float within _REMAINDER_ERROR per gap, E in
+    all: up to _PAIR_BLOCK gaps are one block, more are taken in row
+    blocks (_row_block_sums), where a mirror root set, x_i = -x_(d-1-i)
+    with 0 in the middle for odd d, as the multiplier family's are, takes
+    each distinct gap once: every sigma_c - sigma_i and sigma_c + sigma_i
+    (i < c) over its positive roots sigma, and every sigma_c - 0, is two
+    gaps, and 2·sigma_i is one. When the fsums of the terms with -E and
+    with +E agree, that is the rounded sum; else every block is taken
+    again with the exact two-level split.
     """
     rs = sorted(p.roots)
     if any(x == y for x, y in zip(rs, rs[1:])):
@@ -197,32 +221,12 @@ def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
         # the widest gap is past float range, and so is its log
         return LogDiscriminant(1, math.inf)
     xs = np.array(rs)
-    d = xs.size
-    if d * (d - 1) // 2 <= _PAIR_BLOCK:
-        # one block: the positive gaps of the (d - 1) x (d - 1) square
-        gaps = xs[1:] - xs[:-1, None]
-        logs = np.log(gaps[gaps > 0])
-        few = logs.size < _SPLIT_MIN_PAIRS
-        terms = logs.tolist() if few else _split_sums(logs, np.empty_like(logs))
-        return LogDiscriminant(1, 2.0 * math.fsum(terms))
-    half = d // 2
-    mirror = np.array_equal(xs, -xs[::-1])
-    sigma = xs[d - half :]
-
-    def block_sums(constants) -> list[float]:
-        if not mirror:
-            return _row_block_sums(xs, np.subtract, 1.0, constants)
-        # xs[half:] is sigma, after the middle 0 for odd d
-        terms = _row_block_sums(xs[half:], np.subtract, 2.0, constants)
-        terms += _row_block_sums(sigma, np.add, 2.0, constants)
-        for k in range(0, half, _PAIR_BLOCK):
-            logs = np.log(2.0 * sigma[k : k + _PAIR_BLOCK])
-            terms += _split_sums(logs, np.empty_like(logs), constants)
-        return terms
-
-    terms = block_sums(_SPLIT_CONSTANTS[:1])
-    err = _REMAINDER_ERROR * (d * (d - 1) // 2)
+    pairs = xs.size * (xs.size - 1) // 2
+    if pairs < _SPLIT_MIN_PAIRS:
+        return LogDiscriminant(1, 2.0 * math.fsum(_square_logs(xs).tolist()))
+    terms = _block_sums(xs, _SPLIT_CONSTANTS[:1])
+    err = _REMAINDER_ERROR * pairs
     total = math.fsum(terms + [-err])
     if total != math.fsum(terms + [err]):
-        total = math.fsum(block_sums(_SPLIT_CONSTANTS))
+        total = math.fsum(_block_sums(xs, _SPLIT_CONSTANTS))
     return LogDiscriminant(1, 2.0 * total)

@@ -1,11 +1,14 @@
 import collections
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremal_poly import lemniscate
 from extremal_poly.cli import canonical_json, main
@@ -18,6 +21,10 @@ DATA = Path(__file__).parent / "data"
 
 
 class _Float(float):
+    pass
+
+
+class _Str(str):
     pass
 
 
@@ -49,6 +56,12 @@ class TestCanonicalJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError, match="cannot serialize <class 'object'>"):
             canonical_json(object())
+
+    @pytest.mark.parametrize("obj", [np.int64(1), np.bool_(True), {1}])
+    def test_numpy_scalars_and_sets_rejected(self, obj):
+        text = "cannot serialize %r" % type(obj)
+        with pytest.raises(TypeError, match=re.escape(text)):
+            canonical_json(obj)
 
     def test_nested_containers(self):
         s = canonical_json({"a": [1, None, True], "b": {"c": 2.5}})
@@ -98,6 +111,9 @@ class TestCanonicalJson:
             ),
             pytest.param([_Float(-0.0), _Float(2.5), 1.0], "[0,2.5,1]", id="float-subclass"),
             pytest.param([1.5, None, 2], "[1.5,null,2]", id="none-and-int"),
+            pytest.param([_Str('a"b'), "c"], '["a\\"b","c"]', id="str-subclass"),
+            pytest.param([True, 1, 1.0], "[true,1,1]", id="bool-int-float"),
+            pytest.param([{"k": -0.0}], '[{"k":0}]', id="dict-negative-zero"),
             # keys print as str(key); tuples as lists
             pytest.param(
                 [{2: 0.5, True: (1.0, -0.0), "k": (None, -1e300)}],
@@ -123,6 +139,25 @@ class TestCanonicalJson:
         s1 = canonical_json({"roots": [-1.5, 0.25], "m": 2.0})
         s2 = canonical_json(json.loads(s1))
         assert s1 == s2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats(allow_nan=False)
+            | st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -2.5e-310])
+            | st.text(),
+            lambda inner: st.lists(inner)
+            | st.lists(inner).map(tuple)
+            | st.dictionaries(st.text(), inner),
+            max_leaves=20,
+        )
+    )
+    def test_canonical_text_is_fixed_through_parse(self, obj):
+        text = canonical_json(obj)
+        assert canonical_json(json.loads(text)) == text
 
 
 class TestSolveCommands:

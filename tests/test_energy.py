@@ -7,6 +7,7 @@ import extremal_poly.binomial_family as bf
 from extremal_poly.binomial_family import lattice_roots
 from extremal_poly.cli import main
 from extremal_poly.energy import (
+    ChargeConfig,
     arctan_cdf_distance,
     config_from_points,
     energy_lower_bound,
@@ -261,6 +262,14 @@ def test_arctan_cdf_distance_lattice(d):
     pts = lattice_roots(1.0, d, 0.0)
     cfg = config_from_points(pts, 1.0)
     assert arctan_cdf_distance(cfg) == pytest.approx(0.5 / d, rel=1e-6)
+
+
+def test_arctan_cdf_distance_of_a_nan_point_is_nan():
+    # a NaN deviation must not drop out of the running worst
+    pts = list(lattice_roots(1.0, 10, 0.0))
+    pts[3] = math.nan
+    cfg = ChargeConfig(tuple(pts), 1.0, 0.0, 0.0)
+    assert math.isnan(arctan_cdf_distance(cfg))
 
 
 def test_arctan_cdf_distance_decreases_along_lattices():

@@ -29,6 +29,7 @@ from extremal_poly.oracles import (
 )
 from extremal_poly.poly_core import (
     _PAIR_BLOCK,
+    _SPLIT_CONSTANTS,
     _SPLIT_MIN_PAIRS,
     _split_sums,
     LogDiscriminant,
@@ -284,7 +285,7 @@ def _exact_sum(xs) -> Fraction:
 def test_binade_sums_round_like_fsum(terms):
     # the cases of the per-binade sums that _split_sums replaced
     g = np.array(terms)
-    parts = _split_sums(g.copy(), np.empty_like(g))
+    parts = _split_sums(g.copy(), np.empty_like(g), _SPLIT_CONSTANTS)
     assert len(parts) == 3
     assert math.fsum(parts) == math.fsum(terms)
     assert _exact_sum(parts) == _exact_sum(terms)
@@ -315,7 +316,7 @@ _ODD = 2.0 * np.random.default_rng(3).integers(0, 2**9, _PAIR_BLOCK - 1) + 1.0
 )
 def test_split_sums_exact_at_the_edges(terms):
     g = np.array(terms)
-    parts = _split_sums(g.copy(), np.empty_like(g))
+    parts = _split_sums(g.copy(), np.empty_like(g), _SPLIT_CONSTANTS)
     assert _exact_sum(parts) == _exact_sum(g.tolist())
 
 
@@ -370,18 +371,34 @@ def test_log_disc_near_mirror_set_takes_every_gap(monkeypatch, d):
     assert calls == [(np.subtract, 1.0, 1)]
 
 
-@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize(
+    "d, mirror",
+    [pytest.param(300, False, id="False"), pytest.param(301, True, id="True")]
+    + [
+        pytest.param(d, mirror, id="one-block-%d-%s" % (d, mirror))
+        for d in (_SPLIT_D, 100, _ROW_D - 1)
+        for mirror in (False, True)
+    ],
+)
 def test_log_disc_failed_certificate_falls_back_to_the_exact_split(
-    monkeypatch, mirror
+    monkeypatch, d, mirror
 ):
-    # an error bound of 1 per gap leaves no certified rounding
+    # an error bound of 1 per gap leaves no certified rounding, in one
+    # block as in row blocks
     monkeypatch.setattr(poly_core, "_REMAINDER_ERROR", 1.0)
-    calls = _row_block_calls(monkeypatch)
+    levels = []
+    real = poly_core._split_sums
+
+    def spy(g, h, constants):
+        levels.append(len(constants))
+        return real(g, h, constants)
+
+    monkeypatch.setattr(poly_core, "_split_sums", spy)
     rng = np.random.default_rng(7)
-    p = poly_from_roots(_mirror(rng, 301) if mirror else rng.uniform(-3.0, 3.0, 300))
+    p = poly_from_roots(_mirror(rng, d) if mirror else rng.uniform(-3.0, 3.0, d))
     assert log_disc_from_roots(p) == _fsum_of_every_log(p.roots)
-    levels = [levels for _, _, levels in calls]
-    assert levels == ([1, 1, 2, 2] if mirror else [1, 2])
+    blocks = len(levels) // 2
+    assert blocks >= 1 and levels == [1] * blocks + [2] * blocks
 
 
 @pytest.mark.parametrize("d", [9, 12, 30, 64, 65, 100])
