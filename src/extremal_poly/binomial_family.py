@@ -169,7 +169,8 @@ def lattice_roots(a: float, d: int, log_p: float) -> list[float]:
     largest root is past float range, at log p below about
     log(a d) - 709.8.
     """
-    return _lattice_roots(a, d, _in_regime(a, d, log_p))
+    log_p = _in_regime(a, d, log_p)
+    return _lattice_roots(float(a), d, log_p)
 
 
 def _lattice_roots(a: float, d: int, log_p: float) -> list[float]:
@@ -226,7 +227,9 @@ def binomial_coeffs(a: float, d: int, log_p: float) -> list[float]:
     an inf holds a true coefficient past float range. The mirror (roots
     negated) is the same list with the odd-n slots negated.
     """
-    return _binomial_row(a, d, _subleading(a, d, _in_regime(a, d, log_p)))
+    log_p = _in_regime(a, d, log_p)
+    a = float(a)
+    return _binomial_row(a, d, _subleading(a, d, log_p))
 
 
 def _binomial_row(a: float, d: int, b: float) -> list[float]:

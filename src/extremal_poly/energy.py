@@ -90,8 +90,8 @@ def solve_equilibrium(a: float, d: int, v: float) -> ChargeConfig:
     check_height(a)
     _check_potential(a, v)
     check_degree(d)
-    # a numpy v would warn where -v d overflows
-    v = float(v)
+    # a numpy v would warn where -v d overflows, and a numpy a would give numpy roots
+    a, v = float(a), float(v)
     log_m = -v * d
     if log_m == math.inf:
         raise DomainError("potential v = %r puts -v d past float range" % v)

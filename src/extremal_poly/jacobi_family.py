@@ -74,6 +74,7 @@ def family_coeffs(a: float, d: int, lam: float) -> list[float]:
     (lam - 2d + 2j + 1); every other slot is exactly zero.
     """
     _check_member(a, d, lam)
+    a, lam = float(a), float(lam)
     coeffs = [0.0] * (d + 1)
     coeffs[d] = 1.0
     if d >= bf._ARRAY_DEGREE:
@@ -116,41 +117,35 @@ def family_roots(a: float, d: int, lam: float) -> list[float]:
     bf._ARRAY_DEGREE the radicands and off-diagonals are Python floats,
     formed by the same operations in the same order as the arrays from
     there on, so both give the same floats: at d <= 8 the block costs
-    less than numpy's set-up of it. DomainError when a radicand is not
-    positive (never for lam >= 2d-2; its factors are taken over lam, so
-    none overflows), or when the Newton solve does not settle on
-    floor(d/2) distinct positive roots."""
+    less than numpy's set-up of it. The domain is lam > 2d - 3, where every
+    radicand is positive (its factors are taken over lam, so none
+    overflows): DomainError for any other lam, by that one comparison
+    before any radicand is formed, or when the Newton solve does not
+    settle on floor(d/2) distinct positive roots."""
     _check_member(a, d, lam)
-    # a numpy multiplier would warn where the floats raise
+    # above 2d - 3 every factor is positive; on each (2n - 3, 2n - 1) the n-th
+    # denominator is negative and its numerator positive, and at its ends a
+    # denominator is 0; below -1 every numerator is negative, every denominator positive
+    if not lam > 2 * d - 3:
+        raise DomainError(
+            "recurrence radicand is not positive at multiplier %.17g" % lam
+        )
+    # both bodies in float64: a numpy float32 lam would keep the list body's
+    # arithmetic in float32
     lam = float(lam)
     if d >= bf._ARRAY_DEGREE:
         n = np.arange(1.0, d)
         two_n = 2.0 * n
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            scaled = n * ((lam + 2.0 - n) / lam) / (
-                ((lam + 3.0 - two_n) / lam) * ((lam + 1.0 - two_n) / lam)
-            )
-        low, high = scaled.min(), scaled.max()
-    else:
-        # the array body's operations in its order, on floats; min cannot
-        # see a nan after the first radicand, but a nan needs quotients
-        # of a lam < 1 that overflow, and 0 < lam < 1 makes the first
-        # radicand negative, -0.0 or nan
-        try:
-            scaled = [
-                n * ((lam + 2.0 - n) / lam)
-                / (((lam + 3.0 - 2.0 * n) / lam) * ((lam + 1.0 - 2.0 * n) / lam))
-                for n in map(float, range(1, d))
-            ]
-            low, high = min(scaled), max(scaled)
-        except ZeroDivisionError:
-            # where the arrays take inf or nan
-            low = high = math.nan
-    # nan and -inf fail the first test, inf the last
-    if not (lam > 0.0 and low > 0.0 and high < math.inf):
-        raise DomainError(
-            "recurrence radicand is not positive at multiplier %.17g" % lam
+        scaled = n * ((lam + 2.0 - n) / lam) / (
+            ((lam + 3.0 - two_n) / lam) * ((lam + 1.0 - two_n) / lam)
         )
+    else:
+        # the array body's operations in its order, on floats
+        scaled = [
+            n * ((lam + 2.0 - n) / lam)
+            / (((lam + 3.0 - 2.0 * n) / lam) * ((lam + 1.0 - 2.0 * n) / lam))
+            for n in map(float, range(1, d))
+        ]
     if d >= _NEWTON_DEGREE:
         # scaled are the e_n^2 at a = 1 in xi = sqrt(lam) x
         sigma = _newton_roots(d, lam, scaled)[::-1] * (a / math.sqrt(lam))
@@ -373,6 +368,13 @@ def _multiplier_from_modulus(a: float, d: int, log_m: float) -> float:
         return math.log(s), slope / s
 
     return _newton_multiplier(log_log_ratio, math.log(log_t), d)
+
+
+def _multiplier_from_disc(a: float, d: int, log_disc: float) -> float:
+    """Invert the closed-form discriminant for the multiplier on
+    [2d-2, inf), where it decreases, by _newton_multiplier; for a checked
+    height and degree. solve_min_abs's multiplier."""
+    return _newton_multiplier(_log_disc_and_slope(a, d), log_disc, d)
 
 
 def _newton_multiplier(value_and_slope, target: float, d: int) -> float:

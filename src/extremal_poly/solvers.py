@@ -114,6 +114,7 @@ def solve_max_disc(a: float, d: int, m: float) -> ExtremalSolution:
     modulus); RegimeError otherwise."""
     check_degree(d)
     check_height(a)
+    a = float(a)
     return _max_disc(a, d, bf._log_modulus(a, d, m))
 
 
@@ -131,15 +132,9 @@ def solve_min_abs(a: float, d: int, disc: float) -> ExtremalSolution:
     check_degree(d)
     check_height(a)
     check_disc(disc)
-    log_disc = math.log(disc)
+    a, log_disc = float(a), math.log(disc)
     return _dispatch(
         PROBLEM_MIN_ABS, a, d, bf._log_phase_of_disc(a, d, log_disc),
-        lambda: _multiplier_from_disc(a, d, log_disc),
+        lambda: jf._multiplier_from_disc(a, d, log_disc),
     )
 
-
-def _multiplier_from_disc(a: float, d: int, log_disc: float) -> float:
-    """Invert the closed-form discriminant for the multiplier on
-    [2d-2, inf), where it decreases, by jacobi_family._newton_multiplier;
-    for a checked height and degree."""
-    return jf._newton_multiplier(jf._log_disc_and_slope(a, d), log_disc, d)

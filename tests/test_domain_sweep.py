@@ -28,12 +28,7 @@ from extremal_poly import solvers
 from extremal_poly.energy import solve_equilibrium
 from extremal_poly.errors import DomainError
 from extremal_poly.poly_core import log_disc_from_roots, log_modulus_at_ai, rel_log_diff
-from extremal_poly.solvers import (
-    REGIME_BINOMIAL,
-    _multiplier_from_disc,
-    solve_max_disc,
-    solve_min_abs,
-)
+from extremal_poly.solvers import REGIME_BINOMIAL, solve_max_disc, solve_min_abs
 
 HEIGHTS = [float(a) for a in np.logspace(-3.0, 3.0, 7)]
 DEGREES = [2, 3, 4, 5, 6, 7, 8, 20, 50, 300, 1000]
@@ -198,7 +193,7 @@ def test_multiplier_solves_are_short(monkeypatch):
         m = _as_float(_log_m(a, d, log_p))
         if m is not None and log_p < (d - 1) * math.log(2.0):
             solve_max_disc(a, d, m)
-        _multiplier_from_disc(a, d, _log_disc(a, d, log_p))
+        jf._multiplier_from_disc(a, d, _log_disc(a, d, log_p))
     for a, d, m in _far_moduli():
         solve_max_disc(a, d, m)
     assert len(counts) > 150

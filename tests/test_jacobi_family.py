@@ -503,6 +503,58 @@ def test_family_roots_reject_nonpositive_radicand(lam):
         family_roots(1.0, 6, lam)
 
 
+def _radicand_rule_outcome(d, lam):
+    """family_roots' outcome by the rule it kept before its domain was one
+    comparison: past the member check, form the radicands in floats, as
+    both bodies do, and refuse unless lam > 0 and every radicand is
+    positive and finite. None for an answer."""
+    try:
+        jf._check_member(1.0, d, lam)
+    except PoleError as err:
+        return PoleError, str(err)
+    refusal = DomainError, "recurrence radicand is not positive at multiplier %.17g" % lam
+    if not lam > 0.0:
+        return refusal
+    for n in map(float, range(1, d)):
+        try:
+            r = n * ((lam + 2.0 - n) / lam) / (
+                ((lam + 3.0 - 2.0 * n) / lam) * ((lam + 1.0 - 2.0 * n) / lam)
+            )
+        except ZeroDivisionError:
+            return refusal
+        if not 0.0 < r < math.inf:
+            return refusal
+    return None
+
+
+def _domain_lams(d):
+    """Multipliers across family_roots' domain edge 2d - 3 and far out."""
+    odd = range(-1, 2 * d, 2)
+    lams = [-1e308, -3.0, -1.0, -0.0, 0.0, 5e-324, 1e-310, 0.5, 2.0 * d - 2.0]
+    lams += [0.5 * k for k in range(4 * d + 1)]
+    lams += [k + s for k in odd for s in (-2e-9, 2e-9)]
+    lams += [2.0 * d - 3.0 + s for s in (-5e-10, 5e-10, -2e-9, 2e-9, -1e-6, 1e-6)]
+    return lams + [1e300, sys.float_info.max]
+
+
+@pytest.mark.parametrize("d", [*range(2, 13), 31, 63, 64, 65, 257, 258, 300])
+def test_family_roots_domain_is_the_radicand_rule(monkeypatch, d):
+    # the one comparison lam > 2d - 3 refuses exactly what a scan of the
+    # radicands refused, with the same exception and text, in each body;
+    # the list body feeds only the SVD, as it runs below bf._ARRAY_DEGREE
+    crossovers = (d + 1, d) if d < jf._NEWTON_DEGREE else (d,)
+    for lam in _domain_lams(d):
+        want = _radicand_rule_outcome(d, lam)
+        for crossover in crossovers:
+            monkeypatch.setattr(bf, "_ARRAY_DEGREE", crossover)
+            try:
+                family_roots(1.0, d, lam)
+                got = None
+            except (DomainError, PoleError) as err:
+                got = type(err), str(err)
+            assert got == want, (lam, crossover)
+
+
 NEWTON_D = jf._NEWTON_DEGREE
 # multipliers as fractions of the boundary 2d - 2, then two at fixed
 # offsets: one below the boundary (family_roots accepts lam > 2d - 3), and
@@ -574,6 +626,28 @@ def test_newton_roots_at_ten_thousand():
     assert len(roots) == d and all(x < y for x, y in zip(roots, roots[1:]))
     want = d * (d - 1) / (lam - 2.0 * d + 3.0)
     assert math.fsum(x * x for x in roots) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [NEWTON_D - 1, NEWTON_D, 300, 1000])
+def test_family_roots_at_the_domain_edge(d):
+    # just past the pole's 1e-9 band around 2d - 3, on the SVD path (d = 257)
+    # and the Newton path, the largest root runs off like
+    # sqrt(d (d - 1) / (2 (lam - 2d + 3)))
+    for offset in (2e-9, 1e-6):
+        lam = 2.0 * d - 3.0 + offset
+        roots = family_roots(1.0, d, lam)
+        assert all(map(math.isfinite, roots))
+        assert all(x < y for x, y in zip(roots, roots[1:]))
+        assert roots == [-x for x in reversed(roots)]
+        want = d * (d - 1) / (lam - 2.0 * d + 3.0)
+        assert math.fsum(x * x for x in roots) == pytest.approx(want, rel=1e-13)
+    assert 4e6 <= family_roots(1.0, d, 2.0 * d - 3.0 + 2e-9)[-1] <= 1.6e7
+    lam = 2.0 * d - 3.0 - 2e-9
+    refusal = "^recurrence radicand is not positive at multiplier %.17g$" % lam
+    with pytest.raises(DomainError, match=refusal):
+        family_roots(1.0, d, lam)
+    with pytest.raises(PoleError):
+        family_roots(1.0, d, 2.0 * d - 3.0 + 5e-10)
 
 
 @pytest.mark.parametrize("a", [1e-150, 1e150])

@@ -219,6 +219,38 @@ def test_each_solve_decides_once_and_checks_outside_newton(monkeypatch):
         assert member <= 2 and degree - member <= 2 and height - member <= 3, key
 
 
+def _answer_floats(sol):
+    return (
+        [x for poly in sol.polys for x in poly.roots]
+        + [c for row in sol.coeffs for c in row]
+        + [sol.lambda_or_b]
+    )
+
+
+@pytest.mark.parametrize("d", (8, bf._ARRAY_DEGREE))
+def test_numpy_arguments_give_python_floats(d):
+    # each public entry takes its height (and family_coeffs its multiplier)
+    # as a float once, so the list bodies below bf._ARRAY_DEGREE give
+    # Python floats, as the array bodies' tolist does
+    one, lam = np.float64(1.0), np.float64(2.0 * d)
+    # disc = 1 sits on the crossover at this height
+    a_disc = math.exp(bf.log_threshold_height(d, 0.0))
+    got = jf.family_coeffs(one, d, lam) + jf.family_roots(one, d, lam)
+    for log_p in (-0.5, 0.0):
+        got += bf.lattice_roots(one, d, log_p) + bf.binomial_coeffs(one, d, log_p)
+    for frac in (0.5, 1.3):  # the multiplier side, then the binomial one
+        log_m = frac * (d - 1) * math.log(2.0)
+        sol = solve_max_disc(one, d, np.float64(math.exp(log_m)))
+        assert sol.regime == (REGIME_MULTIPLIER if frac < 1.0 else REGIME_BINOMIAL)
+        got += _answer_floats(sol)
+        sol = solve_min_abs(np.float64(a_disc * (2.0 - frac)), d, 1.0)
+        assert sol.regime == (REGIME_MULTIPLIER if frac < 1.0 else REGIME_BINOMIAL)
+        got += _answer_floats(sol)
+        config = solve_equilibrium(one, d, np.float64(-log_m / d))
+        got += list(config.points) + [config.a]
+    assert {type(x) for x in got} == {float}
+
+
 # (a, d) grid around the crossover p = 1; targets are built from log p
 _CROSSOVER_GRID = [
     (a, d) for a in (0.3, 0.5, 1.0, 2.0, 3.0) for d in (*range(2, 9), 20, 30, 60)
