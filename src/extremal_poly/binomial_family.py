@@ -270,9 +270,9 @@ def min_modulus_bound(a: float, d: int, disc: float) -> float:
     """Sharp lower bound (2a)^(d/2) d^(-d/(2d-2)) disc^(1/(2d-2)) for
     |f(ai)| over monic real-rooted f with the given discriminant, attained
     by the binomial member; valid for heights a up to the threshold of
-    small_height_condition."""
+    small_height_condition; inf once the bound leaves float range."""
     _check_args(a, d, disc)
-    return math.exp(
+    return _exp_or_inf(
         0.5 * d * math.log(2.0 * a)
         - (d / (2.0 * d - 2.0)) * math.log(d)
         + math.log(disc) / (2.0 * d - 2.0)

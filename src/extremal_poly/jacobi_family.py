@@ -50,13 +50,13 @@ _NEWTON_SWEEPS = 16
 _TAYLOR_TERMS = 10
 
 
-def _check_member(a: float, d: int, lam: float) -> None:
-    """DomainError unless the height a, degree d and Lagrange multiplier
-    lam name a family member; PoleError for a multiplier within 1e-9 of a
-    pole, refused outright rather than perturbed. The poles are the odd
-    integers from d - 1 + d mod 2 to 2d - 3, so only the nearest one is
-    tested: the nearest odd integer to the multiplier clamped into that
-    range.
+def _check_member(a: float, d: int, lam: float) -> tuple[float, float]:
+    """(a, lam) as floats, or DomainError unless the height a, degree d
+    and Lagrange multiplier lam name a family member; PoleError for a
+    multiplier within 1e-9 of a pole, refused outright rather than
+    perturbed. The poles are the odd integers from d - 1 + d mod 2 to
+    2d - 3, so only the nearest one is tested: the nearest odd integer to
+    the multiplier clamped into that range.
     """
     check_height(a)
     check_degree(d)
@@ -65,6 +65,7 @@ def _check_member(a: float, d: int, lam: float) -> None:
     pole = 2 * round(0.5 * (min(max(lam, d - 1 + d % 2), 2 * d - 3) - 1.0)) + 1
     if abs(lam - pole) <= _POLE_REJECT:
         raise PoleError("multiplier %.17g is within 1e-9 of the pole %d" % (lam, pole))
+    return float(a), float(lam)
 
 
 def family_coeffs(a: float, d: int, lam: float) -> list[float]:
@@ -73,8 +74,7 @@ def family_coeffs(a: float, d: int, lam: float) -> list[float]:
     x^(d-2k) carries (-1)^k a^(2k) C(d,2k) (2k-1)!! / prod_{j=1}^{k}
     (lam - 2d + 2j + 1); every other slot is exactly zero.
     """
-    _check_member(a, d, lam)
-    a, lam = float(a), float(lam)
+    a, lam = _check_member(a, d, lam)
     coeffs = [0.0] * (d + 1)
     coeffs[d] = 1.0
     if d >= bf._ARRAY_DEGREE:
@@ -120,9 +120,10 @@ def family_roots(a: float, d: int, lam: float) -> list[float]:
     less than numpy's set-up of it. The domain is lam > 2d - 3, where every
     radicand is positive (its factors are taken over lam, so none
     overflows): DomainError for any other lam, by that one comparison
-    before any radicand is formed, or when the Newton solve does not
-    settle on floor(d/2) distinct positive roots."""
-    _check_member(a, d, lam)
+    before any radicand is formed, when the roots are past float range,
+    or when the Newton solve does not settle on floor(d/2) distinct
+    positive roots."""
+    a, lam = _check_member(a, d, lam)
     # above 2d - 3 every factor is positive; on each (2n - 3, 2n - 1) the n-th
     # denominator is negative and its numerator positive, and at its ends a
     # denominator is 0; below -1 every numerator is negative, every denominator positive
@@ -130,9 +131,11 @@ def family_roots(a: float, d: int, lam: float) -> list[float]:
         raise DomainError(
             "recurrence radicand is not positive at multiplier %.17g" % lam
         )
-    # both bodies in float64: a numpy float32 lam would keep the list body's
-    # arithmetic in float32
-    lam = float(lam)
+    return _family_roots(a, d, lam)
+
+
+def _family_roots(a: float, d: int, lam: float) -> list[float]:
+    """family_roots of a member with float a and lam > 2d - 3, unchecked."""
     if d >= bf._ARRAY_DEGREE:
         n = np.arange(1.0, d)
         two_n = 2.0 * n
@@ -148,13 +151,22 @@ def family_roots(a: float, d: int, lam: float) -> list[float]:
         ]
     if d >= _NEWTON_DEGREE:
         # scaled are the e_n^2 at a = 1 in xi = sqrt(lam) x
-        sigma = _newton_roots(d, lam, scaled)[::-1] * (a / math.sqrt(lam))
+        with np.errstate(over="ignore"):
+            sigma = _newton_roots(d, lam, np.asarray(scaled))[::-1] * (a / math.sqrt(lam))
+    elif math.sqrt(scaled[-1]) * (a / math.sqrt(lam)) == math.inf:
+        # the radicands rise with n, and the largest root is at least every
+        # off-diagonal (interlacing), so at least the last one
+        sigma = np.array([math.inf])
     else:
-        root_lam = math.sqrt(lam)
+        # at heights near the largest float a sqrt(r) overflows before its
+        # division by sqrt(lam), which then goes first
+        scale, root_lam = a, math.sqrt(lam)
+        if a * math.sqrt(scaled[-1]) == math.inf:
+            scale, root_lam = a / root_lam, 1.0
         if d >= bf._ARRAY_DEGREE:
-            e = a * np.sqrt(scaled) / root_lam
+            e = scale * np.sqrt(scaled) / root_lam
         else:
-            e = [a * math.sqrt(r) / root_lam for r in scaled]
+            e = [scale * math.sqrt(r) / root_lam for r in scaled]
         # the block, row-major: b[i, i] = e[2i] and b[i + 1, i] = e[2i + 1]
         # sit cols + 1 apart, from 0 and from cols
         cols = d // 2
@@ -162,6 +174,11 @@ def family_roots(a: float, d: int, lam: float) -> list[float]:
         b[:: cols + 1] = e[0::2]
         b[cols :: cols + 1] = e[1::2]
         sigma = np.linalg.svd(b.reshape(-1, cols), compute_uv=False)  # descending
+    if sigma[0] == math.inf:
+        raise DomainError(
+            "multiplier roots are past float range (d = %d, a = %.17g, lam = %.17g)"
+            % (d, a, lam)
+        )
     mid = [0.0] if d % 2 else []
     return (-sigma).tolist() + mid + sigma[::-1].tolist()
 

@@ -85,25 +85,22 @@ def _dispatch(
     side = bf.crossover_side(a, d, log_p)
     if side > 0:
         lam = solve_lambda()
-        poly = RealRootedPoly(tuple(jf.family_roots(a, d, lam)))
+        # the multiplier is >= 2d - 2 and off the poles, so the roots come
+        # from the unchecked core and family_coeffs makes the one member check
+        poly = RealRootedPoly(tuple(jf._family_roots(a, d, lam)))
         return _finish(
             problem, REGIME_MULTIPLIER, [poly], [jf.family_coeffs(a, d, lam)], a, lam
         )
-    if side == 0:
-        poly = RealRootedPoly(tuple(bf._lattice_roots(a, d, 0.0)))
-        row = bf._binomial_row(a, d, 0.0)
-        return _finish(problem, REGIME_BINOMIAL, [poly], [row], a, 0.0)
+    # the boundary member is the binomial one at log p = 0, with B = 0
+    log_p = log_p if side else 0.0
     lead = RealRootedPoly(tuple(bf._lattice_roots(a, d, log_p)))
     row = bf._binomial_row(a, d, bf._subleading(a, d, log_p))
-    # negating the roots negates every x^j with d - j odd, B among them
-    pair = [
-        (lead, row),
-        (
-            RealRootedPoly(tuple(-r for r in reversed(lead.roots))),
-            [-c if (d - j) % 2 else c for j, c in enumerate(row)],
-        ),
-    ]
-    pair.sort(key=lambda member: member[0].roots[0])
+    pair = [(lead, row)]
+    if side < 0:
+        # negating the roots negates every x^j with d - j odd, B among them
+        mirror = RealRootedPoly(tuple(-r for r in reversed(lead.roots)))
+        pair.append((mirror, [-c if (d - j) % 2 else c for j, c in enumerate(row)]))
+        pair.sort(key=lambda member: member[0].roots[0])
     polys, rows = zip(*pair)
     return _finish(problem, REGIME_BINOMIAL, polys, rows, a, rows[0][d - 1])
 

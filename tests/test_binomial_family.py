@@ -287,6 +287,13 @@ def test_modulus_attains_bound_under_small_height():
         assert rel_log_diff(got.log_abs, math.log(disc)) < 1e-8
 
 
+def test_min_modulus_bound_past_float_range_is_inf():
+    # (2a)^(d/2) = 2^2.5 1e375 leaves float range, as LogDiscriminant.value does
+    assert min_modulus_bound(1e150, 5, 1e-150) == math.inf
+    log_bound = 2.5 * math.log(2.0) - 0.625 * math.log(5.0) + math.log(4.0) / 8.0
+    assert min_modulus_bound(1.0, 5, 4.0) == math.exp(log_bound)
+
+
 def test_small_height_condition_edges():
     # threshold height for d=2, disc=4 is 1
     assert small_height_condition(1.0, 2, 4.0)

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +239,33 @@ def test_cli_names_the_potential_of_a_largest_root_past_float_range(capsys):
     err = capsys.readouterr().err
     want = "potential v = -1e+307 puts the largest root a d/p past float range"
     assert err == "error: %s\n" % want
+
+
+def test_equilibrium_at_a_height_near_the_largest_float():
+    # the largest root is about 7.01e306 at lam = 3506.5; the recurrence's
+    # a sqrt(r) alone would overflow before its division by sqrt(lam)
+    v = -709.1972086421661
+    cfg = solve_equilibrium(1e308, 8, v)
+    x = cfg.points
+    assert len(x) == 8 and all(map(math.isfinite, x))
+    assert all(p < q for p, q in zip(x, x[1:]))
+    assert x[-1] == pytest.approx(7.014168482286091e306, rel=1e-14)
+    assert cfg.potential_v == v
+
+
+def test_cli_answers_at_a_height_near_the_largest_float(capfd):
+    assert main(["energy", "--a", "1e308", "--d", "8", "--v", "-709.1972086421661"]) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert len(json.loads(out)["points"]) == 8
+
+
+def test_cli_refuses_multiplier_roots_past_float_range(capfd):
+    # near the crossover at a = 1e308 the largest root passes the largest float
+    assert main(["energy", "--a", "1e308", "--d", "8", "--v", "-709.8"]) == 2
+    out, err = capfd.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert re.fullmatch(r"error: multiplier roots are past float range \(d = 8, .*\)\n", err)
 
 
 def test_equilibrium_potential_that_rounds_onto_the_floor():

@@ -540,12 +540,11 @@ def _domain_lams(d):
 @pytest.mark.parametrize("d", [*range(2, 13), 31, 63, 64, 65, 257, 258, 300])
 def test_family_roots_domain_is_the_radicand_rule(monkeypatch, d):
     # the one comparison lam > 2d - 3 refuses exactly what a scan of the
-    # radicands refused, with the same exception and text, in each body;
-    # the list body feeds only the SVD, as it runs below bf._ARRAY_DEGREE
-    crossovers = (d + 1, d) if d < jf._NEWTON_DEGREE else (d,)
+    # radicands refused, with the same exception and text, in each body,
+    # and either body's radicands feed either root path
     for lam in _domain_lams(d):
         want = _radicand_rule_outcome(d, lam)
-        for crossover in crossovers:
+        for crossover in (d + 1, d):
             monkeypatch.setattr(bf, "_ARRAY_DEGREE", crossover)
             try:
                 family_roots(1.0, d, lam)
@@ -657,6 +656,37 @@ def test_newton_roots_scale_with_height(a):
     unit = family_roots(1.0, d, lam)
     got = family_roots(a, d, lam)
     assert got == pytest.approx([a * x for x in unit], rel=4e-16)
+
+
+# at a = 1e308 a sqrt(r) overflows before its division by sqrt(lam), in
+# both radicand bodies; the Newton path forms a / sqrt(lam) first
+@pytest.mark.parametrize("d, lam", [(8, 24.0), (64, 2000.0), (64, 1e4), (NEWTON_D + 1, 5e4)])
+def test_family_roots_at_heights_near_the_largest_float(capfd, d, lam):
+    a = 1e308
+    unit = family_roots(1.0, d, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = family_roots(a, d, lam)
+    assert capfd.readouterr().err == ""  # no LAPACK text
+    assert all(math.isfinite(x) for x in got)
+    assert max(abs(x - a * u) for x, u in zip(got, unit)) <= 1e-14 * (a * unit[-1])
+
+
+# past float range: the last off-diagonal (d = 8 at lam = 14), the SVD's
+# largest singular value with every off-diagonal a float (lam = 24) and
+# the Newton path's largest root
+@pytest.mark.parametrize(
+    "a, d, lam",
+    [(1e308, 8, 14.0), (1.5e308, 8, 24.0), (1e308, 64, 192.0), (sys.float_info.max, 300, 900.0)],
+)
+def test_family_roots_past_float_range_are_refused(capfd, a, d, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            family_roots(a, d, lam)
+    want = "multiplier roots are past float range (d = %d, a = %.17g, lam = %.17g)"
+    assert str(err.value) == want % (d, a, lam)
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("d, lam", [(513, 1.0001 * 1024.0), (1000, None)])
