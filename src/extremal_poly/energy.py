@@ -17,12 +17,11 @@ import numpy as np
 from .errors import DomainError, check_degree, check_height
 from .poly_core import (
     LogDiscriminant,
-    _exp_or_inf,
     log_disc_from_roots,
     log_modulus_at_ai,
     poly_from_roots,
 )
-from .binomial_family import _above_floor, _log_phase_of_modulus
+from .binomial_family import _above_floor
 from .solvers import _max_disc
 
 
@@ -85,26 +84,21 @@ def solve_equilibrium(a: float, d: int, v: float) -> ChargeConfig:
     polynomial with the charges as roots, so minimising energy is
     maximising the discriminant; the two solver regimes correspond to the
     two shapes of equilibria. When the extremal pair is a mirror pair,
-    the member with the smaller least root is returned.
+    the member with the smaller least root is returned. Every float-range
+    refusal is the solver's, a DomainError that names the potential.
     """
     check_height(a)
     _check_potential(a, v)
     check_degree(d)
     # a numpy v would warn where -v d overflows, and a numpy a would give numpy roots
     a, v = float(a), float(v)
-    log_m = -v * d
-    if log_m == math.inf:
-        raise DomainError("potential v = %r puts -v d past float range" % v)
-    # below the crossover the largest root, about a d / p, is formed as
-    # exp(log(a d) - log p) (binomial_family.lattice_roots)
-    log_p = _log_phase_of_modulus(a, d, log_m)
-    if log_p < 0.0 and _exp_or_inf(math.log(a) + math.log(d) - log_p) == math.inf:
-        raise DomainError(
-            "potential v = %r puts the largest root a d/p past float range" % v
-        )
     # v < -log a puts -v d above d log a, except where the two round to
     # one float
-    solution = _max_disc(a, d, _above_floor(a, d, log_m))
+    log_m = _above_floor(a, d, -v * d)
+    try:
+        solution = _max_disc(a, d, log_m)
+    except DomainError as exc:
+        raise DomainError("potential v = %r: %s" % (v, exc)) from None
     # the solver has taken the log-discriminant and log-modulus of these
     # very roots
     return _config(

@@ -93,9 +93,17 @@ def poly_from_roots(roots) -> RealRootedPoly:
 
 
 def log_modulus_at_ai(roots, a: float) -> float:
-    """log |f(ai)| from roots, safe for any degree."""
+    """log |f(ai)| from the sequence roots, safe for any degree and for
+    any |x + ai| past float range."""
     check_height(a)
-    return math.fsum(map(math.log, map(math.hypot, repeat(a), roots)))
+    total = math.fsum(map(math.log, map(math.hypot, repeat(a), roots)))
+    if total == math.inf:
+        # only a hypot past float range gives inf, which puts a above
+        # 1e300: halving it is exact, and each halved |x + ai| gives back
+        # its log 2
+        logs = [math.log(math.hypot(0.5 * a, 0.5 * x)) for x in roots]
+        total = math.fsum(logs + [len(logs) * math.log(2.0)])
+    return total
 
 
 # Root pairs per block of log_disc_from_roots, the most _split_sums sums
@@ -213,20 +221,28 @@ def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
     gaps, and 2·sigma_i is one. When the fsums of the terms with -E and
     with +E agree, that is the rounded sum; else every block is taken
     again with the exact two-level split.
+
+    Where the widest gap is past float range, every sum is taken over the
+    halved roots, whose gaps are the correctly rounded half-gaps, with
+    pairs·log 2 as one more term (0.0 otherwise). Halving is exact except
+    for subnormal roots, whose gaps among themselves are then off.
     """
     rs = sorted(p.roots)
     if any(x == y for x, y in zip(rs, rs[1:])):
         return LogDiscriminant.zero()
-    if not math.isfinite(rs[-1] - rs[0]):
-        # the widest gap is past float range, and so is its log
-        return LogDiscriminant(1, math.inf)
     xs = np.array(rs)
     pairs = xs.size * (xs.size - 1) // 2
+    shift = 0.0
+    if math.isinf(rs[-1] - rs[0]):
+        xs *= 0.5
+        shift = pairs * math.log(2.0)
     if pairs < _SPLIT_MIN_PAIRS:
-        return LogDiscriminant(1, 2.0 * math.fsum(_square_logs(xs).tolist()))
+        logs = _square_logs(xs).tolist()
+        logs.append(shift)
+        return LogDiscriminant(1, 2.0 * math.fsum(logs))
     terms = _block_sums(xs, _SPLIT_CONSTANTS[:1])
     err = _REMAINDER_ERROR * pairs
-    total = math.fsum(terms + [-err])
-    if total != math.fsum(terms + [err]):
-        total = math.fsum(_block_sums(xs, _SPLIT_CONSTANTS))
+    total = math.fsum(terms + [shift, -err])
+    if total != math.fsum(terms + [shift, err]):
+        total = math.fsum(_block_sums(xs, _SPLIT_CONSTANTS) + [shift])
     return LogDiscriminant(1, 2.0 * total)

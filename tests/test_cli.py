@@ -500,7 +500,10 @@ class TestEnergyCommand:
             capsys, "energy", "--a", "1", "--d", "3", "--v", "-300"
         )
         assert code == 2 and out == ""
-        assert err == "error: potential v = -300.0 puts the largest root a d/p past float range\n"
+        assert err == (
+            "error: potential v = -300.0: largest root a*d/p is past float range "
+            "(log p = -898.61370563888011 is below log(a d) - 709.78)\n"
+        )
 
     @pytest.mark.parametrize("v", ["-1e-3", "-.5e-1", "-1E+2", "-0.5"])
     def test_negative_value_as_its_own_token(self, capsys, v):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -177,11 +178,21 @@ def test_equilibrium_past_a_float_modulus(d, v, regime):
     assert _max_disc(1.0, d, -v * d).regime == regime
 
 
+_FAR = "largest root a*d/p is past float range (log p = %s is below log(a d) - 709.78)"
+
+
+def _solver_refusal(a, d, log_m) -> str:
+    with pytest.raises(DomainError) as err:
+        _max_disc(a, d, log_m)
+    return str(err.value)
+
+
 def test_equilibrium_past_float_range_is_named():
-    # -v d = 1e309 rounds to inf: the refusal quotes the potential
+    # -v d = 1e309 rounds to inf: the solver refuses its largest root, and
+    # the refusal quotes the potential before the solver's reason
     with pytest.raises(DomainError) as err:
         solve_equilibrium(1.0, 10, -1e308)
-    assert str(err.value) == "potential v = -1e+308 puts -v d past float range"
+    assert str(err.value) == "potential v = -1e+308: " + _FAR % "-inf"
 
 
 @pytest.mark.parametrize("d", [2, 10])
@@ -189,8 +200,8 @@ def test_equilibrium_largest_root_past_float_range_is_named(d):
     # -v d = 1e307 d is a float, but the largest root a d / p is not
     with pytest.raises(DomainError) as err:
         solve_equilibrium(1.0, d, -1e307)
-    want = "potential v = -1e+307 puts the largest root a d/p past float range"
-    assert str(err.value) == want
+    want = _solver_refusal(1.0, d, 1e307 * d)
+    assert str(err.value) == "potential v = -1e+307: " + want
 
 
 @pytest.mark.parametrize("a", [0.3, 1.0, 7.0])
@@ -210,7 +221,7 @@ def test_equilibrium_largest_root_refusal_is_the_roots_own(a, d):
         try:
             bf.lattice_roots(a, d, log_p)
         except DomainError:
-            with pytest.raises(DomainError, match="largest root a d/p"):
+            with pytest.raises(DomainError, match=r"potential v = [^:]*: largest root a\*d/p"):
                 solve_equilibrium(a, d, v)
             refused += 1
         else:
@@ -225,20 +236,19 @@ def test_equilibrium_numpy_potential_past_float_range_is_named():
     # under this suite's warning filter); a numpy v is refused as a float is
     with pytest.raises(DomainError) as err:
         solve_equilibrium(1.0, 200, np.float64(-1e307))
-    assert str(err.value) == "potential v = -1e+307 puts -v d past float range"
+    assert str(err.value) == "potential v = -1e+307: " + _FAR % "-inf"
 
 
 def test_cli_names_the_potential_past_float_range(capsys):
     assert main(["energy", "--a", "1", "--d", "2", "--v", "-1e308"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: potential v = -1e+308 puts -v d past float range\n"
+    assert err == "error: potential v = -1e+308: %s\n" % (_FAR % "-inf")
 
 
 def test_cli_names_the_potential_of_a_largest_root_past_float_range(capsys):
     assert main(["energy", "--a", "1", "--d", "2", "--v", "-1e307"]) == 2
     err = capsys.readouterr().err
-    want = "potential v = -1e+307 puts the largest root a d/p past float range"
-    assert err == "error: %s\n" % want
+    assert err == "error: potential v = -1e+307: %s\n" % (_FAR % "-2e+307")
 
 
 def test_equilibrium_at_a_height_near_the_largest_float():
@@ -265,7 +275,49 @@ def test_cli_refuses_multiplier_roots_past_float_range(capfd):
     assert main(["energy", "--a", "1e308", "--d", "8", "--v", "-709.8"]) == 2
     out, err = capfd.readouterr()
     assert out == "" and "Traceback" not in err
-    assert re.fullmatch(r"error: multiplier roots are past float range \(d = 8, .*\)\n", err)
+    want = r"error: potential v = -709\.8: multiplier roots are past float range \(d = 8, .*\)\n"
+    assert re.fullmatch(want, err)
+
+
+@pytest.mark.parametrize("p", [0.86, 0.9, 0.99])
+def test_equilibrium_answers_where_the_solver_answers(p):
+    # the pole root a cot(arcsin(p)/d) is below a d/p: at a = 1e308 it is
+    # a float from p = 0.85 or so on, and energy answers as the solver does
+    a, d = 1e308, 2
+    v = -(LOG2 + 2.0 * math.log(a) - math.log(p)) / 2.0
+    assert len(_max_disc(a, d, -v * d).polys[0].roots) == d
+    cfg = solve_equilibrium(a, d, v)
+    x = cfg.points
+    assert len(x) == d and all(map(math.isfinite, x)) and x[0] < x[1]
+    assert abs(cfg.potential_v - v) <= 1e-12 * abs(v)
+    assert math.isfinite(cfg.energy_I)
+
+
+_HUGE = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize(
+    "a, d, v",
+    [(_HUGE, d, -709.8) for d in (2, 3, 8, 300)]
+    + [(_HUGE, d, -710.0) for d in (2, 3)]
+    + [(1e308, d, -709.5) for d in (2, 3)]
+    + [(1e307, d, -707.5) for d in (25, 64)],
+)
+def test_cli_evidence_at_huge_heights(capfd, a, d, v):
+    # the roots are floats near +-1.6e308, their gaps and |x + ai| not
+    mp = pytest.importorskip("mpmath")
+    assert main(["energy", "--a", repr(a), "--d", str(d), "--v=%r" % v]) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    r = json.loads(out)
+    x = r["points"]
+    assert len(x) == d and all(map(math.isfinite, x))
+    assert all(p < q for p, q in zip(x, x[1:]))
+    assert abs(r["potential_v"] - v) <= 1e-12 * abs(v)
+    with mp.workdps(40):
+        log_disc = 2 * mp.fsum(mp.log(mp.mpf(q) - p) for p, q in itertools.combinations(x, 2))
+        want = -log_disc / (d * (d - 1))
+        assert abs(r["energy_I"] - want) <= 1e-13 * abs(want)
 
 
 def test_equilibrium_potential_that_rounds_onto_the_floor():

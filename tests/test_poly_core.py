@@ -105,6 +105,25 @@ def test_modulus_log_route_matches_direct():
         )
 
 
+@pytest.mark.parametrize(
+    "roots, a",
+    [
+        ([-1.7e308, 1.7e308], 1.7e308),
+        ([-1e308, 0.0, 1e308], 1.7976931348623157e308),
+        ([-1.7e308, 1.5e-323, 1.7e308], 1.7e308),  # a root that halves inexactly
+    ],
+)
+def test_modulus_past_float_range_is_finite(roots, a):
+    # some |x + ai| is past float range, but its log is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_modulus_at_ai(roots, a)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        want = mp.fsum(mp.log(mp.hypot(a, x)) for x in roots)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
 def test_log_disc_known_values():
     # disc(x^2 - 1) = 4, disc(x^3 - 3x) = 108
     ld = log_disc_from_roots(poly_from_roots([-1.0, 1.0]))
@@ -186,28 +205,37 @@ def test_log_disc_duplicate_pair_in_last_block():
 
 
 @pytest.mark.parametrize("roots", [[-1e308, 1e308], [-1e308, 0.0, 1e308]])
-def test_log_disc_overflowing_gap_is_inf(roots):
-    # the largest gap is past float range, as x_k - x_j in Python floats
+def test_log_disc_overflowing_gap_is_finite(roots):
+    # the largest gap is past float range, as x_k - x_j in Python floats,
+    # but its log is not: the halved roots' gaps are the exact half-gaps
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ld = log_disc_from_roots(poly_from_roots(roots))
-    assert ld == LogDiscriminant(1, math.inf)
+    halves = [0.5 * x for x in roots]
+    logs = [math.log(y - x) for x, y in itertools.combinations(halves, 2)]
+    want = 2.0 * math.fsum(logs + [len(logs) * math.log(2.0)])
+    assert ld == LogDiscriminant(1, want)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        exact = 2 * mp.fsum(mp.log(mp.mpf(y) - x) for x, y in itertools.combinations(roots, 2))
+        assert abs(ld.log_abs - exact) <= 1e-15 * abs(exact)
 
 
 def _fsum_of_every_log(rs) -> LogDiscriminant:
     # reference: the kernel's row blocks, every np.log of a positive gap
-    # as a Python float, one fsum over all of them
+    # as a Python float, one fsum over all of them; a span past float
+    # range is taken on the halved roots, with log 2 once per gap
     xs = np.array(sorted(rs))
     if np.any(xs[1:] == xs[:-1]):
         return LogDiscriminant.zero()
+    shift = 0.0
+    if math.isinf(float(xs[-1]) - float(xs[0])):
+        xs = 0.5 * xs
+        shift = xs.size * (xs.size - 1) // 2 * math.log(2.0)
     rows = max(1, _PAIR_BLOCK // xs.size)
-    with np.errstate(over="ignore"):
-        blocks = [
-            xs[j + 1 :] - xs[j : j + rows, None]
-            for j in range(0, xs.size - 1, rows)
-        ]
-        logs = [np.log(gaps[gaps > 0]).tolist() for gaps in blocks]
-    return LogDiscriminant(1, 2.0 * math.fsum(itertools.chain.from_iterable(logs)))
+    blocks = [xs[j + 1 :] - xs[j : j + rows, None] for j in range(0, xs.size - 1, rows)]
+    logs = [np.log(gaps[gaps > 0]).tolist() for gaps in blocks]
+    return LogDiscriminant(1, 2.0 * math.fsum(itertools.chain([shift], *logs)))
 
 
 # smallest degree whose one block is summed by the split
@@ -252,7 +280,7 @@ def _unit_gaps(rng, d):
 
 
 def _past_float_range(rng, d):
-    # gaps past float range: the widest is inf, and so is the log disc
+    # gaps past float range: the widest is inf, but its log is not
     return 1e308 * rng.uniform(-1.0, 1.0, d)
 
 
@@ -372,19 +400,24 @@ def test_log_disc_near_mirror_set_takes_every_gap(monkeypatch, d):
 
 
 @pytest.mark.parametrize(
-    "d, mirror",
-    [pytest.param(300, False, id="False"), pytest.param(301, True, id="True")]
+    "d, mirror, scale",
+    [pytest.param(300, False, 1.0, id="False"), pytest.param(301, True, 1.0, id="True")]
     + [
-        pytest.param(d, mirror, id="one-block-%d-%s" % (d, mirror))
+        pytest.param(d, mirror, 1.0, id="one-block-%d-%s" % (d, mirror))
         for d in (_SPLIT_D, 100, _ROW_D - 1)
         for mirror in (False, True)
+    ]
+    + [
+        pytest.param(d, mirror, 0.6e308, id="past-float-range-%d-%s" % (d, mirror))
+        for d, mirror in ((_SPLIT_D, False), (300, False), (301, True))
     ],
 )
 def test_log_disc_failed_certificate_falls_back_to_the_exact_split(
-    monkeypatch, d, mirror
+    monkeypatch, d, mirror, scale
 ):
     # an error bound of 1 per gap leaves no certified rounding, in one
-    # block as in row blocks
+    # block as in row blocks; past float range the exact split of the
+    # halved roots adds their log 2s as the certificate does
     monkeypatch.setattr(poly_core, "_REMAINDER_ERROR", 1.0)
     levels = []
     real = poly_core._split_sums
@@ -395,7 +428,8 @@ def test_log_disc_failed_certificate_falls_back_to_the_exact_split(
 
     monkeypatch.setattr(poly_core, "_split_sums", spy)
     rng = np.random.default_rng(7)
-    p = poly_from_roots(_mirror(rng, d) if mirror else rng.uniform(-3.0, 3.0, d))
+    p = poly_from_roots(scale * (_mirror(rng, d) if mirror else rng.uniform(-3.0, 3.0, d)))
+    assert math.isinf(p.roots[-1] - p.roots[0]) == (scale > 1.0)
     assert log_disc_from_roots(p) == _fsum_of_every_log(p.roots)
     blocks = len(levels) // 2
     assert blocks >= 1 and levels == [1] * blocks + [2] * blocks
