@@ -7,6 +7,12 @@ ascending: coeffs[k] multiplies x**k. Discriminants are kept as
 well before degree 20 for root sets of any realistic spread. The
 discriminant of a root set is the pairwise root-difference product, its
 logs summed in blocks to the correctly rounded total.
+
+Both evidence kernels sum the logs of a product of moduli, and a modulus
+can be past float range where its log is not. One rule covers it: a term
+whose float is inf is retaken with both operands halved, and its log 2
+is one more term of the same fsum. Each kernel shows why the halving is
+exact there; no other term is touched.
 """
 
 import math
@@ -92,17 +98,23 @@ def poly_from_roots(roots) -> RealRootedPoly:
     return RealRootedPoly(roots=tuple(rs))
 
 
+_LOG2 = math.log(2.0)
+
+
 def log_modulus_at_ai(roots, a: float) -> float:
     """log |f(ai)| from the sequence roots, safe for any degree and for
     any |x + ai| past float range."""
     check_height(a)
-    total = math.fsum(map(math.log, map(math.hypot, repeat(a), roots)))
+    logs = list(map(math.log, map(math.hypot, repeat(a), roots)))
+    total = math.fsum(logs)
     if total == math.inf:
-        # only a hypot past float range gives inf, which puts a above
-        # 1e300: halving it is exact, and each halved |x + ai| gives back
-        # its log 2
-        logs = [math.log(math.hypot(0.5 * a, 0.5 * x)) for x in roots]
-        total = math.fsum(logs + [len(logs) * math.log(2.0)])
+        # a hypot overflows only where a and |x| are both at least
+        # 2^997, so halving both is exact
+        for i, x in enumerate(roots):
+            if logs[i] == math.inf:
+                logs[i] = math.log(math.hypot(0.5 * a, 0.5 * x))
+                logs.append(_LOG2)
+        total = math.fsum(logs)
     return total
 
 
@@ -112,8 +124,8 @@ def log_modulus_at_ai(roots, a: float) -> float:
 _PAIR_BLOCK = 1 << 14
 
 # Pairs from which one block's logs are split rather than listed: the two
-# cost the same, about 28 us, between d = 25 and 26 on a 2-vCPU Xeon VM.
-_SPLIT_MIN_PAIRS = 320
+# cost the same, about 15 us, between d = 19 and 20 on a 2-vCPU Xeon VM.
+_SPLIT_MIN_PAIRS = 190
 
 _SPLIT_CONSTANTS = (1.5 * 2.0**24, 1.5 * 2.0**-14)
 
@@ -152,7 +164,10 @@ def _split_sums(g: np.ndarray, h: np.ndarray, constants) -> list[float]:
 
 def _row_block_sums(xs: np.ndarray, op, weight: float, constants) -> list[float]:
     """weight times the _split_sums, at constants, of np.log(op(x_c, x_i))
-    over the pairs i < c of xs, in blocks of at most _PAIR_BLOCK pairs."""
+    over the pairs i < c of xs, in blocks of at most _PAIR_BLOCK pairs.
+
+    A gap x_c - x_i past float range, the only op result that can be, is
+    retaken at half scale, with its log 2 as one more term."""
     d = xs.size
     # blocks in one buffer: rows j <= i < j + rows, as many as keep the
     # row block within _PAIR_BLOCK gaps (so at most isqrt(_PAIR_BLOCK) of
@@ -168,6 +183,12 @@ def _row_block_sums(xs: np.ndarray, op, weight: float, constants) -> list[float]
         for k in range(j + 1, d, cols):
             gaps = g[: rows * min(cols, d - k)].reshape(rows, -1)
             op(xs[k : k + cols], y, out=gaps)
+            if gaps[0, -1] == math.inf:  # the block's widest gap
+                # x_c - x_i overflows only where x_c and -x_i are at least
+                # 2^970, so halving both is exact
+                over = gaps == math.inf
+                op(0.5 * xs[k : k + cols], 0.5 * y, out=gaps, where=over)
+                terms += [_LOG2] * np.count_nonzero(over)
             np.copyto(gaps[:, :rows], 1.0, where=below[:rows, :rows])
             np.log(gaps, out=gaps)
             terms += _split_sums(gaps.ravel(), h[: gaps.size], constants)
@@ -175,9 +196,14 @@ def _row_block_sums(xs: np.ndarray, op, weight: float, constants) -> list[float]
     return [weight * t for t in terms]
 
 
-def _block_sums(xs: np.ndarray, constants) -> list[float]:
+def _block_sums(xs: np.ndarray, wide: bool, constants) -> list[float]:
     """The _split_sums, at constants, of the np.log of every gap of the
-    sorted distinct roots xs, in blocks of at most _PAIR_BLOCK gaps."""
+    sorted distinct roots xs, in blocks of at most _PAIR_BLOCK gaps. A
+    wide set, one whose span is past float range, takes the plain row
+    blocks, which alone retake the gaps past float range."""
+    if wide:
+        with np.errstate(over="ignore"):
+            return _row_block_sums(xs, np.subtract, 1.0, constants)
     d = xs.size
     if d * (d - 1) // 2 <= _PAIR_BLOCK:
         logs = _square_logs(xs)
@@ -222,27 +248,21 @@ def log_disc_from_roots(p: RealRootedPoly) -> LogDiscriminant:
     with +E agree, that is the rounded sum; else every block is taken
     again with the exact two-level split.
 
-    Where the widest gap is past float range, every sum is taken over the
-    halved roots, whose gaps are the correctly rounded half-gaps, with
-    pairs·log 2 as one more term (0.0 otherwise). Halving is exact except
-    for subnormal roots, whose gaps among themselves are then off.
+    A set whose span is past float range takes the plain row blocks at
+    every degree, where each gap past float range is retaken at half
+    scale, with its log 2 as one more term: the module's one rule.
     """
     rs = sorted(p.roots)
     if any(x == y for x, y in zip(rs, rs[1:])):
         return LogDiscriminant.zero()
     xs = np.array(rs)
     pairs = xs.size * (xs.size - 1) // 2
-    shift = 0.0
-    if math.isinf(rs[-1] - rs[0]):
-        xs *= 0.5
-        shift = pairs * math.log(2.0)
-    if pairs < _SPLIT_MIN_PAIRS:
-        logs = _square_logs(xs).tolist()
-        logs.append(shift)
-        return LogDiscriminant(1, 2.0 * math.fsum(logs))
-    terms = _block_sums(xs, _SPLIT_CONSTANTS[:1])
+    wide = math.isinf(rs[-1] - rs[0])
+    if pairs < _SPLIT_MIN_PAIRS and not wide:
+        return LogDiscriminant(1, 2.0 * math.fsum(_square_logs(xs).tolist()))
+    terms = _block_sums(xs, wide, _SPLIT_CONSTANTS[:1])
     err = _REMAINDER_ERROR * pairs
-    total = math.fsum(terms + [shift, -err])
-    if total != math.fsum(terms + [shift, err]):
-        total = math.fsum(_block_sums(xs, _SPLIT_CONSTANTS) + [shift])
+    total = math.fsum(terms + [-err])
+    if total != math.fsum(terms + [err]):
+        total = math.fsum(_block_sums(xs, wide, _SPLIT_CONSTANTS))
     return LogDiscriminant(1, 2.0 * total)

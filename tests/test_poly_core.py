@@ -111,6 +111,7 @@ def test_modulus_log_route_matches_direct():
         ([-1.7e308, 1.7e308], 1.7e308),
         ([-1e308, 0.0, 1e308], 1.7976931348623157e308),
         ([-1.7e308, 1.5e-323, 1.7e308], 1.7e308),  # a root that halves inexactly
+        ([-1e308, 5e-324, 1e308], 1.7976931348623157e308),  # a subnormal root beside them
     ],
 )
 def test_modulus_past_float_range_is_finite(roots, a):
@@ -204,17 +205,43 @@ def test_log_disc_duplicate_pair_in_last_block():
     assert log_disc_from_roots(poly_from_roots(roots)) == LogDiscriminant.zero()
 
 
-@pytest.mark.parametrize("roots", [[-1e308, 1e308], [-1e308, 0.0, 1e308]])
+def _mirror_past_float_range(d):
+    # a mirror set scaled so that its widest gaps, not its roots, overflow
+    sigma = 1e308 * np.random.default_rng(d).uniform(0.1, 1.0, d // 2)
+    return np.concatenate([-sigma, [0.0] * (d % 2), sigma]).tolist()
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        [-1e308, 1e308],
+        [-1e308, 0.0, 1e308],
+        # subnormal roots beside overflowing gaps: halving 5e-324 or 1.5e-323
+        # rounds, so no gap but the overflowing ones may be halved
+        [-1.7e308, 0.0, 5e-324, 1.7e308],
+        [-1.7e308, 1e-323, 1.5e-323, 1.7e308],
+        [-1.7e308, -5e-324, 0.0, 5e-324, 1.7e308],
+        [-sys.float_info.max, 1.0, sys.float_info.max],
+    ]
+    # sizes that, but for the overflow, take the list, one block and mirror runs
+    + [_mirror_past_float_range(d) for d in (3, 30, 200)],
+)
 def test_log_disc_overflowing_gap_is_finite(roots):
     # the largest gap is past float range, as x_k - x_j in Python floats,
-    # but its log is not: the halved roots' gaps are the exact half-gaps
+    # but its log is not: only the gaps past float range are halved,
+    # exactly, each with a log 2 back
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ld = log_disc_from_roots(poly_from_roots(roots))
-    halves = [0.5 * x for x in roots]
-    logs = [math.log(y - x) for x, y in itertools.combinations(halves, 2)]
-    want = 2.0 * math.fsum(logs + [len(logs) * math.log(2.0)])
-    assert ld == LogDiscriminant(1, want)
+    roots = sorted(roots)
+    logs = []
+    for x, y in itertools.combinations(roots, 2):
+        if math.isinf(y - x):
+            logs += [math.log(0.5 * y - 0.5 * x), math.log(2.0)]
+        else:
+            logs.append(math.log(y - x))
+    assert ld.sign == 1
+    assert abs(ld.log_abs - 2.0 * math.fsum(logs)) <= 1e-15 * abs(ld.log_abs)
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         exact = 2 * mp.fsum(mp.log(mp.mpf(y) - x) for x, y in itertools.combinations(roots, 2))
@@ -223,19 +250,20 @@ def test_log_disc_overflowing_gap_is_finite(roots):
 
 def _fsum_of_every_log(rs) -> LogDiscriminant:
     # reference: the kernel's row blocks, every np.log of a positive gap
-    # as a Python float, one fsum over all of them; a span past float
-    # range is taken on the halved roots, with log 2 once per gap
+    # as a Python float, one fsum over all of them; a gap past float
+    # range is taken on the halved roots, with one log 2 more
     xs = np.array(sorted(rs))
     if np.any(xs[1:] == xs[:-1]):
         return LogDiscriminant.zero()
-    shift = 0.0
-    if math.isinf(float(xs[-1]) - float(xs[0])):
-        xs = 0.5 * xs
-        shift = xs.size * (xs.size - 1) // 2 * math.log(2.0)
     rows = max(1, _PAIR_BLOCK // xs.size)
-    blocks = [xs[j + 1 :] - xs[j : j + rows, None] for j in range(0, xs.size - 1, rows)]
-    logs = [np.log(gaps[gaps > 0]).tolist() for gaps in blocks]
-    return LogDiscriminant(1, 2.0 * math.fsum(itertools.chain([shift], *logs)))
+    logs = []
+    for j in range(0, xs.size - 1, rows):
+        with np.errstate(over="ignore"):
+            gaps = xs[j + 1 :] - xs[j : j + rows, None]
+        over = gaps == math.inf
+        gaps[over] = (0.5 * xs[j + 1 :] - 0.5 * xs[j : j + rows, None])[over]
+        logs += np.log(gaps[gaps > 0]).tolist() + [math.log(2.0)] * int(over.sum())
+    return LogDiscriminant(1, 2.0 * math.fsum(logs))
 
 
 # smallest degree whose one block is summed by the split
@@ -416,8 +444,8 @@ def test_log_disc_failed_certificate_falls_back_to_the_exact_split(
     monkeypatch, d, mirror, scale
 ):
     # an error bound of 1 per gap leaves no certified rounding, in one
-    # block as in row blocks; past float range the exact split of the
-    # halved roots adds their log 2s as the certificate does
+    # block as in row blocks; past float range the exact split takes the
+    # same halved gaps and log 2s as the certificate does
     monkeypatch.setattr(poly_core, "_REMAINDER_ERROR", 1.0)
     levels = []
     real = poly_core._split_sums
