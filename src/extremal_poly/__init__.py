@@ -43,7 +43,6 @@ from .lemniscate import (
     DiskResult,
     inscribed_disk_poly,
     largest_disk,
-    radius_upper_bound,
     vertical_halfwidth,
 )
 from .energy import (
@@ -121,7 +120,6 @@ __all__ = [
     "min_modulus_bound",
     "numeric_oracle_max_discs",
     "poly_from_roots",
-    "radius_upper_bound",
     "rel_log_diff",
     "run_suite",
     "small_height_condition",

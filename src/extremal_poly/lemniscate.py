@@ -405,17 +405,11 @@ def largest_disk(p: RealRootedPoly) -> DiskResult:
     )
 
 
-def radius_upper_bound(d: int, disc: float) -> float:
-    """Upper bound on the inscribed-disk radius over all degree-d unit
-    lemniscates whose polynomial has discriminant >= disc."""
-    check_degree(d)
-    check_disc(disc)
-    return math.exp(log_radius_upper_bound(d, math.log(disc)))
-
-
 def log_radius_upper_bound(d: int, log_disc: float) -> float:
-    """log radius_upper_bound(d, e^log_disc), also where e^log_disc or the
-    bound is past float range."""
+    """log of the upper bound (1/2) d^(1/(d-1)) disc^(-1/(d(d-1))) on the
+    inscribed-disk radius of every degree-d unit lemniscate whose
+    polynomial has discriminant >= disc = e^log_disc, also where disc or
+    the bound is past float range."""
     check_degree(d)
     return (
         math.log(d) / (d - 1.0)

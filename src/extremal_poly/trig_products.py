@@ -57,14 +57,12 @@ def pairwise_sin_sq_product(ys):
     axis of ys: a float for one row of angles, an array of the leading
     shape otherwise.
 
-    Each row is first shifted by its minimum and reduced mod pi; both
-    operations leave every sin^2 of a difference unchanged. The product
-    runs over the column pairs in the order (0,1), (0,2), ..., (d-2,d-1).
+    The product runs over the column pairs in the order (0,1), (0,2), ...,
+    (d-2,d-1).
     """
     y = np.asarray(ys, dtype=float)
     if y.ndim == 0 or y.shape[-1] < 2:
         raise DomainError("need at least two angles")
-    y = np.fmod(y - y.min(axis=-1, keepdims=True), math.pi)
     d = y.shape[-1]
     prod = np.ones(y.shape[:-1])
     for j in range(d):

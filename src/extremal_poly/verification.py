@@ -380,7 +380,7 @@ def _check_lemniscate_upper_bound() -> CheckResult:
             poly = poly_from_roots(roots)
             ld = log_disc_from_roots(poly)
             disk = lem.largest_disk(poly)
-            bound = lem.radius_upper_bound(d, math.exp(ld.log_abs))
+            bound = math.exp(lem.log_radius_upper_bound(d, ld.log_abs))
             excesses.append(disk.radius - bound)
     return _report(
         "lemniscate-upper-bound",

@@ -33,7 +33,7 @@ from extremal_poly.jacobi_family import (
 from extremal_poly.lemniscate import (
     inscribed_disk_poly,
     largest_disk,
-    radius_upper_bound,
+    log_radius_upper_bound,
 )
 from extremal_poly.oracles import (
     degenerate_family_coeffs,
@@ -290,7 +290,7 @@ def test_criterion_08_lemniscate_radii():
             ld = log_disc_from_roots(p)
             if ld.sign != 1:
                 continue
-            bound = radius_upper_bound(d, math.exp(ld.log_abs))
+            bound = math.exp(log_radius_upper_bound(d, ld.log_abs))
             excesses.append(largest_disk(p).radius - bound)
     shortfall, excess = _worst(shortfalls), _worst(excesses)
     _verdict(

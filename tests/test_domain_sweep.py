@@ -255,7 +255,6 @@ DISC_CALLS = {
     "min_modulus_bound": lambda disc: bf.min_modulus_bound(1.0, 4, disc),
     "small_height_condition": lambda disc: bf.small_height_condition(1.0, 4, disc),
     "solve_min_abs": lambda disc: solvers.solve_min_abs(1.0, 4, disc),
-    "radius_upper_bound": lambda disc: lem.radius_upper_bound(4, disc),
     "inscribed_disk_poly": lambda disc: lem.inscribed_disk_poly(4, disc),
 }
 

@@ -17,7 +17,6 @@ from extremal_poly.lemniscate import (
     largest_disk,
     log_radius_upper_bound,
     radius_lower_bound_at_log,
-    radius_upper_bound,
     vertical_halfwidth,
 )
 from extremal_poly.poly_core import LogDiscriminant, log_disc_from_roots, poly_from_roots
@@ -493,8 +492,12 @@ def test_largest_disk_bounded_memory_at_degree_300():
 
 
 def test_radius_bounds_spec_values():
-    assert radius_upper_bound(2, 2.0) == pytest.approx(HALF_SQRT2, rel=1e-14)
-    assert radius_upper_bound(2, 4.0) == pytest.approx(0.5, rel=1e-14)
+    assert log_radius_upper_bound(2, math.log(2.0)) == pytest.approx(
+        math.log(HALF_SQRT2), rel=1e-14
+    )
+    assert log_radius_upper_bound(2, math.log(4.0)) == pytest.approx(
+        math.log(0.5), rel=1e-14
+    )
     assert radius_lower_bound_at_log(2, math.log(2.0)) == pytest.approx(0.5, rel=1e-14)
     assert radius_lower_bound_at_log(2, math.log(4.0)) is None  # above the window
     assert radius_lower_bound_at_log(2, math.log(0.5)) is None  # below the window
@@ -518,8 +521,9 @@ def test_radius_bounds_in_log_form():
     assert radius_lower_bound_at_log(2, -1e-12) is None
     # d = 2: the bound is disc^(-1/2), also where neither is a float
     assert log_radius_upper_bound(2, 2000.0) == pytest.approx(-1000.0, rel=1e-15)
-    assert radius_upper_bound(3, 8.0) == pytest.approx(
-        math.exp(log_radius_upper_bound(3, math.log(8.0))), rel=1e-15
+    # d = 3: (1/2) 3^(1/2) 8^(-1/6) = sqrt(3/8)
+    assert log_radius_upper_bound(3, math.log(8.0)) == pytest.approx(
+        0.5 * math.log(3.0 / 8.0), rel=1e-15
     )
 
 
@@ -530,7 +534,7 @@ def test_radius_lower_bound_constant_across_window():
 
 def test_radius_bounds_validation():
     with pytest.raises(DomainError):
-        radius_upper_bound(1, 2.0)
+        log_radius_upper_bound(1, math.log(2.0))
 
 
 def test_inscribed_disk_poly_above_window():

@@ -36,13 +36,25 @@ def _ref_sine_residual_terms(x, d):
 
 
 def _ref_pairwise(ys):
-    base = min(ys)
-    vals = [math.fmod(y - base, math.pi) for y in ys]
     prod = 1.0
-    for j in range(len(vals)):
-        for k in range(j + 1, len(vals)):
-            prod *= math.sin(vals[j] - vals[k]) ** 2
+    for j in range(len(ys)):
+        for k in range(j + 1, len(ys)):
+            prod *= math.sin(ys[j] - ys[k]) ** 2
     return prod
+
+
+def _mpmath_pairwise(mp, ys):
+    # the product at 40 digits, and its condition sum_{j<k} 1 + |D cot D|
+    # over the exact differences D: rounding D once moves sin^2 D by
+    # 2 eps |D cot D| relative, which no float kernel avoids
+    with mp.workdps(40):
+        prod, cond = mp.mpf(1), 0.0
+        for j in range(len(ys)):
+            for k in range(j + 1, len(ys)):
+                diff = mp.mpf(ys[j]) - mp.mpf(ys[k])
+                prod *= mp.sin(diff) ** 2
+                cond += 1.0 + float(abs(diff * mp.cot(diff)))
+        return prod, cond
 
 
 def test_cos_product_hand_value():
@@ -141,6 +153,15 @@ def test_kernels_match_math_reference(d):
     got_pair = pairwise_sin_sq_product(ys)
     for i, row in enumerate(ys.tolist()):
         assert got_pair[i] == pytest.approx(_ref_pairwise(row), rel=1e-14)
+    # rows wider than pi, against mpmath within 4 eps times the condition
+    # (1.8 seen; a reduction mod the rounded pi before the differences
+    # reaches 17.8)
+    mp = pytest.importorskip("mpmath")
+    ys = np.random.default_rng(300 + d).uniform(0.0, 10.0, size=(200, d))
+    got_pair = pairwise_sin_sq_product(ys)
+    for i, row in enumerate(ys.tolist()):
+        want, cond = _mpmath_pairwise(mp, row)
+        assert abs((got_pair[i] - want) / want) <= 4.0 * 2.0**-53 * cond
 
 
 @pytest.mark.parametrize(

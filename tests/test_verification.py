@@ -201,7 +201,7 @@ NAN_CASES = {
     ),
     "lemniscate-upper-bound": (
         verification._check_lemniscate_upper_bound, False,
-        lem, "radius_upper_bound", _nan,
+        lem, "log_radius_upper_bound", _nan,
     ),
     "energy-equilibrium-gap": (
         verification._check_energy_equilibrium, False,
