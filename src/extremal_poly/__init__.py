@@ -17,7 +17,6 @@ from .errors import (
     DomainError,
     ExtremalPolyError,
     InputError,
-    PoleError,
     RegimeError,
 )
 from .poly_core import (
@@ -97,7 +96,6 @@ __all__ = [
     "InputError",
     "LogDiscriminant",
     "OracleResult",
-    "PoleError",
     "RealRootedPoly",
     "RegimeError",
     "TOL_ORACLE",

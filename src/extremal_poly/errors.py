@@ -20,10 +20,6 @@ class RegimeError(ExtremalPolyError):
     """The requested parameters fall outside the regime the formula covers."""
 
 
-class PoleError(ExtremalPolyError):
-    """A parameter sits on (or too close to) a pole of a closed-form expression."""
-
-
 def check_degree(d) -> None:
     """DomainError unless d is a Python int >= 2."""
     if not isinstance(d, int) or d < 2:

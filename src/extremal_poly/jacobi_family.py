@@ -17,10 +17,9 @@ import math
 import numpy as np
 
 from . import binomial_family as bf
-from .errors import DomainError, PoleError, check_degree, check_height
+from .errors import DomainError, check_degree, check_height
 from .poly_core import LogDiscriminant
 
-_POLE_REJECT = 1e-9
 # Degree from which family_roots takes _newton_roots, O(d^2), instead of
 # the dense SVD, O(d^3): where the two tie at one BLAS thread, as the SVD's
 # cost jumps by half from 128 to 129 block columns. Moving it moves root
@@ -40,9 +39,9 @@ _NEWTON_DEGREE = 258
 # settling. The first covers every root, and each later one only the roots
 # that their Taylor step did not certify. Measured: none in the cells
 # d = 258, 336, 1000, 3000, 10^4 x frac = 0.05, 0.5, 0.999 but one (the
-# largest root, at d = 3000, frac 0.999); at most the largest root for
-# most lam between 2d - 3 and 2d; and up to 9 later sweeps of it within
-# 1e-8 of the pole 2d - 3, where it runs off to infinity.
+# largest root, at d = 3000, frac 0.999); and on [2d - 2, 2d], 33 lam
+# each at d = 258, 300, 1000 and 3000, one later sweep of the largest
+# root at 21 of the 33 and none at the rest.
 _NEWTON_SWEEPS = 16
 # Terms w_0 .. w_K of each root's Taylor series (_taylor_step). Over the
 # cells above, K = 6 leaves a root to the later sweeps in every cell,
@@ -52,19 +51,17 @@ _TAYLOR_TERMS = 10
 
 def _check_member(a: float, d: int, lam: float) -> tuple[float, float]:
     """(a, lam) as floats, or DomainError unless the height a, degree d
-    and Lagrange multiplier lam name a family member; PoleError for a
-    multiplier within 1e-9 of a pole, refused outright rather than
-    perturbed. The poles are the odd integers from d - 1 + d mod 2 to
-    2d - 3, so only the nearest one is tested: the nearest odd integer to
-    the multiplier clamped into that range.
+    and Lagrange multiplier lam name a family member: lam finite and at
+    least 2d - 2, the range the solvers' Newton solve starts at and rises
+    from. (The member at any other lam is a rotated P_d^(alpha,alpha),
+    alpha = -lam/2 - 1, which oracles.jacobi_coeffs and jacobi_disc take.)
     """
     check_height(a)
     check_degree(d)
     if not math.isfinite(lam):
         raise DomainError("multiplier must be finite")
-    pole = 2 * round(0.5 * (min(max(lam, d - 1 + d % 2), 2 * d - 3) - 1.0)) + 1
-    if abs(lam - pole) <= _POLE_REJECT:
-        raise PoleError("multiplier %.17g is within 1e-9 of the pole %d" % (lam, pole))
+    if lam < 2 * d - 2:
+        raise DomainError("multiplier %.17g is below 2d - 2 = %d" % (lam, 2 * d - 2))
     return float(a), float(lam)
 
 
@@ -117,25 +114,17 @@ def family_roots(a: float, d: int, lam: float) -> list[float]:
     bf._ARRAY_DEGREE the radicands and off-diagonals are Python floats,
     formed by the same operations in the same order as the arrays from
     there on, so both give the same floats: at d <= 8 the block costs
-    less than numpy's set-up of it. The domain is lam > 2d - 3, where every
-    radicand is positive (its factors are taken over lam, so none
-    overflows): DomainError for any other lam, by that one comparison
-    before any radicand is formed, when the roots are past float range,
-    or when the Newton solve does not settle on floor(d/2) distinct
-    positive roots."""
+    less than numpy's set-up of it. On the member domain lam >= 2d - 2
+    every radicand factor is at least lam - 2d + 3 >= 1 (and each is taken
+    over lam, so none overflows). DomainError off that domain, when the
+    roots are past float range, or when the Newton solve does not settle
+    on floor(d/2) distinct positive roots."""
     a, lam = _check_member(a, d, lam)
-    # above 2d - 3 every factor is positive; on each (2n - 3, 2n - 1) the n-th
-    # denominator is negative and its numerator positive, and at its ends a
-    # denominator is 0; below -1 every numerator is negative, every denominator positive
-    if not lam > 2 * d - 3:
-        raise DomainError(
-            "recurrence radicand is not positive at multiplier %.17g" % lam
-        )
     return _family_roots(a, d, lam)
 
 
 def _family_roots(a: float, d: int, lam: float) -> list[float]:
-    """family_roots of a member with float a and lam > 2d - 3, unchecked."""
+    """family_roots of a member with float a and lam >= 2d - 2, unchecked."""
     if d >= bf._ARRAY_DEGREE:
         n = np.arange(1.0, d)
         two_n = 2.0 * n
@@ -306,18 +295,16 @@ def _newton_step(x: np.ndarray, e2: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _wkb_seeds(d: int, lam: float) -> np.ndarray:
-    """Seeds for _newton_roots (lam > 2d - 3), within 0.04 of the local
-    root gap for lam >= 2d - 2 and exact at 2d - 2 and 2d; below 2d - 2
-    the largest root's seed is off by up to 0.9 gaps toward the pole
-    2d - 3, where that root runs off to infinity.
+    """Seeds for _newton_roots (lam >= 2d - 2), within 0.04 of the local
+    root gap and exact at 2d - 2 and 2d.
 
     In the chart x = cot(theta), v = y sin(theta)^(mu+1), mu = lam/2,
     satisfies v'' + (s^2 - tau / sin(theta)^2) v = 0 with s = mu + 1 and
     tau = (mu - d)(mu - d + 1). The WKB phase of the d roots on (0, pi) is
     Phi(theta) = int sqrt(s^2 - t^2/sin^2) from the turning point
-    sin(theta_t) = t/s, with t = sqrt(tau); on 2d - 2 <= lam <= 2d, where
-    -1/4 <= tau <= 0, t = 0 and the seeds are equally spaced in theta, as
-    the roots are exactly at both ends. The total phase is pi (s - t) =
+    sin(theta_t) = t/s, with t = sqrt(tau) for lam > 2d; on
+    2d - 2 <= lam <= 2d, where -1/4 <= tau <= 0, t = 0 and the seeds are
+    equally spaced in theta, as the roots are exactly at both ends. The total phase is pi (s - t) =
     pi k, so equal end margins put the roots at Phi = (j + c) pi,
     c = (k - d + 1)/2. In terms of cot(theta), Phi = k pi/2 - k alpha -
     t delta with q = sqrt(s^2 - t^2 - t^2 cot^2), alpha = arctan2(s cot, q)
@@ -330,8 +317,8 @@ def _wkb_seeds(d: int, lam: float) -> np.ndarray:
     # limit (the Hermite roots), and the cap keeps d lam in float range
     mu = min(lam, 1e300) / 2.0
     s = mu + 1.0
-    if mu > d or mu < d - 1.0:
-        t = math.sqrt(abs(mu - d)) * math.sqrt(abs(mu - d + 1.0))
+    if mu > d:
+        t = math.sqrt(mu - d) * math.sqrt(mu - d + 1.0)
         area = d * (2.0 * mu + 1.0 - d) + s  # s^2 - t^2
     else:
         t, area = 0.0, s * s
@@ -435,25 +422,22 @@ def closed_form_disc(a: float, d: int, lam: float):
                * prod_{k=1}^{floor(d/2)-1} (lam - 2k)^(2k)
                / prod_{k=ceil(d/2)}^{d-1} (lam - 2k + 1)^(2k-1)
 
-    returned in log space with sign tracking: the denominator's bases carry
-    odd powers and may be negative below the poles.
+    returned in log space. On the member domain lam >= 2d - 2 every base
+    is at least lam - 2d + 3 >= 1, so the discriminant is positive.
     """
     _check_member(a, d, lam)
-    if (0.5 * lam).is_integer() and 2.0 <= lam < 2 * (d // 2):
-        # lam = 2k, k = 1..floor(d/2)-1, zeroes the numerator base lam - 2k
-        return LogDiscriminant.zero()
-    negative = sum(lam - 2.0 * k + 1.0 < 0.0 for k in range((d + 1) // 2, d))
-    return LogDiscriminant(-1 if negative % 2 else 1, _log_disc_and_slope(a, d)(lam)[0])
+    return LogDiscriminant(1, _log_disc_and_slope(a, d)(lam)[0])
 
 
 def _log_disc_and_slope(a: float, d: int):
-    """The function lam -> (log |closed_form_disc|, its derivative in
+    """The function lam -> (log closed_form_disc, its derivative in
     log lam: sum_k 2k lam/(lam - 2k) - sum_k (2k-1) lam/(lam - 2k + 1)
-    over closed_form_disc's ranges) of a checked height and degree, for a
-    lam with no zero base: the only place the lam terms are formed, with
-    the lam-free ones (d(d-1) log a and each k log k) formed once. One
-    correctly rounded fsum each: at d = 1000, terms of size 1e4 cancel
-    down to log discs of order 1, so running sums would lose digits."""
+    over closed_form_disc's ranges) of a checked height and degree, for
+    lam >= 2d - 2, where every base is positive: the only place the lam
+    terms are formed, with the lam-free ones (d(d-1) log a and each
+    k log k) formed once. One correctly rounded fsum each: at d = 1000,
+    terms of size 1e4 cancel down to log discs of order 1, so running
+    sums would lose digits."""
     fixed = [d * (d - 1) * math.log(a)] + [k * math.log(k) for k in range(1, d + 1)]
     low, top = range(1, d // 2), range((d + 1) // 2, d)
 
@@ -461,11 +445,11 @@ def _log_disc_and_slope(a: float, d: int):
         terms, slopes = fixed.copy(), []
         for k in low:
             base = lam - 2.0 * k
-            terms.append(2 * k * math.log(abs(base)))
+            terms.append(2 * k * math.log(base))
             slopes.append(2 * k * (lam / base))
         for k in top:
             base = lam - 2.0 * k + 1.0
-            terms.append(-(2 * k - 1) * math.log(abs(base)))
+            terms.append(-(2 * k - 1) * math.log(base))
             slopes.append((1 - 2 * k) * (lam / base))
         return math.fsum(terms), math.fsum(slopes)
 

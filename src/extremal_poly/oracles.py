@@ -36,6 +36,10 @@ TOL_ORACLE = 1e-8
 # rows (a in [0.01, 100], multiplier in [2d - 2 + 1e-3, 20d]) stay in TOL_ORACLE.
 RESULTANT_MAX_DEGREE = 12
 
+# How near alpha + beta may come to a degenerate value -d - k before
+# jacobi_disc refuses it.
+_DEGENERATE_REJECT = 1e-9
+
 # Largest unit-chart target T = log m - d log a the ascent oracle takes.
 # Each term of its constraint sum 0.5 log(1 + x_k^2) = T is >= 0, so every
 # feasible point has 1 + x_k^2 <= e^(2T), that is |x_k| <= sqrt(e^(2T) - 1)
@@ -129,11 +133,12 @@ def jacobi_connection_residual(a: float, d: int, lam: float) -> float:
     polynomials with exponents -lam/2 - 1 at rotated argument -ix/a.
 
     Relative to the largest family coefficient; NaN if any coefficient is
-    NaN. DomainError when the normalizing Pochhammer (lam - 2d + 2)_d
-    vanishes (the identity degenerates there, e.g. at the boundary
-    multiplier itself).
+    NaN. DomainError off the member domain lam >= 2d - 2, and where the
+    normalizing Pochhammer (lam - 2d + 2)_d vanishes (to 1e-9): on the
+    domain, only at and just above the boundary multiplier 2d - 2, where
+    the identity degenerates.
     """
-    fam = jf.family_coeffs(a, d, lam)  # first: its check refuses a pole
+    fam = jf.family_coeffs(a, d, lam)  # first: its check refuses lam < 2d - 2
     poch = pochhammer(lam - 2.0 * d + 2.0, d)
     if abs(poch) <= 1e-9:
         raise DomainError("(lam-2d+2)_d vanishes; connection undefined")
@@ -161,7 +166,7 @@ def jacobi_disc(d: int, alpha: float, beta: float):
     if d < 2:
         raise DomainError("discriminant formula needs d >= 2")
     for k in range(1, d + 1):
-        if abs(alpha + beta + d + k) <= jf._POLE_REJECT:
+        if abs(alpha + beta + d + k) <= _DEGENERATE_REJECT:
             raise DomainError(
                 "alpha+beta = -d-%d is excluded (degenerate degree)" % k
             )

@@ -85,7 +85,7 @@ def _dispatch(
     side = bf.crossover_side(a, d, log_p)
     if side > 0:
         lam = solve_lambda()
-        # the multiplier is >= 2d - 2 and off the poles, so the roots come
+        # the multiplier is >= 2d - 2, the member domain, so the roots come
         # from the unchecked core and family_coeffs makes the one member check
         poly = RealRootedPoly(tuple(jf._family_roots(a, d, lam)))
         return _finish(

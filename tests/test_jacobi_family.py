@@ -12,7 +12,7 @@ from extremal_poly.binomial_family import lattice_roots
 import extremal_poly.binomial_family as bf
 import extremal_poly.jacobi_family as jf
 import extremal_poly.oracles as oracles
-from extremal_poly.errors import DomainError, PoleError, RegimeError
+from extremal_poly.errors import DomainError, RegimeError
 from extremal_poly.jacobi_family import (
     _log_modulus_ratio_and_slope,
     _newton_multiplier,
@@ -53,6 +53,11 @@ def test_family_coeffs_height_scaling():
         assert hi == pytest.approx(lo * 2.0 ** (4 - k), rel=1e-14)
 
 
+def _below_domain(d, lam):
+    """The member check's refusal of a finite lam below 2d - 2."""
+    return "multiplier %.17g is below 2d - 2 = %d" % (lam, 2 * d - 2)
+
+
 @pytest.mark.parametrize(
     # the poles 2d - 2j - 1, j = 1..floor(d/2): the odd integers from
     # d - 1 + d mod 2 to 2d - 3
@@ -60,15 +65,17 @@ def test_family_coeffs_height_scaling():
     [(d, pole) for d in range(2, 42) for pole in range(d - 1 + d % 2, 2 * d - 2, 2)],
 )
 def test_pole_rejection_on_construction(d, pole):
-    # the nearest-pole test refuses what a scan of every pole refuses, in
-    # each public function of the family
-    for lam in (pole, pole - 0.9e-9, pole + 0.9e-9):
+    # every pole lies below the member domain lam >= 2d - 2, and each
+    # public function of the family refuses it and its neighbourhood
+    # with the one domain refusal; 2d - 2 and far out answer
+    for lam in (pole, pole - 0.9e-9, pole + 0.9e-9, pole - 1.1e-9, pole + 1.1e-9):
         for call in (family_coeffs, family_roots, closed_form_disc):
-            with pytest.raises(PoleError, match="within 1e-9 of the pole %d$" % pole):
+            with pytest.raises(DomainError) as err:
                 call(1.0, d, lam)
-    # just outside the rejection band is fine, as are 2d - 2 and far out
-    for lam in (pole - 1.1e-9, pole + 1.1e-9, 2.0 * d - 2.0, 1e300):
-        family_coeffs(1.0, d, lam)
+            assert str(err.value) == _below_domain(d, lam)
+    for lam in (2.0 * d - 2.0, 1e300):
+        for call in (family_coeffs, family_roots, closed_form_disc):
+            call(1.0, d, lam)
 
 
 # the degrees on both sides of the array bodies' crossover, and far past it
@@ -104,9 +111,7 @@ def test_modulus_array_body_has_the_loops_bits(monkeypatch, d):
 
 @pytest.mark.parametrize("d", ARRAY_DEGREES)
 def test_family_coeffs_array_body_has_the_loops_bits(monkeypatch, d):
-    # below the poles every denominator is negative, and between them
-    # the signs are mixed
-    for lam in _multipliers(d) + (0.5 * d + 0.25, 1.5 * d + 0.25):
+    for lam in _multipliers(d):
         for a in (0.3, 1.0, 7.0):
             loop, array = _loop_and_array(monkeypatch, d, lambda: family_coeffs(a, d, lam))
             assert array == loop, (lam, a)
@@ -131,7 +136,7 @@ def test_family_roots_bodies_refuse_alike(monkeypatch, d, lam):
         with pytest.raises(DomainError) as err:
             family_roots(1.0, d, lam)
         texts.append(str(err.value))
-    assert texts == ["recurrence radicand is not positive at multiplier %.17g" % lam] * 2
+    assert texts == [_below_domain(d, lam)] * 2
 
 
 def _series_tail(d, lam):
@@ -224,9 +229,10 @@ def test_closed_form_disc_matches_mpmath(d):
 
 
 def test_closed_form_disc_slope_is_the_derivative():
-    # central differences of the log disc in log lam
+    # central differences of the log disc in log lam, taken inside the
+    # member domain: the one nearest 2d - 2 is a hundredth of a percent in
     for d in (2, 3, 4, 7, 30, 301):
-        for lam in (2.0 * d - 2.0, 3.0 * d, 1e4 * d):
+        for lam in ((2.0 * d - 2.0) * 1.0001, 3.0 * d, 1e4 * d):
             h = 1e-6
 
             def at(t):
@@ -261,41 +267,32 @@ def test_envelope_identity_ties_the_two_closed_forms(a, d, lam):
 
 
 def _reference_disc(a, d, lam):
-    # the three term loops that the one term list replaced: the signed
-    # log disc, its slope and the Newton evaluation (positive bases only)
+    # the three term loops that the one term list replaced, on the member
+    # domain lam >= 2d - 2: the signed log disc, its slope and the Newton
+    # evaluation
     terms = [d * (d - 1) * math.log(a)] + [k * math.log(k) for k in range(1, d + 1)]
-    sign, zero = 1, False
+    sign = 1
     for k in range(1, d // 2):
-        base = lam - 2.0 * k
-        if base == 0.0:
-            zero = True
-            break
-        terms.append(2 * k * math.log(abs(base)))
+        terms.append(2 * k * math.log(abs(lam - 2.0 * k)))
     for k in range((d + 1) // 2, d):
         base = lam - 2.0 * k + 1.0
         terms.append(-(2 * k - 1) * math.log(abs(base)))
         if base < 0:
             sign = -sign
-    disc = (0, -math.inf) if zero else (sign, math.fsum(terms))
-    if zero:
-        return disc, None, None
     slopes = [2 * k * (lam / (lam - 2.0 * k)) for k in range(1, d // 2)]
     top = range((d + 1) // 2, d)
     slopes += [(1 - 2 * k) * (lam / (lam - 2.0 * k + 1.0)) for k in top]
-    newton = None
-    if lam >= 2.0 * d - 2.0:
-        fixed = [d * (d - 1) * math.log(a)] + [k * math.log(k) for k in range(1, d + 1)]
-        values, rates = fixed.copy(), []
-        for k in range(1, d // 2):
-            base = lam - 2.0 * k
-            values.append(2 * k * math.log(base))
-            rates.append(2 * k * (lam / base))
-        for k in top:
-            base = lam - 2.0 * k + 1.0
-            values.append(-(2 * k - 1) * math.log(base))
-            rates.append((1 - 2 * k) * (lam / base))
-        newton = (math.fsum(values), math.fsum(rates))
-    return disc, math.fsum(slopes), newton
+    fixed = [d * (d - 1) * math.log(a)] + [k * math.log(k) for k in range(1, d + 1)]
+    values, rates = fixed.copy(), []
+    for k in range(1, d // 2):
+        base = lam - 2.0 * k
+        values.append(2 * k * math.log(base))
+        rates.append(2 * k * (lam / base))
+    for k in top:
+        base = lam - 2.0 * k + 1.0
+        values.append(-(2 * k - 1) * math.log(base))
+        rates.append((1 - 2 * k) * (lam / base))
+    return (sign, math.fsum(terms)), math.fsum(slopes), (math.fsum(values), math.fsum(rates))
 
 
 def _bits(x):
@@ -303,15 +300,12 @@ def _bits(x):
 
 
 def _disc_grid():
-    # random heights; multipliers below the poles, on the zero bases
-    # lam = 2k, and from 2d - 2 up to 1e300
+    # random heights; multipliers from 2d - 2 up to 1e300
     rng = np.random.default_rng(2029)
     for d in (*range(2, 41), 60, 100, 300, 1000):
-        count = 6 if d <= 40 else 2
+        count = 9 if d <= 40 else 2
         for _ in range(count):
             a = float(np.exp(rng.uniform(-7.0, 7.0)))
-            yield a, d, float(rng.uniform(-2.0 * d, 2.0 * d - 2.0))
-            yield a, d, 2.0 * float(rng.integers(1, max(2, d // 2)))
             yield a, d, 2.0 * d - 2.0
             yield a, d, float((2.0 * d - 2.0) * np.exp(rng.uniform(0.0, 8.0)))
             yield a, d, float(np.exp(rng.uniform(8.0, 690.0)))
@@ -319,23 +313,16 @@ def _disc_grid():
 
 
 def test_one_term_list_has_the_bits_of_the_three_loops():
-    checked = zero = 0
+    checked = 0
     for a, d, lam in _disc_grid():
-        try:
-            got = closed_form_disc(a, d, lam)
-        except PoleError:
-            continue
+        got = closed_form_disc(a, d, lam)
         (sign, log_abs), slope, newton = _reference_disc(a, d, lam)
         assert (got.sign, _bits(got.log_abs)) == (sign, _bits(log_abs)), (a, d, lam)
-        checked += 1
-        if sign == 0:
-            zero += 1
-            continue
         value, rate = jf._log_disc_and_slope(a, d)(lam)
         assert _bits(rate) == _bits(slope), (a, d, lam)
-        if newton is not None:
-            assert (_bits(value), _bits(rate)) == tuple(map(_bits, newton)), (a, d, lam)
-    assert checked > 1000 and zero > 50
+        assert (_bits(value), _bits(rate)) == tuple(map(_bits, newton)), (a, d, lam)
+        checked += 1
+    assert checked > 1000
 
 
 def test_newton_multiplier_names_a_solve_that_does_not_settle():
@@ -503,34 +490,30 @@ def test_family_roots_reject_nonpositive_radicand(lam):
         family_roots(1.0, 6, lam)
 
 
-def _radicand_rule_outcome(d, lam):
-    """family_roots' outcome by the rule it kept before its domain was one
-    comparison: past the member check, form the radicands in floats, as
-    both bodies do, and refuse unless lam > 0 and every radicand is
-    positive and finite. None for an answer."""
-    try:
-        jf._check_member(1.0, d, lam)
-    except PoleError as err:
-        return PoleError, str(err)
-    refusal = DomainError, "recurrence radicand is not positive at multiplier %.17g" % lam
+def _radicands_are_positive(d, lam):
+    """Whether every radicand of family_roots at lam, formed in floats as
+    both bodies form them, is positive and finite."""
     if not lam > 0.0:
-        return refusal
+        return False
     for n in map(float, range(1, d)):
         try:
             r = n * ((lam + 2.0 - n) / lam) / (
                 ((lam + 3.0 - 2.0 * n) / lam) * ((lam + 1.0 - 2.0 * n) / lam)
             )
         except ZeroDivisionError:
-            return refusal
+            return False
         if not 0.0 < r < math.inf:
-            return refusal
-    return None
+            return False
+    return True
 
 
 def _domain_lams(d):
-    """Multipliers across family_roots' domain edge 2d - 3 and far out."""
+    """Multipliers across every pole up to 2d - 3, the member domain's
+    edge 2d - 2 and far out."""
     odd = range(-1, 2 * d, 2)
-    lams = [-1e308, -3.0, -1.0, -0.0, 0.0, 5e-324, 1e-310, 0.5, 2.0 * d - 2.0]
+    edge = 2.0 * d - 2.0
+    lams = [-1e308, -3.0, -1.0, -0.0, 0.0, 5e-324, 1e-310, 0.5, edge]
+    lams += [math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
     lams += [0.5 * k for k in range(4 * d + 1)]
     lams += [k + s for k in odd for s in (-2e-9, 2e-9)]
     lams += [2.0 * d - 3.0 + s for s in (-5e-10, 5e-10, -2e-9, 2e-9, -1e-6, 1e-6)]
@@ -539,28 +522,28 @@ def _domain_lams(d):
 
 @pytest.mark.parametrize("d", [*range(2, 13), 31, 63, 64, 65, 257, 258, 300])
 def test_family_roots_domain_is_the_radicand_rule(monkeypatch, d):
-    # the one comparison lam > 2d - 3 refuses exactly what a scan of the
-    # radicands refused, with the same exception and text, in each body,
-    # and either body's radicands feed either root path
+    # every radicand is positive and finite on the member domain
+    # lam >= 2d - 2, and family_roots refuses exactly the lam below it, with
+    # the one text, in each body; either body's radicands feed either root path
     for lam in _domain_lams(d):
-        want = _radicand_rule_outcome(d, lam)
+        want = _below_domain(d, lam)
+        if lam >= 2.0 * d - 2.0:
+            assert _radicands_are_positive(d, lam), lam
+            want = None
         for crossover in (d + 1, d):
             monkeypatch.setattr(bf, "_ARRAY_DEGREE", crossover)
             try:
                 family_roots(1.0, d, lam)
                 got = None
-            except (DomainError, PoleError) as err:
-                got = type(err), str(err)
+            except DomainError as err:
+                got = str(err)
             assert got == want, (lam, crossover)
 
 
 NEWTON_D = jf._NEWTON_DEGREE
-# multipliers as fractions of the boundary 2d - 2, then two at fixed
-# offsets: one below the boundary (family_roots accepts lam > 2d - 3), and
-# 2d - 1, where the turning points of the seeds' phase meet the ends
-NEWTON_LAMS = [
-    (f, 0.0) for f in (1.0 + 1e-6, 1.0001, 1.01, 1.28, 1e10)
-] + [(1.0, -0.5), (1.0, 1.0)]
+# multipliers as fractions of the boundary 2d - 2, then 2d - 1, where the
+# turning points of the seeds' phase meet the ends
+NEWTON_LAMS = [(f, 0.0) for f in (1.0 + 1e-6, 1.0001, 1.01, 1.28, 1e10)] + [(1.0, 1.0)]
 
 
 def _newton_lam(d, frac, offset):
@@ -627,26 +610,28 @@ def test_newton_roots_at_ten_thousand():
     assert math.fsum(x * x for x in roots) == pytest.approx(want, rel=1e-13)
 
 
-@pytest.mark.parametrize("d", [NEWTON_D - 1, NEWTON_D, 300, 1000])
-def test_family_roots_at_the_domain_edge(d):
-    # just past the pole's 1e-9 band around 2d - 3, on the SVD path (d = 257)
-    # and the Newton path, the largest root runs off like
-    # sqrt(d (d - 1) / (2 (lam - 2d + 3)))
-    for offset in (2e-9, 1e-6):
-        lam = 2.0 * d - 3.0 + offset
-        roots = family_roots(1.0, d, lam)
+MEMBER_FUNCTIONS = [family_coeffs, family_roots, closed_form_disc, jacobi_connection_residual]
+
+
+# both radicand bodies and both root paths (the SVD below d = 258, Newton
+# from there on), at degrees where 2d - 2 is a power of two and either side
+@pytest.mark.parametrize("d", [2, 3, 5, 9, 63, 64, 65, NEWTON_D - 1, NEWTON_D, 300, 513, 1000])
+def test_family_roots_at_the_domain_edge(monkeypatch, d):
+    # sum x^2 = d (d - 1) / (lam - 2d + 3), which is d (d - 1) at 2d - 2
+    edge = 2.0 * d - 2.0
+    below = math.nextafter(edge, -math.inf)
+    for crossover in (d + 1, d):
+        monkeypatch.setattr(bf, "_ARRAY_DEGREE", crossover)
+        roots = family_roots(1.0, d, edge)
         assert all(map(math.isfinite, roots))
         assert all(x < y for x, y in zip(roots, roots[1:]))
         assert roots == [-x for x in reversed(roots)]
-        want = d * (d - 1) / (lam - 2.0 * d + 3.0)
+        want = d * (d - 1) / (edge - 2.0 * d + 3.0)
         assert math.fsum(x * x for x in roots) == pytest.approx(want, rel=1e-13)
-    assert 4e6 <= family_roots(1.0, d, 2.0 * d - 3.0 + 2e-9)[-1] <= 1.6e7
-    lam = 2.0 * d - 3.0 - 2e-9
-    refusal = "^recurrence radicand is not positive at multiplier %.17g$" % lam
-    with pytest.raises(DomainError, match=refusal):
-        family_roots(1.0, d, lam)
-    with pytest.raises(PoleError):
-        family_roots(1.0, d, 2.0 * d - 3.0 + 5e-10)
+        for call in MEMBER_FUNCTIONS:
+            with pytest.raises(DomainError) as err:
+                call(1.0, d, below)
+            assert str(err.value) == _below_domain(d, below)
 
 
 @pytest.mark.parametrize("a", [1e-150, 1e150])
@@ -805,9 +790,9 @@ def test_newton_roots_worst_ulps(d, frac, bound):
 
 
 def test_newton_roots_that_do_not_settle_are_refused(monkeypatch):
-    # below 2d - 2 the largest root's seed is too far off for its Taylor
-    # step to certify, so that root needs a second sweep
-    lam = _newton_lam(NEWTON_D, 1.0, -0.5)
+    # at 2d - 1.5 the largest root's Taylor step does not certify it, so
+    # that root needs a second sweep
+    lam = _newton_lam(NEWTON_D, 1.0, 0.5)
     monkeypatch.setattr(jf, "_NEWTON_SWEEPS", 1)
     with pytest.raises(DomainError, match="did not settle"):
         family_roots(1.0, NEWTON_D, lam)
@@ -828,14 +813,6 @@ def test_closed_form_disc_values():
     assert ld.sign == 1 and ld.value == pytest.approx(2.0, rel=1e-13)
     ld = closed_form_disc(1.0, 3, 4.0)
     assert ld.value == pytest.approx(108.0, rel=1e-13)
-
-
-def test_closed_form_disc_below_the_poles():
-    # lam = 2: x^4 + 2x^2 + 1 = (x^2 + 1)^2 has a double root, disc 0;
-    # lam = 2 at d = 3: x^3 + 3x, disc -4 * 3^3
-    assert closed_form_disc(1.0, 4, 2.0).sign == 0
-    ld = closed_form_disc(1.0, 3, 2.0)
-    assert ld.sign == -1 and ld.value == pytest.approx(-108.0, rel=1e-13)
 
 
 def test_closed_form_disc_vs_resultant():
@@ -927,13 +904,13 @@ MEMBER_REFUSALS = [
     ((1.0, 1, 7.0), DomainError, "d must be an integer >= 2"),
     ((1.0, 4.0, 7.0), DomainError, "d must be an integer >= 2"),
     ((1.0, 4, math.inf), DomainError, "multiplier must be finite"),
-    ((1.0, 4, 5.0 + 5e-10), PoleError, "multiplier 5.0000000005 is within 1e-9 of the pole 5"),
+    ((1.0, 4, 5.0 + 5e-10), DomainError, "multiplier 5.0000000005 is below 2d - 2 = 6"),
+    ((1.0, 4, 5.0), DomainError, "multiplier 5 is below 2d - 2 = 6"),
+    ((1.0, 4, 0.5), DomainError, "multiplier 0.5 is below 2d - 2 = 6"),
 ]
 
 
-@pytest.mark.parametrize(
-    "call", [family_coeffs, family_roots, closed_form_disc, jacobi_connection_residual]
-)
+@pytest.mark.parametrize("call", MEMBER_FUNCTIONS)
 @pytest.mark.parametrize("args, error, message", MEMBER_REFUSALS)
 def test_member_functions_refuse_alike(call, args, error, message):
     with pytest.raises(error) as err:
